@@ -14,7 +14,6 @@ from .errors import (
     InsufficientDataError,
     LabelMismatchError,
     PodagError,
-    ScreeningError,
     SelectionError,
     SingularityError,
 )
@@ -59,8 +58,6 @@ from .search import (
     PodagResult,
     learn,
     podag_multi_layer,
-    podag_two_layer,
-    podag_weak_ordering,
 )
 from .sem import (
     GenConfig,
@@ -82,10 +79,7 @@ from .stats import (
     GaussianEngine,
     OracleEngine,
     RecordingEngine,
-    ThresholdEngine,
     fisher_z_test,
-    gaussian_engine,
-    oracle_engine,
     partial_correlation,
     sample_covariance,
 )

@@ -12,7 +12,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .graph import Pdag, SepsetMap, apply_meek_rules, orient_v_structures, write_edgelist
+from .graph import Pdag, SepsetMap, apply_meek_rules, orient_by_ordering, orient_v_structures, write_edgelist
 
 __all__ = ["BaselineResult", "estimate_h0", "estimate_h_minus_j", "pc", "pc_plus"]
 
@@ -191,18 +191,7 @@ def pc_plus(engine, ordering, labels=None, max_level=None, stable=False, on_conf
     und, sepsets = _pc_skeleton(
         engine, n_nodes, sepset_filter=sepset_filter, max_level=max_level, stable=stable
     )
-    background = set()
-    remaining = set()
-    for i, j in und:
-        if ordering.orders_before(i, j):
-            background.add((i, j))
-        elif ordering.orders_before(j, i):
-            background.add((j, i))
-        else:
-            remaining.add((i, j))
-    skeleton = Pdag(
-        n_nodes, directed_edges=background, undirected_edges=remaining, labels=labels
-    )
+    skeleton = orient_by_ordering(Pdag(n_nodes, undirected_edges=und, labels=labels), ordering)
     oriented = orient_v_structures(skeleton, sepsets, on_conflict=on_conflict)
     result = apply_meek_rules(oriented, on_conflict=on_conflict)
     return BaselineResult(pdag=result, sepsets=sepsets, ci_tests=engine.n_queries - start)

@@ -26,7 +26,6 @@ from .errors import (
     InsufficientDataError,
     LabelMismatchError,
     PodagError,
-    ScreeningError,
     SelectionError,
     SingularityError,
 )
@@ -38,7 +37,7 @@ from .evaluation import (
     rows_to_csv,
     run_benchmark,
 )
-from .graph import Pdag, read_layering, write_edgelist, write_layering
+from .graph import orient_by_ordering, read_layering, write_edgelist, write_layering
 from .screening import screen_all
 from .search import PodagConfig, learn
 from .sem import GenConfig, generate_layered_dag, random_weights, rng_from_seed, sample
@@ -54,7 +53,6 @@ NUMERIC_ERRORS = (
     InsufficientDataError,
     DegenerateDataError,
     InconsistencyError,
-    ScreeningError,
     SelectionError,
 )
 
@@ -263,7 +261,7 @@ def cmd_learn(args):
             on_conflict=args.on_conflict,
         )
         if args.screen_only:
-            screen = screen_all(
+            screen, _ = screen_all(
                 dataset,
                 ordering,
                 backend=args.backend,
@@ -295,7 +293,7 @@ def cmd_learn(args):
         else:
             res = pc_plus(engine, ordering, labels=dataset.labels, on_conflict=args.on_conflict)
         if args.orient_by_ordering and args.algorithm in ("pc", "pc+"):
-            res = dataclasses.replace(res, pdag=_orient_cross_by_ordering(res.pdag, ordering))
+            res = dataclasses.replace(res, pdag=orient_by_ordering(res.pdag, ordering))
         (out / "result.json").write_text(res.to_json() + "\n")
         (out / "edges.tsv").write_text(res.to_edgelist())
         doc = json.loads(res.to_json())
@@ -303,19 +301,6 @@ def cmd_learn(args):
     if args.stdout:
         print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
-
-
-def _orient_cross_by_ordering(pdag, ordering):
-    directed = set(pdag.directed_edges)
-    undirected = set()
-    for u, v in pdag.undirected_edges:
-        if ordering.orders_before(u, v):
-            directed.add((u, v))
-        elif ordering.orders_before(v, u):
-            directed.add((v, u))
-        else:
-            undirected.add((u, v))
-    return Pdag(pdag.n_nodes, directed, undirected, labels=pdag.labels)
 
 
 def _check_output_file(path):

@@ -59,11 +59,3 @@ class LabelMismatchError(PodagError):
         self.offending = sorted(offending)
         super().__init__(f"{message}: {self.offending}")
 
-
-class ScreeningError(PodagError):
-    """Aggregate error from per-node screening failures."""
-
-    def __init__(self, failures):
-        self.failures = list(failures)
-        detail = "; ".join(f"node {j}: {err}" for j, err in self.failures)
-        super().__init__(f"screening failed for {len(self.failures)} node(s): {detail}")

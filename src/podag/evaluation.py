@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .baselines import pc, pc_plus
 from .errors import SingularityError
-from .graph import Pdag
+from .graph import Pdag, orient_by_ordering
 from .search import PodagConfig, learn
 from .sem import generate_layered_dag, GenConfig, population_covariance, random_weights, sample, spawn_rngs
 from .stats import GaussianEngine, OracleEngine, RecordingEngine, partial_correlation
@@ -72,20 +72,11 @@ def _estimated_relations(estimated, ordering):
     edges between unordered peers contribute adjacency only.
     """
     if isinstance(estimated, Pdag):
-        directed = set(estimated.directed_edges)
-        undirected = set(estimated.undirected_edges)
-    else:
-        directed = {(int(u), int(v)) for u, v in estimated}
-        undirected = set()
-    for u, v in sorted(undirected):
-        if ordering is not None and ordering.orders_before(u, v):
-            directed.add((u, v))
-        elif ordering is not None and ordering.orders_before(v, u):
-            directed.add((v, u))
-    adjacency = {(min(u, v), max(u, v)) for u, v in directed} | {
-        (min(u, v), max(u, v)) for u, v in undirected
-    }
-    return directed, adjacency
+        if ordering is not None:
+            estimated = orient_by_ordering(estimated, ordering)
+        return set(estimated.directed_edges), set(estimated.adjacency_pairs())
+    directed = {(int(u), int(v)) for u, v in estimated}
+    return directed, {(min(u, v), max(u, v)) for u, v in directed}
 
 
 def edge_metrics(estimated, truth, scope="all_edges", ordering=None):

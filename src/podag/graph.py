@@ -18,6 +18,7 @@ __all__ = [
     "PartialOrdering",
     "SepsetMap",
     "apply_meek_rules",
+    "orient_by_ordering",
     "orient_v_structures",
     "read_edgelist",
     "write_edgelist",
@@ -495,6 +496,24 @@ class _OrientationState:
 
     def to_pdag(self):
         return Pdag(self.n_nodes, self.directed, self.undirected, labels=self.labels)
+
+
+def orient_by_ordering(pdag, ordering):
+    """Point every undirected edge whose endpoints ``ordering`` orders forward.
+
+    Edges between nodes the ordering leaves mutually unordered stay
+    undirected; directed edges are kept as they are.
+    """
+    directed = set(pdag.directed_edges)
+    undirected = set()
+    for u, v in pdag.undirected_edges:
+        if ordering.orders_before(u, v):
+            directed.add((u, v))
+        elif ordering.orders_before(v, u):
+            directed.add((v, u))
+        else:
+            undirected.add((u, v))
+    return Pdag(pdag.n_nodes, directed, undirected, labels=pdag.labels)
 
 
 def orient_v_structures(skeleton, sepsets, on_conflict="error"):

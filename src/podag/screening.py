@@ -8,6 +8,10 @@ backends (exact partial correlation, sure-independence screening, lasso):
 * ``s1``: members of ``s0`` plus j's unordered peers that remain
   associated with j after adjusting for all of ``s0`` and the peers.
 
+The two stages are the same for every backend; a backend only decides
+which members of a pool stay associated with j.  :func:`screen_all`
+screens every target node and counts the tests pcor screening performs.
+
 The derived sets drive the searching loop: ``cross = s0 & s1`` holds the
 candidate incoming cross edges and ``cmb = s1 - s0`` is the conditional
 Markov blanket of j within its own layer.
@@ -22,24 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .errors import InsufficientDataError, ScreeningError, SelectionError
-from .stats import (
-    CiEngine,
-    CovMatrix,
-    Dataset,
-    GaussianEngine,
-    ThresholdEngine,
-    block_partial_correlations,
-    sample_covariance,
-)
+from .errors import InsufficientDataError, SelectionError
+from .stats import CiEngine, CovMatrix, Dataset, block_partial_correlations, sample_covariance
 
 __all__ = [
     "ScreenEntry",
     "ScreenSets",
     "LassoFit",
-    "screen_node_engine",
     "screen_pcor",
-    "screen_pcor_block",
     "screen_sis",
     "screen_lasso",
     "screen_all",
@@ -167,99 +161,65 @@ def _success_warnings(j, s0, s1, n):
     return ()
 
 
-def screen_node_engine(engine, ordering, j, n=None):
-    """Screen one node by direct conditional-independence queries.
+def _screen_node(ordering, j, select, n, notes=()):
+    """Stage node ``j``: ``s0 = select(before(j))``, ``s1 = select(s0 + peers(j))``.
 
-    ``s0 = {k before j : k dep j | before(j) - k}`` and
-    ``s1 = {z in s0 + peers(j) : z dep j | (s0 + peers(j)) - z}``.
+    ``select(pool, stage)`` returns the members of a nonempty ``pool``
+    that stay associated with j at stage 0 (``s0``) or 1 (``s1``).
+    ``notes`` is read after both stages, so a backend may append to it
+    while selecting.
     """
     before = sorted(ordering.before_set(j))
-    s0 = {
-        k
-        for k in before
-        if not engine.query(k, j, [v for v in before if v != k]).independent
-    }
-    peers = sorted(ordering.peer_set(j))
-    pool1 = sorted(s0) + peers
-    base = set(pool1)
-    s1 = {
-        z
-        for z in pool1
-        if not engine.query(z, j, base - {z}).independent
-    }
-    return ScreenEntry(j, s0, s1, warnings=_success_warnings(j, frozenset(s0), frozenset(s1), n))
+    s0 = select(before, 0) if before else set()
+    pool1 = sorted(s0) + sorted(ordering.peer_set(j))
+    s1 = select(pool1, 1) if pool1 else set()
+    notes = tuple(notes) + _success_warnings(j, frozenset(s0), frozenset(s1), n)
+    return ScreenEntry(j, s0, s1, warnings=notes)
 
 
-def _pcor_engine(data, threshold=None, alpha=0.5):
-    if isinstance(data, CovMatrix):
-        if threshold is not None:
-            return ThresholdEngine(data, threshold), None
-        return GaussianEngine(data, alpha=alpha), data.n
-    if isinstance(data, Dataset):
-        if threshold is not None:
-            return ThresholdEngine(sample_covariance(data), threshold), data.n
-        return GaussianEngine(data, alpha=alpha), data.n
-    raise TypeError("data must be a Dataset or CovMatrix")
+def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
+    """Partial-correlation screening for node ``j``.
 
-
-def screen_pcor_block(data, ordering, j, threshold=None, alpha=0.5):
-    """Partial-correlation screening via one precision matrix per stage.
-
-    Returns ``(entry, n_tests)``.  Verdicts coincide with per-pair engine
-    queries (the conditioning set of each membership test is exactly the
-    rest of its block), so this is a batched fast path, with the logical
-    test count reported for diagnostics.
+    Each pool member k is kept when it depends on j given the rest of
+    the pool.  A :class:`CiEngine` source answers one query per member
+    (the oracle path).  A :class:`CovMatrix` or :class:`Dataset` source
+    reads every verdict of a stage off one precision matrix: with
+    ``threshold`` set, k is kept when its absolute partial correlation
+    exceeds the threshold (population mode); otherwise the Fisher z test
+    at the deliberately liberal ``alpha`` (default 0.5, to avoid false
+    negatives) decides.
     """
-    cov = sample_covariance(data) if isinstance(data, Dataset) else data
-    n = data.n
+    if isinstance(source, CiEngine):
+
+        def select(pool, stage):
+            return {
+                k for k in pool if not source.query(k, j, [v for v in pool if v != k]).independent
+            }
+
+        return _screen_node(ordering, j, select, None)
+
+    cov = sample_covariance(source) if isinstance(source, Dataset) else source
+    if not isinstance(cov, CovMatrix):
+        raise TypeError("source must be a Dataset, CovMatrix or CiEngine")
+    n = cov.n
     if threshold is None and n is None:
         raise ValueError("Fisher-z screening needs a sample size; population input wants threshold mode")
 
-    def dependent(rhos, pool):
+    def select(pool, stage):
+        rhos = block_partial_correlations(cov, j, pool)
         if threshold is not None:
-            return np.abs(rhos) > threshold
-        dof = n - (len(pool) - 1) - 3
-        if dof <= 0:
-            raise InsufficientDataError(
-                f"fisher z needs n - |s| - 3 > 0 (n={n}, |s|={len(pool) - 1})"
-            )
-        z = np.sqrt(dof) * np.arctanh(np.clip(rhos, -1 + 1e-15, 1 - 1e-15))
-        return np.abs(z) > norm.ppf(1.0 - alpha / 2.0)
+            keep = np.abs(rhos) > threshold
+        else:
+            dof = n - (len(pool) - 1) - 3
+            if dof <= 0:
+                raise InsufficientDataError(
+                    f"fisher z needs n - |s| - 3 > 0 (n={n}, |s|={len(pool) - 1})"
+                )
+            z = np.sqrt(dof) * np.arctanh(np.clip(rhos, -1 + 1e-15, 1 - 1e-15))
+            keep = np.abs(z) > norm.ppf(1.0 - alpha / 2.0)
+        return {k for k, flag in zip(pool, keep) if flag}
 
-    tests = 0
-    before = sorted(ordering.before_set(j))
-    s0 = set()
-    if before:
-        rhos = block_partial_correlations(cov, j, before)
-        keep = dependent(rhos, before)
-        s0 = {k for k, flag in zip(before, keep) if flag}
-        tests += len(before)
-    pool1 = sorted(s0) + sorted(ordering.peer_set(j))
-    s1 = set()
-    if pool1:
-        rhos = block_partial_correlations(cov, j, pool1)
-        keep = dependent(rhos, pool1)
-        s1 = {z for z, flag in zip(pool1, keep) if flag}
-        tests += len(pool1)
-    entry = ScreenEntry(
-        j, s0, s1, warnings=_success_warnings(j, frozenset(s0), frozenset(s1), n)
-    )
-    return entry, tests
-
-
-def screen_pcor(data, ordering, j, threshold=None, alpha=0.5, engine=None):
-    """Partial-correlation screening for node ``j``.
-
-    With ``threshold`` set, a node is kept when its absolute partial
-    correlation exceeds the threshold (population mode).  Otherwise the
-    Fisher z test at the deliberately liberal ``alpha`` (default 0.5, to
-    avoid false negatives) decides.
-    """
-    if engine is None:
-        engine, n = _pcor_engine(data, threshold=threshold, alpha=alpha)
-    else:
-        n = data.n if isinstance(data, (Dataset, CovMatrix)) else None
-    return screen_node_engine(engine, ordering, j, n=n)
+    return _screen_node(ordering, j, select, n)
 
 
 def _standardized(data):
@@ -293,9 +253,7 @@ def screen_sis(data, ordering, j, t=0.5, mode="top", pvalue_cutoff=0.5):
     n = data.n
     y = x[:, j]
 
-    def select(candidates):
-        if not candidates:
-            return set()
+    def select(candidates, stage):
         scores = np.abs(x[:, candidates].T @ y)
         if mode == "top":
             return _sis_select(scores, candidates, n, t)
@@ -305,11 +263,7 @@ def screen_sis(data, ordering, j, t=0.5, mode="top", pvalue_cutoff=0.5):
         pvals = 2.0 * norm.sf(z)
         return {k for k, p in zip(candidates, pvals) if p < pvalue_cutoff}
 
-    before = sorted(ordering.before_set(j))
-    s0 = select(before)
-    pool1 = sorted(s0) + sorted(ordering.peer_set(j))
-    s1 = select(pool1)
-    return ScreenEntry(j, s0, s1, warnings=_success_warnings(j, frozenset(s0), frozenset(s1), n))
+    return _screen_node(ordering, j, select, n)
 
 
 @dataclass(frozen=True)
@@ -445,88 +399,51 @@ def screen_lasso(
     y = x[:, j]
     notes = []
 
-    def active(pool, lam, tag, default_count):
-        if not pool:
-            return set()
+    def active(pool, stage):
         design = x[:, pool]
+        lam = (lambda0, lambda1)[stage]
         if aic:
             lam = select_lambda_aic(y, design, default_lambda_grid(y, design, size=grid_size))
         elif lam is None:
+            default_count = len(pool) if stage == 0 else data.m
             lam = np.sqrt(2.0 * np.log(max(default_count, 2)) / n)
         fit = lasso_fit(y, design, lam)
         if not fit.converged:
-            notes.append(f"lasso for node {j} ({tag}) did not converge")
+            notes.append(f"lasso for node {j} (s{stage}) did not converge")
         return {pool[k] for k in fit.active_set}
 
-    before = sorted(ordering.before_set(j))
-    s0 = active(before, lambda0, "s0", len(before))
-    pool1 = sorted(s0) + sorted(ordering.peer_set(j))
-    s1 = active(pool1, lambda1, "s1", data.m)
-    notes.extend(_success_warnings(j, frozenset(s0), frozenset(s1), n))
-    return ScreenEntry(j, s0, s1, warnings=tuple(notes))
+    return _screen_node(ordering, j, active, n, notes)
 
 
-def screen_all(
-    data,
-    ordering,
-    backend="pcor",
-    params=None,
-    targets=None,
-    keep_going=False,
-    engine=None,
-):
+def screen_all(source, ordering, backend="pcor", params=None, targets=None):
     """Run the chosen per-node screen over every target node.
 
     ``targets`` defaults to all nodes (first-layer nodes get ``s0 = {}``
-    and are screened only for within-layer structure).  Per-node errors
-    fail fast unless ``keep_going`` is set, in which case failing nodes
-    are dropped with a warning; an aggregate :class:`ScreeningError` is
-    raised only when every node fails.
+    and are screened only for within-layer structure).  ``params`` are
+    keyword arguments of the backend's per-node screen.  A
+    :class:`Dataset` source is reduced to its sample covariance once for
+    the pcor backend.  Per-node errors fail fast.
+
+    Returns ``(screen_sets, n_tests)``: ``n_tests`` counts one logical
+    test per pool member screened by pcor (the queries an engine source
+    answered are also on its own counter), and 0 for sis and lasso.
     """
-    params = dict(params or {})
+    screen_node = {"pcor": screen_pcor, "sis": screen_sis, "lasso": screen_lasso}.get(backend)
+    if screen_node is None:
+        raise ValueError(f"unknown screening backend {backend!r}")
     if targets is None:
         targets = range(ordering.n_nodes)
-    use_block_pcor = backend == "pcor" and engine is None
-    if use_block_pcor and not isinstance(data, (Dataset, CovMatrix)):
-        raise TypeError("data must be a Dataset or CovMatrix")
-    n_for_check = data.n if isinstance(data, (Dataset, CovMatrix)) else None
-
-    entries = []
-    failures = []
-    for j in sorted(targets):
-        try:
-            if use_block_pcor:
-                entry, _ = screen_pcor_block(
-                    data,
-                    ordering,
-                    j,
-                    threshold=params.get("threshold"),
-                    alpha=params.get("alpha", 0.5),
-                )
-                entries.append(entry)
-            elif backend == "pcor":
-                entries.append(screen_node_engine(engine, ordering, j, n=n_for_check))
-            elif backend == "sis":
-                entries.append(screen_sis(data, ordering, j, **params))
-            elif backend == "lasso":
-                entries.append(screen_lasso(data, ordering, j, **params))
-            else:
-                raise ValueError(f"unknown screening backend {backend!r}")
-        except (ValueError, TypeError):
-            raise
-        except Exception as err:  # noqa: BLE001 - aggregated per contract
-            if not keep_going:
-                raise
-            failures.append((j, err))
-    if failures:
-        if not entries:
-            raise ScreeningError(failures)
-        warnings.warn(
-            f"screening dropped {len(failures)} node(s): "
-            + "; ".join(f"{j}: {e}" for j, e in failures)
+    labels = getattr(source, "labels", None)
+    if backend == "pcor" and isinstance(source, Dataset):
+        source = sample_covariance(source)
+    entries = [screen_node(source, ordering, j, **(params or {})) for j in sorted(targets)]
+    n_tests = 0
+    if backend == "pcor":
+        n_tests = sum(
+            len(ordering.before_set(e.node)) + len(e.s0) + len(ordering.peer_set(e.node))
+            for e in entries
         )
-    labels = getattr(data, "labels", None)
-    return ScreenSets(entries, n_nodes=ordering.n_nodes, labels=labels)
+    return ScreenSets(entries, n_nodes=ordering.n_nodes, labels=labels), n_tests
 
 
 def inflate_screen_sets(screen, ordering, rng, extra=3):

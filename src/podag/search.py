@@ -4,6 +4,10 @@ Candidates produced by screening are pruned by conditional-independence
 tests over subsets of each target's conditional Markov blanket, then
 oriented: edges with known order direction point forward, the rest get
 v-structure detection plus Meek closure, yielding a maximal PDAG.
+
+:func:`podag_multi_layer` is the one search entry point for every kind
+of partial ordering; :func:`learn` is one :func:`screen_all` call
+followed by it.
 """
 
 from __future__ import annotations
@@ -14,17 +18,15 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .errors import PodagError
-from .graph import Dag, PartialOrdering, Pdag, SepsetMap, apply_meek_rules, orient_v_structures, write_edgelist
-from .screening import ScreenSets, screen_all, screen_pcor_block
+from .graph import Dag, Pdag, SepsetMap, apply_meek_rules, orient_v_structures, write_edgelist
+from .screening import ScreenSets, screen_all
 from .stats import Dataset, GaussianEngine, OracleEngine
 
 __all__ = [
     "PodagConfig",
     "Diagnostics",
     "PodagResult",
-    "podag_two_layer",
     "podag_multi_layer",
-    "podag_weak_ordering",
     "learn",
 ]
 
@@ -129,6 +131,10 @@ class PodagResult:
             self.labels,
             undirected_edges=sorted(self.within.undirected_edges),
         )
+
+
+def _elapsed_ms(started):
+    return int(round((time.perf_counter() - started) * 1000))
 
 
 def _set_phase(engine, phase):
@@ -261,12 +267,23 @@ def _orient(engine, screen, cross_pairs, within_pairs, sepsets, cfg, n_nodes, la
     return apply_meek_rules(oriented, on_conflict=cfg.on_conflict)
 
 
-def _run_podag(engine, screen, cfg, include_within):
+def podag_multi_layer(engine, ordering, screen, cfg=None):
+    """Searching loop plus orientation over screened candidates.
+
+    ``ordering`` is any :class:`PartialOrdering`: two layers, many
+    layers, unordered nodes, or a weak ordering given by per-node
+    before/after overrides (pairs with no mutual order information are
+    searched symmetrically and oriented only by v-structures and Meek
+    closure).  With ``learn_within_layers`` unset only the between-layer
+    candidates are searched and ``within`` stays empty.
+    """
+    cfg = cfg or PodagConfig()
+    screen.validate(ordering)
     started = time.perf_counter()
     start_queries = engine.n_queries
 
     candidates = list(screen.cross_candidates())
-    if include_within:
+    if cfg.learn_within_layers:
         candidates += screen.within_candidates()
     _set_phase(engine, "search")
     surviving, sepsets, removals = _searching_loop(engine, screen, candidates, cfg)
@@ -280,7 +297,7 @@ def _run_podag(engine, screen, cfg, include_within):
 
     n_nodes = screen.n_nodes
     labels = screen.labels
-    if include_within:
+    if cfg.learn_within_layers:
         maximal = _orient(
             engine, screen, cross_edges, within_pairs, sepsets, cfg, n_nodes, labels
         )
@@ -295,11 +312,10 @@ def _run_podag(engine, screen, cfg, include_within):
     else:
         within = Pdag(n_nodes, labels=labels)
 
-    elapsed_ms = int(round((time.perf_counter() - started) * 1000))
     diagnostics = Diagnostics(
         ci_tests=engine.n_queries - start_queries,
         removals_per_level=removals,
-        elapsed_ms=elapsed_ms,
+        elapsed_ms=_elapsed_ms(started),
     )
     return PodagResult(
         n_nodes=n_nodes,
@@ -312,68 +328,31 @@ def _run_podag(engine, screen, cfg, include_within):
     )
 
 
-def podag_two_layer(engine, screen, cfg=None):
-    """Searching loop for two-layer problems: cross edges only."""
-    cfg = cfg or PodagConfig()
-    return _run_podag(engine, screen, cfg, include_within=False)
-
-
-def podag_multi_layer(engine, ordering, screen, cfg=None):
-    """Searching loop plus orientation for layered problems.
-
-    With ``learn_within_layers`` unset this reduces exactly to the
-    two-layer loop run over all between-layer candidates.
-    """
-    cfg = cfg or PodagConfig()
-    screen.validate(ordering)
-    return _run_podag(engine, screen, cfg, include_within=cfg.learn_within_layers)
-
-
-def podag_weak_ordering(engine, before_after, screen, cfg=None, n_nodes=None):
-    """Search under per-node before/after sets (weaker partial orderings).
-
-    ``before_after`` maps node -> (before set, after set); pairs with no
-    mutual order information are searched symmetrically and oriented only
-    by v-structures and Meek closure.
-    """
-    cfg = cfg or PodagConfig()
-    if n_nodes is None:
-        n_nodes = screen.n_nodes
-    ordering = PartialOrdering(
-        layers=[],
-        n_nodes=n_nodes,
-        unordered=range(n_nodes),
-        before={j: ba[0] for j, ba in before_after.items()},
-        after={j: ba[1] for j, ba in before_after.items()},
-    )
-    screen.validate(ordering)
-    return _run_podag(engine, screen, cfg, include_within=cfg.learn_within_layers)
-
-
 def learn(source, ordering, cfg=None, engine=None):
     """End-to-end estimator: screen, search, orient.
 
     ``source`` is a :class:`Dataset` (sample mode) or a :class:`Dag`
     (population oracle mode); ``engine`` optionally overrides the search
-    engine (e.g. a recording wrapper around an oracle).  Superset
-    robustness is inherited from the searching loop: any screening output
-    covering the true sets yields the same final graph under an oracle
-    engine.
+    engine (e.g. a recording wrapper around an oracle), which in oracle
+    mode also answers the screening queries.  Superset robustness is
+    inherited from the searching loop: any screening output covering the
+    true sets yields the same final graph under an oracle engine.
 
     Reported ``ci_tests`` cover the whole run: screening, searching, and
-    orientation-phase queries.
+    orientation-phase queries; ``elapsed_ms`` covers the same stages.
     """
+    started = time.perf_counter()
     cfg = cfg or PodagConfig()
     if isinstance(source, Dag):
         if cfg.backend != "pcor":
             raise ValueError("oracle inputs support only the pcor backend")
         if engine is None:
             engine = OracleEngine(source)
-        labels = source.labels
+        screen_source = engine
     elif isinstance(source, Dataset):
         if engine is None:
             engine = GaussianEngine(source, alpha=cfg.alpha)
-        labels = source.labels
+        screen_source = source
     else:
         raise TypeError("source must be a Dataset or a Dag")
 
@@ -381,36 +360,17 @@ def learn(source, ordering, cfg=None, engine=None):
         targets = list(range(ordering.n_nodes))
     else:
         targets = [j for j in range(ordering.n_nodes) if ordering.before_set(j)]
-
-    engine_start = engine.n_queries
-    _set_phase(engine, "screen")
     params = dict(cfg.backend_params)
-    if isinstance(source, Dag):
-        screen = screen_all(None, ordering, backend="pcor", targets=targets, engine=engine)
-        extra_screen_queries = 0  # counted on the shared engine already
-    elif cfg.backend == "pcor":
-        threshold = params.pop("threshold", None)
-        screen_alpha = params.pop("alpha", cfg.screen_alpha)
-        entries = []
-        extra_screen_queries = 0
-        for j in targets:
-            entry, n_tests = screen_pcor_block(
-                source, ordering, j, threshold=threshold, alpha=screen_alpha
-            )
-            entries.append(entry)
-            extra_screen_queries += n_tests
-        screen = ScreenSets(entries, n_nodes=ordering.n_nodes, labels=labels)
-    else:
-        screen = screen_all(source, ordering, backend=cfg.backend, params=params, targets=targets)
-        extra_screen_queries = 0
-    screen = ScreenSets(
-        [screen[j] for j in screen.nodes()], n_nodes=ordering.n_nodes, labels=labels
-    )
-    screen.validate(ordering)
+    if cfg.backend == "pcor":
+        params.setdefault("alpha", cfg.screen_alpha)
 
-    result = _run_podag(engine, screen, cfg, include_within=cfg.learn_within_layers)
-    total_tests = (engine.n_queries - engine_start) + extra_screen_queries
-    return replace(
-        result,
-        diagnostics=replace(result.diagnostics, ci_tests=total_tests),
+    _set_phase(engine, "screen")
+    screen, screen_tests = screen_all(screen_source, ordering, cfg.backend, params, targets)
+    screen.labels = source.labels  # an engine source carries no labels
+    result = podag_multi_layer(engine, ordering, screen, cfg)
+    diagnostics = replace(
+        result.diagnostics,
+        ci_tests=screen_tests + result.diagnostics.ci_tests,
+        elapsed_ms=_elapsed_ms(started),
     )
+    return replace(result, diagnostics=diagnostics)

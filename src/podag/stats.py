@@ -30,14 +30,11 @@ __all__ = [
     "CiEngine",
     "OracleEngine",
     "GaussianEngine",
-    "ThresholdEngine",
     "RecordingEngine",
     "sample_covariance",
     "partial_correlation",
     "block_partial_correlations",
     "fisher_z_test",
-    "oracle_engine",
-    "gaussian_engine",
 ]
 
 RCOND_MIN = 1e-12  # reciprocal condition number below this raises SingularityError
@@ -378,24 +375,6 @@ class GaussianEngine(CiEngine):
         return fisher_z_test(self.cov, self._n, i, j, s, self.alpha)
 
 
-class ThresholdEngine(CiEngine):
-    """Absolute partial-correlation threshold test, for population studies.
-
-    Independent iff ``|rho(i, j | s)| <= threshold``.
-    """
-
-    def __init__(self, cov, threshold):
-        super().__init__()
-        self.cov = cov
-        self.threshold = float(threshold)
-        if self.threshold < 0:
-            raise ValueError("threshold must be nonnegative")
-
-    def _decide(self, i, j, s):
-        rho = partial_correlation(self.cov, i, j, s)
-        return CiVerdict(independent=bool(abs(rho) <= self.threshold), statistic=rho)
-
-
 class RecordingEngine(CiEngine):
     """Wrapper that records every query issued to an inner engine.
 
@@ -425,12 +404,3 @@ class RecordingEngine(CiEngine):
         phases = set(phases)
         return [(i, j, s) for i, j, s, ph in self.records if ph in phases]
 
-
-def oracle_engine(dag):
-    """d-separation oracle engine for ``dag``."""
-    return OracleEngine(dag)
-
-
-def gaussian_engine(dataset, alpha=0.05):
-    """Fisher z engine over the sample covariance of ``dataset``."""
-    return GaussianEngine(dataset, alpha=alpha)

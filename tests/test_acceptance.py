@@ -30,7 +30,6 @@ from podag import (
     learn,
     partial_correlation,
     podag_multi_layer,
-    podag_weak_ordering,
     population_covariance,
     run_benchmark,
     sample_covariance,
@@ -53,7 +52,7 @@ def report(criterion, detail):
 
 
 def oracle_screen(dag, ordering):
-    screen = screen_all(None, ordering, backend="pcor", engine=OracleEngine(dag))
+    screen, _ = screen_all(OracleEngine(dag), ordering, backend="pcor")
     return ScreenSets(
         [screen[j] for j in screen.nodes()], n_nodes=dag.n_nodes, labels=dag.labels
     )
@@ -118,9 +117,16 @@ def test_criterion_2_population_correctness():
                 [l for l in layers if l], n_nodes=dag.n_nodes, unordered={free}
             )
             ba = ordering.to_before_after()
+            weak = PartialOrdering(
+                [],
+                n_nodes=dag.n_nodes,
+                unordered=range(dag.n_nodes),
+                before={j: b for j, (b, a) in ba.items()},
+                after={j: a for j, (b, a) in ba.items()},
+            )
             screen = oracle_screen(dag, ordering)
-            result = podag_weak_ordering(
-                OracleEngine(dag), ba, screen, PodagConfig(learn_within_layers=True)
+            result = podag_multi_layer(
+                OracleEngine(dag), weak, screen, PodagConfig(learn_within_layers=True)
             )
             failures += not check(result, dag, ordering)
     elapsed = time.perf_counter() - started

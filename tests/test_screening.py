@@ -6,7 +6,6 @@ from podag import (
     Dag,
     OracleEngine,
     PartialOrdering,
-    ThresholdEngine,
     default_lambda_grid,
     inflate_screen_sets,
     lasso_fit,
@@ -19,7 +18,7 @@ from podag import (
     select_lambda_aic,
 )
 from podag.errors import SelectionError
-from podag.screening import ScreenEntry, ScreenSets, screen_node_engine
+from podag.screening import ScreenEntry, ScreenSets
 from podag.sem import random_faithful_sem, rng_from_seed, sample, toy_two_layer_sem
 
 from helpers import random_layered_instance
@@ -73,11 +72,10 @@ class TestScreenEngineEquivalence:
             dag, ordering = random_layered_instance(rng, n_lo=4, n_hi=9)
             sem, _ = random_faithful_sem(dag, rng)
             cov = population_covariance(sem)
-            thr_engine = ThresholdEngine(cov, threshold=1e-6)
             dsep_engine = OracleEngine(dag)
             for j in range(dag.n_nodes):
-                a = screen_node_engine(thr_engine, ordering, j)
-                b = screen_node_engine(dsep_engine, ordering, j)
+                a = screen_pcor(cov, ordering, j, threshold=1e-6)
+                b = screen_pcor(dsep_engine, ordering, j)
                 assert (a.s0, a.s1) == (b.s0, b.s1)
             done += 1
 
@@ -87,7 +85,7 @@ class TestScreenEngineEquivalence:
             dag, ordering = random_layered_instance(rng, n_lo=4, n_hi=9)
             engine = OracleEngine(dag)
             for j in range(dag.n_nodes):
-                entry = screen_node_engine(engine, ordering, j)
+                entry = screen_pcor(engine, ordering, j)
                 before = sorted(ordering.before_set(j))
                 s0 = {
                     k
@@ -108,7 +106,7 @@ class TestSpuriousCandidateWitness:
     def test_spurious_candidate_with_characteristic_pattern(self):
         dag, ordering = mediated_witness()
         engine = OracleEngine(dag)
-        entry = screen_node_engine(engine, ordering, 2)
+        entry = screen_pcor(engine, ordering, 2)
         assert 0 in entry.cross  # spurious: 0 -> 2 is not an edge
         # the configuration: a within-layer directed path 0 -> 1 -> 2 and a
         # common child of 0 and 2 (node 3)
@@ -126,7 +124,7 @@ class TestSpuriousCandidateWitness:
             for j in range(dag.n_nodes):
                 if not ordering.before_set(j):
                     continue
-                entry = screen_node_engine(engine, ordering, j)
+                entry = screen_pcor(engine, ordering, j)
                 for k in entry.cross - dag.parents(j):
                     assert j in dag.descendants(dag.children(k) - {j}), (
                         sorted(dag.edges),
@@ -340,21 +338,23 @@ class TestScreenLasso:
 class TestScreenAll:
     def test_toy_population_candidates_exact(self):
         cov, ordering = toy_population_cov()
-        screen = screen_all(cov, ordering, backend="pcor", params={"threshold": 0.01})
+        screen, n_tests = screen_all(cov, ordering, backend="pcor", params={"threshold": 0.01})
         assert screen.cross_candidates() == [(0, 2), (1, 3)]
+        # one test per pool member: 1 + 1 for the first layer, 2 + 2 and 2 + 3 below
+        assert n_tests == 11
 
     def test_single_layer_has_no_cross_candidates(self):
         rng = rng_from_seed(19)
         dag, ordering = random_layered_instance(rng, n_lo=5, n_hi=8, layers_hi=2)
         ordering = PartialOrdering([set(range(dag.n_nodes))], n_nodes=dag.n_nodes)
-        screen = screen_all(None, ordering, backend="pcor", engine=OracleEngine(dag))
+        screen, _ = screen_all(OracleEngine(dag), ordering, backend="pcor")
         assert screen.cross_candidates() == []
         for j in screen.nodes():
             assert screen[j].s0 == frozenset()
 
     def test_within_candidates_symmetrized(self):
         dag, ordering = mediated_witness()
-        screen = screen_all(None, ordering, backend="pcor", engine=OracleEngine(dag))
+        screen, _ = screen_all(OracleEngine(dag), ordering, backend="pcor")
         cands = screen.within_candidates()
         for k, j in cands:
             assert (j, k) in cands
@@ -368,7 +368,7 @@ class TestScreenAll:
     def test_json_round_trip(self):
         cov, ordering = toy_population_cov()
         labels = ("X1", "X2", "Y1", "Y2")
-        screen = screen_all(cov, ordering, backend="pcor", params={"threshold": 0.01})
+        screen, _ = screen_all(cov, ordering, backend="pcor", params={"threshold": 0.01})
         screen = ScreenSets([screen[j] for j in screen.nodes()], 4, labels=labels)
         text = screen.to_json()
         back = ScreenSets.from_json(text, labels)
@@ -386,7 +386,7 @@ class TestInflation:
     def test_inflated_sets_are_supersets(self):
         rng = rng_from_seed(20)
         dag, ordering = random_layered_instance(rng, n_lo=6, n_hi=10)
-        screen = screen_all(None, ordering, backend="pcor", engine=OracleEngine(dag))
+        screen, _ = screen_all(OracleEngine(dag), ordering, backend="pcor")
         fat = inflate_screen_sets(screen, ordering, rng, extra=3)
         fat.validate(ordering)
         for j in screen.nodes():

@@ -1,17 +1,20 @@
 import json
+import time
 
 import pytest
 
+import podag.search
 from podag import (
     Dag,
+    GenConfig,
     OracleEngine,
     PartialOrdering,
     PodagConfig,
     RecordingEngine,
+    generate_layered_dag,
     learn,
     podag_multi_layer,
-    podag_two_layer,
-    podag_weak_ordering,
+    random_weights,
     screen_all,
 )
 from podag.errors import InsufficientDataError
@@ -27,7 +30,7 @@ from helpers import (
 
 
 def oracle_screen(dag, ordering, targets=None):
-    screen = screen_all(None, ordering, backend="pcor", engine=OracleEngine(dag), targets=targets)
+    screen, _ = screen_all(OracleEngine(dag), ordering, backend="pcor", targets=targets)
     return ScreenSets(
         [screen[j] for j in screen.nodes()], n_nodes=dag.n_nodes, labels=dag.labels
     )
@@ -44,7 +47,7 @@ class TestTwoLayerSearch:
         sem, ordering = toy_two_layer_sem()
         engine = OracleEngine(sem.dag)
         screen = oracle_screen(sem.dag, ordering, targets=[2, 3])
-        res = podag_two_layer(engine, screen, PodagConfig())
+        res = podag_multi_layer(engine, ordering, screen, PodagConfig())
         assert res.cross_edges == {(0, 2), (1, 3)}
         assert res.within.directed_edges == frozenset()
         assert res.within.undirected_edges == frozenset()
@@ -53,7 +56,8 @@ class TestTwoLayerSearch:
         entries = [ScreenEntry(2, set(), set()), ScreenEntry(3, set(), set())]
         screen = ScreenSets(entries, n_nodes=4)
         engine = OracleEngine(Dag(4, []))
-        res = podag_two_layer(engine, screen, PodagConfig())
+        ordering = PartialOrdering([{0, 1}, {2, 3}], n_nodes=4)
+        res = podag_multi_layer(engine, ordering, screen, PodagConfig())
         assert res.cross_edges == frozenset()
         assert res.diagnostics.ci_tests == 0
 
@@ -62,7 +66,7 @@ class TestTwoLayerSearch:
         engine = OracleEngine(dag)
         screen = oracle_screen(dag, ordering, targets=[1, 2, 3])
         assert 0 in screen[2].cross  # the spurious candidate enters the loop
-        res = podag_two_layer(engine, screen, PodagConfig())
+        res = podag_multi_layer(engine, ordering, screen, PodagConfig())
         assert res.cross_edges == dag.cross_edges(ordering)
         sep = res.sepsets.get(0, 2)
         assert sep is not None
@@ -74,7 +78,7 @@ class TestTwoLayerSearch:
         dag, ordering = mediated_witness()
         engine = OracleEngine(dag)
         screen = oracle_screen(dag, ordering, targets=[1, 2, 3])
-        res = podag_two_layer(engine, screen, PodagConfig(max_sepset_size=0))
+        res = podag_multi_layer(engine, ordering, screen, PodagConfig(max_sepset_size=0))
         assert (0, 2) in res.cross_edges  # needs |T| = 1, which the cap forbids
 
     def test_stable_mode_matches_sequential(self):
@@ -95,14 +99,6 @@ class TestTwoLayerSearch:
 
 
 class TestMultiLayerSearch:
-    def test_reduces_to_two_layer(self):
-        sem, ordering = toy_two_layer_sem()
-        screen = oracle_screen(sem.dag, ordering, targets=[2, 3])
-        a = podag_two_layer(OracleEngine(sem.dag), screen, PodagConfig())
-        b = podag_multi_layer(OracleEngine(sem.dag), ordering, screen, PodagConfig())
-        assert a.cross_edges == b.cross_edges
-        assert a.as_pdag() == b.as_pdag()
-
     def test_chain_within_edge_identifiable(self):
         # true graph 0 -> 1 -> 2 with ordering {0} < {1, 2}: the background
         # orientation 0 -> 1 plus no collider at 1 forces 1 -> 2
@@ -186,7 +182,7 @@ class TestWeakOrdering:
                 after={j: a for j, (b, a) in ba.items()},
             )
             screen = oracle_screen(dag, weak_ord)
-            weak = podag_weak_ordering(OracleEngine(dag), ba, screen, cfg)
+            weak = podag_multi_layer(OracleEngine(dag), weak_ord, screen, cfg)
             assert weak.cross_edges == layered.cross_edges
             assert weak.as_pdag() == layered.as_pdag()
 
@@ -196,13 +192,12 @@ class TestWeakOrdering:
         rng = rng_from_seed(5)
         for _ in range(10):
             dag, _ = random_layered_instance(rng, n_lo=4, n_hi=7, epn_hi=1.8)
-            ba = {j: (frozenset(), frozenset()) for j in range(dag.n_nodes)}
             weak_ord = PartialOrdering(
                 [], n_nodes=dag.n_nodes, unordered=range(dag.n_nodes)
             )
             screen = oracle_screen(dag, weak_ord)
-            res = podag_weak_ordering(
-                OracleEngine(dag), ba, screen, PodagConfig(learn_within_layers=True)
+            res = podag_multi_layer(
+                OracleEngine(dag), weak_ord, screen, PodagConfig(learn_within_layers=True)
             )
             assert res.cross_edges == frozenset()
             assert res.as_pdag() == enumeration_maximal_pdag(dag, ())
@@ -263,7 +258,40 @@ class TestLearnDispatch:
             n_nodes=4,
         )
         with pytest.raises(InsufficientDataError, match="candidate"):
-            podag_two_layer(engine, screen, PodagConfig())
+            podag_multi_layer(engine, ordering, screen, PodagConfig())
+
+    def test_elapsed_covers_screening(self, monkeypatch):
+        screen_all_fast = podag.search.screen_all
+
+        def screen_all_slow(*args, **kwargs):
+            time.sleep(0.05)
+            return screen_all_fast(*args, **kwargs)
+
+        monkeypatch.setattr(podag.search, "screen_all", screen_all_slow)
+        sem, ordering = toy_two_layer_sem()
+        res = learn(sem.dag, ordering, PodagConfig())
+        assert res.diagnostics.elapsed_ms >= 50
+
+    def test_backends_pinned_on_fixed_seed(self):
+        # edges and test counts of one fixed simulated fit per backend,
+        # recorded from the implementation before screening was unified
+        rng = rng_from_seed(2024)
+        dag, ordering = generate_layered_dag(
+            GenConfig(n_nodes=12, expected_edges_per_node=2.0, layers=3), rng
+        )
+        data = sample(random_weights(dag, rng), 300, rng)
+        common = [(0, 7), (1, 4), (1, 8), (1, 11), (3, 4), (5, 0), (6, 0), (6, 7), (9, 10), (11, 2), (11, 7)]
+        expected = {
+            "pcor": (common + [(6, 2), (9, 2)], 159),
+            "sis": (common + [(6, 2), (9, 2)], 72),
+            "lasso": (common, 35),
+        }
+        for backend, (directed, ci_tests) in expected.items():
+            cfg = PodagConfig(backend=backend, learn_within_layers=True, on_conflict="ignore")
+            res = learn(data, ordering, cfg)
+            assert res.as_pdag().directed_edges == set(directed), backend
+            assert res.as_pdag().undirected_edges == {(1, 5)}, backend
+            assert res.diagnostics.ci_tests == ci_tests, backend
 
 
 class TestResultSerialization:

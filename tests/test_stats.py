@@ -10,10 +10,7 @@ from podag import (
     GaussianEngine,
     OracleEngine,
     RecordingEngine,
-    ThresholdEngine,
     fisher_z_test,
-    gaussian_engine,
-    oracle_engine,
     partial_correlation,
     sample_covariance,
 )
@@ -235,7 +232,7 @@ class TestFisherZ:
 class TestEngines:
     def test_oracle_engine_toy(self):
         sem, _ = toy_two_layer_sem()
-        eng = oracle_engine(sem.dag)
+        eng = OracleEngine(sem.dag)
         assert eng.query(0, 3, {1, 2}).independent
         assert not eng.query(0, 1, ()).independent
 
@@ -267,7 +264,7 @@ class TestEngines:
     def test_determinism_within_engine(self):
         sem, _ = toy_two_layer_sem()
         data = sample(sem, 200, rng_from_seed(4))
-        eng = gaussian_engine(data, alpha=0.05)
+        eng = GaussianEngine(data, alpha=0.05)
         first = eng.query(0, 2, {1})
         again = eng.query(0, 2, {1})
         assert first == again
@@ -286,18 +283,11 @@ class TestEngines:
         dep_hits = 0
         for seed in range(100):
             data = sample(sem, 1000, rng_from_seed(seed))
-            eng = gaussian_engine(data, alpha=0.05)
+            eng = GaussianEngine(data, alpha=0.05)
             hits += eng.query(1, 2, {0}).independent
             dep_hits += not eng.query(0, 2, {1}).independent
         assert hits >= 90
         assert dep_hits == 100  # true edge, strong signal
-
-    def test_threshold_engine(self):
-        sem, _ = toy_two_layer_sem()
-        cov = population_covariance(sem)
-        eng = ThresholdEngine(cov, threshold=0.01)
-        assert eng.query(1, 2, {0}).independent
-        assert not eng.query(0, 2, ()).independent
 
     def test_recording_engine_phases(self):
         rec = RecordingEngine(OracleEngine(toy_diamond()))
