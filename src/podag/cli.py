@@ -249,6 +249,8 @@ def cmd_learn(args):
     if args.algorithm == "podag":
         backend_params = {}
         if args.threshold is not None:
+            if args.backend != "pcor":
+                raise ValueError(f"--threshold applies to the pcor backend only, not {args.backend}")
             backend_params["threshold"] = args.threshold
         cfg = PodagConfig(
             backend=args.backend,

@@ -24,10 +24,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import InsufficientDataError, SelectionError
-from .stats import CiEngine, CovMatrix, Dataset, block_partial_correlations, sample_covariance
+from .stats import (
+    CiEngine,
+    CovMatrix,
+    Dataset,
+    block_partial_correlations,
+    fisher_z_threshold,
+    sample_covariance,
+)
 
 __all__ = [
     "ScreenEntry",
@@ -206,17 +213,19 @@ def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
         raise ValueError("Fisher-z screening needs a sample size; population input wants threshold mode")
 
     def select(pool, stage):
-        rhos = block_partial_correlations(cov, j, pool)
         if threshold is not None:
-            keep = np.abs(rhos) > threshold
+            keep = np.abs(block_partial_correlations(cov, j, pool)) > threshold
         else:
             dof = n - (len(pool) - 1) - 3
             if dof <= 0:
                 raise InsufficientDataError(
-                    f"fisher z needs n - |s| - 3 > 0 (n={n}, |s|={len(pool) - 1})"
+                    f"pcor screening of node {j} conditions on a pool of {len(pool)} nodes, "
+                    f"which needs n > {len(pool) + 2} samples (n={n}); "
+                    "use --backend lasso or --backend sis when nodes outnumber samples"
                 )
+            rhos = block_partial_correlations(cov, j, pool)
             z = np.sqrt(dof) * np.arctanh(np.clip(rhos, -1 + 1e-15, 1 - 1e-15))
-            keep = np.abs(z) > norm.ppf(1.0 - alpha / 2.0)
+            keep = np.abs(z) > fisher_z_threshold(alpha)
         return {k for k, flag in zip(pool, keep) if flag}
 
     return _screen_node(ordering, j, select, n)
@@ -260,7 +269,7 @@ def screen_sis(data, ordering, j, t=0.5, mode="top", pvalue_cutoff=0.5):
         # marginal Fisher-z p-values on the correlations scores / n
         rho = np.clip(scores / n, 0.0, 1.0 - 1e-15)
         z = np.sqrt(n - 3) * np.arctanh(rho)
-        pvals = 2.0 * norm.sf(z)
+        pvals = 2.0 * ndtr(-z)
         return {k for k, p in zip(candidates, pvals) if p < pvalue_cutoff}
 
     return _screen_node(ordering, j, select, n)

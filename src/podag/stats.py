@@ -4,18 +4,28 @@ Two interchangeable test engines implement the same contract: a Gaussian
 sample test (Fisher z on partial correlations) and a population
 d-separation oracle.  Engines are deterministic, memoize verdicts, and
 keep an exact count of logical queries (memoized repeats still count).
+
+The CI-test kernel is kept lean because a fit makes thousands of tests.
+A partial correlation factors its conditioning block with one LAPACK
+``dpotrf`` call, rejects it when ``dpocon`` estimates its reciprocal
+condition number below ``RCOND_MIN``, and solves with ``dpotrs``.  The
+Fisher z test reads its threshold ``Phi^-1(1 - alpha/2)`` from a
+per-alpha cache and its two-sided p-value from ``2 Phi(-|z|)``, both
+straight from the ``scipy.special`` ufuncs ``ndtri`` and ``ndtr``.
+These are the values a frozen normal distribution object returns, bit
+for bit, without its per-call argument handling or its import cost.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpocon
-from scipy.stats import norm
+from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
+from scipy.special import ndtr, ndtri
 
 from .errors import (
     DegenerateDataError,
@@ -35,6 +45,7 @@ __all__ = [
     "partial_correlation",
     "block_partial_correlations",
     "fisher_z_test",
+    "fisher_z_threshold",
 ]
 
 RCOND_MIN = 1e-12  # reciprocal condition number below this raises SingularityError
@@ -147,16 +158,16 @@ def sample_covariance(dataset):
 def _factor_spd(block, context):
     """Cholesky-factor a conditioning block, guarding its conditioning.
 
-    Raises :class:`SingularityError` when the block is not positive
-    definite or its reciprocal condition number (LAPACK 1-norm estimate)
-    falls below ``RCOND_MIN``.
+    Returns the lower factor as LAPACK leaves it (the strict upper
+    triangle is not cleared).  Raises :class:`SingularityError` when the
+    block is not positive definite or its reciprocal condition number
+    (LAPACK 1-norm estimate) falls below ``RCOND_MIN``.
     """
-    try:
-        factor = cho_factor(block, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise SingularityError(context=context) from None
+    factor, info = dpotrf(block, lower=1, clean=0)
+    if info != 0:
+        raise SingularityError(context=context)
     anorm = float(np.abs(block).sum(axis=0).max())
-    rcond, info = dpocon(factor[0], anorm, uplo=b"L")
+    rcond, info = dpocon(factor, anorm, uplo=b"L")
     if info != 0 or rcond < RCOND_MIN:
         raise SingularityError(context=context)
     return factor
@@ -176,7 +187,7 @@ def partial_correlation(cov, i, j, s):
         If the conditioning block is numerically singular (reciprocal
         condition number below 1e-12).
     """
-    s = sorted(set(int(v) for v in s))
+    s = sorted(set(map(int, s)))
     i, j = int(i), int(j)
     if i == j or i in s or j in s:
         raise ValueError("i, j and s must be disjoint")
@@ -187,12 +198,12 @@ def partial_correlation(cov, i, j, s):
         vii = sigma[i, i]
         vjj = sigma[j, j]
     else:
-        sss = sigma[np.ix_(s, s)]
-        factor = _factor_spd(sss, context=(i, j, tuple(s)))
-        rhs = sigma[np.ix_(s, [i, j])]
-        solved = cho_solve(factor, rhs, check_finite=False)
-        row_i = sigma[i, s]
-        row_j = sigma[j, s]
+        idx = np.array(s)
+        rows = sigma.take(idx, axis=0)
+        factor = _factor_spd(rows.take(idx, axis=1), context=(i, j, tuple(s)))
+        solved, _ = dpotrs(factor, rows[:, [i, j]], lower=1)
+        row_i = sigma[i].take(idx)
+        row_j = sigma[j].take(idx)
         d = float(sigma[i, j] - row_i @ solved[:, 1])
         vii = float(sigma[i, i] - row_i @ solved[:, 0])
         vjj = float(sigma[j, j] - row_j @ solved[:, 1])
@@ -201,8 +212,8 @@ def partial_correlation(cov, i, j, s):
             context=(i, j, tuple(s)),
             message="non-positive conditional variance",
         )
-    rho = d / np.sqrt(vii * vjj)
-    return float(np.clip(rho, -1.0, 1.0))
+    rho = float(d / np.sqrt(vii * vjj))
+    return min(max(rho, -1.0), 1.0)
 
 
 def block_partial_correlations(cov, j, pool):
@@ -219,9 +230,8 @@ def block_partial_correlations(cov, j, pool):
     if not pool:
         return np.zeros(0)
     idx = pool + [int(j)]
-    block = cov.values[np.ix_(idx, idx)]
-    factor = _factor_spd(block, context=(j, "pool", tuple(pool)))
-    omega = cho_solve(factor, np.eye(len(idx)), check_finite=False)
+    factor = _factor_spd(cov.values[idx][:, idx], context=(j, "pool", tuple(pool)))
+    omega, _ = dpotrs(factor, np.eye(len(idx)), lower=1)
     diag = np.diag(omega)
     if np.any(diag <= 0):
         raise SingularityError(context=(j, "pool", tuple(pool)))
@@ -238,6 +248,12 @@ class CiVerdict:
     p_value: float | None = None
 
 
+@functools.lru_cache(maxsize=64)
+def fisher_z_threshold(alpha):
+    """Two-sided standard-normal critical value ``Phi^-1(1 - alpha/2)``."""
+    return float(ndtri(1.0 - alpha / 2.0))
+
+
 def fisher_z_test(cov, n, i, j, s, alpha):
     """Fisher z test of zero partial correlation.
 
@@ -249,7 +265,7 @@ def fisher_z_test(cov, n, i, j, s, alpha):
     InsufficientDataError
         If the effective degrees of freedom ``n - |s| - 3`` are not positive.
     """
-    s = sorted(set(int(v) for v in s))
+    s = sorted(set(map(int, s)))
     dof = n - len(s) - 3
     if dof <= 0:
         raise InsufficientDataError(
@@ -258,10 +274,12 @@ def fisher_z_test(cov, n, i, j, s, alpha):
     rho = partial_correlation(cov, i, j, s)
     if abs(rho) >= 1.0:
         return CiVerdict(independent=False, statistic=np.inf if rho > 0 else -np.inf, p_value=0.0)
-    z = np.sqrt(dof) * np.arctanh(rho)
-    p = 2.0 * norm.sf(abs(z))
-    threshold = norm.ppf(1.0 - alpha / 2.0)
-    return CiVerdict(independent=bool(abs(z) <= threshold), statistic=float(z), p_value=float(p))
+    z = float(np.sqrt(dof) * np.arctanh(rho))
+    return CiVerdict(
+        independent=abs(z) <= fisher_z_threshold(alpha),
+        statistic=z,
+        p_value=float(2.0 * ndtr(-abs(z))),
+    )
 
 
 class _Counter:

@@ -103,6 +103,26 @@ class TestLearn:
         )
         assert code == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("backend", ["sis", "lasso"])
+    def test_threshold_with_other_backend_is_usage_error(self, tmp_path, capsys, backend):
+        sim = simulate_into(tmp_path)
+        code = run(
+            ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
+             "--backend", backend, "--threshold", 0.1, "-o", tmp_path / "o"]
+        )
+        assert code == EXIT_USAGE
+        assert "--threshold" in capsys.readouterr().err
+
+    def test_more_nodes_than_samples_exits_four(self, tmp_path, capsys):
+        sim = simulate_into(tmp_path, nodes=40, layers=2, n=20)
+        code = run(
+            ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
+             "-o", tmp_path / "o"]
+        )
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "--backend lasso" in err and "--backend sis" in err
+
     def test_screen_only_mode(self, tmp_path):
         sim = simulate_into(tmp_path)
         out = tmp_path / "screen"

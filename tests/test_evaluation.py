@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import podag.evaluation
 from podag import (
     BenchmarkSpec,
     Dag,
@@ -13,6 +14,7 @@ from podag import (
     collect_test_tuples,
     edge_metrics,
     estimate_h0,
+    partial_correlation,
     rho_min_star,
     run_benchmark,
 )
@@ -142,6 +144,19 @@ class TestRhoMinStar:
         a = rho_min_star(sem, tuples)
         b = rho_min_star(sem, tuples[::-1] + tuples)
         assert a == b
+
+    def test_each_distinct_tuple_evaluated_once(self, monkeypatch):
+        calls = []
+
+        def counted(cov, i, j, s):
+            calls.append((i, j, s))
+            return partial_correlation(cov, i, j, s)
+
+        monkeypatch.setattr(podag.evaluation, "partial_correlation", counted)
+        sem, _ = toy_two_layer_sem()
+        tuples = [(0, 2, frozenset()), (2, 0, frozenset()), (1, 3, frozenset({0})), (1, 3, {0})]
+        rho_min_star(sem, tuples + tuples[::-1])
+        assert len(calls) == 2
 
 
 class TestFaithfulnessReport:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import podag.screening
 from podag import (
     CovMatrix,
     Dag,
@@ -17,9 +18,17 @@ from podag import (
     screen_sis,
     select_lambda_aic,
 )
-from podag.errors import SelectionError
+from podag.errors import InsufficientDataError, SelectionError
 from podag.screening import ScreenEntry, ScreenSets
-from podag.sem import random_faithful_sem, rng_from_seed, sample, toy_two_layer_sem
+from podag.sem import (
+    GenConfig,
+    generate_layered_dag,
+    random_faithful_sem,
+    random_weights,
+    rng_from_seed,
+    sample,
+    toy_two_layer_sem,
+)
 
 from helpers import random_layered_instance
 
@@ -62,6 +71,22 @@ class TestScreenPcorToy:
         data = sample(sem, 1000, rng_from_seed(0))
         e = screen_pcor(data, ordering, 3, alpha=0.5)
         assert {1} <= e.s0  # the true parent survives screening
+
+    def test_pool_outnumbering_samples_fails_before_factoring(self, monkeypatch):
+        def no_factoring(*args):
+            raise AssertionError("the pool was factored before the sample-size check")
+
+        monkeypatch.setattr(podag.screening, "block_partial_correlations", no_factoring)
+        rng = rng_from_seed(5)
+        dag, ordering = generate_layered_dag(GenConfig(n_nodes=40, layers=2), rng)
+        data = sample(random_weights(dag, rng), 20, rng)
+        j = min(ordering.layers[1])
+        with pytest.raises(InsufficientDataError) as err:
+            screen_pcor(data, ordering, j)
+        message = str(err.value)
+        pool = len(ordering.before_set(j))
+        assert f"node {j}" in message and f"pool of {pool} nodes" in message
+        assert "--backend lasso" in message and "--backend sis" in message
 
 
 class TestScreenEngineEquivalence:

@@ -1,10 +1,18 @@
 import itertools
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+from scipy.stats import norm
 
+import podag
 from podag import (
+    CiVerdict,
     CovMatrix,
     Dataset,
     GaussianEngine,
@@ -18,10 +26,12 @@ from podag.errors import DegenerateDataError, InsufficientDataError, Singularity
 from podag.sem import (
     population_covariance,
     random_faithful_sem,
+    random_weights,
     rng_from_seed,
     sample,
     toy_two_layer_sem,
 )
+from podag.stats import block_partial_correlations
 
 from helpers import random_layered_instance, toy_diamond
 
@@ -60,6 +70,27 @@ def residual_corr(sigma, i, j, s):
     cii = residual_cov(i, i, beta_i, beta_i)
     cjj = residual_cov(j, j, beta_j, beta_j)
     return cij / np.sqrt(cii * cjj)
+
+
+def reference_fisher_z(cov, n, i, j, s, alpha):
+    """Oracle: the Fisher z test on cho_factor/cho_solve and scipy.stats.norm."""
+    s = sorted(set(int(v) for v in s))
+    i, j = min(i, j), max(i, j)
+    sigma = cov.values
+    d, vii, vjj = sigma[i, j], sigma[i, i], sigma[j, j]
+    if s:
+        factor = cho_factor(sigma[np.ix_(s, s)], lower=True, check_finite=False)
+        solved = cho_solve(factor, sigma[np.ix_(s, [i, j])], check_finite=False)
+        d = float(d - sigma[i, s] @ solved[:, 1])
+        vii = float(vii - sigma[i, s] @ solved[:, 0])
+        vjj = float(vjj - sigma[j, s] @ solved[:, 1])
+    rho = float(np.clip(d / np.sqrt(vii * vjj), -1.0, 1.0))
+    z = np.sqrt(n - len(s) - 3) * np.arctanh(rho)
+    return CiVerdict(
+        independent=bool(abs(z) <= norm.ppf(1.0 - alpha / 2.0)),
+        statistic=float(z),
+        p_value=float(2.0 * norm.sf(abs(z))),
+    )
 
 
 def regression_coefficient(sigma, i, j, s):
@@ -136,8 +167,28 @@ class TestPartialCorrelation:
         sigma = np.eye(4)
         sigma[2, 3] = sigma[3, 2] = 1.0  # S block perfectly collinear
         cov = CovMatrix(sigma)
-        with pytest.raises(SingularityError):
-            partial_correlation(cov, 0, 1, {2, 3})
+        with pytest.raises(SingularityError) as err:
+            partial_correlation(cov, 1, 0, {3, 2})
+        assert err.value.context == (0, 1, (2, 3))
+
+    def test_ill_conditioned_block_caught_by_condition_estimate(self):
+        sigma = np.eye(4)
+        sigma[2, 3] = sigma[3, 2] = 1.0 - 1e-14  # positive definite, rcond near 1e-14
+        cov = CovMatrix(sigma)
+        with pytest.raises(SingularityError) as err:
+            partial_correlation(cov, 0, 1, [2, 3])
+        assert err.value.context == (0, 1, (2, 3))
+
+    def test_indefinite_conditioning_block(self):
+        sigma = np.eye(4)
+        sigma[2, 3] = sigma[3, 2] = 2.0  # S block has a negative eigenvalue
+        cov = CovMatrix(sigma)
+        with pytest.raises(SingularityError) as err:
+            partial_correlation(cov, 0, 1, [2, 3])
+        assert err.value.context == (0, 1, (2, 3))
+        with pytest.raises(SingularityError) as err:
+            block_partial_correlations(cov, 0, [2, 3])
+        assert err.value.context == (0, "pool", (2, 3))
 
     def test_matches_precision_and_residual_oracles(self):
         rng = rng_from_seed(2024)
@@ -221,6 +272,38 @@ class TestFisherZ:
         cov = CovMatrix(np.eye(5), n=6)
         with pytest.raises(InsufficientDataError):
             fisher_z_test(cov, 6, 0, 1, (2, 3, 4), alpha=0.05)
+
+    def test_degrees_of_freedom_guard_precedes_factoring(self):
+        sigma = np.eye(5)
+        sigma[3, 4] = sigma[4, 3] = 1.0  # singular, but the guard fires first
+        with pytest.raises(InsufficientDataError):
+            fisher_z_test(CovMatrix(sigma), 6, 0, 1, (2, 3, 4, 4), alpha=0.05)
+
+    def test_verdicts_equal_reference_formula(self):
+        rng = rng_from_seed(4242)
+        dag, _ = random_layered_instance(rng, n_lo=12, n_hi=13)
+        sem = random_weights(dag, rng)
+        n = 150
+        cov = sample_covariance(sample(sem, n, rng))
+        verdicts = set()
+        for _ in range(400):
+            i, j = (int(v) for v in rng.choice(12, size=2, replace=False))
+            rest = [v for v in range(12) if v not in (i, j)]
+            s = [int(v) for v in rng.choice(rest, size=int(rng.integers(0, 9)), replace=False)]
+            alpha = float(rng.choice([0.5, 0.1, 0.05, 0.01, 0.005, 0.001]))
+            got = fisher_z_test(cov, n, i, j, s, alpha)
+            assert got == reference_fisher_z(cov, n, i, j, s, alpha)
+            verdicts.add(got.independent)
+        assert verdicts == {True, False}
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        src = Path(podag.__file__).resolve().parents[1]
+        code = "import sys, podag; print('scipy.stats' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.strip() == "False"
 
     def test_perfect_correlation_dependent(self):
         sigma = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
