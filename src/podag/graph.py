@@ -208,9 +208,6 @@ class Dag:
             (u, v) for u, v in self.edges if u in ordering.before_set(v)
         )
 
-    def within_edges(self, ordering):
-        return self.edges - self.cross_edges(ordering)
-
     def __eq__(self, other):
         return (
             isinstance(other, Dag)

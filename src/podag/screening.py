@@ -31,9 +31,9 @@ from .stats import (
     CiEngine,
     CovMatrix,
     Dataset,
+    _checked_covariance,
     block_partial_correlations,
     fisher_z_threshold,
-    sample_covariance,
 )
 
 __all__ = [
@@ -205,7 +205,7 @@ def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
 
         return _screen_node(ordering, j, select, None)
 
-    cov = sample_covariance(source) if isinstance(source, Dataset) else source
+    cov = _checked_covariance(source) if isinstance(source, Dataset) else source
     if not isinstance(cov, CovMatrix):
         raise TypeError("source must be a Dataset, CovMatrix or CiEngine")
     n = cov.n
@@ -444,7 +444,7 @@ def screen_all(source, ordering, backend="pcor", params=None, targets=None):
         targets = range(ordering.n_nodes)
     labels = getattr(source, "labels", None)
     if backend == "pcor" and isinstance(source, Dataset):
-        source = sample_covariance(source)
+        source = _checked_covariance(source)
     entries = [screen_node(source, ordering, j, **(params or {})) for j in sorted(targets)]
     n_tests = 0
     if backend == "pcor":

@@ -244,7 +244,7 @@ def population_covariance(sem):
     ident = np.eye(m)
     minv = np.linalg.solve(ident - sem.weights, ident)
     cov = minv @ np.diag(sem.noise_sd**2) @ minv.T
-    return CovMatrix(cov, source="population")
+    return CovMatrix(cov)
 
 
 def random_faithful_sem(dag, rng, weight_range=(0.1, 1.0), tol=1e-8, max_tries=50):

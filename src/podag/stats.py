@@ -2,8 +2,9 @@
 
 Two interchangeable test engines implement the same contract: a Gaussian
 sample test (Fisher z on partial correlations) and a population
-d-separation oracle.  Engines are deterministic, memoize verdicts, and
-keep an exact count of logical queries (memoized repeats still count).
+d-separation oracle.  Engines are deterministic and keep an exact count
+of queries.  Every query is decided afresh: a fit rarely asks the same
+question twice, so verdicts are not kept.
 
 The CI-test kernel is kept lean because a fit makes thousands of tests.
 A partial correlation factors its conditioning block with one LAPACK
@@ -113,9 +114,9 @@ class Dataset:
 
 
 class CovMatrix:
-    """Symmetric covariance matrix with provenance (sample size or population)."""
+    """Symmetric covariance matrix with its sample size (None for a population)."""
 
-    def __init__(self, values, n=None, source="sample"):
+    def __init__(self, values, n=None):
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("covariance must be square")
@@ -126,7 +127,6 @@ class CovMatrix:
             raise DegenerateDataError("covariance has a non-positive diagonal entry")
         self.values = 0.5 * (values + values.T)
         self.values.setflags(write=False)
-        self.source = source
         self.n = None if n is None else int(n)
 
     @property
@@ -152,7 +152,26 @@ def sample_covariance(dataset):
     if np.any(variances <= 0):
         bad = [dataset.labels[i] for i in np.nonzero(variances <= 0)[0]]
         raise DegenerateDataError(f"constant column(s): {bad}")
-    return CovMatrix(cov, n=dataset.n, source="sample")
+    return CovMatrix(cov, n=dataset.n)
+
+
+def _checked_covariance(dataset):
+    """The sample covariance that CI tests on ``dataset`` read.
+
+    Raises :class:`DegenerateDataError` naming two columns when their own
+    2 x 2 correlation block, with reciprocal condition number
+    ``(1 - |r|) / (1 + |r|)``, already fails the kernel's ``RCOND_MIN``
+    guard: every conditioning set holding both columns is singular, and
+    one column leaves the other no residual variance.
+    """
+    cov = sample_covariance(dataset)
+    sd = np.sqrt(np.diag(cov.values))
+    r = np.abs(np.triu(cov.values / np.outer(sd, sd), k=1))
+    pairs = np.argwhere(1.0 - r < RCOND_MIN * (1.0 + r))
+    if len(pairs):
+        a, b = (dataset.labels[v] for v in pairs[0])
+        raise DegenerateDataError(f"columns {a} and {b} are collinear; drop one of them")
+    return cov
 
 
 def _factor_spd(block, context):
@@ -282,59 +301,32 @@ def fisher_z_test(cov, n, i, j, s, alpha):
     )
 
 
-class _Counter:
-    """Monotone call counter, exact under concurrent access."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._count = 0
-
-    def increment(self):
-        with self._lock:
-            self._count += 1
-            return self._count
-
-    @property
-    def value(self):
-        with self._lock:
-            return self._count
-
-
 class CiEngine:
     """Contract for pluggable conditional-independence tests.
 
-    Subclasses implement ``_decide(i, j, s)``.  ``query`` normalizes
-    arguments, memoizes verdicts on ``(min(i,j), max(i,j), sorted(s))``,
-    and increments the call counter exactly once per query, including
-    memoized repeats: the counter measures logical tests performed by the
-    algorithms driving the engine.  Engines are safe to share across
-    threads.
+    Subclasses implement ``_decide(i, j, s)``, which receives ``i < j``
+    and a frozenset ``s``.  ``query`` normalizes and validates its
+    arguments, counts the query, and asks ``_decide``; the counter
+    measures the logical tests performed by the algorithms driving the
+    engine, repeats included.  Engines are safe to share across threads.
     """
 
     def __init__(self):
-        self._counter = _Counter()
-        self._memo = {}
-        self._memo_lock = threading.Lock()
+        self._count_lock = threading.Lock()
+        self._n_queries = 0
 
     @property
     def n_queries(self):
-        return self._counter.value
+        return self._n_queries
 
     def query(self, i, j, s=()):
         i, j = int(i), int(j)
         s = frozenset(int(v) for v in s)
         if i == j or i in s or j in s:
             raise ValueError("i, j and s must be disjoint")
-        self._counter.increment()
-        key = (min(i, j), max(i, j), s)
-        with self._memo_lock:
-            hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        verdict = self._decide(key[0], key[1], s)
-        with self._memo_lock:
-            self._memo.setdefault(key, verdict)
-        return verdict
+        with self._count_lock:
+            self._n_queries += 1
+        return self._decide(min(i, j), max(i, j), s)
 
     def _decide(self, i, j, s):
         raise NotImplementedError
@@ -353,14 +345,14 @@ class OracleEngine(CiEngine):
 
 
 class GaussianEngine(CiEngine):
-    """Fisher z test over a (memoized) covariance matrix.
+    """Fisher z test on the partial correlations of one covariance matrix.
 
     Accepts a :class:`Dataset` (covariance computed lazily on first
     query, so degenerate data surfaces per query) or a ready
     :class:`CovMatrix` with a sample size.
     """
 
-    def __init__(self, source, alpha=0.05, n=None):
+    def __init__(self, source, alpha=0.05):
         super().__init__()
         self.alpha = float(alpha)
         if not 0 < self.alpha < 1:
@@ -373,10 +365,10 @@ class GaussianEngine(CiEngine):
             self._dataset = source
             self._n = source.n
         elif isinstance(source, CovMatrix):
-            self._cov = source
-            self._n = n if n is not None else source.n
-            if self._n is None:
+            if source.n is None:
                 raise ValueError("a CovMatrix source needs a sample size n")
+            self._cov = source
+            self._n = source.n
         else:
             raise TypeError("source must be a Dataset or CovMatrix")
         self._cov_lock = threading.Lock()
@@ -386,7 +378,7 @@ class GaussianEngine(CiEngine):
         if self._cov is None:
             with self._cov_lock:
                 if self._cov is None:
-                    self._cov = sample_covariance(self._dataset)
+                    self._cov = _checked_covariance(self._dataset)
         return self._cov
 
     def _decide(self, i, j, s):
@@ -407,12 +399,9 @@ class RecordingEngine(CiEngine):
         self.phase = "search"
         self._records_lock = threading.Lock()
 
-    def query(self, i, j, s=()):
-        i, j = int(i), int(j)
-        s = frozenset(int(v) for v in s)
-        self._counter.increment()
+    def _decide(self, i, j, s):
         with self._records_lock:
-            self.records.append((min(i, j), max(i, j), s, self.phase))
+            self.records.append((i, j, s, self.phase))
         return self.inner.query(i, j, s)
 
     def tuples(self, phases=None):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from podag import Dataset
 from podag.cli import EXIT_LABELS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
@@ -122,6 +123,22 @@ class TestLearn:
         assert code == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert "--backend lasso" in err and "--backend sis" in err
+
+    def test_collinear_columns_exit_four_with_one_line(self, tmp_path, capsys):
+        sim = simulate_into(tmp_path, nodes=30, layers=3, n=500)
+        data = Dataset.from_csv(sim / "dataset.csv")
+        copied = data.data.copy()
+        copied[:, 5] = copied[:, 4]
+        (sim / "dataset.csv").write_text(Dataset(copied, data.labels).to_csv())
+        capsys.readouterr()
+        code = run(
+            ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
+             "-o", tmp_path / "o"]
+        )
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"columns {data.labels[4]} and {data.labels[5]} are collinear" in err
 
     def test_screen_only_mode(self, tmp_path):
         sim = simulate_into(tmp_path)

@@ -1,0 +1,76 @@
+"""Property-based oracle checks over random small DAGs and partial orderings.
+
+Each instance is a DAG of 4-8 nodes whose topological order is cut into
+contiguous layers, with some nodes demoted to "no ordering information".
+Under the d-separation oracle, ``learn`` must return the maximal PDAG that
+``helpers.oracle_maximal_pdag`` builds from first principles, whether the
+ordering is given as layers or as the equivalent weak before/after
+tables, and the ``stable`` mode must return the same graph.  Examples are
+derandomized, so the suite is deterministic.
+"""
+
+import itertools
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from podag import Dag, PartialOrdering, PodagConfig, learn
+
+from helpers import oracle_maximal_pdag
+
+EXAMPLES = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+@st.composite
+def ordered_instances(draw):
+    """A ``(dag, ordering)`` pair whose layering the DAG respects."""
+    n = draw(st.integers(4, 8))
+    order = draw(st.permutations(range(n)))
+    forward = [(order[a], order[b]) for a, b in itertools.combinations(range(n), 2)]
+    edges = draw(st.sets(st.sampled_from(forward)))
+    starts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    layer_of = list(itertools.accumulate([0] + starts))
+    unordered = draw(st.sets(st.sampled_from(order), max_size=n // 2))
+    layers = [
+        {v for v, idx in zip(order, layer_of) if idx == k and v not in unordered}
+        for k in range(layer_of[-1] + 1)
+    ]
+    ordering = PartialOrdering([l for l in layers if l], n_nodes=n, unordered=unordered)
+    return Dag(n, edges), ordering
+
+
+def weak_form(ordering):
+    """The same partial ordering as per-node before/after tables only."""
+    table = ordering.to_before_after()
+    return PartialOrdering(
+        [],
+        n_nodes=ordering.n_nodes,
+        unordered=range(ordering.n_nodes),
+        before={j: b for j, (b, a) in table.items()},
+        after={j: a for j, (b, a) in table.items()},
+    )
+
+
+def check_against_oracle(dag, ordering, target):
+    result = learn(dag, ordering, PodagConfig(learn_within_layers=True))
+    assert result.as_pdag() == target
+    stable = learn(dag, ordering, PodagConfig(learn_within_layers=True, stable=True))
+    assert stable.as_pdag() == result.as_pdag()
+
+
+@EXAMPLES
+@given(ordered_instances())
+def test_layered_oracle_learn_is_maximal_pdag(instance):
+    dag, ordering = instance
+    check_against_oracle(dag, ordering, oracle_maximal_pdag(dag, ordering))
+
+
+@EXAMPLES
+@given(ordered_instances())
+def test_weak_oracle_learn_is_maximal_pdag(instance):
+    dag, ordering = instance
+    check_against_oracle(dag, weak_form(ordering), oracle_maximal_pdag(dag, ordering))

@@ -12,18 +12,24 @@ from scipy.stats import norm
 
 import podag
 from podag import (
+    CiEngine,
     CiVerdict,
     CovMatrix,
     Dataset,
     GaussianEngine,
     OracleEngine,
+    PodagConfig,
     RecordingEngine,
     fisher_z_test,
+    learn,
     partial_correlation,
+    pc,
     sample_covariance,
 )
 from podag.errors import DegenerateDataError, InsufficientDataError, SingularityError
 from podag.sem import (
+    GenConfig,
+    generate_layered_dag,
     population_covariance,
     random_faithful_sem,
     random_weights,
@@ -344,6 +350,27 @@ class TestEngines:
             t.join()
         assert eng.n_queries == 1600
 
+    def test_recording_counts_exact_under_threads(self):
+        inner = OracleEngine(toy_diamond())
+        rec = RecordingEngine(inner)
+
+        def hammer():
+            for _ in range(300):
+                rec.query(0, 3, ())
+
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert rec.n_queries == len(rec.records) == inner.n_queries == 2400
+
     def test_determinism_within_engine(self):
         sem, _ = toy_two_layer_sem()
         data = sample(sem, 200, rng_from_seed(4))
@@ -381,6 +408,68 @@ class TestEngines:
         assert rec.tuples() == [(0, 1, frozenset()), (1, 2, frozenset({0}))]
         assert rec.tuples(phases=("screen",)) == [(0, 1, frozenset())]
         assert rec.n_queries == 2
+
+    def test_repeated_query_reaches_decide_every_time(self):
+        class Counting(CiEngine):
+            def __init__(self):
+                super().__init__()
+                self.calls = []
+
+            def _decide(self, i, j, s):
+                self.calls.append((i, j, s))
+                return CiVerdict(independent=True, statistic=0.0)
+
+        eng = Counting()
+        for _ in range(3):
+            eng.query(2, 0, [1])
+        assert eng.calls == [(0, 2, frozenset({1}))] * 3
+        assert eng.n_queries == 3
+
+    @pytest.mark.parametrize("i, j, s", [(1, 1, ()), (1, 2, (1,)), (1, 2, (0, 2))])
+    def test_invalid_recording_query_is_neither_counted_nor_recorded(self, i, j, s):
+        inner = OracleEngine(toy_diamond())
+        rec = RecordingEngine(inner)
+        with pytest.raises(ValueError):
+            rec.query(i, j, s)
+        assert rec.records == []
+        assert rec.n_queries == 0
+        assert inner.n_queries == 0
+
+
+def collinear_dataset():
+    """30 nodes, n=500, column V5 a copy of column V4."""
+    rng = rng_from_seed(5)
+    dag, ordering = generate_layered_dag(
+        GenConfig(n_nodes=30, expected_edges_per_node=2.0, layers=3), rng
+    )
+    data = sample(random_weights(dag, rng), 500, rng).data.copy()
+    data[:, 5] = data[:, 4]
+    return Dataset(data), ordering
+
+
+class TestCollinearColumns:
+    MESSAGE = "columns V4 and V5 are collinear"
+
+    def test_learn_names_both_columns(self):
+        data, ordering = collinear_dataset()
+        with pytest.raises(DegenerateDataError, match=self.MESSAGE):
+            learn(data, ordering, PodagConfig())
+
+    def test_pc_names_both_columns(self):
+        data, _ = collinear_dataset()
+        with pytest.raises(DegenerateDataError, match=self.MESSAGE):
+            pc(GaussianEngine(data, alpha=0.05), data.m)
+
+    def test_near_copy_within_guard_is_caught(self):
+        x = rng_from_seed(6).normal(size=(200, 3))
+        x[:, 2] = 3.0 * x[:, 0] + 1e-14 * x[:, 1]
+        with pytest.raises(DegenerateDataError, match="columns V0 and V2"):
+            GaussianEngine(Dataset(x)).query(0, 1, ())
+
+    def test_strong_but_testable_correlation_passes(self):
+        x = rng_from_seed(6).normal(size=(200, 3))
+        x[:, 2] = x[:, 0] + 1e-5 * x[:, 1]
+        assert not GaussianEngine(Dataset(x)).query(0, 2, ()).independent
 
 
 class TestDatasetCsv:
