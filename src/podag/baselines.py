@@ -3,7 +3,9 @@
 Two naive regression-style estimators of the between-layer graph (each
 with a characteristic false-positive mode), the classic PC algorithm,
 and PC+, the variant that prunes candidate separating sets using the
-layering and orients cross-layer edges by the ordering.
+layering and orients cross-layer edges by the ordering.  PC and PC+
+share one body, whose skeleton search is the level-wise driver of
+:mod:`podag.search`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 from dataclasses import dataclass
 
 from .graph import Pdag, SepsetMap, apply_meek_rules, orient_by_ordering, orient_v_structures, write_edgelist
+from .search import _search_levels
 
 __all__ = ["BaselineResult", "estimate_h0", "estimate_h_minus_j", "pc", "pc_plus"]
 
@@ -95,74 +98,45 @@ def estimate_h_minus_j(engine, ordering, labels=None):
     return BaselineResult(pdag=pdag, sepsets=SepsetMap(), ci_tests=engine.n_queries - start)
 
 
-def _pc_skeleton(engine, n_nodes, sepset_filter=None, max_level=None, stable=False):
-    """Level-wise PC skeleton search from the complete graph.
+def _pc(engine, n_nodes, labels, max_level, stable, on_conflict, ordering=None):
+    """PC from the complete graph; PC+ when ``ordering`` is given.
 
-    ``sepset_filter(i, j, node)`` restricts candidate separating-set
-    members for the pair (i, j); candidate sets are drawn from the
-    current adjacencies of each side in turn, in ascending node order.
-    The default mode removes edges immediately (classic order-dependent
-    PC); ``stable`` defers removals to the end of each level.
+    Each pair ``i < j`` is tested from ``i``'s side, then from ``j``'s,
+    with candidate separators drawn from that side's current
+    adjacencies.  PC+ drops candidates lying in layers strictly later
+    than both endpoints (when the candidate and both endpoints are
+    layered) and orients cross-layer edges by the ordering before
+    v-structure detection.
     """
-    adj = {v: set(range(n_nodes)) - {v} for v in range(n_nodes)}
-    sepsets = SepsetMap()
-    level = 0
-    while True:
-        pairs = [
-            (i, j)
-            for i in range(n_nodes)
-            for j in range(i + 1, n_nodes)
-            if j in adj[i]
-        ]
-        any_tested = False
-        to_remove = []
-        for i, j in pairs:
-            if not stable and j not in adj[i]:
-                continue
-            removed = False
-            for a, b in ((i, j), (j, i)):
-                candidates = sorted(adj[a] - {b})
-                if sepset_filter is not None:
-                    candidates = [v for v in candidates if sepset_filter(a, b, v)]
-                if len(candidates) < level:
-                    continue
-                for s in itertools.combinations(candidates, level):
-                    any_tested = True
-                    if engine.query(a, b, s).independent:
-                        sep = frozenset(s)
-                        if stable:
-                            to_remove.append((i, j, sep))
-                        else:
-                            adj[i].discard(j)
-                            adj[j].discard(i)
-                            sepsets.record(i, j, sep)
-                        removed = True
-                        break
-                if removed:
-                    break
-        if stable:
-            for i, j, sep in to_remove:
-                if j in adj[i]:
-                    adj[i].discard(j)
-                    adj[j].discard(i)
-                    sepsets.record(i, j, sep)
-        if not any_tested:
-            break
-        level += 1
-        if max_level is not None and level > max_level:
-            break
-    und = {(i, j) for i in range(n_nodes) for j in adj[i] if i < j}
-    return und, sepsets
-
-
-def pc(engine, n_nodes, labels=None, max_level=None, stable=False, on_conflict="error"):
-    """Classic PC: skeleton, v-structures, Meek closure.  Returns a CPDAG."""
     start = engine.n_queries
-    und, sepsets = _pc_skeleton(engine, n_nodes, max_level=max_level, stable=stable)
+    adj = {v: set(range(n_nodes)) - {v} for v in range(n_nodes)}
+    layer = [None if ordering is None else ordering.layer_of(v) for v in range(n_nodes)]
+
+    def family(a, b):
+        pool = adj[b] - {a}
+        if layer[a] is not None and layer[b] is not None:
+            latest = max(layer[a], layer[b])
+            pool = {v for v in pool if layer[v] is None or layer[v] <= latest}
+        return frozenset(), pool
+
+    tests = [t for i, j in itertools.combinations(range(n_nodes), 2) for t in ((j, i), (i, j))]
+    sepsets, _ = _search_levels(engine, tests, family, adj, max_level, stable)
+    und = [(i, j) for i in adj for j in adj[i] if i < j]
     skeleton = Pdag(n_nodes, undirected_edges=und, labels=labels)
+    if ordering is not None:
+        skeleton = orient_by_ordering(skeleton, ordering)
     oriented = orient_v_structures(skeleton, sepsets, on_conflict=on_conflict)
     cpdag = apply_meek_rules(oriented, on_conflict=on_conflict)
     return BaselineResult(pdag=cpdag, sepsets=sepsets, ci_tests=engine.n_queries - start)
+
+
+def pc(engine, n_nodes, labels=None, max_level=None, stable=False, on_conflict="error"):
+    """Classic PC: skeleton, v-structures, Meek closure.  Returns a CPDAG.
+
+    The default mode removes edges immediately (order-dependent PC);
+    ``stable`` defers removals to the end of each level.
+    """
+    return _pc(engine, n_nodes, labels, max_level, stable, on_conflict)
 
 
 def pc_plus(engine, ordering, labels=None, max_level=None, stable=False, on_conflict="error"):
@@ -176,22 +150,4 @@ def pc_plus(engine, ordering, labels=None, max_level=None, stable=False, on_conf
     skeleton is found, cross-layer edges are oriented by the ordering
     before v-structure detection and Meek closure.
     """
-    n_nodes = ordering.n_nodes
-
-    def sepset_filter(a, b, v):
-        la, lb = ordering.layer_of(a), ordering.layer_of(b)
-        if la is None or lb is None:
-            return True
-        lv = ordering.layer_of(v)
-        if lv is None:
-            return True
-        return lv <= max(la, lb)
-
-    start = engine.n_queries
-    und, sepsets = _pc_skeleton(
-        engine, n_nodes, sepset_filter=sepset_filter, max_level=max_level, stable=stable
-    )
-    skeleton = orient_by_ordering(Pdag(n_nodes, undirected_edges=und, labels=labels), ordering)
-    oriented = orient_v_structures(skeleton, sepsets, on_conflict=on_conflict)
-    result = apply_meek_rules(oriented, on_conflict=on_conflict)
-    return BaselineResult(pdag=result, sepsets=sepsets, ci_tests=engine.n_queries - start)
+    return _pc(engine, ordering.n_nodes, labels, max_level, stable, on_conflict, ordering)

@@ -380,7 +380,10 @@ def main(argv=None):
         _progress(f"error: {err}")
         return EXIT_LABELS
     except NUMERIC_ERRORS as err:
-        _progress(f"error: {err}")
+        hint = ""
+        if isinstance(err, InconsistencyError):
+            hint = "; rerun with --on-conflict ignore to keep the earlier orientation"
+        _progress(f"error: {err}{hint}")
         return EXIT_NUMERIC
     except (ValueError, PodagError) as err:
         # remaining package errors are configuration problems

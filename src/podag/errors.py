@@ -16,17 +16,22 @@ class CycleError(PodagError):
 class InconsistencyError(PodagError):
     """Raised when orientation rules force an edge in both directions.
 
-    Carries the offending node pair (and triple, when known).  Conflicts
+    Carries the offending node pair (and triple, when known) as indices;
+    the message names the nodes by ``labels`` when given.  Conflicts
     indicate contradictory separating sets, which are worth reporting
     rather than silently arbitrating.
     """
 
-    def __init__(self, pair, triple=None, message=None):
+    def __init__(self, pair, triple=None, message=None, labels=None):
         self.pair = tuple(pair)
         self.triple = tuple(triple) if triple is not None else None
-        msg = message or f"conflicting orientations for edge {self.pair}"
+
+        def names(nodes):
+            return "(" + ", ".join(str(v) if labels is None else labels[v] for v in nodes) + ")"
+
+        msg = message or f"conflicting orientations for edge {names(self.pair)}"
         if self.triple is not None:
-            msg += f" (triple {self.triple})"
+            msg += f" (triple {names(self.triple)})"
         super().__init__(msg)
 
 

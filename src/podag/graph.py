@@ -308,51 +308,47 @@ class PartialOrdering:
             for v in layer:
                 self._layer_of[v] = idx
 
-        self.before = None if before is None else {int(j): frozenset(map(int, s)) for j, s in before.items()}
-        self.after = None if after is None else {int(j): frozenset(map(int, s)) for j, s in after.items()}
-        self._validate_overrides()
+        if before is None and after is None:
+            self._before, self._after = self._layer_tables()
+        else:
+            self._before, self._after = self._override_tables(before or {}, after or {})
 
-    def _validate_overrides(self):
-        for name, table in (("before", self.before), ("after", self.after)):
-            if table is None:
-                continue
-            for j, s in table.items():
+    def _layer_tables(self):
+        """Per-node before/after sets implied by the layers alone."""
+        empty = frozenset()
+        earlier = [empty]
+        for layer in self.layers:
+            earlier.append(earlier[-1] | layer)
+        everything = earlier[-1]
+        before, after = [empty] * self.n_nodes, [empty] * self.n_nodes
+        for idx, layer in enumerate(self.layers):
+            for v in layer:
+                before[v] = earlier[idx]
+                after[v] = everything - earlier[idx + 1]
+        return tuple(before), tuple(after)
+
+    def _override_tables(self, before, after):
+        """Per-node before/after sets given explicitly, checked against the layers."""
+        tables = []
+        for name, given in (("before", before), ("after", after)):
+            table = [frozenset()] * self.n_nodes
+            for j, s in given.items():
+                j = int(j)
                 _check_node(self.n_nodes, j)
-                if j in s:
+                table[j] = frozenset(map(int, s))
+                if j in table[j]:
                     raise ValueError(f"{name} set of node {j} contains the node itself")
-        if self.before is None and self.after is None:
-            return
-        for j in range(self.n_nodes):
-            b = self._override(self.before, j)
-            a = self._override(self.after, j)
+            tables.append(tuple(table))
+        derived_before, derived_after = self._layer_tables()
+        for j, (b, a) in enumerate(zip(*tables)):
             if b & a:
                 raise ValueError(f"before/after sets of node {j} overlap: {sorted(b & a)}")
-            lj = self._layer_of.get(j)
-            if lj is not None:
-                derived_b = self._derived_before(lj)
-                derived_a = self._derived_after(lj)
-                if not b <= derived_b:
+            if j in self._layer_of:
+                if not b <= derived_before[j]:
                     raise ValueError(f"before set of layered node {j} exceeds earlier layers")
-                if not a <= derived_a:
+                if not a <= derived_after[j]:
                     raise ValueError(f"after set of layered node {j} exceeds later layers")
-
-    @staticmethod
-    def _override(table, j):
-        if table is None or j not in table:
-            return frozenset()
-        return table[j]
-
-    def _derived_before(self, layer_idx):
-        out = set()
-        for layer in self.layers[:layer_idx]:
-            out |= layer
-        return frozenset(out)
-
-    def _derived_after(self, layer_idx):
-        out = set()
-        for layer in self.layers[layer_idx + 1:]:
-            out |= layer
-        return frozenset(out)
+        return tables
 
     @property
     def n_layers(self):
@@ -363,24 +359,15 @@ class PartialOrdering:
         _check_node(self.n_nodes, v)
         return self._layer_of.get(v)
 
-    def has_overrides(self):
-        return self.before is not None or self.after is not None
-
     def before_set(self, j):
         """Nodes known to precede ``j`` (the set T< of node ``j``)."""
         _check_node(self.n_nodes, j)
-        if self.has_overrides():
-            return self._override(self.before, j)
-        lj = self._layer_of.get(j)
-        return frozenset() if lj is None else self._derived_before(lj)
+        return self._before[j]
 
     def after_set(self, j):
         """Nodes known to succeed ``j`` (the set T> of node ``j``)."""
         _check_node(self.n_nodes, j)
-        if self.has_overrides():
-            return self._override(self.after, j)
-        lj = self._layer_of.get(j)
-        return frozenset() if lj is None else self._derived_after(lj)
+        return self._after[j]
 
     def peer_set(self, j):
         """Nodes with no known order relative to ``j``."""
@@ -400,15 +387,15 @@ class PartialOrdering:
             isinstance(other, PartialOrdering)
             and self.layers == other.layers
             and self.unordered == other.unordered
-            and self.before == other.before
-            and self.after == other.after
+            and self._before == other._before
+            and self._after == other._after
         )
 
     def __repr__(self):
         parts = [f"layers={[sorted(l) for l in self.layers]}"]
         if self.unordered:
             parts.append(f"unordered={sorted(self.unordered)}")
-        if self.has_overrides():
+        if (self._before, self._after) != self._layer_tables():
             parts.append("overrides=...")
         return "PartialOrdering(" + ", ".join(parts) + ")"
 
@@ -478,7 +465,7 @@ class _OrientationState:
             return False
         if (v, u) in self.directed:
             if on_conflict != "ignore":
-                raise InconsistencyError((u, v), triple=context)
+                raise InconsistencyError((u, v), triple=context, labels=self.labels)
             return False  # keep the existing orientation
         key = (min(u, v), max(u, v))
         if key not in self.undirected:

@@ -1,13 +1,15 @@
-"""The searching loop and the end-to-end PODAG estimator.
+"""The level-wise skeleton search and the end-to-end PODAG estimator.
 
 Candidates produced by screening are pruned by conditional-independence
 tests over subsets of each target's conditional Markov blanket, then
 oriented: edges with known order direction point forward, the rest get
 v-structure detection plus Meek closure, yielding a maximal PDAG.
 
-:func:`podag_multi_layer` is the one search entry point for every kind
-of partial ordering; :func:`learn` is one :func:`screen_all` call
-followed by it.
+The pruning is PC's skeleton loop with another pool of candidate
+separators, so one private driver runs it for PODAG here and for PC and
+PC+ in :mod:`podag.baselines`.  :func:`podag_multi_layer` is the one
+search entry point for every kind of partial ordering; :func:`learn` is
+one :func:`screen_all` call followed by it.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ class PodagConfig:
     deliberately liberal screening significance.  ``max_sepset_size``
     caps the size of conditioning subsets drawn from the conditional
     Markov blanket (None leaves the enumeration unbounded).  ``stable``
-    batches removals per level instead of applying them immediately;
-    under an oracle the two modes coincide (separators never depend on
-    removable members), on noisy data they may differ the way
-    order-dependent and stable PC do.
+    batches removals per level instead of applying them immediately
+    (a pair found separable is not tested again from its mirror
+    direction in that level); under an oracle the two modes coincide
+    (separators never depend on removable members), on noisy data they
+    may differ the way order-dependent and stable PC do.
     """
 
     backend: str = "pcor"
@@ -142,74 +145,79 @@ def _set_phase(engine, phase):
         engine.phase = phase
 
 
-def _searching_loop(engine, screen, candidates, cfg):
-    """Prune candidate edges by CI tests over conditional-Markov-blanket subsets.
+def _separators(base, pool, level):
+    """Candidate separators ``base | T`` over the ``level``-subsets ``T`` of ``pool``.
 
-    Every query conditions on ``cross(j) - {k}`` plus a subset ``T`` of
-    the target's current blanket minus ``k``, of the current level size.
-    Removing an ordered candidate removes the opposite direction as well
-    (the pair is resolved as nonadjacent) and drops each endpoint from
-    the other's blanket: separating sets only ever need true neighbors,
-    which are never removed, so shrinking the subset pool is sound and
-    avoids enumerating subsets of blanket members already ruled out.
-    The level loop runs until no surviving candidate has an untried
-    subset (or the configured cap is hit).
+    Yields ``(T, base | T)`` with ``T`` in lexicographic order of the
+    sorted pool: the one place separator candidates are enumerated.
     """
-    surviving = set(candidates)
-    sepsets = SepsetMap()
-    removals = {}
-    blanket = {j: set(screen[j].cmb) for j in screen.nodes()}
+    for t in itertools.combinations(sorted(pool), level):
+        yield t, base.union(t)
 
-    def resolve(k, j, sep):
-        surviving.discard((k, j))
-        surviving.discard((j, k))
-        sepsets.record(k, j, sep)
-        if j in screen.entries and k in blanket[j]:
-            blanket[j].discard(k)
-        if k in screen.entries and j in blanket[k]:
-            blanket[k].discard(j)
+
+def _search_levels(engine, tests, family, neighbours, max_level=None, stable=False):
+    """Level-wise skeleton search shared by PODAG, PC and PC+.
+
+    ``tests`` is an ordered list of directed tests ``(a, b)``.  At level
+    ``l`` a test asks whether ``base | T`` separates ``a`` from ``b`` for
+    each ``l``-subset ``T`` of ``pool``, where ``family(a, b)`` returns
+    ``(base, pool)`` from the current ``neighbours`` (PC's adjacencies,
+    PODAG's blankets).  The first separator found for either direction
+    removes the pair: it is recorded, the mirror direction is not tested
+    again, and each endpoint leaves the other's neighbour set where it
+    has one.  By default that last step is immediate (order-dependent
+    PC); ``stable`` defers it to the end of the level, so every test of
+    a level sees the same pools (order-independent PC, Colombo &
+    Maathuis 2014).  The search ends after a level that runs no test, or
+    after ``max_level``.
+
+    Returns the :class:`SepsetMap` of removed pairs and the number of
+    removals per level (levels without removals are left out).
+    """
+    sepsets = SepsetMap()
+    removed = set()
+    removals = {}
+    live = [((min(a, b), max(a, b)), a, b) for a, b in tests]
+
+    def drop_neighbours(a, b):
+        for u, v in ((a, b), (b, a)):
+            if u in neighbours:
+                neighbours[u].discard(v)
 
     level = 0
-    while True:
-        if cfg.max_sepset_size is not None and level > cfg.max_sepset_size:
-            break
-        eligible = [
-            (k, j) for (k, j) in surviving if len(blanket[j] - {k}) >= level
-        ]
-        if not eligible:
-            break
-        removed_here = 0
-        batch = [] if cfg.stable else None
-        for k, j in sorted(eligible, key=lambda e: (e[1], e[0])):
-            if (k, j) not in surviving:
-                continue  # pair already resolved via the mirror direction
-            base = screen[j].cross - {k}
-            cmb = sorted(blanket[j] - {k})
-            if len(cmb) < level:
+    while max_level is None or level <= max_level:
+        live = [test for test in live if test[0] not in removed]
+        found = []
+        tested = False
+        for pair, a, b in live:
+            if pair in removed:
                 continue
-            for t in itertools.combinations(cmb, level):
+            base, pool = family(a, b)
+            if len(pool) < level:
+                continue
+            tested = True
+            for t, sep in _separators(base, pool, level):
                 try:
-                    verdict = engine.query(k, j, base | set(t))
+                    verdict = engine.query(a, b, sep)
                 except PodagError as err:
-                    err.args = (f"{err.args[0]} [candidate ({k}, {j}), T={t}]",) + err.args[1:]
+                    err.args = (f"{err.args[0]} [candidate ({a}, {b}), T={t}]",) + err.args[1:]
                     raise
                 if verdict.independent:
-                    sep = frozenset(base | set(t))
-                    if cfg.stable:
-                        batch.append((k, j, sep))
-                    else:
-                        resolve(k, j, sep)
-                        removed_here += 1
+                    sepsets.record(a, b, sep)
+                    removed.add(pair)
+                    found.append(pair)
+                    if not stable:
+                        drop_neighbours(a, b)
                     break
-        if cfg.stable:
-            for k, j, sep in batch:
-                if (k, j) in surviving or (j, k) in surviving:
-                    resolve(k, j, sep)
-                    removed_here += 1
-        if removed_here:
-            removals[level] = removed_here
+        if not tested:
+            break
+        if stable:
+            for pair in found:
+                drop_neighbours(*pair)
+        if found:
+            removals[level] = len(found)
         level += 1
-    return surviving, sepsets, removals
+    return sepsets, removals
 
 
 def _posthoc_sepset(engine, screen, a, b, cfg):
@@ -223,14 +231,14 @@ def _posthoc_sepset(engine, screen, a, b, cfg):
         if target not in screen:
             continue
         base = screen[target].cross - {other}
-        cmb = sorted(screen[target].cmb - {other})
-        max_level = len(cmb)
+        pool = screen[target].cmb - {other}
+        max_level = len(pool)
         if cfg.max_sepset_size is not None:
             max_level = min(max_level, cfg.max_sepset_size)
         for level in range(max_level + 1):
-            for t in itertools.combinations(cmb, level):
-                if engine.query(other, target, base | set(t)).independent:
-                    return frozenset(base | set(t))
+            for _, sep in _separators(base, pool, level):
+                if engine.query(other, target, sep).independent:
+                    return sep
     return None
 
 
@@ -282,15 +290,27 @@ def podag_multi_layer(engine, ordering, screen, cfg=None):
     started = time.perf_counter()
     start_queries = engine.n_queries
 
-    candidates = list(screen.cross_candidates())
+    candidates = set(screen.cross_candidates())
     if cfg.learn_within_layers:
-        candidates += screen.within_candidates()
+        candidates.update(screen.within_candidates())
+    candidates = sorted(candidates, key=lambda e: (e[1], e[0]))
+    # a removed pair leaves both blankets: separating sets only ever need
+    # true neighbours, which are never removed, so shrinking the pool is
+    # sound and skips subsets of members already ruled out
+    blanket = {j: set(screen[j].cmb) for j in screen.nodes()}
+    cross = {j: screen[j].cross for j in screen.nodes()}
     _set_phase(engine, "search")
-    surviving, sepsets, removals = _searching_loop(engine, screen, candidates, cfg)
-
-    cross_edges = frozenset(
-        (k, j) for (k, j) in surviving if k in screen[j].cross
+    sepsets, removals = _search_levels(
+        engine,
+        candidates,
+        lambda k, j: (cross[j] - {k}, blanket[j] - {k}),
+        blanket,
+        cfg.max_sepset_size,
+        cfg.stable,
     )
+    surviving = [e for e in candidates if e not in sepsets]
+
+    cross_edges = frozenset((k, j) for (k, j) in surviving if k in cross[j])
     within_pairs = frozenset(
         (min(k, j), max(k, j)) for (k, j) in surviving if k in screen[j].cmb
     )

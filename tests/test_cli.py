@@ -1,10 +1,14 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from podag import Dataset
-from podag.cli import EXIT_LABELS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from podag.cli import EXIT_LABELS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(args):
@@ -140,6 +144,20 @@ class TestLearn:
         assert err.count("\n") == 1
         assert f"columns {data.labels[4]} and {data.labels[5]} are collinear" in err
 
+    def test_orientation_conflict_names_labels_and_points_to_ignore(self, tmp_path, capsys):
+        sim = simulate_into(tmp_path, seed=88, nodes=30, layers=3, n=500)
+        args = ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
+                "--within-layers"]
+        capsys.readouterr()
+        assert run(args + ["-o", tmp_path / "o"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        labels = set(Dataset.from_csv(sim / "dataset.csv").labels)
+        pair, triple = re.search(r"edge \((.+?)\) \(triple \((.+?)\)\)", err).groups()
+        assert set(pair.split(", ")) <= labels and set(triple.split(", ")) <= labels
+        assert "rerun with --on-conflict ignore" in err
+        assert run(args + ["--on-conflict", "ignore", "-o", tmp_path / "o2"]) == EXIT_OK
+
     def test_screen_only_mode(self, tmp_path):
         sim = simulate_into(tmp_path)
         out = tmp_path / "screen"
@@ -208,3 +226,19 @@ class TestFaithfulness:
         assert (tmp_path / "f1.csv").read_bytes() == (tmp_path / "f2.csv").read_bytes()
         lines = (tmp_path / "f1.csv").read_text().strip().splitlines()
         assert len(lines) == 10  # header + 3 replicates x 3 algorithms
+
+
+def readme_commands():
+    """Each ``podag`` command of README's command-line block, continuations joined."""
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [cmd for cmd in block.replace("\\\n", " ").splitlines() if cmd.startswith("podag ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) == 4
+    parser = build_parser()
+    for cmd in commands:
+        args = parser.parse_args(shlex.split(cmd)[1:])
+        assert args.command == cmd.split()[1]

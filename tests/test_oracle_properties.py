@@ -5,8 +5,12 @@ contiguous layers, with some nodes demoted to "no ordering information".
 Under the d-separation oracle, ``learn`` must return the maximal PDAG that
 ``helpers.oracle_maximal_pdag`` builds from first principles, whether the
 ordering is given as layers or as the equivalent weak before/after
-tables, and the ``stable`` mode must return the same graph.  Examples are
-derandomized, so the suite is deterministic.
+tables, and the ``stable`` mode must return the same graph.  On sparser
+instances ``learn``, PC and PC+ are also checked, in both modes, against
+``helpers.enumeration_maximal_pdag``, which enumerates the equivalence
+class and shares no orientation code with the library, so a defect in
+Meek's rules shows there.  Examples are derandomized, so the suite is
+deterministic.
 """
 
 import itertools
@@ -18,20 +22,23 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from podag import Dag, PartialOrdering, PodagConfig, learn
+from podag import Dag, OracleEngine, PartialOrdering, PodagConfig, learn, pc, pc_plus
 
-from helpers import oracle_maximal_pdag
+from helpers import enumeration_maximal_pdag, oracle_maximal_pdag
 
 EXAMPLES = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
+# the enumeration oracle orients every edge both ways (2^|E| candidates)
+SPARSE = 10
+
 
 @st.composite
-def ordered_instances(draw):
+def ordered_instances(draw, max_edges=None):
     """A ``(dag, ordering)`` pair whose layering the DAG respects."""
     n = draw(st.integers(4, 8))
     order = draw(st.permutations(range(n)))
     forward = [(order[a], order[b]) for a, b in itertools.combinations(range(n), 2)]
-    edges = draw(st.sets(st.sampled_from(forward)))
+    edges = draw(st.sets(st.sampled_from(forward), max_size=max_edges))
     starts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
     layer_of = list(itertools.accumulate([0] + starts))
     unordered = draw(st.sets(st.sampled_from(order), max_size=n // 2))
@@ -74,3 +81,26 @@ def test_layered_oracle_learn_is_maximal_pdag(instance):
 def test_weak_oracle_learn_is_maximal_pdag(instance):
     dag, ordering = instance
     check_against_oracle(dag, weak_form(ordering), oracle_maximal_pdag(dag, ordering))
+
+
+@EXAMPLES
+@given(ordered_instances(max_edges=SPARSE))
+def test_oracle_learn_is_enumerated_maximal_pdag(instance):
+    dag, ordering = instance
+    background = {(u, v) for u, v in dag.edges if ordering.orders_before(u, v)}
+    target = enumeration_maximal_pdag(dag, background)
+    check_against_oracle(dag, ordering, target)
+    check_against_oracle(dag, weak_form(ordering), target)
+
+
+@EXAMPLES
+@given(ordered_instances(max_edges=SPARSE))
+def test_pc_and_pc_plus_equal_independent_oracles(instance):
+    dag, ordering = instance
+    cpdag = enumeration_maximal_pdag(dag)
+    background = {(u, v) for u, v in dag.edges if ordering.orders_before(u, v)}
+    with_background = enumeration_maximal_pdag(dag, background)
+    assert oracle_maximal_pdag(dag, ordering) == with_background
+    for stable in (False, True):
+        assert pc(OracleEngine(dag), dag.n_nodes, stable=stable).pdag == cpdag
+        assert pc_plus(OracleEngine(dag), ordering, stable=stable).pdag == with_background

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -13,14 +14,16 @@ from podag import (
     RecordingEngine,
     generate_layered_dag,
     learn,
+    pc,
+    pc_plus,
     podag_multi_layer,
     random_weights,
     screen_all,
 )
-from podag.errors import InsufficientDataError
+from podag.errors import InsufficientDataError, SingularityError
 from podag.screening import ScreenEntry, ScreenSets
 from podag.sem import rng_from_seed, sample, toy_two_layer_sem
-from podag.stats import GaussianEngine
+from podag.stats import CiEngine, GaussianEngine
 
 from helpers import (
     enumeration_maximal_pdag,
@@ -96,6 +99,76 @@ class TestTwoLayerSearch:
                 PodagConfig(learn_within_layers=True, stable=True),
             )
             assert a.as_pdag() == b.as_pdag()
+
+
+def query_digest(recorder):
+    """Short hash of a recorder's query sequence, phase tags included."""
+    text = "\n".join(f"{i} {j} {sorted(s)} {phase}" for i, j, s, phase in recorder.records)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class FailingEngine(CiEngine):
+    def _decide(self, i, j, s):
+        raise SingularityError(context=(i, j, tuple(sorted(s))))
+
+
+class TestSkeletonDriver:
+    """PODAG, PC and PC+ run one level-wise search driver."""
+
+    # recorded from the separate PODAG and PC loops the driver replaced:
+    # (ci_tests, digest of the recorded query sequence); numpy 2.4, x86-64
+    PINNED = {
+        (5, "pc", False): (395, "678e07d32b4d3696"),
+        (5, "pc", True): (476, "9acd5fd7b3dfa0ba"),
+        (5, "pc_plus", False): (412, "29febaebb96bc39c"),
+        (5, "pc_plus", True): (469, "05c65c3da2992934"),
+        (5, "learn", False): (323, "7c91f874bab2adb1"),
+        (6, "pc", False): (216, "6ec91a6d7389ac11"),
+        (6, "pc", True): (232, "aedb07b63c48678d"),
+        (6, "pc_plus", False): (204, "193ea6c7d56e780e"),
+        (6, "pc_plus", True): (214, "4d35657653d76e07"),
+        (6, "learn", False): (289, "fa679f81497f2318"),
+    }
+
+    @pytest.mark.parametrize("seed, algorithm, stable", sorted(PINNED))
+    def test_query_sequence_pinned(self, seed, algorithm, stable):
+        rng = rng_from_seed(seed)
+        dag, ordering = generate_layered_dag(
+            GenConfig(n_nodes=16, expected_edges_per_node=2.0, layers=3), rng
+        )
+        data = sample(random_weights(dag, rng), 300, rng)
+        recorder = RecordingEngine(GaussianEngine(data, alpha=0.05))
+        if algorithm == "pc":
+            ci_tests = pc(recorder, data.m, stable=stable, on_conflict="ignore").ci_tests
+        elif algorithm == "pc_plus":
+            ci_tests = pc_plus(recorder, ordering, stable=stable, on_conflict="ignore").ci_tests
+        else:
+            cfg = PodagConfig(learn_within_layers=True, on_conflict="ignore", stable=stable)
+            ci_tests = learn(data, ordering, cfg, engine=recorder).diagnostics.ci_tests
+        assert (ci_tests, query_digest(recorder)) == self.PINNED[seed, algorithm, stable]
+
+    def test_stable_mode_skips_the_mirror_of_a_found_pair(self):
+        # 0 -> 2 <- 1 with no ordering: the spouses 0 and 1 screen each
+        # other in, and the pair is tested from both sides; the first side
+        # separates it at level 0, so the mirror test of that level is
+        # skipped although the removal waits for the end of the level
+        dag = Dag(3, [(0, 2), (1, 2)])
+        ordering = PartialOrdering([], n_nodes=3, unordered=range(3))
+        for stable in (False, True):
+            recorder = RecordingEngine(OracleEngine(dag))
+            cfg = PodagConfig(learn_within_layers=True, stable=stable)
+            res = learn(dag, ordering, cfg, engine=recorder)
+            assert res.sepsets.get(0, 1) == frozenset()
+            assert recorder.tuples(["search"]).count((0, 1, frozenset())) == 1, stable
+
+    @pytest.mark.parametrize("algorithm", ["pc", "pc_plus"])
+    def test_baseline_engine_errors_carry_candidate_context(self, algorithm):
+        ordering = PartialOrdering([{0}, {1, 2}], n_nodes=3)
+        with pytest.raises(SingularityError, match=r"\[candidate \(1, 0\), T=\(\)\]$"):
+            if algorithm == "pc":
+                pc(FailingEngine(), 3)
+            else:
+                pc_plus(FailingEngine(), ordering)
 
 
 class TestMultiLayerSearch:
