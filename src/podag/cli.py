@@ -290,10 +290,16 @@ def cmd_learn(args):
             res = estimate_h0(engine, ordering, labels=dataset.labels)
         elif args.algorithm == "h-minus-j":
             res = estimate_h_minus_j(engine, ordering, labels=dataset.labels)
-        elif args.algorithm == "pc":
-            res = pc(engine, dataset.m, labels=dataset.labels, on_conflict=args.on_conflict)
         else:
-            res = pc_plus(engine, ordering, labels=dataset.labels, on_conflict=args.on_conflict)
+            estimator, target = (pc, dataset.m) if args.algorithm == "pc" else (pc_plus, ordering)
+            res = estimator(
+                engine,
+                target,
+                labels=dataset.labels,
+                max_level=args.max_sepset_size,
+                stable=args.stable,
+                on_conflict=args.on_conflict,
+            )
         if args.orient_by_ordering and args.algorithm in ("pc", "pc+"):
             res = dataclasses.replace(res, pdag=orient_by_ordering(res.pdag, ordering))
         (out / "result.json").write_text(res.to_json() + "\n")

@@ -178,9 +178,13 @@ def collect_test_tuples(algorithm, g, ordering, cfg=None, phases=None):
     that is the searching loop plus orientation-phase queries: screening
     is set inference (a regression problem in the sample version), so its
     probes do not enter the test collection; every returned tuple then
-    conditions on ``cross(j) - {k}`` plus a blanket subset.  ``phases``
-    restricts the collection further (e.g. ``("search",)`` for the
-    skeleton-recovery tests alone).
+    conditions on ``cross(j) - {k}`` plus a blanket subset.  Its
+    orientation phase queries only pairs that neither the search nor a
+    screening verdict separated, so it adds few tuples; the separators
+    read from screening verdicts are oracle independences, with zero
+    partial correlation, so leaving them out cannot lower a minimum over
+    nonzero ones.  ``phases`` restricts the collection further (e.g.
+    ``("search",)`` for the skeleton-recovery tests alone).
     """
     recorder = RecordingEngine(OracleEngine(g))
     recorder.phase = "search"
@@ -237,7 +241,11 @@ def faithfulness_report(
     the minimum nonzero population partial correlation over (a) the
     skeleton-phase tuples and (b) the full run including
     orientation-phase queries, together with the number of CI tests.
-    Returns one row per (replicate, algorithm).
+    PODAG orients most pairs from its screening verdicts, which are
+    independences and so cannot lower (b); its orientation queries are
+    only the post-hoc searches for the remaining pairs (see
+    :func:`collect_test_tuples`).  Returns one row per (replicate,
+    algorithm).
     """
     rngs = spawn_rngs(seed, replicates)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -57,12 +57,22 @@ LASSO_MAX_SWEEPS = 100_000
 
 @dataclass(frozen=True)
 class ScreenEntry:
-    """Screening output for one target node."""
+    """Screening output for one target node.
+
+    ``pools`` holds the two pools that pcor screening conditioned its
+    verdicts on, ``(before(j), s0 + peers(j))``: every member it dropped
+    was found independent of j given the rest of its stage's pool, and
+    :meth:`verdict_sepset` returns that conditioning set.  Entries built
+    without CI verdicts (sis, lasso, :meth:`ScreenSets.from_json`,
+    :func:`inflate_screen_sets`) carry no pools.  The pools take no part
+    in equality or serialization.
+    """
 
     node: int
     s0: frozenset
     s1: frozenset
     warnings: tuple = ()
+    pools: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "s0", frozenset(int(v) for v in self.s0))
@@ -79,6 +89,18 @@ class ScreenEntry:
     def cmb(self):
         """Conditional Markov blanket among unordered peers: s1 - s0."""
         return self.s1 - self.s0
+
+    def verdict_sepset(self, k):
+        """The set a screening verdict found to separate ``k`` from the node.
+
+        That is ``pool - {k}`` for a member ``k`` dropped from its stage's
+        pool, and None for a kept member, a node outside both pools, or
+        an entry without recorded pools.
+        """
+        for pool, kept in zip(self.pools, (self.s0, self.s1)):
+            if k in pool and k not in kept:
+                return pool - {k}
+        return None
 
 
 class ScreenSets:
@@ -168,20 +190,23 @@ def _success_warnings(j, s0, s1, n):
     return ()
 
 
-def _screen_node(ordering, j, select, n, notes=()):
+def _screen_node(ordering, j, select, n, notes=(), verdicts=False):
     """Stage node ``j``: ``s0 = select(before(j))``, ``s1 = select(s0 + peers(j))``.
 
     ``select(pool, stage)`` returns the members of a nonempty ``pool``
     that stay associated with j at stage 0 (``s0``) or 1 (``s1``).
     ``notes`` is read after both stages, so a backend may append to it
-    while selecting.
+    while selecting.  With ``verdicts`` set, each drop is a CI verdict
+    given the rest of the pool, and the entry records both pools so that
+    orientation can read the separators (see :class:`ScreenEntry`).
     """
-    before = sorted(ordering.before_set(j))
-    s0 = select(before, 0) if before else set()
+    before = ordering.before_set(j)
+    s0 = select(sorted(before), 0) if before else set()
     pool1 = sorted(s0) + sorted(ordering.peer_set(j))
     s1 = select(pool1, 1) if pool1 else set()
     notes = tuple(notes) + _success_warnings(j, frozenset(s0), frozenset(s1), n)
-    return ScreenEntry(j, s0, s1, warnings=notes)
+    pools = (before, frozenset(pool1)) if verdicts else ()
+    return ScreenEntry(j, s0, s1, warnings=notes, pools=pools)
 
 
 def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
@@ -195,6 +220,13 @@ def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
     exceeds the threshold (population mode); otherwise the Fisher z test
     at the deliberately liberal ``alpha`` (default 0.5, to avoid false
     negatives) decides.
+
+    The entry records the pools of its verdicts, so each dropped member
+    comes with a separator.  Under Fisher z that verdict is made at
+    ``alpha``, not at the searching loop's significance: a drop needs
+    ``|z| <= Phi^-1(1 - alpha/2)``, so whenever ``alpha`` is at least the
+    search's (0.5 against 0.05 by default) it is the more conservative
+    independence claim.
     """
     if isinstance(source, CiEngine):
 
@@ -203,7 +235,7 @@ def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
                 k for k in pool if not source.query(k, j, [v for v in pool if v != k]).independent
             }
 
-        return _screen_node(ordering, j, select, None)
+        return _screen_node(ordering, j, select, None, verdicts=True)
 
     cov = _checked_covariance(source) if isinstance(source, Dataset) else source
     if not isinstance(cov, CovMatrix):
@@ -228,7 +260,7 @@ def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
             keep = np.abs(z) > fisher_z_threshold(alpha)
         return {k for k, flag in zip(pool, keep) if flag}
 
-    return _screen_node(ordering, j, select, n)
+    return _screen_node(ordering, j, select, n, verdicts=True)
 
 
 def _standardized(data):

@@ -221,11 +221,13 @@ def _search_levels(engine, tests, family, neighbours, max_level=None, stable=Fal
 
 
 def _posthoc_sepset(engine, screen, a, b, cfg):
-    """Search a separating set for a pair that was never explicitly tested.
+    """Search a separating set for a pair that neither the search nor screening separated.
 
-    Tries each side's restricted family: subsets of the target's cmb on
-    top of its cross set.  Returns None when no separator is found (the
-    affected triples are then left unoriented).
+    The fallback for entries without screening verdicts (sis, lasso,
+    entries read from JSON or inflated).  Tries each side's restricted
+    family: subsets of the target's cmb on top of its cross set.
+    Returns None when no separator is found (the affected triples are
+    then left unoriented).
     """
     for target, other in ((b, a), (a, b)):
         if target not in screen:
@@ -243,7 +245,15 @@ def _posthoc_sepset(engine, screen, a, b, cfg):
 
 
 def _orient(engine, screen, cross_pairs, within_pairs, sepsets, cfg, n_nodes, labels):
-    """Background orientations, v-structures, and Meek closure."""
+    """Background orientations, v-structures, and Meek closure.
+
+    Each unshielded pair the search never separated takes, in order, the
+    separator of ``b``'s screening verdict on ``a``, that of ``a``'s on
+    ``b``, and only then a :func:`_posthoc_sepset` search.  One valid
+    separator suffices: the middle node of an unshielded triple lies in
+    every separator of its endpoints or in none (Spirtes, Glymour &
+    Scheines 2000).
+    """
     # background orientations enter first (the ordering is ground truth),
     # but Meek's rules run only after v-structure detection: closing the
     # rules early would let R1 orient edges that are really colliders.
@@ -266,10 +276,14 @@ def _orient(engine, screen, cross_pairs, within_pairs, sepsets, cfg, n_nodes, la
             if k not in adjacency.get(i, set()):
                 needed.add((i, k))
     for a, b in sorted(needed):
-        if sepsets.get(a, b) is None:
+        if sepsets.get(a, b) is not None:
+            continue
+        recorded = (screen[t].verdict_sepset(o) for t, o in ((b, a), (a, b)) if t in screen)
+        sep = next((s for s in recorded if s is not None), None)
+        if sep is None:
             sep = _posthoc_sepset(engine, screen, a, b, cfg)
-            if sep is not None:
-                sepsets.record(a, b, sep)
+        if sep is not None:
+            sepsets.record(a, b, sep)
 
     oriented = orient_v_structures(with_background, sepsets, on_conflict=cfg.on_conflict)
     return apply_meek_rules(oriented, on_conflict=cfg.on_conflict)

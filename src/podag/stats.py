@@ -162,16 +162,56 @@ def _checked_covariance(dataset):
     2 x 2 correlation block, with reciprocal condition number
     ``(1 - |r|) / (1 + |r|)``, already fails the kernel's ``RCOND_MIN``
     guard: every conditioning set holding both columns is singular, and
-    one column leaves the other no residual variance.
+    one column leaves the other no residual variance.  When n > p, where
+    the sample covariance can have full rank, it also raises naming a
+    larger linearly dependent column set (see :func:`_dependent_columns`).
     """
     cov = sample_covariance(dataset)
     sd = np.sqrt(np.diag(cov.values))
-    r = np.abs(np.triu(cov.values / np.outer(sd, sd), k=1))
+    corr = cov.values / np.outer(sd, sd)
+    r = np.abs(np.triu(corr, k=1))
     pairs = np.argwhere(1.0 - r < RCOND_MIN * (1.0 + r))
     if len(pairs):
         a, b = (dataset.labels[v] for v in pairs[0])
         raise DegenerateDataError(f"columns {a} and {b} are collinear; drop one of them")
+    dependent = _dependent_columns(corr) if dataset.n > dataset.m else None
+    if dependent:
+        *rest, last = (dataset.labels[v] for v in dependent)
+        raise DegenerateDataError(
+            f"columns {', '.join(rest)} and {last} are linearly dependent; drop one of them"
+        )
     return cov
+
+
+def _dependent_columns(corr):
+    """Sorted indices of a linearly dependent column set, or None.
+
+    One Cholesky factorization of the correlation matrix: the squared
+    k-th pivot is the residual variance of column k given the columns
+    before it.  The first pivot below ``RCOND_MIN`` (or the one where the
+    factorization stops) marks a column that is a combination of earlier
+    ones; the set is that column plus the earlier columns its regression
+    on them uses.  A set with fewer than two columns outside it is
+    skipped, because no test ``(i, j | S)`` can condition on all of it:
+    its last column leaves the matrix, which is factored again.
+    """
+    keep = list(range(len(corr)))
+    block = corr
+    while True:
+        factor, info = dpotrf(block, lower=1, clean=0)
+        if info > 0:
+            k = info - 1
+        else:
+            small = np.flatnonzero(np.diag(factor) ** 2 < RCOND_MIN)
+            if not small.size:
+                return None
+            k = int(small[0])
+        coef = np.linalg.solve(block[:k, :k], block[:k, k])
+        dependent = [keep[i] for i in np.flatnonzero(np.abs(coef) > np.sqrt(RCOND_MIN))]
+        if len(dependent) + 1 <= len(corr) - 2:
+            return dependent + [keep[k]]
+        del keep[k]
+        block = corr[np.ix_(keep, keep)]
 
 
 def _factor_spd(block, context):

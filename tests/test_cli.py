@@ -144,6 +144,23 @@ class TestLearn:
         assert err.count("\n") == 1
         assert f"columns {data.labels[4]} and {data.labels[5]} are collinear" in err
 
+    @pytest.mark.parametrize("algorithm", ["podag", "pc"])
+    def test_dependent_columns_exit_four_with_one_line(self, tmp_path, capsys, algorithm):
+        sim = simulate_into(tmp_path, nodes=30, layers=3, n=500)
+        data = Dataset.from_csv(sim / "dataset.csv")
+        summed = data.data.copy()
+        summed[:, 5] = summed[:, 3] + summed[:, 4]
+        (sim / "dataset.csv").write_text(Dataset(summed, data.labels).to_csv())
+        capsys.readouterr()
+        code = run(
+            ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
+             "--algorithm", algorithm, "-o", tmp_path / "o"]
+        )
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "columns V3, V4 and V5 are linearly dependent" in err
+
     def test_orientation_conflict_names_labels_and_points_to_ignore(self, tmp_path, capsys):
         sim = simulate_into(tmp_path, seed=88, nodes=30, layers=3, n=500)
         args = ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
@@ -157,6 +174,21 @@ class TestLearn:
         assert set(pair.split(", ")) <= labels and set(triple.split(", ")) <= labels
         assert "rerun with --on-conflict ignore" in err
         assert run(args + ["--on-conflict", "ignore", "-o", tmp_path / "o2"]) == EXIT_OK
+
+    @pytest.mark.parametrize("algorithm", ["pc", "pc+"])
+    @pytest.mark.parametrize("flag", [["--stable"], ["--max-sepset-size", 0]])
+    def test_search_flags_reach_pc(self, tmp_path, algorithm, flag):
+        sim = simulate_into(tmp_path, seed=88, nodes=30, layers=3, n=500)
+        args = ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
+                "--algorithm", algorithm, "--on-conflict", "ignore"]
+        assert run(args + ["-o", tmp_path / "plain"]) == EXIT_OK
+        assert run(args + flag + ["-o", tmp_path / "flag"]) == EXIT_OK
+        plain, flagged = (
+            json.loads((tmp_path / out / "result.json").read_text())["diagnostics"]["ci_tests"]
+            for out in ("plain", "flag")
+        )
+        # stable PC defers removals (more tests); a cap of 0 stops after level 0
+        assert flagged > plain if flag == ["--stable"] else flagged < plain
 
     def test_screen_only_mode(self, tmp_path):
         sim = simulate_into(tmp_path)

@@ -5,7 +5,11 @@ contiguous layers, with some nodes demoted to "no ordering information".
 Under the d-separation oracle, ``learn`` must return the maximal PDAG that
 ``helpers.oracle_maximal_pdag`` builds from first principles, whether the
 ordering is given as layers or as the equivalent weak before/after
-tables, and the ``stable`` mode must return the same graph.  On sparser
+tables, and the ``stable`` mode must return the same graph.  The search
+must also return the same graph when the oracle screen is replaced by an
+inflated superset, whose entries carry no screening verdicts, so the
+orientation's verdict separators are checked against its post-hoc
+separator search.  On sparser
 instances ``learn``, PC and PC+ are also checked, in both modes, against
 ``helpers.enumeration_maximal_pdag``, which enumerates the equivalence
 class and shares no orientation code with the library, so a defect in
@@ -22,7 +26,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from podag import Dag, OracleEngine, PartialOrdering, PodagConfig, learn, pc, pc_plus
+from podag import (
+    Dag,
+    OracleEngine,
+    PartialOrdering,
+    PodagConfig,
+    inflate_screen_sets,
+    learn,
+    pc,
+    pc_plus,
+    podag_multi_layer,
+    screen_all,
+)
+from podag.sem import rng_from_seed
 
 from helpers import enumeration_maximal_pdag, oracle_maximal_pdag
 
@@ -81,6 +97,17 @@ def test_layered_oracle_learn_is_maximal_pdag(instance):
 def test_weak_oracle_learn_is_maximal_pdag(instance):
     dag, ordering = instance
     check_against_oracle(dag, weak_form(ordering), oracle_maximal_pdag(dag, ordering))
+
+
+@EXAMPLES
+@given(ordered_instances(), st.integers(0, 2**32 - 1))
+def test_oracle_search_is_robust_to_inflated_screens(instance, seed):
+    dag, ordering = instance
+    screen, _ = screen_all(OracleEngine(dag), ordering, backend="pcor")
+    fat = inflate_screen_sets(screen, ordering, rng_from_seed(seed))
+    cfg = PodagConfig(learn_within_layers=True)
+    base = podag_multi_layer(OracleEngine(dag), ordering, screen, cfg)
+    assert podag_multi_layer(OracleEngine(dag), ordering, fat, cfg).as_pdag() == base.as_pdag()
 
 
 @EXAMPLES

@@ -60,6 +60,16 @@ class TestScreenPcorToy:
         assert y1.cross == {0}
         assert y1.cmb == {3}
 
+    def test_dropped_members_carry_their_verdict_sepsets(self):
+        cov, ordering = toy_population_cov()
+        y1 = screen_pcor(cov, ordering, 2, threshold=0.01)
+        y2 = screen_pcor(cov, ordering, 3, threshold=0.01)
+        assert y1.verdict_sepset(1) == {0}  # stage 0: before(Y1) - {X2}
+        assert y2.verdict_sepset(0) == {1, 2}  # stage 1: s0 + peers(Y2) - {X1}
+        assert y2.verdict_sepset(1) is None and y2.verdict_sepset(2) is None  # kept
+        plain = ScreenEntry(3, y2.s0, y2.s1)
+        assert plain == y2 and plain.verdict_sepset(0) is None
+
     def test_empty_graph_screens_empty(self):
         cov = CovMatrix(np.eye(4), n=100)
         ordering = PartialOrdering([{0, 1}, {2, 3}], n_nodes=4)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,7 @@ from podag import (
     PodagConfig,
     RecordingEngine,
     generate_layered_dag,
+    inflate_screen_sets,
     learn,
     pc,
     pc_plus,
@@ -101,6 +103,15 @@ class TestTwoLayerSearch:
             assert a.as_pdag() == b.as_pdag()
 
 
+def sixteen_node_data(seed):
+    """A 16-node, 3-layer simulated dataset (n = 300) and its ordering."""
+    rng = rng_from_seed(seed)
+    dag, ordering = generate_layered_dag(
+        GenConfig(n_nodes=16, expected_edges_per_node=2.0, layers=3), rng
+    )
+    return sample(random_weights(dag, rng), 300, rng), ordering
+
+
 def query_digest(recorder):
     """Short hash of a recorder's query sequence, phase tags included."""
     text = "\n".join(f"{i} {j} {sorted(s)} {phase}" for i, j, s, phase in recorder.records)
@@ -115,28 +126,26 @@ class FailingEngine(CiEngine):
 class TestSkeletonDriver:
     """PODAG, PC and PC+ run one level-wise search driver."""
 
-    # recorded from the separate PODAG and PC loops the driver replaced:
-    # (ci_tests, digest of the recorded query sequence); numpy 2.4, x86-64
+    # recorded from the separate PODAG and PC loops the driver replaced,
+    # the learn entries again once orientation read the screening
+    # verdicts: (ci_tests, digest of the recorded query sequence);
+    # numpy 2.4, x86-64
     PINNED = {
         (5, "pc", False): (395, "678e07d32b4d3696"),
         (5, "pc", True): (476, "9acd5fd7b3dfa0ba"),
         (5, "pc_plus", False): (412, "29febaebb96bc39c"),
         (5, "pc_plus", True): (469, "05c65c3da2992934"),
-        (5, "learn", False): (323, "7c91f874bab2adb1"),
+        (5, "learn", False): (292, "acca25e740e63044"),
         (6, "pc", False): (216, "6ec91a6d7389ac11"),
         (6, "pc", True): (232, "aedb07b63c48678d"),
         (6, "pc_plus", False): (204, "193ea6c7d56e780e"),
         (6, "pc_plus", True): (214, "4d35657653d76e07"),
-        (6, "learn", False): (289, "fa679f81497f2318"),
+        (6, "learn", False): (267, "687ecb09eb14a1fc"),
     }
 
     @pytest.mark.parametrize("seed, algorithm, stable", sorted(PINNED))
     def test_query_sequence_pinned(self, seed, algorithm, stable):
-        rng = rng_from_seed(seed)
-        dag, ordering = generate_layered_dag(
-            GenConfig(n_nodes=16, expected_edges_per_node=2.0, layers=3), rng
-        )
-        data = sample(random_weights(dag, rng), 300, rng)
+        data, ordering = sixteen_node_data(seed)
         recorder = RecordingEngine(GaussianEngine(data, alpha=0.05))
         if algorithm == "pc":
             ci_tests = pc(recorder, data.m, stable=stable, on_conflict="ignore").ci_tests
@@ -169,6 +178,42 @@ class TestSkeletonDriver:
                 pc(FailingEngine(), 3)
             else:
                 pc_plus(FailingEngine(), ordering)
+
+
+class TestScreeningVerdictSepsets:
+    """Orientation reads pcor's screening verdicts before searching a separator."""
+
+    CFG = PodagConfig(learn_within_layers=True, on_conflict="ignore")
+
+    def test_pcor_orientation_skips_pairs_with_a_verdict(self):
+        data, ordering = sixteen_node_data(5)
+        recorder = RecordingEngine(GaussianEngine(data, alpha=0.05))
+        res = learn(data, ordering, self.CFG, engine=recorder)
+        screen = res.screen
+
+        def verdicts(a, b):
+            return {screen[b].verdict_sepset(a), screen[a].verdict_sepset(b)} - {None}
+
+        assert any(sep in verdicts(a, b) for (a, b), sep in res.sepsets.items())
+        for i, j, _ in recorder.tuples(["orient"]):
+            assert not verdicts(i, j), (i, j)
+
+    @pytest.mark.parametrize("source", ["sis", "lasso", "from_json", "inflated"])
+    def test_screens_without_verdicts_fall_back_to_posthoc_search(self, source):
+        data, ordering = sixteen_node_data(5)
+        recorder = RecordingEngine(GaussianEngine(data, alpha=0.05))
+        if source in ("sis", "lasso"):
+            params = {"t": 0.01} if source == "sis" else {}
+            cfg = replace(self.CFG, backend=source, backend_params=params)
+            learn(data, ordering, cfg, engine=recorder)
+        else:
+            screen, _ = screen_all(data, ordering, "pcor", {"alpha": self.CFG.screen_alpha})
+            if source == "from_json":
+                screen = ScreenSets.from_json(screen.to_json(), data.labels)
+            else:
+                screen = inflate_screen_sets(screen, ordering, rng_from_seed(1))
+            podag_multi_layer(recorder, ordering, screen, self.CFG)
+        assert recorder.tuples(["orient"])
 
 
 class TestMultiLayerSearch:
@@ -207,8 +252,6 @@ class TestSupersetRobustness:
             screen = oracle_screen(dag, ordering)
             cfg = PodagConfig(learn_within_layers=True)
             base = podag_multi_layer(OracleEngine(dag), ordering, screen, cfg)
-            from podag import inflate_screen_sets
-
             fat = inflate_screen_sets(screen, ordering, rng, extra=3)
             fatter = podag_multi_layer(OracleEngine(dag), ordering, fat, cfg)
             assert base.cross_edges == fatter.cross_edges
@@ -348,6 +391,7 @@ class TestLearnDispatch:
     def test_backends_pinned_on_fixed_seed(self):
         # edges and test counts of one fixed simulated fit per backend,
         # recorded from the implementation before screening was unified
+        # (pcor's count again once orientation read its screening verdicts)
         rng = rng_from_seed(2024)
         dag, ordering = generate_layered_dag(
             GenConfig(n_nodes=12, expected_edges_per_node=2.0, layers=3), rng
@@ -355,7 +399,7 @@ class TestLearnDispatch:
         data = sample(random_weights(dag, rng), 300, rng)
         common = [(0, 7), (1, 4), (1, 8), (1, 11), (3, 4), (5, 0), (6, 0), (6, 7), (9, 10), (11, 2), (11, 7)]
         expected = {
-            "pcor": (common + [(6, 2), (9, 2)], 159),
+            "pcor": (common + [(6, 2), (9, 2)], 142),
             "sis": (common + [(6, 2), (9, 2)], 72),
             "lasso": (common, 35),
         }

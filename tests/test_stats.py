@@ -436,14 +436,14 @@ class TestEngines:
         assert inner.n_queries == 0
 
 
-def collinear_dataset():
-    """30 nodes, n=500, column V5 a copy of column V4."""
+def collinear_dataset(sources=(4,)):
+    """30 nodes, n=500, column V5 the sum of the ``sources`` columns (a copy of V4)."""
     rng = rng_from_seed(5)
     dag, ordering = generate_layered_dag(
         GenConfig(n_nodes=30, expected_edges_per_node=2.0, layers=3), rng
     )
     data = sample(random_weights(dag, rng), 500, rng).data.copy()
-    data[:, 5] = data[:, 4]
+    data[:, 5] = data[:, list(sources)].sum(axis=1)
     return Dataset(data), ordering
 
 
@@ -470,6 +470,15 @@ class TestCollinearColumns:
         x = rng_from_seed(6).normal(size=(200, 3))
         x[:, 2] = x[:, 0] + 1e-5 * x[:, 1]
         assert not GaussianEngine(Dataset(x)).query(0, 2, ()).independent
+
+    @pytest.mark.parametrize("algorithm", ["learn", "pc"])
+    def test_dependent_column_set_is_named(self, algorithm):
+        data, ordering = collinear_dataset(sources=(3, 4))
+        with pytest.raises(DegenerateDataError, match="columns V3, V4 and V5 are linearly dependent"):
+            if algorithm == "learn":
+                learn(data, ordering, PodagConfig())
+            else:
+                pc(GaussianEngine(data, alpha=0.05), data.m)
 
 
 class TestDatasetCsv:
