@@ -38,9 +38,11 @@ class PodagConfig:
     """Knobs for screening, searching, and orientation.
 
     ``alpha`` is the searching-loop significance; ``screen_alpha`` the
-    deliberately liberal screening significance.  ``max_sepset_size``
-    caps the size of conditioning subsets drawn from the conditional
-    Markov blanket (None leaves the enumeration unbounded).  ``stable``
+    deliberately liberal screening significance, at which pcor's drops
+    also become orientation separators (see
+    :func:`podag.screening.screen_pcor`).  ``max_sepset_size`` caps the
+    size of conditioning subsets drawn from the conditional Markov
+    blanket (None leaves the enumeration unbounded).  ``stable``
     batches removals per level instead of applying them immediately
     (a pair found separable is not tested again from its mirror
     direction in that level); under an oracle the two modes coincide
