@@ -412,7 +412,7 @@ class SepsetMap:
 
     def record(self, i, j, sepset):
         key = self._key(i, j)
-        sepset = frozenset(int(v) for v in sepset)
+        sepset = frozenset(map(int, sepset))
         if i in sepset or j in sepset:
             raise ValueError("separating set must not contain its endpoints")
         if key in self._map and self._map[key] != sepset:

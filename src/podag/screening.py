@@ -26,12 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import InsufficientDataError, SelectionError
+from .errors import InsufficientDataError, SelectionError, SingularityError
 from .stats import (
     CiEngine,
     CovMatrix,
     Dataset,
     _checked_covariance,
+    _dependence_error,
     block_partial_correlations,
     fisher_z_threshold,
 )
@@ -227,6 +228,9 @@ def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
     ``|z| <= Phi^-1(1 - alpha/2)``, so whenever ``alpha`` is at least the
     search's (0.5 against 0.05 by default) it is the more conservative
     independence claim.
+
+    A singular block whose correlation matrix holds a linearly dependent
+    column set raises :class:`DegenerateDataError` naming those columns.
     """
     if isinstance(source, CiEngine):
 
@@ -244,9 +248,18 @@ def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
     if threshold is None and n is None:
         raise ValueError("Fisher-z screening needs a sample size; population input wants threshold mode")
 
+    def pool_rhos(pool):
+        try:
+            return block_partial_correlations(cov, j, pool)
+        except SingularityError:
+            error = _dependence_error(cov, pool + [j], spare=0)
+            if error is None:
+                raise
+            raise error from None
+
     def select(pool, stage):
         if threshold is not None:
-            keep = np.abs(block_partial_correlations(cov, j, pool)) > threshold
+            keep = np.abs(pool_rhos(pool)) > threshold
         else:
             dof = n - (len(pool) - 1) - 3
             if dof <= 0:
@@ -255,7 +268,7 @@ def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
                     f"which needs n > {len(pool) + 2} samples (n={n}); "
                     "use --backend lasso or --backend sis when nodes outnumber samples"
                 )
-            rhos = block_partial_correlations(cov, j, pool)
+            rhos = pool_rhos(pool)
             z = np.sqrt(dof) * np.arctanh(np.clip(rhos, -1 + 1e-15, 1 - 1e-15))
             keep = np.abs(z) > fisher_z_threshold(alpha)
         return {k for k, flag in zip(pool, keep) if flag}

@@ -386,9 +386,12 @@ def learn(source, ordering, cfg=None, engine=None):
             engine = OracleEngine(source)
         screen_source = engine
     elif isinstance(source, Dataset):
+        screen_source = source
         if engine is None:
             engine = GaussianEngine(source, alpha=cfg.alpha)
-        screen_source = source
+            if cfg.backend == "pcor":
+                # screening and the search read one checked covariance
+                screen_source = engine.cov
     else:
         raise TypeError("source must be a Dataset or a Dag")
 

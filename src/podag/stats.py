@@ -7,25 +7,31 @@ of queries.  Every query is decided afresh: a fit rarely asks the same
 question twice, so verdicts are not kept.
 
 The CI-test kernel is kept lean because a fit makes thousands of tests.
-A partial correlation factors its conditioning block with one LAPACK
-``dpotrf`` call, rejects it when ``dpocon`` estimates its reciprocal
-condition number below ``RCOND_MIN``, and solves with ``dpotrs``.  The
-Fisher z test reads its threshold ``Phi^-1(1 - alpha/2)`` from a
-per-alpha cache and its two-sided p-value from ``2 Phi(-|z|)``, both
-straight from the ``scipy.special`` ufuncs ``ndtri`` and ``ndtr``.
-These are the values a frozen normal distribution object returns, bit
-for bit, without its per-call argument handling or its import cost.
+A covariance block is factored with one LAPACK ``dpotrf`` call and
+rejected when ``dpocon`` estimates its reciprocal condition number below
+``RCOND_MIN``.  :func:`partial_correlation` solves the conditioning
+block with ``dpotrs``; a block precision matrix (``dpotri``) serves
+every partial correlation of one block at once: all of a screening pool
+in :func:`block_partial_correlations`, and every query of the Gaussian
+engine whose conditioning union ``S + {i, j}`` it last factored (see
+:class:`GaussianEngine`).  The Fisher z test reads its threshold
+``Phi^-1(1 - alpha/2)`` from a per-alpha cache and its two-sided p-value
+from ``2 Phi(-|z|)``, both straight from the ``scipy.special`` ufuncs
+``ndtri`` and ``ndtr``.  These are the values a frozen normal
+distribution object returns, bit for bit, without its per-call argument
+handling or its import cost.
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
+from scipy.linalg.lapack import dpocon, dpotrf, dpotri, dpotrs
 from scipy.special import ndtr, ndtri
 
 from .errors import (
@@ -114,9 +120,12 @@ class Dataset:
 
 
 class CovMatrix:
-    """Symmetric covariance matrix with its sample size (None for a population)."""
+    """Symmetric covariance matrix with its sample size (None for a population).
 
-    def __init__(self, values, n=None):
+    ``labels`` name the columns, as in :class:`Dataset`.
+    """
+
+    def __init__(self, values, n=None, labels=None):
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("covariance must be square")
@@ -128,6 +137,11 @@ class CovMatrix:
         self.values = 0.5 * (values + values.T)
         self.values.setflags(write=False)
         self.n = None if n is None else int(n)
+        if labels is None:
+            labels = [f"V{i}" for i in range(len(values))]
+        if len(labels) != len(values):
+            raise ValueError("labels must have one entry per column")
+        self.labels = tuple(str(x) for x in labels)
 
     @property
     def m(self):
@@ -152,7 +166,12 @@ def sample_covariance(dataset):
     if np.any(variances <= 0):
         bad = [dataset.labels[i] for i in np.nonzero(variances <= 0)[0]]
         raise DegenerateDataError(f"constant column(s): {bad}")
-    return CovMatrix(cov, n=dataset.n)
+    return CovMatrix(cov, n=dataset.n, labels=dataset.labels)
+
+
+def _correlation(values):
+    sd = np.sqrt(np.diag(values))
+    return values / np.outer(sd, sd)
 
 
 def _checked_covariance(dataset):
@@ -167,23 +186,35 @@ def _checked_covariance(dataset):
     larger linearly dependent column set (see :func:`_dependent_columns`).
     """
     cov = sample_covariance(dataset)
-    sd = np.sqrt(np.diag(cov.values))
-    corr = cov.values / np.outer(sd, sd)
-    r = np.abs(np.triu(corr, k=1))
+    r = np.abs(np.triu(_correlation(cov.values), k=1))
     pairs = np.argwhere(1.0 - r < RCOND_MIN * (1.0 + r))
     if len(pairs):
         a, b = (dataset.labels[v] for v in pairs[0])
         raise DegenerateDataError(f"columns {a} and {b} are collinear; drop one of them")
-    dependent = _dependent_columns(corr) if dataset.n > dataset.m else None
-    if dependent:
-        *rest, last = (dataset.labels[v] for v in dependent)
-        raise DegenerateDataError(
-            f"columns {', '.join(rest)} and {last} are linearly dependent; drop one of them"
-        )
+    error = _dependence_error(cov, range(dataset.m), spare=2) if dataset.n > dataset.m else None
+    if error is not None:
+        raise error
     return cov
 
 
-def _dependent_columns(corr):
+def _dependence_error(cov, idx, spare):
+    """A :class:`DegenerateDataError` naming dependent columns among ``idx``, or None.
+
+    The set is found by :func:`_dependent_columns` on the correlation
+    block of the ``idx`` columns and must leave at least ``spare`` of
+    them out; the message names it by the labels of ``cov``.
+    """
+    idx = list(idx)
+    dependent = _dependent_columns(_correlation(cov.values[np.ix_(idx, idx)]), spare)
+    if dependent is None:
+        return None
+    *rest, last = (cov.labels[v] for v in sorted(idx[k] for k in dependent))
+    return DegenerateDataError(
+        f"columns {', '.join(rest)} and {last} are linearly dependent; drop one of them"
+    )
+
+
+def _dependent_columns(corr, spare):
     """Sorted indices of a linearly dependent column set, or None.
 
     One Cholesky factorization of the correlation matrix: the squared
@@ -191,9 +222,11 @@ def _dependent_columns(corr):
     before it.  The first pivot below ``RCOND_MIN`` (or the one where the
     factorization stops) marks a column that is a combination of earlier
     ones; the set is that column plus the earlier columns its regression
-    on them uses.  A set with fewer than two columns outside it is
-    skipped, because no test ``(i, j | S)`` can condition on all of it:
-    its last column leaves the matrix, which is factored again.
+    on them uses.  A set with fewer than ``spare`` columns outside it is
+    skipped: its last column leaves the matrix, which is factored again.
+    The whole covariance matrix asks for two spare columns, because no
+    test ``(i, j | S)`` can condition on all of a set that leaves fewer
+    out; a screening block (pool plus target) asks for none.
     """
     keep = list(range(len(corr)))
     block = corr
@@ -208,7 +241,7 @@ def _dependent_columns(corr):
             k = int(small[0])
         coef = np.linalg.solve(block[:k, :k], block[:k, k])
         dependent = [keep[i] for i in np.flatnonzero(np.abs(coef) > np.sqrt(RCOND_MIN))]
-        if len(dependent) + 1 <= len(corr) - 2:
+        if len(corr) - len(dependent) - 1 >= spare:
             return dependent + [keep[k]]
         del keep[k]
         block = corr[np.ix_(keep, keep)]
@@ -230,6 +263,20 @@ def _factor_spd(block, context):
     if info != 0 or rcond < RCOND_MIN:
         raise SingularityError(context=context)
     return factor
+
+
+def _block_precision(sigma, idx, context):
+    """Precision matrix of the ``idx`` block of ``sigma``, lower triangle only.
+
+    One guarded factorization (:func:`_factor_spd`, which raises
+    :class:`SingularityError` with ``context``) and its LAPACK ``dpotri``
+    inverse.  The strict upper triangle holds no part of the result.
+    """
+    factor = _factor_spd(sigma.take(idx, axis=0).take(idx, axis=1), context)
+    omega, info = dpotri(factor, lower=1, overwrite_c=1)
+    if info != 0:
+        raise SingularityError(context=context)
+    return omega
 
 
 def partial_correlation(cov, i, j, s):
@@ -280,21 +327,20 @@ def block_partial_correlations(cov, j, pool):
 
     The partial correlation of k and j given the rest of the block equals
     ``-Omega_kj / sqrt(Omega_kk Omega_jj)`` on the precision matrix of the
-    ``pool + [j]`` block, so a single inversion serves all k.  Verdicts
-    agree exactly with per-pair :func:`partial_correlation` calls.
+    ``pool + [j]`` block, so a single inversion serves all k.  The values
+    equal per-pair :func:`partial_correlation` calls up to rounding.
     """
     pool = [int(v) for v in pool]
     if j in pool:
         raise ValueError("pool must not contain j")
     if not pool:
         return np.zeros(0)
-    idx = pool + [int(j)]
-    factor = _factor_spd(cov.values[idx][:, idx], context=(j, "pool", tuple(pool)))
-    omega, _ = dpotrs(factor, np.eye(len(idx)), lower=1)
+    context = (j, "pool", tuple(pool))
+    omega = _block_precision(cov.values, pool + [int(j)], context)
     diag = np.diag(omega)
     if np.any(diag <= 0):
-        raise SingularityError(context=(j, "pool", tuple(pool)))
-    rhos = -omega[:-1, -1] / np.sqrt(diag[:-1] * diag[-1])
+        raise SingularityError(context=context)
+    rhos = -omega[-1, :-1] / np.sqrt(diag[:-1] * diag[-1])
     return np.clip(rhos, -1.0, 1.0)
 
 
@@ -313,6 +359,26 @@ def fisher_z_threshold(alpha):
     return float(ndtri(1.0 - alpha / 2.0))
 
 
+def _fisher_z_dof(n, size):
+    """Degrees of freedom ``n - size - 3`` of a test conditioning on ``size`` nodes."""
+    dof = n - size - 3
+    if dof <= 0:
+        raise InsufficientDataError(f"fisher z needs n - |s| - 3 > 0 (n={n}, |s|={size})")
+    return dof
+
+
+def _fisher_z_verdict(rho, dof, alpha):
+    """The Fisher z verdict on a partial correlation ``rho`` in [-1, 1]."""
+    if abs(rho) >= 1.0:
+        return CiVerdict(independent=False, statistic=np.inf if rho > 0 else -np.inf, p_value=0.0)
+    z = float(np.sqrt(dof) * np.arctanh(rho))
+    return CiVerdict(
+        independent=abs(z) <= fisher_z_threshold(alpha),
+        statistic=z,
+        p_value=float(2.0 * ndtr(-abs(z))),
+    )
+
+
 def fisher_z_test(cov, n, i, j, s, alpha):
     """Fisher z test of zero partial correlation.
 
@@ -325,20 +391,8 @@ def fisher_z_test(cov, n, i, j, s, alpha):
         If the effective degrees of freedom ``n - |s| - 3`` are not positive.
     """
     s = sorted(set(map(int, s)))
-    dof = n - len(s) - 3
-    if dof <= 0:
-        raise InsufficientDataError(
-            f"fisher z needs n - |s| - 3 > 0 (n={n}, |s|={len(s)})"
-        )
-    rho = partial_correlation(cov, i, j, s)
-    if abs(rho) >= 1.0:
-        return CiVerdict(independent=False, statistic=np.inf if rho > 0 else -np.inf, p_value=0.0)
-    z = float(np.sqrt(dof) * np.arctanh(rho))
-    return CiVerdict(
-        independent=abs(z) <= fisher_z_threshold(alpha),
-        statistic=z,
-        p_value=float(2.0 * ndtr(-abs(z))),
-    )
+    dof = _fisher_z_dof(n, len(s))
+    return _fisher_z_verdict(partial_correlation(cov, i, j, s), dof, alpha)
 
 
 class CiEngine:
@@ -361,7 +415,7 @@ class CiEngine:
 
     def query(self, i, j, s=()):
         i, j = int(i), int(j)
-        s = frozenset(int(v) for v in s)
+        s = frozenset(map(int, s))
         if i == j or i in s or j in s:
             raise ValueError("i, j and s must be disjoint")
         with self._count_lock:
@@ -390,6 +444,24 @@ class GaussianEngine(CiEngine):
     Accepts a :class:`Dataset` (covariance computed lazily on first
     query, so degenerate data surfaces per query) or a ready
     :class:`CovMatrix` with a sample size.
+
+    A query ``(i, j | S)`` with S non-empty reads its partial correlation
+    off the precision matrix of the union block ``U = S + {i, j}``:
+    ``rho = -Omega_ij / sqrt(Omega_ii Omega_jj)``.  Queries come in runs
+    on one union (the searching loop tests every candidate ``k`` in
+    ``cross(j)`` against ``cross(j) - {k} + T``, whose union is the same
+    for all ``k``), so the engine keeps the last union's precision matrix
+    in one slot and factors ``Sigma_UU`` only when the union changes.
+    The slot is one immutable ``(union, positions, Omega)`` tuple with a
+    read-only ``Omega``, read once per query, so the engine stays safe to
+    share across threads.
+
+    Everything else is :func:`fisher_z_test`'s: an empty S takes its
+    direct path, its degrees-of-freedom guard fires before any
+    factoring, and a union block that fails the singularity guard falls
+    back to it exactly, so errors (with their ``(i, j, S)`` context) and
+    verdicts on rank-deficient data are its own.  Statistics may differ
+    from it in the last bits.
     """
 
     def __init__(self, source, alpha=0.05):
@@ -412,6 +484,7 @@ class GaussianEngine(CiEngine):
         else:
             raise TypeError("source must be a Dataset or CovMatrix")
         self._cov_lock = threading.Lock()
+        self._slot = None
 
     @property
     def cov(self):
@@ -422,7 +495,25 @@ class GaussianEngine(CiEngine):
         return self._cov
 
     def _decide(self, i, j, s):
-        return fisher_z_test(self.cov, self._n, i, j, s, self.alpha)
+        cov = self.cov
+        if not s:
+            return fisher_z_test(cov, self._n, i, j, s, self.alpha)
+        dof = _fisher_z_dof(self._n, len(s))
+        union = s.union((i, j))
+        slot = self._slot
+        if slot is None or slot[0] != union:
+            idx = sorted(union)
+            try:
+                omega = _block_precision(cov.values, idx, context=None)
+            except SingularityError:
+                return fisher_z_test(cov, self._n, i, j, s, self.alpha)
+            omega.setflags(write=False)
+            slot = (union, {v: pos for pos, v in enumerate(idx)}, omega)
+            self._slot = slot
+        _, positions, omega = slot
+        a, b = positions[i], positions[j]  # a < b: Omega's lower triangle holds (b, a)
+        rho = -omega.item(b, a) / math.sqrt(omega.item(a, a) * omega.item(b, b))
+        return _fisher_z_verdict(min(max(rho, -1.0), 1.0), dof, self.alpha)
 
 
 class RecordingEngine(CiEngine):

@@ -3,6 +3,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from podag import Dataset
@@ -160,6 +161,21 @@ class TestLearn:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "columns V3, V4 and V5 are linearly dependent" in err
+
+    def test_dependent_set_in_a_screening_block_exits_four_with_labels(self, tmp_path, capsys):
+        x = np.random.default_rng(7).normal(size=(200, 4))
+        x[:, 2] = x[:, 0] + x[:, 1]
+        (tmp_path / "data.csv").write_text(Dataset(x, ["a", "b", "c", "d"]).to_csv())
+        (tmp_path / "layering.txt").write_text("a, b\nc, d\n")
+        capsys.readouterr()
+        code = run(
+            ["learn", "--data", tmp_path / "data.csv", "--layering", tmp_path / "layering.txt",
+             "-o", tmp_path / "o"]
+        )
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "columns a, b and c are linearly dependent" in err
 
     def test_orientation_conflict_names_labels_and_points_to_ignore(self, tmp_path, capsys):
         sim = simulate_into(tmp_path, seed=88, nodes=30, layers=3, n=500)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
@@ -18,6 +20,7 @@ from podag import (
     Dataset,
     GaussianEngine,
     OracleEngine,
+    PartialOrdering,
     PodagConfig,
     RecordingEngine,
     fisher_z_test,
@@ -37,7 +40,7 @@ from podag.sem import (
     sample,
     toy_two_layer_sem,
 )
-from podag.stats import block_partial_correlations
+from podag.stats import _factor_spd, block_partial_correlations
 
 from helpers import random_layered_instance, toy_diamond
 
@@ -436,6 +439,163 @@ class TestEngines:
         assert inner.n_queries == 0
 
 
+def outcome(decide):
+    """A verdict, or the type, message and context of the error it raised."""
+    try:
+        return decide()
+    except (SingularityError, InsufficientDataError) as err:
+        return type(err), str(err), getattr(err, "context", None)
+
+
+def same_outcome(got, want):
+    """Equal errors, or equal verdicts whose statistics agree within 1e-9."""
+    if not isinstance(want, CiVerdict):
+        return got == want
+    return (
+        isinstance(got, CiVerdict)
+        and got.independent == want.independent
+        and got.statistic == pytest.approx(want.statistic, rel=1e-9, abs=1e-9)
+        and got.p_value == pytest.approx(want.p_value, rel=1e-9, abs=1e-12)
+    )
+
+
+class CheckingEngine(CiEngine):
+    """Answers through a Gaussian engine and keeps what fisher_z_test says to each query."""
+
+    def __init__(self, inner, n):
+        super().__init__()
+        self.inner = inner
+        self.n = n
+        self.replay = []
+
+    def _decide(self, i, j, s):
+        got = self.inner.query(i, j, s)
+        want = fisher_z_test(self.inner.cov, self.n, i, j, s, self.inner.alpha)
+        self.replay.append((s, got, want))
+        return got
+
+
+def dependent_four_columns():
+    """n=200 data with V2 = V0 + V1, layered {V0, V1} < {V2, V3}."""
+    x = rng_from_seed(7).normal(size=(200, 4))
+    x[:, 2] = x[:, 0] + x[:, 1]
+    return Dataset(x), PartialOrdering([{0, 1}, {2, 3}], n_nodes=4)
+
+
+def counting_factorizations(monkeypatch):
+    calls = []
+    factor = podag.stats._block_precision
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(podag.stats, "_block_precision", counted)
+    return calls
+
+
+class TestUnionPrecision:
+    """GaussianEngine reads rho off the precision matrix of the last conditioning union."""
+
+    def test_learn_fit_replays_fisher_z_verdicts(self, monkeypatch):
+        # a fit of the benchmark's learn-p120 kind: p=120, L=5, n=1000
+        rng = rng_from_seed(120)
+        dag, ordering = generate_layered_dag(
+            GenConfig(n_nodes=120, expected_edges_per_node=3.0, layers=5), rng
+        )
+        data = sample(random_weights(dag, rng), 1000, rng)
+        factorizations = counting_factorizations(monkeypatch)
+        checking = CheckingEngine(GaussianEngine(data, alpha=0.005), data.n)
+        cfg = PodagConfig(alpha=0.005, learn_within_layers=True, max_sepset_size=3, on_conflict="ignore")
+        learn(data, ordering, cfg, engine=checking)
+        conditioned = sum(1 for s, _, _ in checking.replay if s)
+        assert conditioned > 1000
+        assert {got.independent for _, got, _ in checking.replay} == {True, False}
+        assert all(same_outcome(got, want) for _, got, want in checking.replay)
+        assert 0 < len(factorizations) < conditioned / 2  # unions were reused
+
+    def test_threads_sharing_an_engine_get_the_sequential_verdicts(self):
+        rng = rng_from_seed(32)
+        data = Dataset(rng.normal(size=(300, 10)) @ rng.normal(size=(10, 10)))
+        # each thread cycles through pairs of its own union, so the one slot
+        # is replaced whenever the threads interleave
+        unions = [(0, 1, 2, 3, 4, 5), (3, 4, 5, 6, 7, 8, 9)]
+        work = [
+            [(i, j, set(u) - {i, j}) for i, j in itertools.combinations(u, 2)] * 20 for u in unions
+        ]
+        alone = GaussianEngine(data)
+        expected = [[alone.query(*q) for q in queries] for queries in work]
+        shared = GaussianEngine(data)
+        results = [[], []]
+
+        def run(k):
+            results[k].extend(shared.query(*q) for q in work[k])
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert results == expected
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(4, 9),
+        n=st.integers(6, 400),
+        alpha=st.sampled_from([0.5, 0.05, 0.001]),
+        plan=st.lists(st.tuples(st.integers(0, 2**16), st.integers(1, 4)), min_size=1, max_size=6),
+    )
+    def test_revisited_unions_give_fisher_z_verdicts(self, seed, m, n, alpha, plan):
+        rng = np.random.default_rng(seed)
+        cov = CovMatrix(random_pd(rng, m), n=n)
+        engine = GaussianEngine(cov, alpha=alpha)
+        for pick, repeats in plan + plan:  # the second pass returns to every union
+            local = np.random.default_rng(pick)
+            union = local.choice(m, size=int(local.integers(2, m + 1)), replace=False)
+            pairs = list(itertools.combinations(union.tolist(), 2))
+            for k in local.choice(len(pairs), size=min(repeats, len(pairs)), replace=False):
+                i, j = pairs[k]
+                s = [v for v in union.tolist() if v not in (i, j)]
+                got = outcome(lambda: engine.query(j, i, s))
+                want = outcome(lambda: fisher_z_test(cov, n, i, j, s, alpha))
+                assert same_outcome(got, want), (i, j, s)
+
+    def test_singular_union_falls_back_to_fisher_z(self, monkeypatch):
+        data, _ = dependent_four_columns()
+        engine = GaussianEngine(data)
+        cov = engine.cov
+        factorizations = counting_factorizations(monkeypatch)
+        queries = [(0, 2, {1}), (0, 1, {2}), (0, 1, {2, 3}), (0, 3, {1, 2}), (3, 2, {0, 1})]
+        verdicts = []
+        for i, j, s in queries:
+            union = sorted(s | {i, j})
+            with pytest.raises(SingularityError):
+                _factor_spd(cov.values[np.ix_(union, union)], context=None)
+            _factor_spd(cov.values[np.ix_(sorted(s), sorted(s))], context=None)  # S itself is fine
+            got = outcome(lambda: engine.query(i, j, s))
+            assert got == outcome(lambda: fisher_z_test(cov, data.n, i, j, s, 0.05)), (i, j, s)
+            assert got == outcome(lambda: engine.query(i, j, s))  # the failure is not kept
+            verdicts.append(got.independent)
+        assert len(factorizations) == 2 * len(queries)
+        # given V1, V0 and V2 move together (rho near 1); given the other two,
+        # V0 or V2 keeps only rounding noise, which shows no link to V3
+        assert verdicts == [False, False, False, True, True]
+
+    def test_degrees_of_freedom_guard_precedes_the_union(self, monkeypatch):
+        factorizations = counting_factorizations(monkeypatch)
+        engine = GaussianEngine(CovMatrix(np.eye(5), n=6))
+        with pytest.raises(InsufficientDataError, match=r"n=6, \|s\|=3"):
+            engine.query(0, 1, (2, 3, 4))
+        assert factorizations == []
+
+
 def collinear_dataset(sources=(4,)):
     """30 nodes, n=500, column V5 the sum of the ``sources`` columns (a copy of V4)."""
     rng = rng_from_seed(5)
@@ -470,6 +630,27 @@ class TestCollinearColumns:
         x = rng_from_seed(6).normal(size=(200, 3))
         x[:, 2] = x[:, 0] + 1e-5 * x[:, 1]
         assert not GaussianEngine(Dataset(x)).query(0, 2, ()).independent
+
+    def test_dependent_set_in_a_screening_block_is_named(self):
+        data, ordering = dependent_four_columns()
+        with pytest.raises(DegenerateDataError, match="columns V0, V1 and V2 are linearly dependent"):
+            learn(data, ordering, PodagConfig())
+
+    def test_covariance_checked_once_per_learn_fit(self, monkeypatch):
+        calls = []
+        checked = podag.stats._checked_covariance
+
+        def counted(dataset):
+            calls.append(dataset)
+            return checked(dataset)
+
+        monkeypatch.setattr(podag.stats, "_checked_covariance", counted)
+        monkeypatch.setattr(podag.screening, "_checked_covariance", counted)
+        rng = rng_from_seed(5)
+        dag, ordering = generate_layered_dag(GenConfig(n_nodes=20, layers=3), rng)
+        data = sample(random_weights(dag, rng), 300, rng)
+        learn(data, ordering, PodagConfig(learn_within_layers=True, on_conflict="ignore"))
+        assert calls == [data]
 
     @pytest.mark.parametrize("algorithm", ["learn", "pc"])
     def test_dependent_column_set_is_named(self, algorithm):
