@@ -14,8 +14,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .graph import Pdag, SepsetMap, apply_meek_rules, orient_by_ordering, orient_v_structures, write_edgelist
-from .search import _search_levels
+from .graph import Pdag, SepsetMap, orient_by_ordering, write_edgelist
+from .search import _orient, _search_levels
 
 __all__ = ["BaselineResult", "estimate_h0", "estimate_h_minus_j", "pc", "pc_plus"]
 
@@ -125,8 +125,7 @@ def _pc(engine, n_nodes, labels, max_level, stable, on_conflict, ordering=None):
     skeleton = Pdag(n_nodes, undirected_edges=und, labels=labels)
     if ordering is not None:
         skeleton = orient_by_ordering(skeleton, ordering)
-    oriented = orient_v_structures(skeleton, sepsets, on_conflict=on_conflict)
-    cpdag = apply_meek_rules(oriented, on_conflict=on_conflict)
+    cpdag = _orient(skeleton, sepsets, on_conflict)
     return BaselineResult(pdag=cpdag, sepsets=sepsets, ci_tests=engine.n_queries - start)
 
 

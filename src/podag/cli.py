@@ -4,8 +4,8 @@ stdout stays empty unless ``--stdout`` is given; progress and warnings go
 to stderr, so outputs are pipe-safe.  Exit codes: 0 success, 2 usage
 error, 3 label mismatch between inputs, 4 numerical failure.
 
-With a fixed ``--seed`` and ``--threads 1`` every subcommand writes
-byte-identical files across runs; wall-clock fields are reported as 0
+With a fixed ``--seed`` every subcommand writes byte-identical files
+across runs, whatever ``--threads``; wall-clock fields are reported as 0
 unless ``--timing`` is given, since real timings would break that
 guarantee.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .evaluation import (
     rows_to_csv,
     run_benchmark,
 )
-from .graph import orient_by_ordering, read_layering, write_edgelist, write_layering
+from .graph import apply_meek_rules, orient_by_ordering, read_layering, write_edgelist, write_layering
 from .screening import screen_all
 from .search import PodagConfig, learn
 from .sem import GenConfig, generate_layered_dag, random_weights, rng_from_seed, sample
@@ -74,8 +73,8 @@ def _add_common(parser):
     parser.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker parallelism; 1 guarantees bit-reproducible outputs",
+        default=1,
+        help="worker threads for benchmark and faithfulness (outputs do not depend on it)",
     )
     parser.add_argument(
         "--timing",
@@ -148,7 +147,8 @@ def build_parser():
     p_learn.add_argument(
         "--orient-by-ordering",
         action="store_true",
-        help="orient undirected cross-layer edges of pc/pc+ output by the ordering",
+        help="orient undirected cross-layer edges of pc/pc+ output by the ordering, "
+        "then close the result under Meek's rules",
     )
     p_learn.add_argument(
         "--on-conflict",
@@ -301,7 +301,8 @@ def cmd_learn(args):
                 on_conflict=args.on_conflict,
             )
         if args.orient_by_ordering and args.algorithm in ("pc", "pc+"):
-            res = dataclasses.replace(res, pdag=orient_by_ordering(res.pdag, ordering))
+            oriented = orient_by_ordering(res.pdag, ordering)
+            res = dataclasses.replace(res, pdag=apply_meek_rules(oriented, on_conflict=args.on_conflict))
         (out / "result.json").write_text(res.to_json() + "\n")
         (out / "edges.tsv").write_text(res.to_edgelist())
         doc = json.loads(res.to_json())

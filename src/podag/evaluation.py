@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -315,36 +316,28 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        if not isinstance(self.weight_range, (tuple, list)) or len(self.weight_range) != 2:
+            raise ValueError("weight_range must be a (low, high) pair")
 
     @classmethod
     def from_json(cls, doc):
+        """Spec from a JSON object with the field names as keys.
+
+        A grid axis given as a single value becomes a one-value axis;
+        ``weight_range`` is one (low, high) pair.
+        """
         if isinstance(doc, str):
             doc = json.loads(doc)
-        kwargs = {}
-        for key in (
-            "n_nodes",
-            "layers",
-            "n",
-            "backends",
-            "algorithms",
-            "scopes",
-        ):
-            if key in doc:
-                value = doc[key]
-                kwargs[key] = tuple(value) if isinstance(value, (list, tuple)) else (value,)
-        for key in (
-            "replicates",
-            "seed",
-            "expected_edges_per_node",
-            "alpha",
-            "podag_alpha",
-            "screen_alpha",
-            "max_sepset_size",
-        ):
-            if key in doc:
-                kwargs[key] = doc[key]
-        if "weight_range" in doc:
-            kwargs["weight_range"] = tuple(doc["weight_range"])
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = sorted(set(doc) - set(types))
+        if unknown:
+            raise ValueError(f"unknown benchmark spec keys: {', '.join(unknown)}")
+        kwargs = dict(doc)
+        for key, value in doc.items():
+            if types[key] == "tuple" and isinstance(value, list):
+                kwargs[key] = tuple(value)
+            elif types[key] == "tuple" and key != "weight_range":
+                kwargs[key] = (value,)
         return cls(**kwargs)
 
 

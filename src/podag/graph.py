@@ -102,10 +102,6 @@ class Dag:
         _check_node(self.n_nodes, j)
         return frozenset(self._children[j])
 
-    def adjacent(self, j):
-        _check_node(self.n_nodes, j)
-        return frozenset(self._parents[j] | self._children[j])
-
     def has_edge(self, u, v):
         return (u, v) in self.edges
 
@@ -500,6 +496,20 @@ def orient_by_ordering(pdag, ordering):
     return Pdag(pdag.n_nodes, directed, undirected, labels=pdag.labels)
 
 
+def _unshielded_triples(pdag):
+    """Triples ``(i, j, k)`` with ``i < k`` both adjacent to ``j`` but not to each other, sorted."""
+    adjacency = [set() for _ in range(pdag.n_nodes)]
+    for u, v in pdag.adjacency_pairs():
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return sorted(
+        (i, j, k)
+        for j in range(pdag.n_nodes)
+        for i, k in itertools.combinations(sorted(adjacency[j]), 2)
+        if k not in adjacency[i]
+    )
+
+
 def orient_v_structures(skeleton, sepsets, on_conflict="error"):
     """Orient unshielded colliders of ``skeleton`` using recorded sepsets.
 
@@ -510,15 +520,7 @@ def orient_v_structures(skeleton, sepsets, on_conflict="error"):
     in which case the earlier orientation wins.
     """
     state = _OrientationState(skeleton)
-    triples = []
-    for j in range(skeleton.n_nodes):
-        nbrs = sorted(
-            v for v in range(skeleton.n_nodes) if v != j and state.is_adjacent(j, v)
-        )
-        for i, k in itertools.combinations(nbrs, 2):
-            if not state.is_adjacent(i, k):
-                triples.append((i, j, k))
-    for i, j, k in sorted(triples):
+    for i, j, k in _unshielded_triples(skeleton):
         sep = sepsets.get(i, k)
         if sep is None or j in sep:
             continue
@@ -527,14 +529,13 @@ def orient_v_structures(skeleton, sepsets, on_conflict="error"):
     return state.to_pdag()
 
 
-def apply_meek_rules(pdag, background_directed=(), on_conflict="error"):
+def apply_meek_rules(pdag, on_conflict="error"):
     """Close ``pdag`` under Meek's orientation rules R1-R4.
 
-    ``background_directed`` supplies known orientations (e.g. from a
-    layering); each pair must already be adjacent in ``pdag``.  The edge
-    scan is deterministic (lexicographic by (min, max) pair), adjacencies
-    are never created or removed, and the result is maximal with respect
-    to the inputs.
+    Known orientations (e.g. from a layering) enter as directed edges of
+    ``pdag``.  The edge scan is deterministic (lexicographic by (min, max)
+    pair), adjacencies are never created or removed, and the result is
+    maximal with respect to the input.
 
     Raises
     ------
@@ -543,10 +544,6 @@ def apply_meek_rules(pdag, background_directed=(), on_conflict="error"):
         ``on_conflict="ignore"``).
     """
     state = _OrientationState(pdag)
-    for u, v in sorted(background_directed):
-        if not state.is_adjacent(u, v):
-            raise ValueError(f"background edge {(u, v)} is not an adjacency of the graph")
-        state.orient(u, v, on_conflict=on_conflict)
 
     def rule_applies(a, b):
         # R1: x -> a - b with x, b nonadjacent  =>  a -> b

@@ -434,9 +434,7 @@ def screen_lasso(
     j,
     lambda0=None,
     lambda1=None,
-    standardize=True,
     aic=False,
-    grid_size=50,
 ):
     """Lasso screening for node ``j``.
 
@@ -445,11 +443,11 @@ def screen_lasso(
     ``s0`` columns plus j's unordered peers at ``lambda1``.  Default
     penalties follow the sqrt(2 log p / n) rate; ``aic=True`` instead
     selects each penalty by AIC over a log-spaced grid.  Columns are
-    standardized internally by default (membership in the active set is
-    what matters downstream).
+    standardized internally (membership in the active set is what
+    matters downstream).
     """
     n = data.n
-    x = _standardized(data) if standardize else (data.data - data.data.mean(axis=0))
+    x = _standardized(data)
     y = x[:, j]
     notes = []
 
@@ -457,7 +455,7 @@ def screen_lasso(
         design = x[:, pool]
         lam = (lambda0, lambda1)[stage]
         if aic:
-            lam = select_lambda_aic(y, design, default_lambda_grid(y, design, size=grid_size))
+            lam = select_lambda_aic(y, design, default_lambda_grid(y, design))
         elif lam is None:
             default_count = len(pool) if stage == 0 else data.m
             lam = np.sqrt(2.0 * np.log(max(default_count, 2)) / n)
@@ -491,12 +489,7 @@ def screen_all(source, ordering, backend="pcor", params=None, targets=None):
     if backend == "pcor" and isinstance(source, Dataset):
         source = _checked_covariance(source)
     entries = [screen_node(source, ordering, j, **(params or {})) for j in sorted(targets)]
-    n_tests = 0
-    if backend == "pcor":
-        n_tests = sum(
-            len(ordering.before_set(e.node)) + len(e.s0) + len(ordering.peer_set(e.node))
-            for e in entries
-        )
+    n_tests = sum(len(pool) for e in entries for pool in e.pools)  # only pcor records pools
     return ScreenSets(entries, n_nodes=ordering.n_nodes, labels=labels), n_tests
 
 

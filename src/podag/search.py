@@ -6,8 +6,9 @@ oriented: edges with known order direction point forward, the rest get
 v-structure detection plus Meek closure, yielding a maximal PDAG.
 
 The pruning is PC's skeleton loop with another pool of candidate
-separators, so one private driver runs it for PODAG here and for PC and
-PC+ in :mod:`podag.baselines`.  :func:`podag_multi_layer` is the one
+separators, and the orientation is PC's, so one private driver and one
+orientation stage run them for PODAG here and for PC and PC+ in
+:mod:`podag.baselines`.  :func:`podag_multi_layer` is the one
 search entry point for every kind of partial ordering; :func:`learn` is
 one :func:`screen_all` call followed by it.
 """
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import PodagError
 from .graph import Dag, Pdag, SepsetMap, apply_meek_rules, orient_v_structures, write_edgelist
+from .graph import _unshielded_triples
 from .screening import ScreenSets, screen_all
 from .stats import Dataset, GaussianEngine, OracleEngine
 
@@ -222,73 +224,49 @@ def _search_levels(engine, tests, family, neighbours, max_level=None, stable=Fal
     return sepsets, removals
 
 
-def _posthoc_sepset(engine, screen, a, b, cfg):
+def _posthoc_sepset(engine, screen, a, b, max_level):
     """Search a separating set for a pair that neither the search nor screening separated.
 
     The fallback for entries without screening verdicts (sis, lasso,
     entries read from JSON or inflated).  Tries each side's restricted
-    family: subsets of the target's cmb on top of its cross set.
-    Returns None when no separator is found (the affected triples are
-    then left unoriented).
+    family, target ``b`` first: subsets of the target's cmb on top of its
+    cross set.  Returns None when no separator is found (the affected
+    triples are then left unoriented).
     """
+
+    def family(other, target):
+        return screen[target].cross - {other}, screen[target].cmb - {other}
+
     for target, other in ((b, a), (a, b)):
-        if target not in screen:
-            continue
-        base = screen[target].cross - {other}
-        pool = screen[target].cmb - {other}
-        max_level = len(pool)
-        if cfg.max_sepset_size is not None:
-            max_level = min(max_level, cfg.max_sepset_size)
-        for level in range(max_level + 1):
-            for _, sep in _separators(base, pool, level):
-                if engine.query(other, target, sep).independent:
-                    return sep
+        if target in screen:
+            sepsets, _ = _search_levels(engine, [(other, target)], family, {}, max_level)
+            if (a, b) in sepsets:
+                return sepsets.get(a, b)
     return None
 
 
-def _orient(engine, screen, cross_pairs, within_pairs, sepsets, cfg, n_nodes, labels):
-    """Background orientations, v-structures, and Meek closure.
+def _orient(pdag, sepsets, on_conflict, separator=None):
+    """V-structures and Meek closure: the orientation stage of PODAG, PC and PC+.
 
-    Each unshielded pair the search never separated takes, in order, the
-    separator of ``b``'s screening verdict on ``a``, that of ``a``'s on
-    ``b``, and only then a :func:`_posthoc_sepset` search.  One valid
-    separator suffices: the middle node of an unshielded triple lies in
-    every separator of its endpoints or in none (Spirtes, Glymour &
-    Scheines 2000).
+    ``pdag`` already carries the ordering's orientations.  Each
+    unshielded pair without a recorded separator asks ``separator(a, b)``
+    (when given) and records a non-None answer.  One valid separator
+    suffices: the middle node of an unshielded triple lies in every
+    separator of its endpoints or in none (Spirtes, Glymour & Scheines
+    2000).
     """
-    # background orientations enter first (the ordering is ground truth),
-    # but Meek's rules run only after v-structure detection: closing the
-    # rules early would let R1 orient edges that are really colliders.
-    with_background = Pdag(
-        n_nodes,
-        directed_edges=cross_pairs,
-        undirected_edges=within_pairs,
-        labels=labels,
-    )
-    adjacency = {}
-    for u, v in with_background.adjacency_pairs():
-        adjacency.setdefault(u, set()).add(v)
-        adjacency.setdefault(v, set()).add(u)
-
-    # sepsets for unshielded triples never tested during the search
-    _set_phase(engine, "orient")
-    needed = set()
-    for j in sorted(adjacency):
-        for i, k in itertools.combinations(sorted(adjacency[j]), 2):
-            if k not in adjacency.get(i, set()):
-                needed.add((i, k))
-    for a, b in sorted(needed):
-        if sepsets.get(a, b) is not None:
-            continue
-        recorded = (screen[t].verdict_sepset(o) for t, o in ((b, a), (a, b)) if t in screen)
-        sep = next((s for s in recorded if s is not None), None)
-        if sep is None:
-            sep = _posthoc_sepset(engine, screen, a, b, cfg)
-        if sep is not None:
-            sepsets.record(a, b, sep)
-
-    oriented = orient_v_structures(with_background, sepsets, on_conflict=cfg.on_conflict)
-    return apply_meek_rules(oriented, on_conflict=cfg.on_conflict)
+    # the ordering's orientations are in pdag from the start (the ordering
+    # is ground truth), but Meek's rules run only after v-structure
+    # detection: closing the rules early would let R1 orient edges that
+    # are really colliders.
+    if separator is not None:
+        for a, b in sorted({(i, k) for i, _, k in _unshielded_triples(pdag)}):
+            if sepsets.get(a, b) is None:
+                sep = separator(a, b)
+                if sep is not None:
+                    sepsets.record(a, b, sep)
+    oriented = orient_v_structures(pdag, sepsets, on_conflict=on_conflict)
+    return apply_meek_rules(oriented, on_conflict=on_conflict)
 
 
 def podag_multi_layer(engine, ordering, screen, cfg=None):
@@ -334,9 +312,20 @@ def podag_multi_layer(engine, ordering, screen, cfg=None):
     n_nodes = screen.n_nodes
     labels = screen.labels
     if cfg.learn_within_layers:
-        maximal = _orient(
-            engine, screen, cross_edges, within_pairs, sepsets, cfg, n_nodes, labels
+
+        def separator(a, b):
+            # b's screening verdict on a, then a's on b, then a search
+            recorded = (screen[t].verdict_sepset(o) for t, o in ((b, a), (a, b)) if t in screen)
+            sep = next((s for s in recorded if s is not None), None)
+            if sep is None:
+                sep = _posthoc_sepset(engine, screen, a, b, cfg.max_sepset_size)
+            return sep
+
+        with_background = Pdag(
+            n_nodes, directed_edges=cross_edges, undirected_edges=within_pairs, labels=labels
         )
+        _set_phase(engine, "orient")
+        maximal = _orient(with_background, sepsets, cfg.on_conflict, separator)
         within = Pdag(
             n_nodes,
             directed_edges=[

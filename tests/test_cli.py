@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from podag import Dataset
+from podag import Dataset, Pdag, apply_meek_rules
 from podag.cli import EXIT_LABELS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -218,20 +218,32 @@ class TestLearn:
         assert all(set(v) == {"s0", "s1"} for v in doc.values())
 
     def test_orient_by_ordering(self, tmp_path):
-        sim = simulate_into(tmp_path, nodes=8, n=400)
-        out = tmp_path / "pcorient"
-        code = run(
-            ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
-             "--algorithm", "pc", "--orient-by-ordering", "--on-conflict", "ignore",
-             "-o", out]
-        )
-        assert code == EXIT_OK
-        doc = json.loads((out / "result.json").read_text())
-        layering = (sim / "layering.txt").read_text()
-        first_layer = set(layering.splitlines()[0].split(","))
-        for a, b in doc["undirected"]:
-            # any surviving undirected pair must be within one layer
-            assert (a in first_layer) == (b in first_layer)
+        # on seed 14, orienting pc's output by the ordering alone leaves
+        # edges that Meek's rules orient
+        for seed in (7, 14):
+            sim = simulate_into(tmp_path, seed=seed, nodes=8, n=400)
+            out = tmp_path / f"pcorient{seed}"
+            code = run(
+                ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
+                 "--algorithm", "pc", "--orient-by-ordering", "--on-conflict", "ignore",
+                 "-o", out]
+            )
+            assert code == EXIT_OK
+            doc = json.loads((out / "result.json").read_text())
+            layering = (sim / "layering.txt").read_text()
+            first_layer = set(layering.splitlines()[0].split(","))
+            for a, b in doc["undirected"]:
+                # any surviving undirected pair must be within one layer
+                assert (a in first_layer) == (b in first_layer)
+            # the written graph is closed under Meek's rules
+            labels = Dataset.from_csv(sim / "dataset.csv").labels
+            index = {lab: i for i, lab in enumerate(labels)}
+            written = Pdag(
+                len(index),
+                [(index[a], index[b]) for a, b in doc["directed"]],
+                [(index[a], index[b]) for a, b in doc["undirected"]],
+            )
+            assert apply_meek_rules(written) == written
 
 
 class TestBenchmark:
@@ -261,6 +273,8 @@ class TestBenchmark:
         code = run(["benchmark", "--spec", spec, "--threads", 1, "-o", out])
         assert code == EXIT_OK
         assert out.exists()
+        spec.write_text('{"n_nodes": [8], "replicate": 1}')
+        assert run(["benchmark", "--spec", spec, "-o", out]) == EXIT_USAGE
 
 
 class TestFaithfulness:

@@ -224,6 +224,13 @@ class TestRunBenchmark:
         assert spec.layers == (2, 3)
         assert spec.backends == ("pcor", "sis")
         assert spec.replicates == 4
+        spec = BenchmarkSpec.from_json('{"n": 300, "weight_range": [0.2, 0.8]}')
+        assert spec.n == (300,)
+        assert spec.weight_range == (0.2, 0.8)
+        with pytest.raises(ValueError, match="unknown benchmark spec keys: replicate"):
+            BenchmarkSpec.from_json('{"replicate": 5}')
+        with pytest.raises(ValueError, match="weight_range must be a"):
+            BenchmarkSpec.from_json('{"weight_range": 0.5}')
 
     def test_all_backends_run(self):
         spec = BenchmarkSpec(

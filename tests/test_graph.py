@@ -177,8 +177,8 @@ class TestOrientVStructures:
 class TestMeekRules:
     def test_background_chain_orients_tail(self):
         # skeleton i-j, j-k with background i->j and no collider at j
-        skel = Pdag(3, undirected_edges=[(0, 1), (1, 2)])
-        out = apply_meek_rules(skel, background_directed=[(0, 1)])
+        skel = Pdag(3, directed_edges=[(0, 1)], undirected_edges=[(1, 2)])
+        out = apply_meek_rules(skel)
         assert out.directed_edges == {(0, 1), (1, 2)}
 
     def test_fully_oriented_is_fixed_point(self):
@@ -195,12 +195,14 @@ class TestMeekRules:
         rng = rng_from_seed(17)
         for _ in range(20):
             dag, ordering = random_layered_instance(rng, n_lo=4, n_hi=8)
-            skel = dag.skeleton()
-            background = sorted(dag.cross_edges(ordering))
-            once = apply_meek_rules(skel, background_directed=background)
+            background = dag.cross_edges(ordering)
+            skel_pairs = dag.skeleton().undirected_edges
+            bg_pairs = {(min(u, v), max(u, v)) for u, v in background}
+            start = Pdag(dag.n_nodes, background, skel_pairs - bg_pairs)
+            once = apply_meek_rules(start)
             twice = apply_meek_rules(once)
             assert once == twice
-            assert once.adjacency_pairs() == skel.adjacency_pairs()
+            assert once.adjacency_pairs() == skel_pairs
 
     def test_matches_enumeration_oracle(self):
         # closure of (skeleton + true v-structures + background) must equal
@@ -229,16 +231,6 @@ class TestMeekRules:
                     seps.record(i, j, found)
             got = apply_meek_rules(orient_v_structures(start, seps))
             assert got == enumeration_maximal_pdag(dag, background), sorted(dag.edges)
-
-    def test_background_must_be_adjacent(self):
-        skel = Pdag(3, undirected_edges=[(0, 1)])
-        with pytest.raises(ValueError):
-            apply_meek_rules(skel, background_directed=[(0, 2)])
-
-    def test_conflicting_background_raises(self):
-        p = Pdag(2, directed_edges=[(0, 1)])
-        with pytest.raises(InconsistencyError):
-            apply_meek_rules(p, background_directed=[(1, 0)])
 
 
 class TestPdag:

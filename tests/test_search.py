@@ -198,6 +198,14 @@ class TestScreeningVerdictSepsets:
         for i, j, _ in recorder.tuples(["orient"]):
             assert not verdicts(i, j), (i, j)
 
+    # (orientation-phase queries, query digest) per screen source
+    POSTHOC_PINNED = {
+        "sis": (33, "205082a2b637d18f"),
+        "lasso": (39, "14d35d66196a4de5"),
+        "from_json": (31, "7c91f874bab2adb1"),
+        "inflated": (9, "95600c1e4644e1d6"),
+    }
+
     @pytest.mark.parametrize("source", ["sis", "lasso", "from_json", "inflated"])
     def test_screens_without_verdicts_fall_back_to_posthoc_search(self, source):
         data, ordering = sixteen_node_data(5)
@@ -213,7 +221,8 @@ class TestScreeningVerdictSepsets:
             else:
                 screen = inflate_screen_sets(screen, ordering, rng_from_seed(1))
             podag_multi_layer(recorder, ordering, screen, self.CFG)
-        assert recorder.tuples(["orient"])
+        pinned = (len(recorder.tuples(["orient"])), query_digest(recorder))
+        assert pinned == self.POSTHOC_PINNED[source]
 
 
 class TestMultiLayerSearch:
