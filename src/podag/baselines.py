@@ -61,6 +61,25 @@ def _two_layer_sets(ordering):
     return first, second
 
 
+def _dependence_edges(engine, ordering, labels, adjust_second):
+    """k -> j for each first-layer k on which second-layer j depends.
+
+    The conditioning set is every other first-layer node, plus every
+    second-layer node but j when ``adjust_second`` is set.
+    """
+    first, second = _two_layer_sets(ordering)
+    adjusted = first + second if adjust_second else first
+    start = engine.n_queries
+    edges = set()
+    for j in second:
+        for k in first:
+            rest = [v for v in adjusted if v not in (k, j)]
+            if not engine.query(k, j, rest).independent:
+                edges.add((k, j))
+    pdag = Pdag(ordering.n_nodes, directed_edges=edges, labels=labels)
+    return BaselineResult(pdag=pdag, sepsets=SepsetMap(), ci_tests=engine.n_queries - start)
+
+
 def estimate_h0(engine, ordering, labels=None):
     """Declare k -> j whenever j depends on k given the other first-layer nodes.
 
@@ -68,16 +87,7 @@ def estimate_h0(engine, ordering, labels=None):
     second layer also produces an edge, because no second-layer node is
     adjusted for.
     """
-    first, second = _two_layer_sets(ordering)
-    start = engine.n_queries
-    edges = set()
-    for j in second:
-        for k in first:
-            rest = [v for v in first if v != k]
-            if not engine.query(k, j, rest).independent:
-                edges.add((k, j))
-    pdag = Pdag(ordering.n_nodes, directed_edges=edges, labels=labels)
-    return BaselineResult(pdag=pdag, sepsets=SepsetMap(), ci_tests=engine.n_queries - start)
+    return _dependence_edges(engine, ordering, labels, adjust_second=False)
 
 
 def estimate_h_minus_j(engine, ordering, labels=None):
@@ -86,16 +96,7 @@ def estimate_h_minus_j(engine, ordering, labels=None):
     Over-includes: conditioning on a common child of k and j opens the
     collider and yields an edge even when k and j are nonadjacent.
     """
-    first, second = _two_layer_sets(ordering)
-    start = engine.n_queries
-    edges = set()
-    for j in second:
-        for k in first:
-            rest = [v for v in first + second if v not in (k, j)]
-            if not engine.query(k, j, rest).independent:
-                edges.add((k, j))
-    pdag = Pdag(ordering.n_nodes, directed_edges=edges, labels=labels)
-    return BaselineResult(pdag=pdag, sepsets=SepsetMap(), ci_tests=engine.n_queries - start)
+    return _dependence_edges(engine, ordering, labels, adjust_second=True)
 
 
 def _pc(engine, n_nodes, labels, max_level, stable, on_conflict, ordering=None):

@@ -263,12 +263,7 @@ def cmd_learn(args):
             on_conflict=args.on_conflict,
         )
         if args.screen_only:
-            screen, _ = screen_all(
-                dataset,
-                ordering,
-                backend=args.backend,
-                params=dict(backend_params, **({"alpha": args.screen_alpha} if args.backend == "pcor" else {})),
-            )
+            screen, _ = screen_all(dataset, ordering, backend=cfg.backend, params=cfg.screen_params())
             (out / "screen.json").write_text(screen.to_json() + "\n")
             if args.stdout:
                 print(screen.to_json())

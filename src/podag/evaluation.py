@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import time
@@ -16,7 +17,7 @@ from .baselines import pc, pc_plus
 from .errors import SingularityError
 from .graph import Pdag, orient_by_ordering
 from .search import PodagConfig, learn
-from .sem import generate_layered_dag, GenConfig, population_covariance, random_weights, sample, spawn_rngs
+from .sem import GenConfig, generate_layered_dag, population_covariance, random_weights, sample, spawn_rngs
 from .stats import GaussianEngine, OracleEngine, RecordingEngine, partial_correlation
 
 __all__ = [
@@ -104,39 +105,35 @@ def edge_metrics(estimated, truth, scope="all_edges", ordering=None):
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"estimated edge ({u}, {v}) outside the node universe")
 
+    # a self-loop lies in no universe
+    directed = {(u, v) for u, v in directed if u != v}
+    adjacency = {(u, v) for u, v in adjacency if u != v}
+    truth_dir = set(truth.edges)
+    truth_adj = {(min(u, v), max(u, v)) for u, v in truth_dir}
     if scope == "skeleton":
-        universe = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        truth_set = {(min(u, v), max(u, v)) for u, v in truth.edges}
-        est_set = adjacency
-    elif scope == "cross_only":
-        universe = [
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if u != v and ordering.orders_before(u, v)
-        ]
-        truth_set = set(truth.edges)
-        est_set = directed
+        size = n * (n - 1) // 2
+        est_set, truth_set = adjacency, truth_adj
+    elif scope == "all_edges":
+        size = n * (n - 1)
+        est_set, truth_set = directed, truth_dir
     else:
-        universe = [(u, v) for u in range(n) for v in range(n) if u != v]
-        truth_set = set(truth.edges)
-        est_set = directed
+        # every (u, v) that ordering.orders_before(u, v) accepts
+        universe = {(u, v) for v in range(n) for u in ordering.before_set(v) if u < n}
+        universe |= {(u, v) for u in range(n) for v in ordering.after_set(u) if v < n}
+        universe -= {(v, v) for v in range(n)}
+        size = len(universe)
+        est_set, truth_set = directed & universe, truth_dir & universe
+    tp = len(est_set & truth_set)
+    fp = len(est_set) - tp
+    fn = len(truth_set) - tp
 
-    allowed = set(universe)
-    tp = fp = tn = fn = 0
-    for pair in universe:
-        est = pair in est_set
-        tru = pair in truth_set
-        tp += est and tru
-        fp += est and not tru
-        fn += tru and not est
-        tn += not est and not tru
-
-    # SHD over unordered pairs of the scope universe
     if scope == "skeleton":
-        shd = sum(1 for pair in universe if (pair in est_set) != (pair in truth_set))
+        shd = len(est_set ^ truth_set)
     else:
-        unordered = {(min(u, v), max(u, v)) for u, v in universe}
+        # only pairs adjacent on some side can differ: the rest read "none" twice
+        pairs = adjacency | truth_adj
+        if scope == "cross_only":
+            pairs = {(u, v) for u, v in pairs if (u, v) in universe or (v, u) in universe}
 
         def relation(u, v, directed_set, adj_set):
             if (u, v) in directed_set:
@@ -147,28 +144,63 @@ def edge_metrics(estimated, truth, scope="all_edges", ordering=None):
                 return "-"
             return "."
 
-        truth_adj = {(min(u, v), max(u, v)) for u, v in truth.edges}
         shd = sum(
             1
-            for u, v in sorted(unordered)
-            if relation(u, v, est_set, adjacency) != relation(u, v, truth_set, truth_adj)
+            for u, v in pairs
+            if relation(u, v, directed, adjacency) != relation(u, v, truth_dir, truth_adj)
         )
-    return EdgeMetrics(scope=scope, tp=tp, fp=fp, tn=tn, fn=fn, shd=shd)
+    return EdgeMetrics(scope=scope, tp=tp, fp=fp, tn=size - tp - fp - fn, fn=fn, shd=shd)
 
 
-def _run_algorithm(name, engine, ordering, n_nodes, labels=None, cfg=None, truth=None):
-    """Dispatch one algorithm against an engine; returns (Pdag, ci_tests)."""
-    if name == "pc":
-        res = pc(engine, n_nodes, labels=labels)
-        return res.pdag, res.ci_tests
-    if name == "pc_plus":
-        res = pc_plus(engine, ordering, labels=labels)
-        return res.pdag, res.ci_tests
-    if name == "podag":
-        cfg = cfg or PodagConfig(learn_within_layers=True)
-        result = learn(truth, ordering, cfg=cfg, engine=engine)
+def _fit(algorithm, source, ordering, cfg, engine=None):
+    """Fit one algorithm on a :class:`Dataset` or :class:`Dag`; returns (Pdag, ci_tests).
+
+    The one estimator dispatch of the benchmark grid, the faithfulness
+    report and :func:`collect_test_tuples`.  ``engine`` overrides the
+    CI-test engine, as in :func:`learn`; without it pc and pc_plus test
+    a :class:`Dataset` at ``cfg.alpha``.  They also take
+    ``max_sepset_size``, ``stable`` and ``on_conflict`` from ``cfg``.
+    """
+    if algorithm == "podag":
+        result = learn(source, ordering, cfg=cfg, engine=engine)
         return result.as_pdag(), result.diagnostics.ci_tests
-    raise ValueError(f"unknown algorithm {name!r}")
+    if algorithm not in ("pc", "pc_plus"):
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if engine is None:
+        engine = GaussianEngine(source, alpha=cfg.alpha)
+    estimator, nodes = (pc, len(source.labels)) if algorithm == "pc" else (pc_plus, ordering)
+    res = estimator(
+        engine,
+        nodes,
+        labels=source.labels,
+        max_level=cfg.max_sepset_size,
+        stable=cfg.stable,
+        on_conflict=cfg.on_conflict,
+    )
+    return res.pdag, res.ci_tests
+
+
+def _recorded_fit(algorithm, dag, ordering, cfg=None):
+    """Fit against a recording d-separation oracle of ``dag``; returns the recorder.
+
+    ``cfg`` defaults to a within-layers PODAG configuration.
+    """
+    recorder = RecordingEngine(OracleEngine(dag))
+    recorder.phase = "search"
+    _fit(algorithm, dag, ordering, cfg or PodagConfig(learn_within_layers=True), recorder)
+    return recorder
+
+
+def _draw_replicate(rng, n_nodes, expected_edges_per_node, layers, weight_range):
+    """One replicate's DAG, ordering and SEM, drawn from ``rng`` in that order."""
+    gen = GenConfig(
+        n_nodes=n_nodes,
+        expected_edges_per_node=expected_edges_per_node,
+        layers=layers,
+        weight_range=weight_range,
+    )
+    dag, ordering = generate_layered_dag(gen, rng)
+    return dag, ordering, random_weights(dag, rng, weight_range=weight_range)
 
 
 def collect_test_tuples(algorithm, g, ordering, cfg=None, phases=None):
@@ -187,9 +219,7 @@ def collect_test_tuples(algorithm, g, ordering, cfg=None, phases=None):
     nonzero ones.  ``phases`` restricts the collection further (e.g.
     ``("search",)`` for the skeleton-recovery tests alone).
     """
-    recorder = RecordingEngine(OracleEngine(g))
-    recorder.phase = "search"
-    _run_algorithm(algorithm, recorder, ordering, g.n_nodes, cfg=cfg, truth=g)
+    recorder = _recorded_fit(algorithm, g, ordering, cfg)
     if phases is None and algorithm == "podag":
         phases = ("search", "orient")
     return recorder.tuples(phases=phases)
@@ -251,20 +281,12 @@ def faithfulness_report(
     rngs = spawn_rngs(seed, replicates)
 
     def one(rep):
-        rng = rngs[rep]
-        cfg = GenConfig(
-            n_nodes=n_nodes,
-            expected_edges_per_node=expected_edges_per_node,
-            layers=layers,
-            weight_range=weight_range,
+        dag, ordering, sem = _draw_replicate(
+            rngs[rep], n_nodes, expected_edges_per_node, layers, weight_range
         )
-        dag, ordering = generate_layered_dag(cfg, rng)
-        sem = random_weights(dag, rng, weight_range=weight_range)
         rows = []
         for algo in ("pc", "pc_plus", "podag"):
-            recorder = RecordingEngine(OracleEngine(dag))
-            recorder.phase = "search"
-            _run_algorithm(algo, recorder, ordering, n_nodes, truth=dag)
+            recorder = _recorded_fit(algo, dag, ordering)
             skeleton_tuples = recorder.tuples(phases=("search",))
             full_tuples = recorder.tuples(phases=("search", "orient"))
             rho_skeleton = rho_min_star(sem, skeleton_tuples)
@@ -362,34 +384,6 @@ BENCHMARK_FIELDS = [
 ]
 
 
-def _metric_rows(cell, algo, backend, rep, seed, pdag, truth, ordering, ci_tests, elapsed_ms, scopes):
-    rows = []
-    for scope in scopes:
-        m = edge_metrics(pdag, truth, scope=scope, ordering=ordering)
-        rows.append(
-            {
-                "n_nodes": cell[0],
-                "layers": cell[1],
-                "n": cell[2],
-                "algorithm": algo,
-                "backend": backend,
-                "replicate": rep,
-                "seed": seed,
-                "scope": scope,
-                "tp": m.tp,
-                "fp": m.fp,
-                "tn": m.tn,
-                "fn": m.fn,
-                "tpr": m.tpr,
-                "fpr": m.fpr,
-                "shd": m.shd,
-                "ci_tests": ci_tests,
-                "elapsed_ms": elapsed_ms,
-            }
-        )
-    return rows
-
-
 def run_benchmark(spec, threads=1, progress=None):
     """Run the benchmark grid; returns (rows, failures).
 
@@ -398,12 +392,7 @@ def run_benchmark(spec, threads=1, progress=None):
     Rows are deterministic given the spec (replicate seeds derive from
     the root seed) and sorted independently of completion order.
     """
-    cells = [
-        (p, layers, n)
-        for p in spec.n_nodes
-        for layers in spec.layers
-        for n in spec.n
-    ]
+    cells = itertools.product(spec.n_nodes, spec.layers, spec.n)
     jobs = [(cell, rep) for cell in cells for rep in range(spec.replicates)]
     streams = {job: rng for job, rng in zip(jobs, spawn_rngs(spec.seed, len(jobs)))}
 
@@ -413,14 +402,7 @@ def run_benchmark(spec, threads=1, progress=None):
         rng = streams[job]
         rows = []
         failures = []
-        gen = GenConfig(
-            n_nodes=p,
-            expected_edges_per_node=spec.expected_edges_per_node,
-            layers=layers,
-            weight_range=spec.weight_range,
-        )
-        dag, ordering = generate_layered_dag(gen, rng)
-        sem = random_weights(dag, rng, weight_range=spec.weight_range)
+        dag, ordering, sem = _draw_replicate(rng, p, spec.expected_edges_per_node, layers, spec.weight_range)
         dataset = sample(sem, n, rng)
         for algo in spec.algorithms:
             backends = spec.backends if algo == "podag" else ("",)
@@ -436,37 +418,29 @@ def run_benchmark(spec, threads=1, progress=None):
                             learn_within_layers=True,
                             on_conflict="ignore",
                         )
-                        result = learn(dataset, ordering, cfg=cfg)
-                        pdag, ci = result.as_pdag(), result.diagnostics.ci_tests
                     else:
-                        engine = GaussianEngine(dataset, alpha=spec.alpha)
-                        if algo == "pc":
-                            res = pc(engine, p, labels=dataset.labels, on_conflict="ignore")
-                        else:
-                            res = pc_plus(
-                                engine, ordering, labels=dataset.labels, on_conflict="ignore"
-                            )
-                        pdag, ci = res.pdag, res.ci_tests
+                        cfg = PodagConfig(alpha=spec.alpha, on_conflict="ignore")
+                    pdag, ci = _fit(algo, dataset, ordering, cfg)
                 except Exception as err:  # noqa: BLE001 - recorded per contract
                     label = f"{algo}/{backend}" if backend else algo
                     failures.append((cell, rep, label, repr(err)))
                     continue
                 elapsed_ms = int(round((time.perf_counter() - started) * 1000))
-                rows.extend(
-                    _metric_rows(
-                        cell,
-                        algo,
-                        backend,
-                        rep,
-                        spec.seed,
-                        pdag,
-                        dag,
-                        ordering,
-                        ci,
-                        elapsed_ms,
-                        spec.scopes,
-                    )
+                fields = dict(
+                    n_nodes=p,
+                    layers=layers,
+                    n=n,
+                    algorithm=algo,
+                    backend=backend,
+                    replicate=rep,
+                    seed=spec.seed,
+                    ci_tests=ci,
+                    elapsed_ms=elapsed_ms,
                 )
+                for scope in spec.scopes:
+                    # the scope and the confusion counts come from the metrics
+                    m = edge_metrics(pdag, dag, scope=scope, ordering=ordering)
+                    rows.append({f: fields[f] if f in fields else getattr(m, f) for f in BENCHMARK_FIELDS})
         if progress is not None:
             progress(job)
         return rows, failures
@@ -474,17 +448,8 @@ def run_benchmark(spec, threads=1, progress=None):
     results = _map_replicates(one, jobs, threads)
     rows = [row for r, _ in results for row in r]
     failures = [f for _, fs in results for f in fs]
-    rows.sort(
-        key=lambda r: (
-            r["n_nodes"],
-            r["layers"],
-            r["n"],
-            r["algorithm"],
-            r["backend"],
-            r["replicate"],
-            r["scope"],
-        )
-    )
+    order = ("n_nodes", "layers", "n", "algorithm", "backend", "replicate", "scope")
+    rows.sort(key=lambda r: tuple(r[k] for k in order))
     return rows, failures
 
 

@@ -70,6 +70,14 @@ class PodagConfig:
             raise ValueError("max_sepset_size must be nonnegative")
         if self.backend not in ("pcor", "sis", "lasso"):
             raise ValueError(f"unknown backend {self.backend!r}")
+        if "alpha" in self.backend_params:
+            raise ValueError("set the screening significance with screen_alpha, not backend_params")
+
+    def screen_params(self):
+        """Keyword arguments of the backend's per-node screen (pcor screens at ``screen_alpha``)."""
+        if self.backend == "pcor":
+            return dict(self.backend_params, alpha=self.screen_alpha)
+        return dict(self.backend_params)
 
 
 @dataclass(frozen=True)
@@ -388,12 +396,8 @@ def learn(source, ordering, cfg=None, engine=None):
         targets = list(range(ordering.n_nodes))
     else:
         targets = [j for j in range(ordering.n_nodes) if ordering.before_set(j)]
-    params = dict(cfg.backend_params)
-    if cfg.backend == "pcor":
-        params.setdefault("alpha", cfg.screen_alpha)
-
     _set_phase(engine, "screen")
-    screen, screen_tests = screen_all(screen_source, ordering, cfg.backend, params, targets)
+    screen, screen_tests = screen_all(screen_source, ordering, cfg.backend, cfg.screen_params(), targets)
     screen.labels = source.labels  # an engine source carries no labels
     result = podag_multi_layer(engine, ordering, screen, cfg)
     diagnostics = replace(

@@ -9,6 +9,7 @@ import itertools
 
 from podag import Dag, PartialOrdering, Pdag, SepsetMap, apply_meek_rules, orient_v_structures
 from podag.errors import PodagError
+from podag.graph import orient_by_ordering
 from podag.sem import GenConfig, generate_layered_dag
 
 
@@ -119,6 +120,67 @@ def oracle_maximal_pdag(dag, ordering):
                         break
             seps.record(i, j, found)
     return apply_meek_rules(orient_v_structures(start, seps))
+
+
+def reference_edge_metrics(estimated, truth, scope, ordering=None):
+    """``(tp, fp, tn, fn, shd)`` by classifying every pair of the scope's universe.
+
+    The per-pair reference for :func:`podag.edge_metrics`: a :class:`Pdag`
+    is first oriented by the ordering, a raw edge set is read as directed
+    edges (a self-loop lies in no universe), and SHD compares each
+    unordered universe pair's relation (->, <-, -, none).
+    """
+    n = truth.n_nodes
+    if isinstance(estimated, Pdag):
+        if ordering is not None:
+            estimated = orient_by_ordering(estimated, ordering)
+        directed, adjacency = set(estimated.directed_edges), set(estimated.adjacency_pairs())
+    else:
+        directed = {(int(u), int(v)) for u, v in estimated}
+        adjacency = {(min(u, v), max(u, v)) for u, v in directed}
+    truth_dir = set(truth.edges)
+    truth_adj = {(min(u, v), max(u, v)) for u, v in truth.edges}
+    if scope == "skeleton":
+        universe = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        est_set, truth_set = adjacency, truth_adj
+    else:
+        universe = [
+            (u, v)
+            for u in range(n)
+            for v in range(n)
+            if u != v and (scope == "all_edges" or ordering.orders_before(u, v))
+        ]
+        est_set, truth_set = directed, truth_dir
+
+    tp = fp = tn = fn = 0
+    for pair in universe:
+        est = pair in est_set
+        tru = pair in truth_set
+        tp += est and tru
+        fp += est and not tru
+        fn += tru and not est
+        tn += not est and not tru
+
+    if scope == "skeleton":
+        shd = sum(1 for pair in universe if (pair in est_set) != (pair in truth_set))
+    else:
+
+        def relation(u, v, directed_set, adj_set):
+            if (u, v) in directed_set:
+                return ">"
+            if (v, u) in directed_set:
+                return "<"
+            if (u, v) in adj_set:
+                return "-"
+            return "."
+
+        unordered = {(min(u, v), max(u, v)) for u, v in universe}
+        shd = sum(
+            1
+            for u, v in unordered
+            if relation(u, v, directed, adjacency) != relation(u, v, truth_dir, truth_adj)
+        )
+    return tp, fp, tn, fn, shd
 
 
 def random_layered_instance(rng, n_lo=4, n_hi=11, layers_hi=6, epn_lo=0.8, epn_hi=2.2):

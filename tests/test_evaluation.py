@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +27,42 @@ from podag.evaluation import (
 )
 from podag.sem import rng_from_seed, toy_two_layer_sem
 
-from helpers import toy_diamond
+from helpers import random_layered_instance, reference_edge_metrics, toy_diamond
+
+SCOPES = ("cross_only", "all_edges", "skeleton")
+
+
+def random_pairs(rng, n, prob):
+    return [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < prob]
+
+
+def random_pdag(rng, n, prob=0.3):
+    """A Pdag whose drawn pairs are directed either way or left undirected."""
+    directed, undirected = [], []
+    for u, v in random_pairs(rng, n, prob):
+        kind = rng.integers(3)
+        if kind == 2:
+            undirected.append((u, v))
+        else:
+            directed.append((u, v) if kind == 0 else (v, u))
+    return Pdag(n, directed_edges=directed, undirected_edges=undirected)
+
+
+def random_edge_set(rng, n, prob=0.3):
+    """A raw directed edge set with a self-loop and one pair in both directions."""
+    edges = {(u, v) if rng.random() < 0.5 else (v, u) for u, v in random_pairs(rng, n, prob)}
+    u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+    return edges | {(u, u), (u, v), (v, u)}
+
+
+def override_ordering(rng, n):
+    """Per-node before/after sets drawn independently, so the two often disagree."""
+    before, after = {}, {}
+    for j in range(n):
+        others = [v for v in range(n) if v != j and rng.random() < 0.4]
+        cut = int(rng.integers(len(others) + 1))
+        before[j], after[j] = others[:cut], others[cut:]
+    return PartialOrdering([], n_nodes=n, unordered=range(n), before=before, after=after)
 
 
 class TestEdgeMetrics:
@@ -92,6 +128,43 @@ class TestEdgeMetrics:
             edge_metrics(set(), dag, scope="cross_only")  # ordering missing
         with pytest.raises(ValueError):
             edge_metrics({(0, 9)}, dag, scope="all_edges")
+
+
+class TestEdgeMetricsAgainstReference:
+    """Set-based counts equal the per-pair reference on random inputs."""
+
+    def check(self, estimated, truth, ordering):
+        for scope in SCOPES:
+            m = edge_metrics(estimated, truth, scope=scope, ordering=ordering)
+            got = (m.tp, m.fp, m.tn, m.fn, m.shd)
+            assert got == reference_edge_metrics(estimated, truth, scope, ordering), scope
+
+    def test_layered_orderings(self):
+        rng = rng_from_seed(11)
+        for _ in range(150):
+            dag, ordering = random_layered_instance(rng)
+            n = dag.n_nodes
+            self.check(random_pdag(rng, n), dag, ordering)
+            self.check(random_edge_set(rng, n), dag, ordering)
+            self.check(set(dag.edges), dag, ordering)
+
+    def test_override_orderings(self):
+        rng = rng_from_seed(12)
+        for _ in range(150):
+            dag, _ = random_layered_instance(rng)
+            n = dag.n_nodes
+            ordering = override_ordering(rng, n)
+            self.check(random_pdag(rng, n), dag, ordering)
+            self.check(random_edge_set(rng, n), dag, ordering)
+
+    def test_override_orderings_disagree(self):
+        # the universe is every pair that orders_before accepts, from
+        # either side's table
+        ordering = PartialOrdering(
+            [], n_nodes=3, unordered=range(3), before={1: [0]}, after={2: [0]}
+        )
+        m = edge_metrics(set(), Dag(3, [(0, 1)]), scope="cross_only", ordering=ordering)
+        assert (m.universe_size, m.fn) == (2, 1)
 
 
 class TestCollectTuples:

@@ -13,7 +13,10 @@ separator search.  On sparser
 instances ``learn``, PC and PC+ are also checked, in both modes, against
 ``helpers.enumeration_maximal_pdag``, which enumerates the equivalence
 class and shares no orientation code with the library, so a defect in
-Meek's rules shows there.  Examples are derandomized, so the suite is
+Meek's rules shows there.  Under the oracle ``learn``, PC and PC+ must
+also commute with a permutation of the node indices and ignore the node
+labels; on sample data PC's output depends on its query order, so this
+is an oracle property only.  Examples are derandomized, so the suite is
 deterministic.
 """
 
@@ -30,6 +33,7 @@ from podag import (
     Dag,
     OracleEngine,
     PartialOrdering,
+    Pdag,
     PodagConfig,
     inflate_screen_sets,
     learn,
@@ -131,3 +135,44 @@ def test_pc_and_pc_plus_equal_independent_oracles(instance):
     for stable in (False, True):
         assert pc(OracleEngine(dag), dag.n_nodes, stable=stable).pdag == cpdag
         assert pc_plus(OracleEngine(dag), ordering, stable=stable).pdag == with_background
+
+
+def oracle_fits(dag, ordering):
+    """Within-layers ``learn``, PC and PC+ against the d-separation oracle of ``dag``."""
+    return {
+        "learn": learn(dag, ordering, PodagConfig(learn_within_layers=True)).as_pdag(),
+        "pc": pc(OracleEngine(dag), dag.n_nodes, labels=dag.labels).pdag,
+        "pc_plus": pc_plus(OracleEngine(dag), ordering, labels=dag.labels).pdag,
+    }
+
+
+@EXAMPLES
+@given(ordered_instances(), st.data())
+def test_oracle_fits_commute_with_node_permutation(instance, data):
+    dag, ordering = instance
+    perm = data.draw(st.permutations(range(dag.n_nodes)))
+    moved = Dag(dag.n_nodes, [(perm[u], perm[v]) for u, v in dag.edges])
+    moved_ordering = PartialOrdering(
+        [{perm[v] for v in layer} for layer in ordering.layers],
+        n_nodes=ordering.n_nodes,
+        unordered={perm[v] for v in ordering.unordered},
+    )
+    fits = oracle_fits(moved, moved_ordering)
+    for name, pdag in oracle_fits(dag, ordering).items():
+        expected = Pdag(
+            pdag.n_nodes,
+            directed_edges=[(perm[u], perm[v]) for u, v in pdag.directed_edges],
+            undirected_edges=[(perm[u], perm[v]) for u, v in pdag.undirected_edges],
+        )
+        assert fits[name] == expected, name
+
+
+@EXAMPLES
+@given(ordered_instances())
+def test_oracle_fits_ignore_labels(instance):
+    dag, ordering = instance
+    labels = [f"node{dag.n_nodes - v}" for v in range(dag.n_nodes)]
+    fits = oracle_fits(Dag(dag.n_nodes, dag.edges, labels=labels), ordering)
+    for name, pdag in oracle_fits(dag, ordering).items():
+        assert fits[name] == pdag, name
+        assert fits[name].labels == tuple(labels), name

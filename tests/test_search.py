@@ -366,6 +366,13 @@ class TestLearnDispatch:
         with pytest.raises(ValueError):
             learn(sem.dag, ordering, PodagConfig(backend="lasso"))
 
+    def test_screening_significance_has_one_knob(self):
+        with pytest.raises(ValueError, match="screen_alpha"):
+            PodagConfig(backend_params={"alpha": 0.1})
+        cfg = PodagConfig(screen_alpha=0.3, backend_params={"threshold": 0.2})
+        assert cfg.screen_params() == {"threshold": 0.2, "alpha": 0.3}
+        assert PodagConfig(backend="sis", backend_params={"t": 0.01}).screen_params() == {"t": 0.01}
+
     def test_rejects_unknown_source(self):
         sem, ordering = toy_two_layer_sem()
         with pytest.raises(TypeError):
