@@ -37,7 +37,7 @@ from .evaluation import (
     run_benchmark,
 )
 from .graph import apply_meek_rules, orient_by_ordering, read_layering, write_edgelist, write_layering
-from .screening import screen_all
+from .screening import BACKENDS, screen_all
 from .search import PodagConfig, learn
 from .sem import GenConfig, generate_layered_dag, random_weights, rng_from_seed, sample
 from .stats import Dataset, GaussianEngine
@@ -127,7 +127,7 @@ def build_parser():
         default="podag",
         choices=["podag", "pc", "pc+", "h0", "h-minus-j"],
     )
-    p_learn.add_argument("--backend", default="pcor", choices=["pcor", "sis", "lasso"])
+    p_learn.add_argument("--backend", default="pcor", choices=BACKENDS)
     p_learn.add_argument("--alpha", type=float, default=0.05)
     p_learn.add_argument("--screen-alpha", type=float, default=0.5)
     p_learn.add_argument(

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .baselines import pc, pc_plus
 from .errors import SingularityError
 from .graph import Pdag, orient_by_ordering
+from .screening import BACKENDS
 from .search import PodagConfig, learn
 from .sem import GenConfig, generate_layered_dag, population_covariance, random_weights, sample, spawn_rngs
 from .stats import GaussianEngine, OracleEngine, RecordingEngine, partial_correlation
@@ -34,6 +35,8 @@ __all__ = [
 ]
 
 ZERO_RHO_TOL = 1e-10
+ALGORITHMS = ("pc", "pc_plus", "podag")
+SCOPES = ("cross_only", "all_edges", "skeleton")
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,7 @@ def edge_metrics(estimated, truth, scope="all_edges", ordering=None):
     """
     if isinstance(estimated, Pdag) and estimated.n_nodes != truth.n_nodes:
         raise ValueError("estimate and truth disagree on the node count")
-    if scope not in ("cross_only", "all_edges", "skeleton"):
+    if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}")
     if scope == "cross_only" and ordering is None:
         raise ValueError("cross_only scope needs an ordering")
@@ -324,7 +327,7 @@ class BenchmarkSpec:
     layers: tuple = (2, 5)
     n: tuple = (500,)
     backends: tuple = ("pcor",)
-    algorithms: tuple = ("pc", "pc_plus", "podag")
+    algorithms: tuple = ALGORITHMS
     replicates: int = 20
     seed: int = 0
     expected_edges_per_node: float = 3.0
@@ -333,11 +336,19 @@ class BenchmarkSpec:
     screen_alpha: float = 0.5
     max_sepset_size: int | None = 3
     weight_range: tuple = (0.1, 1.0)
-    scopes: tuple = ("cross_only", "all_edges", "skeleton")
+    scopes: tuple = SCOPES
 
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        for axis, values, valid in (
+            ("algorithm", self.algorithms, ALGORITHMS),
+            ("backend", self.backends, BACKENDS),
+            ("scope", self.scopes, SCOPES),
+        ):
+            for value in values:
+                if value not in valid:
+                    raise ValueError(f"unknown {axis} {value!r}; choose from {', '.join(valid)}")
         if not isinstance(self.weight_range, (tuple, list)) or len(self.weight_range) != 2:
             raise ValueError("weight_range must be a (low, high) pair")
 

@@ -33,8 +33,8 @@ from .stats import (
     Dataset,
     _checked_covariance,
     _dependence_error,
+    _fisher_z_statistics,
     block_partial_correlations,
-    fisher_z_threshold,
 )
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "inflate_screen_sets",
 ]
 
+BACKENDS = ("pcor", "sis", "lasso")
 LASSO_TOL = 1e-7
 LASSO_MAX_SWEEPS = 100_000
 
@@ -268,9 +269,8 @@ def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
                     f"which needs n > {len(pool) + 2} samples (n={n}); "
                     "use --backend lasso or --backend sis when nodes outnumber samples"
                 )
-            rhos = pool_rhos(pool)
-            z = np.sqrt(dof) * np.arctanh(np.clip(rhos, -1 + 1e-15, 1 - 1e-15))
-            keep = np.abs(z) > fisher_z_threshold(alpha)
+            _, independent = _fisher_z_statistics(pool_rhos(pool), dof, alpha)
+            keep = ~independent
         return {k for k, flag in zip(pool, keep) if flag}
 
     return _screen_node(ordering, j, select, n, verdicts=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from .errors import PodagError
 from .graph import Dag, Pdag, SepsetMap, apply_meek_rules, orient_v_structures, write_edgelist
 from .graph import _unshielded_triples
-from .screening import ScreenSets, screen_all
+from .screening import BACKENDS, ScreenSets, screen_all
 from .stats import Dataset, GaussianEngine, OracleEngine
 
 __all__ = [
@@ -68,7 +68,7 @@ class PodagConfig:
             raise ValueError("screen_alpha must be in (0, 1)")
         if self.max_sepset_size is not None and self.max_sepset_size < 0:
             raise ValueError("max_sepset_size must be nonnegative")
-        if self.backend not in ("pcor", "sis", "lasso"):
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if "alpha" in self.backend_params:
             raise ValueError("set the screening significance with screen_alpha, not backend_params")
@@ -167,21 +167,55 @@ def _separators(base, pool, level):
         yield t, base.union(t)
 
 
+def _query(engine, a, b, sep, t):
+    """``engine.query(a, b, sep)``, its error naming the candidate and ``T``."""
+    try:
+        return engine.query(a, b, sep)
+    except PodagError as err:
+        err.args = (f"{err.args[0]} [candidate ({a}, {b}), T={t}]",) + err.args[1:]
+        raise
+
+
+def _level_zero_verdicts(engine, b, sources, bases):
+    """Verdicts of the level-0 tests ``a _||_ b | base`` of one target, in order.
+
+    When every base is ``cond - {a}`` for one set ``cond`` (PODAG's
+    ``cross(b)``), two or more tests go to the engine as one block.  A
+    block that raises is asked again one test at a time, so that the
+    error names the candidate that raised it.
+    """
+    if len(sources) > 1:
+        cond = frozenset().union(*bases)
+        # each base lies in cond, so it is cond - {a} when its size says so
+        if all(a not in base and len(base) == len(cond) - (a in cond) for a, base in zip(sources, bases)):
+            try:
+                return engine.query_block(b, sources, cond)
+            except PodagError:
+                pass
+    return [_query(engine, a, b, base, ()) for a, base in zip(sources, bases)]
+
+
 def _search_levels(engine, tests, family, neighbours, max_level=None, stable=False):
     """Level-wise skeleton search shared by PODAG, PC and PC+.
 
     ``tests`` is an ordered list of directed tests ``(a, b)``.  At level
     ``l`` a test asks whether ``base | T`` separates ``a`` from ``b`` for
     each ``l``-subset ``T`` of ``pool``, where ``family(a, b)`` returns
-    ``(base, pool)`` from the current ``neighbours`` (PC's adjacencies,
-    PODAG's blankets).  The first separator found for either direction
-    removes the pair: it is recorded, the mirror direction is not tested
-    again, and each endpoint leaves the other's neighbour set where it
-    has one.  By default that last step is immediate (order-dependent
+    a fixed ``base`` and a ``pool`` drawn from the current
+    ``neighbours`` (PC's adjacencies, PODAG's blankets).  The first
+    separator found for either direction removes the pair: it is
+    recorded, the mirror direction is not tested again, and each
+    endpoint leaves the other's neighbour set where it has one.  By default that last step is immediate (order-dependent
     PC); ``stable`` defers it to the end of the level, so every test of
     a level sees the same pools (order-independent PC, Colombo &
     Maathuis 2014).  The search ends after a level that runs no test, or
     after ``max_level``.
+
+    Level 0 tests ``base`` alone, which no removal changes: a removal
+    there only skips the mirror test, whose target differs.  So each run
+    of consecutive tests with one target is asked in one go (see
+    :func:`_level_zero_verdicts`), in the same order and with the same
+    verdicts as one test at a time.
 
     Returns the :class:`SepsetMap` of removed pairs and the number of
     removals per level (levels without removals are left out).
@@ -196,31 +230,39 @@ def _search_levels(engine, tests, family, neighbours, max_level=None, stable=Fal
             if u in neighbours:
                 neighbours[u].discard(v)
 
+    def remove(pair, a, b, sep):
+        sepsets.record(a, b, sep)
+        removed.add(pair)
+        found.append(pair)
+        if not stable:
+            drop_neighbours(a, b)
+
     level = 0
     while max_level is None or level <= max_level:
         live = [test for test in live if test[0] not in removed]
         found = []
         tested = False
-        for pair, a, b in live:
-            if pair in removed:
-                continue
-            base, pool = family(a, b)
-            if len(pool) < level:
-                continue
-            tested = True
-            for t, sep in _separators(base, pool, level):
-                try:
-                    verdict = engine.query(a, b, sep)
-                except PodagError as err:
-                    err.args = (f"{err.args[0]} [candidate ({a}, {b}), T={t}]",) + err.args[1:]
-                    raise
-                if verdict.independent:
-                    sepsets.record(a, b, sep)
-                    removed.add(pair)
-                    found.append(pair)
-                    if not stable:
-                        drop_neighbours(a, b)
-                    break
+        if level == 0:
+            for b, run in itertools.groupby(live, key=lambda test: test[2]):
+                run = [(pair, a) for pair, a, _ in run if pair not in removed]
+                bases = [family(a, b)[0] for _, a in run]
+                verdicts = _level_zero_verdicts(engine, b, [a for _, a in run], bases)
+                for (pair, a), base, verdict in zip(run, bases, verdicts):
+                    tested = True
+                    if verdict.independent:
+                        remove(pair, a, b, base)
+        else:
+            for pair, a, b in live:
+                if pair in removed:
+                    continue
+                base, pool = family(a, b)
+                if len(pool) < level:
+                    continue
+                tested = True
+                for t, sep in _separators(base, pool, level):
+                    if _query(engine, a, b, sep, t).independent:
+                        remove(pair, a, b, sep)
+                        break
         if not tested:
             break
         if stable:

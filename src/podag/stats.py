@@ -13,8 +13,11 @@ rejected when ``dpocon`` estimates its reciprocal condition number below
 block with ``dpotrs``; a block precision matrix (``dpotri``) serves
 every partial correlation of one block at once: all of a screening pool
 in :func:`block_partial_correlations`, and every query of the Gaussian
-engine whose conditioning union ``S + {i, j}`` it last factored (see
-:class:`GaussianEngine`).  The Fisher z test reads its threshold
+engine whose conditioning union ``S + {i, j}`` it last factored.  A
+block of queries (:meth:`CiEngine.query_block`, the level-0 tests of one
+search target) takes at most two factorizations in the Gaussian engine,
+with an exact fallback to single queries (see :class:`GaussianEngine`).
+The Fisher z test reads its threshold
 ``Phi^-1(1 - alpha/2)`` from a per-alpha cache and its two-sided p-value
 from ``2 Phi(-|z|)``, both straight from the ``scipy.special`` ufuncs
 ``ndtri`` and ``ndtr``.  These are the values a frozen normal
@@ -368,7 +371,7 @@ def _fisher_z_dof(n, size):
 
 
 def _fisher_z_verdict(rho, dof, alpha):
-    """The Fisher z verdict on a partial correlation ``rho`` in [-1, 1]."""
+    """The Fisher z verdict on one partial correlation ``rho`` in [-1, 1]."""
     if abs(rho) >= 1.0:
         return CiVerdict(independent=False, statistic=np.inf if rho > 0 else -np.inf, p_value=0.0)
     z = float(np.sqrt(dof) * np.arctanh(rho))
@@ -377,6 +380,18 @@ def _fisher_z_verdict(rho, dof, alpha):
         statistic=z,
         p_value=float(2.0 * ndtr(-abs(z))),
     )
+
+
+def _fisher_z_statistics(rhos, dof, alpha):
+    """Fisher z statistics of partial correlations ``rhos`` in [-1, 1] and their verdicts.
+
+    The array form of :func:`_fisher_z_verdict`: ``z = sqrt(dof) *
+    atanh(rho)``, infinite at ``|rho| = 1``, and independent iff ``|z| <=
+    Phi^-1(1 - alpha/2)``.  Returns ``(z, independent)``.
+    """
+    with np.errstate(divide="ignore"):
+        z = np.sqrt(dof) * np.arctanh(np.asarray(rhos, dtype=float))
+    return z, np.abs(z) <= fisher_z_threshold(alpha)
 
 
 def fisher_z_test(cov, n, i, j, s, alpha):
@@ -403,6 +418,12 @@ class CiEngine:
     arguments, counts the query, and asks ``_decide``; the counter
     measures the logical tests performed by the algorithms driving the
     engine, repeats included.  Engines are safe to share across threads.
+
+    ``query_block(b, sources, cond)`` asks ``a _||_ b | cond - {a}`` for
+    every ``a`` in ``sources`` at once: the level-0 tests of one target
+    in the skeleton search.  It counts one query per source and answers
+    as the per-source queries would; ``_decide_block`` loops over
+    ``_decide`` unless an engine shares work across the block.
     """
 
     def __init__(self):
@@ -422,8 +443,27 @@ class CiEngine:
             self._n_queries += 1
         return self._decide(min(i, j), max(i, j), s)
 
+    def query_block(self, b, sources, cond):
+        """Verdicts of ``a _||_ b | cond - {a}`` for each ``a`` in ``sources``, in order.
+
+        The same verdicts and count as ``[query(a, b, cond - {a}) for a
+        in sources]``, except that a raised error leaves every source
+        counted.
+        """
+        b = int(b)
+        sources = [int(a) for a in sources]
+        cond = frozenset(map(int, cond))
+        if b in cond or b in sources:
+            raise ValueError("b must lie outside sources and cond")
+        with self._count_lock:
+            self._n_queries += len(sources)
+        return self._decide_block(b, sources, cond)
+
     def _decide(self, i, j, s):
         raise NotImplementedError
+
+    def _decide_block(self, b, sources, cond):
+        return [self._decide(min(a, b), max(a, b), cond - {a}) for a in sources]
 
 
 class OracleEngine(CiEngine):
@@ -447,14 +487,21 @@ class GaussianEngine(CiEngine):
 
     A query ``(i, j | S)`` with S non-empty reads its partial correlation
     off the precision matrix of the union block ``U = S + {i, j}``:
-    ``rho = -Omega_ij / sqrt(Omega_ii Omega_jj)``.  Queries come in runs
-    on one union (the searching loop tests every candidate ``k`` in
-    ``cross(j)`` against ``cross(j) - {k} + T``, whose union is the same
-    for all ``k``), so the engine keeps the last union's precision matrix
-    in one slot and factors ``Sigma_UU`` only when the union changes.
-    The slot is one immutable ``(union, positions, Omega)`` tuple with a
-    read-only ``Omega``, read once per query, so the engine stays safe to
-    share across threads.
+    ``rho = -Omega_ij / sqrt(Omega_ii Omega_jj)``.  The engine keeps the
+    last union's precision matrix in one slot and factors ``Sigma_UU``
+    only when the union changes.  The slot is one immutable ``(union,
+    positions, Omega)`` tuple with a read-only ``Omega``, read once per
+    query, so the engine stays safe to share across threads.
+
+    A block ``query_block(b, sources, cond)`` (the level-0 tests of one
+    target) needs at most two factorizations.  Sources inside ``cond``
+    (cross candidates) share the union ``cond + {b}`` and read their rho
+    off its slot, exactly as single queries do.  Sources outside it
+    (within candidates, each conditioning on ``cond`` itself) take
+    :func:`partial_correlation`'s Schur complement on one factored
+    ``Sigma_cond``, batched; a source whose residual variance given the
+    rest of its union falls below ``sqrt(RCOND_MIN)`` of its variance,
+    where its union may be near singular, is asked as a single query.
 
     Everything else is :func:`fisher_z_test`'s: an empty S takes its
     direct path, its degrees-of-freedom guard fires before any
@@ -494,26 +541,97 @@ class GaussianEngine(CiEngine):
                     self._cov = _checked_covariance(self._dataset)
         return self._cov
 
+    def _union_slot(self, union):
+        """The ``(union, positions, Omega)`` slot of a union, or None when it is singular."""
+        slot = self._slot
+        if slot is None or slot[0] != union:
+            idx = sorted(union)
+            try:
+                omega = _block_precision(self.cov.values, idx, context=None)
+            except SingularityError:
+                return None
+            omega.setflags(write=False)
+            slot = (union, {v: pos for pos, v in enumerate(idx)}, omega)
+            self._slot = slot
+        return slot
+
     def _decide(self, i, j, s):
         cov = self.cov
         if not s:
             return fisher_z_test(cov, self._n, i, j, s, self.alpha)
         dof = _fisher_z_dof(self._n, len(s))
-        union = s.union((i, j))
-        slot = self._slot
-        if slot is None or slot[0] != union:
-            idx = sorted(union)
-            try:
-                omega = _block_precision(cov.values, idx, context=None)
-            except SingularityError:
-                return fisher_z_test(cov, self._n, i, j, s, self.alpha)
-            omega.setflags(write=False)
-            slot = (union, {v: pos for pos, v in enumerate(idx)}, omega)
-            self._slot = slot
+        slot = self._union_slot(s.union((i, j)))
+        if slot is None:
+            return fisher_z_test(cov, self._n, i, j, s, self.alpha)
         _, positions, omega = slot
         a, b = positions[i], positions[j]  # a < b: Omega's lower triangle holds (b, a)
         rho = -omega.item(b, a) / math.sqrt(omega.item(a, a) * omega.item(b, b))
         return _fisher_z_verdict(min(max(rho, -1.0), 1.0), dof, self.alpha)
+
+    def _decide_block(self, b, sources, cond):
+        inside = [a for a in sources if a in cond]
+        outside = [a for a in sources if a not in cond]
+        verdicts = {}
+        dof = self._n - len(cond) - 3  # outside cond; a source inside leaves S one smaller
+        # a single source, or S empty, gains nothing from the block; a
+        # failed degrees-of-freedom guard raises in _decide
+        if len(inside) > 1 and dof + 1 > 0:
+            verdicts.update(self._inside_block(b, inside, cond, dof + 1))
+        if len(outside) > 1 and cond and dof > 0:
+            verdicts.update(self._outside_block(b, outside, cond, dof))
+        return [
+            verdicts[a] if a in verdicts else self._decide(min(a, b), max(a, b), cond - {a})
+            for a in sources
+        ]
+
+    def _inside_block(self, b, sources, cond, dof):
+        """Verdicts for sources in ``cond``, off the precision matrix of ``cond + {b}``."""
+        slot = self._union_slot(cond.union((b,)))
+        if slot is None:
+            return {}
+        _, positions, omega = slot
+        at = np.array([positions[a] for a in sources])
+        bt = positions[b]
+        # Omega's lower triangle holds (max, min); the rho of each pair is
+        # computed as in _decide, so it is bit-identical
+        off = omega[np.maximum(at, bt), np.minimum(at, bt)]
+        diag = np.diagonal(omega)
+        rhos = np.clip(-off / np.sqrt(diag[at] * diag[bt]), -1.0, 1.0)
+        return self._verdicts(sources, rhos, dof)
+
+    def _outside_block(self, b, sources, cond, dof):
+        """Verdicts for sources outside ``cond``, from one factorization of ``Sigma_cond``."""
+        sigma = self.cov.values
+        idx = sorted(cond)
+        rows = sigma.take(idx, axis=0)
+        try:
+            factor = _factor_spd(rows.take(idx, axis=1), context=None)
+        except SingularityError:
+            return {}
+        members = sources + [b]
+        cross = rows.take(members, axis=1)
+        solved, _ = dpotrs(factor, cross, lower=1)
+        # residual variances and covariances given cond, as partial_correlation
+        variances = np.diagonal(sigma)[members]
+        residual = variances - np.einsum("ij,ij->j", cross, solved)
+        d = sigma[sources, b] - cross[:, :-1].T @ solved[:, -1]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rhos = d / np.sqrt(residual[:-1] * residual[-1])
+            # a small residual variance given the rest of the union (of a
+            # source or of b) means the union may fail the singularity guard
+            shrink = 1.0 - rhos * rhos
+            floor = math.sqrt(RCOND_MIN) * variances
+            ok = (residual[:-1] * shrink >= floor[:-1]) & (residual[-1] * shrink >= floor[-1])
+        kept = [a for a, flag in zip(sources, ok) if flag]
+        return self._verdicts(kept, np.clip(rhos[ok], -1.0, 1.0), dof)
+
+    def _verdicts(self, sources, rhos, dof):
+        z, independent = _fisher_z_statistics(rhos, dof, self.alpha)
+        p_values = 2.0 * ndtr(-np.abs(z))
+        return {
+            a: CiVerdict(independent=bool(ind), statistic=float(stat), p_value=float(p))
+            for a, ind, stat, p in zip(sources, independent, z, p_values)
+        }
 
 
 class RecordingEngine(CiEngine):
@@ -534,6 +652,11 @@ class RecordingEngine(CiEngine):
         with self._records_lock:
             self.records.append((i, j, s, self.phase))
         return self.inner.query(i, j, s)
+
+    def _decide_block(self, b, sources, cond):
+        with self._records_lock:
+            self.records.extend((min(a, b), max(a, b), cond - {a}, self.phase) for a in sources)
+        return self.inner.query_block(b, sources, cond)
 
     def tuples(self, phases=None):
         """Recorded (i, j, s) tuples, optionally filtered by phase tags."""

@@ -7,6 +7,7 @@ machinery is never trusted to check itself.
 
 import itertools
 
+import podag.stats
 from podag import Dag, PartialOrdering, Pdag, SepsetMap, apply_meek_rules, orient_v_structures
 from podag.errors import PodagError
 from podag.graph import orient_by_ordering
@@ -217,3 +218,20 @@ def random_bipartite_instance(rng, p_lo=2, p_hi=5, q_lo=2, q_hi=5, edge_prob=0.3
 def toy_diamond():
     """Four-node graph 0->1, 0->2, 1->3, 2->3 (a diamond with one collider)."""
     return Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+
+
+def counting_factorizations(monkeypatch, name="_block_precision"):
+    """Arguments of each call to ``podag.stats.<name>``, in call order.
+
+    ``_factor_spd`` counts every guarded factorization; ``_block_precision``
+    only those of a precision matrix.
+    """
+    calls = []
+    factor = getattr(podag.stats, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(podag.stats, name, counted)
+    return calls

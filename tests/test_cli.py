@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import podag.cli
 from podag import Dataset, Pdag, apply_meek_rules
 from podag.cli import EXIT_LABELS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 
@@ -275,6 +276,18 @@ class TestBenchmark:
         assert out.exists()
         spec.write_text('{"n_nodes": [8], "replicate": 1}')
         assert run(["benchmark", "--spec", spec, "-o", out]) == EXIT_USAGE
+
+    def test_unknown_names_exit_two_before_any_fit(self, tmp_path, monkeypatch, capsys):
+        grids = []
+        monkeypatch.setattr(podag.cli, "run_benchmark", lambda *args, **kwargs: grids.append(args))
+        out = tmp_path / "bench.csv"
+        assert run(["benchmark", "--algorithms", "pc,pcplus", "-o", out]) == EXIT_USAGE
+        assert "unknown algorithm 'pcplus'; choose from pc, pc_plus, podag" in capsys.readouterr().err
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"scopes": ["cross_only", "skel"]}')
+        assert run(["benchmark", "--spec", spec, "-o", out]) == EXIT_USAGE
+        assert "unknown scope 'skel'" in capsys.readouterr().err
+        assert grids == [] and not out.exists()
 
 
 class TestFaithfulness:

@@ -305,6 +305,21 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="weight_range must be a"):
             BenchmarkSpec.from_json('{"weight_range": 0.5}')
 
+    @pytest.mark.parametrize(
+        "key, values, choices",
+        [
+            ("algorithms", ["pc", "pcplus"], "pc, pc_plus, podag"),
+            ("backends", ["pcor", "lars"], "pcor, sis, lasso"),
+            ("scopes", ["cross_only", "skel"], "cross_only, all_edges, skeleton"),
+        ],
+    )
+    def test_spec_rejects_unknown_names(self, key, values, choices):
+        message = rf"unknown {key[:-1]} '{values[-1]}'; choose from {choices}$"
+        with pytest.raises(ValueError, match=message):
+            BenchmarkSpec.from_json({key: values})
+        with pytest.raises(ValueError, match=message):
+            BenchmarkSpec(**{key: tuple(values)})
+
     def test_all_backends_run(self):
         spec = BenchmarkSpec(
             n_nodes=(8,),

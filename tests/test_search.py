@@ -8,6 +8,7 @@ import pytest
 import podag.search
 from podag import (
     Dag,
+    Dataset,
     GenConfig,
     OracleEngine,
     PartialOrdering,
@@ -28,6 +29,7 @@ from podag.sem import rng_from_seed, sample, toy_two_layer_sem
 from podag.stats import CiEngine, GaussianEngine
 
 from helpers import (
+    counting_factorizations,
     enumeration_maximal_pdag,
     oracle_maximal_pdag,
     random_layered_instance,
@@ -178,6 +180,54 @@ class TestSkeletonDriver:
                 pc(FailingEngine(), 3)
             else:
                 pc_plus(FailingEngine(), ordering)
+
+    def test_learn_engine_errors_carry_candidate_context(self):
+        # 2 = 0 + 1 + noise: screening keeps cross(2) = {0, 1}, so the two
+        # level-0 tests of target 2 go to the engine as one block
+        x = rng_from_seed(3).normal(size=(200, 3))
+        x[:, 2] += x[:, 0] + x[:, 1]
+        ordering = PartialOrdering([{0, 1}, {2}], n_nodes=3)
+        engine = FailingEngine()
+        with pytest.raises(SingularityError, match=r"\[candidate \(0, 2\), T=\(\)\]$"):
+            learn(Dataset(x), ordering, engine=engine)
+        assert engine.n_queries == 3  # the block of two, then the first test again
+
+    def test_level_zero_blocks_replay_single_queries(self, monkeypatch):
+        # a fit of the benchmark's learn-p120 kind: p=120, L=5, n=1000
+        rng = rng_from_seed(120)
+        dag, ordering = generate_layered_dag(
+            GenConfig(n_nodes=120, expected_edges_per_node=3.0, layers=5), rng
+        )
+        data = sample(random_weights(dag, rng), 1000, rng)
+        cfg = PodagConfig(alpha=0.005, learn_within_layers=True, max_sepset_size=3, on_conflict="ignore")
+        factorizations = counting_factorizations(monkeypatch, "_factor_spd")
+        per_target = {}
+
+        class BlockCounting(GaussianEngine):
+            def _decide_block(self, b, sources, cond):
+                before = len(factorizations)
+                verdicts = super()._decide_block(b, sources, cond)
+                per_target[b] = per_target.get(b, 0) + len(factorizations) - before
+                return verdicts
+
+        class SingleQueries(GaussianEngine):
+            _decide_block = CiEngine._decide_block
+
+        fits = []
+        for engine_class in (BlockCounting, SingleQueries):
+            recorder = RecordingEngine(engine_class(data, alpha=cfg.alpha))
+            res = learn(data, ordering, cfg, engine=recorder)
+            fits.append(
+                (
+                    sorted(res.sepsets.items()),
+                    res.diagnostics.removals_per_level,
+                    res.diagnostics.ci_tests,
+                    query_digest(recorder),
+                    res.as_pdag(),
+                )
+            )
+        assert fits[0] == fits[1]
+        assert len(per_target) > 100 and max(per_target.values()) <= 2
 
 
 class TestScreeningVerdictSepsets:

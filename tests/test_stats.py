@@ -17,6 +17,7 @@ from podag import (
     CiEngine,
     CiVerdict,
     CovMatrix,
+    Dag,
     Dataset,
     GaussianEngine,
     OracleEngine,
@@ -42,7 +43,7 @@ from podag.sem import (
 )
 from podag.stats import _factor_spd, block_partial_correlations
 
-from helpers import random_layered_instance, toy_diamond
+from helpers import counting_factorizations, random_layered_instance, toy_diamond
 
 
 def random_pd(rng, m):
@@ -482,18 +483,6 @@ def dependent_four_columns():
     return Dataset(x), PartialOrdering([{0, 1}, {2, 3}], n_nodes=4)
 
 
-def counting_factorizations(monkeypatch):
-    calls = []
-    factor = podag.stats._block_precision
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return factor(*args, **kwargs)
-
-    monkeypatch.setattr(podag.stats, "_block_precision", counted)
-    return calls
-
-
 class TestUnionPrecision:
     """GaussianEngine reads rho off the precision matrix of the last conditioning union."""
 
@@ -594,6 +583,81 @@ class TestUnionPrecision:
         with pytest.raises(InsufficientDataError, match=r"n=6, \|s\|=3"):
             engine.query(0, 1, (2, 3, 4))
         assert factorizations == []
+
+
+class TestBlockQueries:
+    """query_block answers a target's level-0 tests as the single queries would."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(4, 9),
+        n=st.integers(6, 400),
+        alpha=st.sampled_from([0.5, 0.05, 0.001]),
+        dependent=st.booleans(),
+    )
+    def test_block_gives_the_single_query_verdicts(self, seed, m, n, alpha, dependent):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(m + 2, m))
+        if dependent:  # one column a combination of two others
+            u, v, w = rng.choice(m, size=3, replace=False)
+            x[:, w] = x[:, u] + rng.normal() * x[:, v]
+        cov = CovMatrix(x.T @ x / (m + 2), n=n)
+        b = int(rng.integers(m))
+        others = [v for v in range(m) if v != b]
+        cond = {v for v in others if rng.random() < 0.6}
+        sources = [int(v) for v in rng.permutation(others)[: int(rng.integers(1, m))]]
+        single = RecordingEngine(GaussianEngine(cov, alpha=alpha))
+        want = []
+        for a in sources:
+            want.append(outcome(lambda: single.query(a, b, cond - {a})))
+            if not isinstance(want[-1], CiVerdict):
+                break
+        block = RecordingEngine(GaussianEngine(cov, alpha=alpha))
+        got = outcome(lambda: block.query_block(b, sources, cond))
+        if not isinstance(want[-1], CiVerdict):
+            assert got == want[-1]  # the first error of the single queries
+            return
+        assert len(got) == len(want)
+        assert all(same_outcome(g, w) for g, w in zip(got, want)), (b, sources, cond)
+        assert block.n_queries == block.inner.n_queries == single.n_queries == len(sources)
+        assert block.records == single.records
+
+    def test_singular_unions_fall_back_to_single_queries(self):
+        data, _ = dependent_four_columns()
+        engine = GaussianEngine(data)
+        cov = engine.cov
+        # the union {0, 1, 2, 3} of the first block is singular; in the
+        # second, V2 - V1 = V0 makes source 2's union {0, 1, 2} singular
+        # while Sigma_cond and source 3's union are not
+        for b, sources, cond, batched in [(3, [0, 1, 2], {0, 1, 2}, []), (0, [2, 3], {1}, [3])]:
+            got = engine.query_block(b, sources, cond)
+            for a, verdict in zip(sources, got):
+                i, j, s = min(a, b), max(a, b), cond - {a}
+                if a in batched:
+                    assert same_outcome(verdict, GaussianEngine(data).query(i, j, s))
+                else:
+                    assert verdict == fisher_z_test(cov, data.n, i, j, s, 0.05), (a, b)
+        assert [v.independent for v in engine.query_block(0, [2, 3], {1})] == [False, True]
+
+    def test_degrees_of_freedom_guard_precedes_the_block(self, monkeypatch):
+        factorizations = counting_factorizations(monkeypatch, "_factor_spd")
+        engine = GaussianEngine(CovMatrix(np.eye(6), n=6))
+        with pytest.raises(InsufficientDataError, match=r"n=6, \|s\|=3"):
+            engine.query_block(0, [1, 2, 3, 4], {1, 2, 3, 4})  # sources inside cond
+        with pytest.raises(InsufficientDataError, match=r"n=6, \|s\|=3"):
+            engine.query_block(0, [4, 5], {1, 2, 3})  # sources outside cond
+        assert factorizations == []
+        assert engine.n_queries == 6
+
+    def test_default_block_loops_over_single_queries(self):
+        dag = Dag(4, [(0, 2), (1, 2), (2, 3)])
+        engine = OracleEngine(dag)
+        got = engine.query_block(2, [0, 1, 3], {0, 1})
+        assert got == [engine.query(a, 2, {0, 1} - {a}) for a in (0, 1, 3)]
+        assert engine.n_queries == 6
+        with pytest.raises(ValueError, match="outside sources and cond"):
+            engine.query_block(2, [0], {1, 2})
 
 
 def collinear_dataset(sources=(4,)):
