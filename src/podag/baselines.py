@@ -72,10 +72,8 @@ def _dependence_edges(engine, ordering, labels, adjust_second):
     start = engine.n_queries
     edges = set()
     for j in second:
-        for k in first:
-            rest = [v for v in adjusted if v not in (k, j)]
-            if not engine.query(k, j, rest).independent:
-                edges.add((k, j))
+        verdicts = engine.query_block(j, first, set(adjusted) - {j})
+        edges.update((k, j) for k, verdict in zip(first, verdicts) if not verdict.independent)
     pdag = Pdag(ordering.n_nodes, directed_edges=edges, labels=labels)
     return BaselineResult(pdag=pdag, sepsets=SepsetMap(), ci_tests=engine.n_queries - start)
 
@@ -109,12 +107,14 @@ def _pc(engine, n_nodes, labels, max_level, stable, on_conflict, ordering=None):
     layered) and orients cross-layer edges by the ordering before
     v-structure detection.
     """
+    if max_level is not None and max_level < 0:
+        raise ValueError("max_level must be nonnegative")
     start = engine.n_queries
     adj = {v: set(range(n_nodes)) - {v} for v in range(n_nodes)}
     layer = [None if ordering is None else ordering.layer_of(v) for v in range(n_nodes)]
 
     def family(a, b):
-        pool = adj[b] - {a}
+        pool = adj[b]
         if layer[a] is not None and layer[b] is not None:
             latest = max(layer[a], layer[b])
             pool = {v for v in pool if layer[v] is None or layer[v] <= latest}

@@ -351,6 +351,25 @@ class BenchmarkSpec:
                     raise ValueError(f"unknown {axis} {value!r}; choose from {', '.join(valid)}")
         if not isinstance(self.weight_range, (tuple, list)) or len(self.weight_range) != 2:
             raise ValueError("weight_range must be a (low, high) pair")
+        self.fit_config("podag")  # PodagConfig checks the levels and the cap before any fit
+        self.fit_config("pc")
+
+    def fit_config(self, algorithm, backend="pcor"):
+        """The :class:`PodagConfig` of one fit in the grid.
+
+        PODAG searches within layers at ``podag_alpha``, capped at
+        ``max_sepset_size``; PC and PC+ test at ``alpha``, uncapped.
+        """
+        if algorithm == "podag":
+            return PodagConfig(
+                backend=backend,
+                alpha=self.podag_alpha,
+                screen_alpha=self.screen_alpha,
+                max_sepset_size=self.max_sepset_size,
+                learn_within_layers=True,
+                on_conflict="ignore",
+            )
+        return PodagConfig(alpha=self.alpha, on_conflict="ignore")
 
     @classmethod
     def from_json(cls, doc):
@@ -420,18 +439,7 @@ def run_benchmark(spec, threads=1, progress=None):
             for backend in backends:
                 started = time.perf_counter()
                 try:
-                    if algo == "podag":
-                        cfg = PodagConfig(
-                            backend=backend,
-                            alpha=spec.podag_alpha,
-                            screen_alpha=spec.screen_alpha,
-                            max_sepset_size=spec.max_sepset_size,
-                            learn_within_layers=True,
-                            on_conflict="ignore",
-                        )
-                    else:
-                        cfg = PodagConfig(alpha=spec.alpha, on_conflict="ignore")
-                    pdag, ci = _fit(algo, dataset, ordering, cfg)
+                    pdag, ci = _fit(algo, dataset, ordering, spec.fit_config(algo, backend))
                 except Exception as err:  # noqa: BLE001 - recorded per contract
                     label = f"{algo}/{backend}" if backend else algo
                     failures.append((cell, rep, label, repr(err)))

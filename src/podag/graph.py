@@ -407,8 +407,10 @@ class SepsetMap:
         return (min(i, j), max(i, j))
 
     def record(self, i, j, sepset):
+        """Record ``sepset`` for the pair; a frozenset is kept as given."""
         key = self._key(i, j)
-        sepset = frozenset(map(int, sepset))
+        if not isinstance(sepset, frozenset):
+            sepset = frozenset(map(int, sepset))
         if i in sepset or j in sepset:
             raise ValueError("separating set must not contain its endpoints")
         if key in self._map and self._map[key] != sepset:

@@ -215,11 +215,12 @@ def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
     """Partial-correlation screening for node ``j``.
 
     Each pool member k is kept when it depends on j given the rest of
-    the pool.  A :class:`CiEngine` source answers one query per member
-    (the oracle path).  A :class:`CovMatrix` or :class:`Dataset` source
-    reads every verdict of a stage off one precision matrix: with
-    ``threshold`` set, k is kept when its absolute partial correlation
-    exceeds the threshold (population mode); otherwise the Fisher z test
+    the pool.  A :class:`CiEngine` source answers one block of queries
+    per stage, counted once per member (the oracle path).  A
+    :class:`CovMatrix` or :class:`Dataset` source reads every verdict of
+    a stage off one precision matrix: with ``threshold`` set, k is kept
+    when its absolute partial correlation exceeds the threshold
+    (population mode); otherwise the Fisher z test
     at the deliberately liberal ``alpha`` (default 0.5, to avoid false
     negatives) decides.
 
@@ -236,9 +237,8 @@ def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
     if isinstance(source, CiEngine):
 
         def select(pool, stage):
-            return {
-                k for k in pool if not source.query(k, j, [v for v in pool if v != k]).independent
-            }
+            verdicts = source.query_block(j, pool, pool)
+            return {k for k, verdict in zip(pool, verdicts) if not verdict.independent}
 
         return _screen_node(ordering, j, select, None, verdicts=True)
 

@@ -176,46 +176,44 @@ def _query(engine, a, b, sep, t):
         raise
 
 
-def _level_zero_verdicts(engine, b, sources, bases):
-    """Verdicts of the level-0 tests ``a _||_ b | base`` of one target, in order.
+def _level_zero_verdicts(engine, b, sources, cond):
+    """Verdicts of the level-0 tests ``a _||_ b | cond - {a}`` of one target, in order.
 
-    When every base is ``cond - {a}`` for one set ``cond`` (PODAG's
-    ``cross(b)``), two or more tests go to the engine as one block.  A
-    block that raises is asked again one test at a time, so that the
-    error names the candidate that raised it.
+    Two or more tests go to the engine as one block.  A block that
+    raises is asked again one test at a time, so that the error names
+    the candidate that raised it.
     """
     if len(sources) > 1:
-        cond = frozenset().union(*bases)
-        # each base lies in cond, so it is cond - {a} when its size says so
-        if all(a not in base and len(base) == len(cond) - (a in cond) for a, base in zip(sources, bases)):
-            try:
-                return engine.query_block(b, sources, cond)
-            except PodagError:
-                pass
-    return [_query(engine, a, b, base, ()) for a, base in zip(sources, bases)]
+        try:
+            return engine.query_block(b, sources, cond)
+        except PodagError:
+            pass
+    return [_query(engine, a, b, cond - {a}, ()) for a in sources]
 
 
 def _search_levels(engine, tests, family, neighbours, max_level=None, stable=False):
     """Level-wise skeleton search shared by PODAG, PC and PC+.
 
-    ``tests`` is an ordered list of directed tests ``(a, b)``.  At level
-    ``l`` a test asks whether ``base | T`` separates ``a`` from ``b`` for
-    each ``l``-subset ``T`` of ``pool``, where ``family(a, b)`` returns
-    a fixed ``base`` and a ``pool`` drawn from the current
-    ``neighbours`` (PC's adjacencies, PODAG's blankets).  The first
+    ``tests`` is an ordered list of directed tests ``(a, b)``.
+    ``family(a, b)`` returns the target's conditioning set ``cond``,
+    which depends on ``b`` only, and a ``pool`` drawn from the current
+    ``neighbours`` (PC's adjacencies, PODAG's blankets).  At level ``l``
+    a test asks whether ``(cond - {a}) | T`` separates ``a`` from ``b``
+    for each ``l``-subset ``T`` of ``pool - {a}``.  The first
     separator found for either direction removes the pair: it is
     recorded, the mirror direction is not tested again, and each
-    endpoint leaves the other's neighbour set where it has one.  By default that last step is immediate (order-dependent
-    PC); ``stable`` defers it to the end of the level, so every test of
-    a level sees the same pools (order-independent PC, Colombo &
-    Maathuis 2014).  The search ends after a level that runs no test, or
-    after ``max_level``.
+    endpoint leaves the other's neighbour set where it has one.  By
+    default that last step is immediate (order-dependent PC); ``stable``
+    defers it to the end of the level, so every test of a level sees
+    the same pools (order-independent PC, Colombo & Maathuis 2014).  The
+    search ends after a level that runs no test, or after
+    ``max_level``.
 
-    Level 0 tests ``base`` alone, which no removal changes: a removal
-    there only skips the mirror test, whose target differs.  So each run
-    of consecutive tests with one target is asked in one go (see
-    :func:`_level_zero_verdicts`), in the same order and with the same
-    verdicts as one test at a time.
+    Level 0 tests ``cond - {a}`` alone, which no removal changes: a
+    removal there only skips the mirror test, whose target differs.  So
+    each run of consecutive tests with one target is asked in one go
+    (see :func:`_level_zero_verdicts`), in the same order and with the
+    same verdicts as one test at a time.
 
     Returns the :class:`SepsetMap` of removed pairs and the number of
     removals per level (levels without removals are left out).
@@ -245,21 +243,24 @@ def _search_levels(engine, tests, family, neighbours, max_level=None, stable=Fal
         if level == 0:
             for b, run in itertools.groupby(live, key=lambda test: test[2]):
                 run = [(pair, a) for pair, a, _ in run if pair not in removed]
-                bases = [family(a, b)[0] for _, a in run]
-                verdicts = _level_zero_verdicts(engine, b, [a for _, a in run], bases)
-                for (pair, a), base, verdict in zip(run, bases, verdicts):
-                    tested = True
+                if not run:
+                    continue
+                tested = True
+                cond = family(run[0][1], b)[0]
+                verdicts = _level_zero_verdicts(engine, b, [a for _, a in run], cond)
+                for (pair, a), verdict in zip(run, verdicts):
                     if verdict.independent:
-                        remove(pair, a, b, base)
+                        remove(pair, a, b, cond - {a})
         else:
             for pair, a, b in live:
                 if pair in removed:
                     continue
-                base, pool = family(a, b)
+                cond, pool = family(a, b)
+                pool = pool - {a}
                 if len(pool) < level:
                     continue
                 tested = True
-                for t, sep in _separators(base, pool, level):
+                for t, sep in _separators(cond - {a}, pool, level):
                     if _query(engine, a, b, sep, t).independent:
                         remove(pair, a, b, sep)
                         break
@@ -285,7 +286,7 @@ def _posthoc_sepset(engine, screen, a, b, max_level):
     """
 
     def family(other, target):
-        return screen[target].cross - {other}, screen[target].cmb - {other}
+        return screen[target].cross, screen[target].cmb
 
     for target, other in ((b, a), (a, b)):
         if target in screen:
@@ -347,7 +348,7 @@ def podag_multi_layer(engine, ordering, screen, cfg=None):
     sepsets, removals = _search_levels(
         engine,
         candidates,
-        lambda k, j: (cross[j] - {k}, blanket[j] - {k}),
+        lambda k, j: (cross[j], blanket[j]),
         blanket,
         cfg.max_sepset_size,
         cfg.stable,

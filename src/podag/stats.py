@@ -12,11 +12,11 @@ rejected when ``dpocon`` estimates its reciprocal condition number below
 ``RCOND_MIN``.  :func:`partial_correlation` solves the conditioning
 block with ``dpotrs``; a block precision matrix (``dpotri``) serves
 every partial correlation of one block at once: all of a screening pool
-in :func:`block_partial_correlations`, and every query of the Gaussian
-engine whose conditioning union ``S + {i, j}`` it last factored.  A
-block of queries (:meth:`CiEngine.query_block`, the level-0 tests of one
-search target) takes at most two factorizations in the Gaussian engine,
-with an exact fallback to single queries (see :class:`GaussianEngine`).
+in :func:`block_partial_correlations`, and the Gaussian engine's query
+on its conditioning union ``S + {i, j}``.  A block of queries
+(:meth:`CiEngine.query_block`, the level-0 tests of one search target)
+takes at most two factorizations in the Gaussian engine, with an exact
+fallback to single queries (see :class:`GaussianEngine`).
 The Fisher z test reads its threshold
 ``Phi^-1(1 - alpha/2)`` from a per-alpha cache and its two-sided p-value
 from ``2 Phi(-|z|)``, both straight from the ``scipy.special`` ufuncs
@@ -481,24 +481,22 @@ class OracleEngine(CiEngine):
 class GaussianEngine(CiEngine):
     """Fisher z test on the partial correlations of one covariance matrix.
 
-    Accepts a :class:`Dataset` (covariance computed lazily on first
-    query, so degenerate data surfaces per query) or a ready
-    :class:`CovMatrix` with a sample size.
+    Accepts a :class:`Dataset`, whose checked covariance is computed
+    once, at construction (so degenerate data raises there), or a ready
+    :class:`CovMatrix` with a sample size.  Apart from the query counter
+    the engine never changes after construction, so it is safe to share
+    across threads.
 
     A query ``(i, j | S)`` with S non-empty reads its partial correlation
     off the precision matrix of the union block ``U = S + {i, j}``:
-    ``rho = -Omega_ij / sqrt(Omega_ii Omega_jj)``.  The engine keeps the
-    last union's precision matrix in one slot and factors ``Sigma_UU``
-    only when the union changes.  The slot is one immutable ``(union,
-    positions, Omega)`` tuple with a read-only ``Omega``, read once per
-    query, so the engine stays safe to share across threads.
+    ``rho = -Omega_ij / sqrt(Omega_ii Omega_jj)``.
 
     A block ``query_block(b, sources, cond)`` (the level-0 tests of one
     target) needs at most two factorizations.  Sources inside ``cond``
     (cross candidates) share the union ``cond + {b}`` and read their rho
-    off its slot, exactly as single queries do.  Sources outside it
-    (within candidates, each conditioning on ``cond`` itself) take
-    :func:`partial_correlation`'s Schur complement on one factored
+    off its precision matrix, exactly as single queries do.  Sources
+    outside it (within candidates, each conditioning on ``cond`` itself)
+    take :func:`partial_correlation`'s Schur complement on one factored
     ``Sigma_cond``, batched; a source whose residual variance given the
     rest of its union falls below ``sqrt(RCOND_MIN)`` of its variance,
     where its union may be near singular, is asked as a single query.
@@ -516,54 +514,33 @@ class GaussianEngine(CiEngine):
         self.alpha = float(alpha)
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
-        self._dataset = None
-        self._cov = None
         if isinstance(source, Dataset):
             if source.n < 4:
                 raise InsufficientDataError("gaussian engine needs n >= 4")
-            self._dataset = source
-            self._n = source.n
+            self.cov = _checked_covariance(source)
         elif isinstance(source, CovMatrix):
             if source.n is None:
                 raise ValueError("a CovMatrix source needs a sample size n")
-            self._cov = source
-            self._n = source.n
+            self.cov = source
         else:
             raise TypeError("source must be a Dataset or CovMatrix")
-        self._cov_lock = threading.Lock()
-        self._slot = None
+        self._n = source.n
 
-    @property
-    def cov(self):
-        if self._cov is None:
-            with self._cov_lock:
-                if self._cov is None:
-                    self._cov = _checked_covariance(self._dataset)
-        return self._cov
-
-    def _union_slot(self, union):
-        """The ``(union, positions, Omega)`` slot of a union, or None when it is singular."""
-        slot = self._slot
-        if slot is None or slot[0] != union:
-            idx = sorted(union)
-            try:
-                omega = _block_precision(self.cov.values, idx, context=None)
-            except SingularityError:
-                return None
-            omega.setflags(write=False)
-            slot = (union, {v: pos for pos, v in enumerate(idx)}, omega)
-            self._slot = slot
-        return slot
+    def _union_precision(self, union):
+        """``(positions, Omega)`` of a union's precision matrix, or None when it is singular."""
+        idx = sorted(union)
+        try:
+            omega = _block_precision(self.cov.values, idx, context=None)
+        except SingularityError:
+            return None
+        return {v: pos for pos, v in enumerate(idx)}, omega
 
     def _decide(self, i, j, s):
-        cov = self.cov
-        if not s:
-            return fisher_z_test(cov, self._n, i, j, s, self.alpha)
         dof = _fisher_z_dof(self._n, len(s))
-        slot = self._union_slot(s.union((i, j)))
-        if slot is None:
-            return fisher_z_test(cov, self._n, i, j, s, self.alpha)
-        _, positions, omega = slot
+        union = self._union_precision(s.union((i, j))) if s else None
+        if union is None:
+            return fisher_z_test(self.cov, self._n, i, j, s, self.alpha)
+        positions, omega = union
         a, b = positions[i], positions[j]  # a < b: Omega's lower triangle holds (b, a)
         rho = -omega.item(b, a) / math.sqrt(omega.item(a, a) * omega.item(b, b))
         return _fisher_z_verdict(min(max(rho, -1.0), 1.0), dof, self.alpha)
@@ -586,10 +563,10 @@ class GaussianEngine(CiEngine):
 
     def _inside_block(self, b, sources, cond, dof):
         """Verdicts for sources in ``cond``, off the precision matrix of ``cond + {b}``."""
-        slot = self._union_slot(cond.union((b,)))
-        if slot is None:
+        union = self._union_precision(cond.union((b,)))
+        if union is None:
             return {}
-        _, positions, omega = slot
+        positions, omega = union
         at = np.array([positions[a] for a in sources])
         bt = positions[b]
         # Omega's lower triangle holds (max, min); the rho of each pair is

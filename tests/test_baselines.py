@@ -4,16 +4,26 @@ import pytest
 
 from podag import (
     Dag,
+    GaussianEngine,
     OracleEngine,
     PartialOrdering,
+    RecordingEngine,
     estimate_h0,
     estimate_h_minus_j,
     pc,
     pc_plus,
 )
-from podag.sem import rng_from_seed, toy_two_layer_sem
+from podag.sem import (
+    GenConfig,
+    generate_layered_dag,
+    random_weights,
+    rng_from_seed,
+    sample,
+    toy_two_layer_sem,
+)
 
 from helpers import (
+    counting_factorizations,
     enumeration_maximal_pdag,
     random_bipartite_instance,
     random_layered_instance,
@@ -102,6 +112,36 @@ class TestHMinusJ:
             assert dag.cross_edges(ordering) <= res.edges
             for k, j in res.edges - dag.edges:
                 assert hminus_false_positive_pattern(dag, k, j), (sorted(dag.edges), k, j)
+
+
+class TestNaiveEstimatorBlocks:
+    """h0 and h-minus-j ask one block of queries per second-layer node."""
+
+    @pytest.mark.parametrize("adjust_second", [False, True])
+    def test_blocks_replay_a_single_query_loop(self, monkeypatch, adjust_second):
+        rng = rng_from_seed(21)
+        dag, ordering = generate_layered_dag(
+            GenConfig(n_nodes=14, expected_edges_per_node=2.0, layers=2), rng
+        )
+        data = sample(random_weights(dag, rng), 300, rng)
+        first, second = (sorted(layer) for layer in ordering.layers)
+        adjusted = first + second if adjust_second else first
+        single = RecordingEngine(GaussianEngine(data))
+        want = {
+            (k, j)
+            for j in second
+            for k in first
+            if not single.query(k, j, [v for v in adjusted if v not in (k, j)]).independent
+        }
+        assert 0 < len(want) < len(first) * len(second)
+        factorizations = counting_factorizations(monkeypatch)
+        block = RecordingEngine(GaussianEngine(data))
+        estimator = estimate_h_minus_j if adjust_second else estimate_h0
+        res = estimator(block, ordering)
+        assert res.edges == want
+        assert block.records == single.records
+        assert res.ci_tests == single.n_queries
+        assert len(factorizations) == len(second)
 
 
 class TestPc:

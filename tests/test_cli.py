@@ -207,6 +207,18 @@ class TestLearn:
         # stable PC defers removals (more tests); a cap of 0 stops after level 0
         assert flagged > plain if flag == ["--stable"] else flagged < plain
 
+    @pytest.mark.parametrize("algorithm", ["pc", "pc+"])
+    def test_negative_cap_on_pc_exits_two(self, tmp_path, capsys, algorithm):
+        sim = simulate_into(tmp_path, nodes=8)
+        out = tmp_path / "neg"
+        code = run(
+            ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
+             "--algorithm", algorithm, "--max-sepset-size", -1, "-o", out]
+        )
+        assert code == EXIT_USAGE
+        assert "max_level must be nonnegative" in capsys.readouterr().err
+        assert not (out / "edges.tsv").exists()
+
     def test_screen_only_mode(self, tmp_path):
         sim = simulate_into(tmp_path)
         out = tmp_path / "screen"
@@ -287,6 +299,25 @@ class TestBenchmark:
         spec.write_text('{"scopes": ["cross_only", "skel"]}')
         assert run(["benchmark", "--spec", spec, "-o", out]) == EXIT_USAGE
         assert "unknown scope 'skel'" in capsys.readouterr().err
+        assert grids == [] and not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-sepset-size", -1, "max_sepset_size must be nonnegative"),
+            ("--podag-alpha", 1.5, "alpha must be in (0, 1)"),
+            ("--alpha", 0, "alpha must be in (0, 1)"),
+            ("--screen-alpha", 1, "screen_alpha must be in (0, 1)"),
+        ],
+    )
+    def test_bad_levels_and_cap_exit_two_before_any_fit(
+        self, tmp_path, monkeypatch, capsys, flag, value, message
+    ):
+        grids = []
+        monkeypatch.setattr(podag.cli, "run_benchmark", lambda *args, **kwargs: grids.append(args))
+        out = tmp_path / "bench.csv"
+        assert run(["benchmark", "--algorithms", "pc,pc_plus", flag, value, "-o", out]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
         assert grids == [] and not out.exists()
 
 

@@ -320,6 +320,21 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match=message):
             BenchmarkSpec(**{key: tuple(values)})
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"max_sepset_size": -1}, "max_sepset_size must be nonnegative"),
+            ({"podag_alpha": 1.5}, r"alpha must be in \(0, 1\)"),
+            ({"alpha": 0}, r"alpha must be in \(0, 1\)"),
+            ({"screen_alpha": 1}, r"screen_alpha must be in \(0, 1\)"),
+        ],
+    )
+    def test_spec_rejects_bad_levels_and_cap(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            BenchmarkSpec.from_json({**doc, "algorithms": ["pc"]})
+        with pytest.raises(ValueError, match=message):
+            BenchmarkSpec(**doc)
+
     def test_all_backends_run(self):
         spec = BenchmarkSpec(
             n_nodes=(8,),

@@ -383,11 +383,10 @@ class TestEngines:
         again = eng.query(0, 2, {1})
         assert first == again
 
-    def test_gaussian_engine_constant_column_errors_per_query(self):
+    def test_gaussian_engine_constant_column_errors_at_construction(self):
         data = Dataset(np.column_stack([np.arange(10.0), np.ones(10)]))
-        eng = GaussianEngine(data, alpha=0.05)
         with pytest.raises(DegenerateDataError):
-            eng.query(0, 1, ())
+            GaussianEngine(data, alpha=0.05)
 
     def test_gaussian_engine_true_independence_rate(self):
         # X2 and Y1 are d-separated by X1 in the toy SEM: at alpha=0.05 the
@@ -483,31 +482,49 @@ def dependent_four_columns():
     return Dataset(x), PartialOrdering([{0, 1}, {2, 3}], n_nodes=4)
 
 
+def learn_p120_fit():
+    """Data, ordering and config of a fit of the benchmark's learn-p120 kind: p=120, L=5, n=1000."""
+    rng = rng_from_seed(120)
+    dag, ordering = generate_layered_dag(
+        GenConfig(n_nodes=120, expected_edges_per_node=3.0, layers=5), rng
+    )
+    data = sample(random_weights(dag, rng), 1000, rng)
+    cfg = PodagConfig(alpha=0.005, learn_within_layers=True, max_sepset_size=3, on_conflict="ignore")
+    return data, ordering, cfg
+
+
 class TestUnionPrecision:
-    """GaussianEngine reads rho off the precision matrix of the last conditioning union."""
+    """GaussianEngine reads rho off the precision matrix of each conditioning union."""
 
     def test_learn_fit_replays_fisher_z_verdicts(self, monkeypatch):
-        # a fit of the benchmark's learn-p120 kind: p=120, L=5, n=1000
-        rng = rng_from_seed(120)
-        dag, ordering = generate_layered_dag(
-            GenConfig(n_nodes=120, expected_edges_per_node=3.0, layers=5), rng
-        )
-        data = sample(random_weights(dag, rng), 1000, rng)
-        factorizations = counting_factorizations(monkeypatch)
-        checking = CheckingEngine(GaussianEngine(data, alpha=0.005), data.n)
-        cfg = PodagConfig(alpha=0.005, learn_within_layers=True, max_sepset_size=3, on_conflict="ignore")
+        data, ordering, cfg = learn_p120_fit()
+        checking = CheckingEngine(GaussianEngine(data, alpha=cfg.alpha), data.n)
         learn(data, ordering, cfg, engine=checking)
         conditioned = sum(1 for s, _, _ in checking.replay if s)
         assert conditioned > 1000
         assert {got.independent for _, got, _ in checking.replay} == {True, False}
         assert all(same_outcome(got, want) for _, got, want in checking.replay)
-        assert 0 < len(factorizations) < conditioned / 2  # unions were reused
+        # the checking wrapper asks one query at a time; through the plain
+        # engine the same fit asks level-0 blocks, which share their unions
+        factorizations = counting_factorizations(monkeypatch)
+        learn(data, ordering, cfg, engine=GaussianEngine(data, alpha=cfg.alpha))
+        assert 0 < len(factorizations) < conditioned / 2
+
+    def test_engine_is_unchanged_by_a_fit(self):
+        data, ordering, cfg = learn_p120_fit()
+        engine = GaussianEngine(data, alpha=cfg.alpha)
+        built = dict(vars(engine))
+        learn(data, ordering, cfg, engine=engine)
+        after = dict(vars(engine))
+        assert after.pop("_n_queries") > built.pop("_n_queries") == 0
+        assert after.keys() == built.keys()
+        assert all(after[key] is built[key] for key in built)
 
     def test_threads_sharing_an_engine_get_the_sequential_verdicts(self):
         rng = rng_from_seed(32)
         data = Dataset(rng.normal(size=(300, 10)) @ rng.normal(size=(10, 10)))
-        # each thread cycles through pairs of its own union, so the one slot
-        # is replaced whenever the threads interleave
+        # each thread cycles through pairs of its own union while the
+        # threads interleave; the engine keeps no state between queries
         unions = [(0, 1, 2, 3, 4, 5), (3, 4, 5, 6, 7, 8, 9)]
         work = [
             [(i, j, set(u) - {i, j}) for i, j in itertools.combinations(u, 2)] * 20 for u in unions
@@ -622,6 +639,24 @@ class TestBlockQueries:
         assert all(same_outcome(g, w) for g, w in zip(got, want)), (b, sources, cond)
         assert block.n_queries == block.inner.n_queries == single.n_queries == len(sources)
         assert block.records == single.records
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(4, 9),
+        n=st.integers(12, 400),
+        alpha=st.sampled_from([0.5, 0.05, 0.001]),
+    )
+    def test_inside_sources_equal_single_queries(self, seed, m, n, alpha):
+        rng = np.random.default_rng(seed)
+        engine = GaussianEngine(CovMatrix(random_pd(rng, m), n=n), alpha=alpha)
+        b = int(rng.integers(m))
+        others = [int(v) for v in rng.permutation([v for v in range(m) if v != b])]
+        cond = frozenset(others[: int(rng.integers(2, m))])
+        sources = [a for a in others if a in cond]
+        got = engine.query_block(b, sources, cond)
+        # the same rho, bit for bit, so the same statistic and p-value
+        assert got == [engine.query(a, b, cond - {a}) for a in sources]
 
     def test_singular_unions_fall_back_to_single_queries(self):
         data, _ = dependent_four_columns()
