@@ -157,16 +157,6 @@ def _set_phase(engine, phase):
         engine.phase = phase
 
 
-def _separators(base, pool, level):
-    """Candidate separators ``base | T`` over the ``level``-subsets ``T`` of ``pool``.
-
-    Yields ``(T, base | T)`` with ``T`` in lexicographic order of the
-    sorted pool: the one place separator candidates are enumerated.
-    """
-    for t in itertools.combinations(sorted(pool), level):
-        yield t, base.union(t)
-
-
 def _query(engine, a, b, sep, t):
     """``engine.query(a, b, sep)``, its error naming the candidate and ``T``."""
     try:
@@ -191,6 +181,22 @@ def _level_zero_verdicts(engine, b, sources, cond):
     return [_query(engine, a, b, cond - {a}, ()) for a in sources]
 
 
+def _first_separator(engine, a, b, base, subsets):
+    """Index of the first ``T`` in ``subsets`` for which ``base | T`` separates ``a`` and ``b``.
+
+    None when none does.  The subsets go to the engine as one
+    :meth:`CiEngine.query_first` call.  One that raises is asked again
+    one separator at a time, so that the error names the candidate and
+    ``T``.
+    """
+    try:
+        return engine.query_first(a, b, base, subsets)
+    except PodagError:
+        for t in subsets:
+            _query(engine, a, b, base.union(t), t)
+        raise
+
+
 def _search_levels(engine, tests, family, neighbours, max_level=None, stable=False):
     """Level-wise skeleton search shared by PODAG, PC and PC+.
 
@@ -213,7 +219,11 @@ def _search_levels(engine, tests, family, neighbours, max_level=None, stable=Fal
     removal there only skips the mirror test, whose target differs.  So
     each run of consecutive tests with one target is asked in one go
     (see :func:`_level_zero_verdicts`), in the same order and with the
-    same verdicts as one test at a time.
+    same verdicts as one test at a time.  At later levels each test asks
+    its separators in one call (see :func:`_first_separator`), which
+    returns the first ``T`` that separates, in lexicographic order of the
+    sorted pool, and counts the prefix a one-at-a-time loop would ask;
+    only the separator that removes the pair is built as a set.
 
     Returns the :class:`SepsetMap` of removed pairs and the number of
     removals per level (levels without removals are left out).
@@ -260,10 +270,11 @@ def _search_levels(engine, tests, family, neighbours, max_level=None, stable=Fal
                 if len(pool) < level:
                     continue
                 tested = True
-                for t, sep in _separators(cond - {a}, pool, level):
-                    if _query(engine, a, b, sep, t).independent:
-                        remove(pair, a, b, sep)
-                        break
+                base = cond - {a}
+                subsets = list(itertools.combinations(sorted(pool), level))
+                k = _first_separator(engine, a, b, base, subsets)
+                if k is not None:
+                    remove(pair, a, b, base.union(subsets[k]))
         if not tested:
             break
         if stable:

@@ -16,7 +16,13 @@ in :func:`block_partial_correlations`, and the Gaussian engine's query
 on its conditioning union ``S + {i, j}``.  A block of queries
 (:meth:`CiEngine.query_block`, the level-0 tests of one search target)
 takes at most two factorizations in the Gaussian engine, with an exact
-fallback to single queries (see :class:`GaussianEngine`).
+fallback to single queries (see :class:`GaussianEngine`).  A test of
+the search at level 1 and up asks its separators in one call
+(:meth:`CiEngine.query_first`), which returns the first that separates
+and counts the prefix a one-at-a-time loop would ask; the Gaussian
+engine answers it from one stacked Cholesky factorization of all the
+unions, and asks a union that is not provably well conditioned as a
+single query.
 The Fisher z test reads its threshold
 ``Phi^-1(1 - alpha/2)`` from a per-alpha cache and its two-sided p-value
 from ``2 Phi(-|z|)``, both straight from the ``scipy.special`` ufuncs
@@ -40,6 +46,7 @@ from scipy.special import ndtr, ndtri
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
+    LabelMismatchError,
     SingularityError,
 )
 
@@ -59,6 +66,23 @@ __all__ = [
 ]
 
 RCOND_MIN = 1e-12  # reciprocal condition number below this raises SingularityError
+RCOND_MARGIN = 1e3  # a stacked union needs an exact reciprocal condition number this far above it
+STACK_SIZE = 256  # unions per stacked kernel call in GaussianEngine.query_first
+
+
+def _column_labels(labels, m):
+    """The labels of ``m`` columns as strings, ``V0, V1, ...`` by default.
+
+    Raises :class:`LabelMismatchError` naming the labels that repeat.
+    """
+    if labels is None:
+        labels = [f"V{i}" for i in range(m)]
+    if len(labels) != m:
+        raise ValueError("labels must have one entry per column")
+    labels = tuple(str(x) for x in labels)
+    if len(set(labels)) != m:
+        raise LabelMismatchError({x for x in labels if labels.count(x) > 1}, "duplicate column labels")
+    return labels
 
 
 class Dataset:
@@ -77,11 +101,7 @@ class Dataset:
             raise ValueError("data contains non-finite entries")
         self.data = data
         self.data.setflags(write=False)
-        if labels is None:
-            labels = [f"V{i}" for i in range(m)]
-        if len(labels) != m:
-            raise ValueError("labels must have one entry per column")
-        self.labels = tuple(str(x) for x in labels)
+        self.labels = _column_labels(labels, m)
 
     @property
     def n(self):
@@ -140,11 +160,7 @@ class CovMatrix:
         self.values = 0.5 * (values + values.T)
         self.values.setflags(write=False)
         self.n = None if n is None else int(n)
-        if labels is None:
-            labels = [f"V{i}" for i in range(len(values))]
-        if len(labels) != len(values):
-            raise ValueError("labels must have one entry per column")
-        self.labels = tuple(str(x) for x in labels)
+        self.labels = _column_labels(labels, len(values))
 
     @property
     def m(self):
@@ -424,6 +440,12 @@ class CiEngine:
     in the skeleton search.  It counts one query per source and answers
     as the per-source queries would; ``_decide_block`` loops over
     ``_decide`` unless an engine shares work across the block.
+
+    ``query_first(a, b, base, subsets)`` asks the separators ``base | T``
+    of one skeleton-search test in order and stops at the first
+    independent one: it counts index + 1 queries, or all of them, as the
+    sequential loop would.  ``_decide_first`` is that loop over
+    ``_decide`` unless an engine decides several separators at once.
     """
 
     def __init__(self):
@@ -434,13 +456,16 @@ class CiEngine:
     def n_queries(self):
         return self._n_queries
 
+    def _count(self, n):
+        with self._count_lock:
+            self._n_queries += n
+
     def query(self, i, j, s=()):
         i, j = int(i), int(j)
         s = frozenset(map(int, s))
         if i == j or i in s or j in s:
             raise ValueError("i, j and s must be disjoint")
-        with self._count_lock:
-            self._n_queries += 1
+        self._count(1)
         return self._decide(min(i, j), max(i, j), s)
 
     def query_block(self, b, sources, cond):
@@ -455,15 +480,38 @@ class CiEngine:
         cond = frozenset(map(int, cond))
         if b in cond or b in sources:
             raise ValueError("b must lie outside sources and cond")
-        with self._count_lock:
-            self._n_queries += len(sources)
+        self._count(len(sources))
         return self._decide_block(b, sources, cond)
+
+    def query_first(self, a, b, base, subsets):
+        """Index of the first ``T`` in ``subsets`` for which ``base | T`` separates ``a`` and ``b``.
+
+        None when none does.  The same answer, count and errors as asking
+        ``query(a, b, base | T)`` for each ``T`` in order until the first
+        independent verdict.  ``subsets`` are tuples of distinct nodes
+        outside ``base`` and ``{a, b}``.
+        """
+        a, b = int(a), int(b)
+        base = frozenset(map(int, base))
+        subsets = list(subsets)
+        members = set().union(*subsets)
+        if a == b or not {a, b}.isdisjoint(base.union(members)) or not base.isdisjoint(members):
+            raise ValueError("a, b, base and each T must be disjoint")
+        return self._decide_first(min(a, b), max(a, b), base, subsets, self._count)
 
     def _decide(self, i, j, s):
         raise NotImplementedError
 
     def _decide_block(self, b, sources, cond):
         return [self._decide(min(a, b), max(a, b), cond - {a}) for a in sources]
+
+    def _decide_first(self, i, j, base, subsets, count):
+        # count(n) counts the next n separators, before any of them is decided
+        for k, t in enumerate(subsets):
+            count(1)
+            if self._decide(i, j, base.union(t)).independent:
+                return k
+        return None
 
 
 class OracleEngine(CiEngine):
@@ -489,7 +537,10 @@ class GaussianEngine(CiEngine):
 
     A query ``(i, j | S)`` with S non-empty reads its partial correlation
     off the precision matrix of the union block ``U = S + {i, j}``:
-    ``rho = -Omega_ij / sqrt(Omega_ii Omega_jj)``.
+    ``rho = -Omega_ij / sqrt(Omega_ii Omega_jj)``.  With S empty it reads
+    the correlation off three covariance entries, with
+    :func:`partial_correlation`'s formula and operation order, so the
+    same bits.
 
     A block ``query_block(b, sources, cond)`` (the level-0 tests of one
     target) needs at most two factorizations.  Sources inside ``cond``
@@ -501,12 +552,21 @@ class GaussianEngine(CiEngine):
     rest of its union falls below ``sqrt(RCOND_MIN)`` of its variance,
     where its union may be near singular, is asked as a single query.
 
-    Everything else is :func:`fisher_z_test`'s: an empty S takes its
-    direct path, its degrees-of-freedom guard fires before any
-    factoring, and a union block that fails the singularity guard falls
-    back to it exactly, so errors (with their ``(i, j, S)`` context) and
-    verdicts on rank-deficient data are its own.  Statistics may differ
-    from it in the last bits.
+    A test ``query_first(a, b, base, subsets)`` (one test of the search
+    at level 1 and up) takes one stacked Cholesky factorization of the
+    unions ``base + T + {a, b}``, up to ``STACK_SIZE`` at a time (see
+    :meth:`_stacked_verdicts`).  A union that is not provably a block
+    the single query accepts, positive definite with a reciprocal
+    condition number ``RCOND_MARGIN`` times above ``RCOND_MIN``, is asked
+    as a single query in its place in the order.  A test with fewer than
+    two separators, or whose degrees-of-freedom guard fails, is asked
+    one separator at a time.
+
+    Everything else is :func:`fisher_z_test`'s: its degrees-of-freedom
+    guard fires before any factoring, and a union block that fails the
+    singularity guard falls back to it exactly, so errors (with their
+    ``(i, j, S)`` context) and verdicts on rank-deficient data are its
+    own.  Statistics may differ from it in the last bits.
     """
 
     def __init__(self, source, alpha=0.05):
@@ -537,13 +597,75 @@ class GaussianEngine(CiEngine):
 
     def _decide(self, i, j, s):
         dof = _fisher_z_dof(self._n, len(s))
-        union = self._union_precision(s.union((i, j))) if s else None
+        if not s:
+            # partial_correlation's formula and operation order, so the same
+            # bits; a CovMatrix has a positive diagonal
+            sigma = self.cov.values
+            rho = sigma.item(i, j) / math.sqrt(sigma.item(i, i) * sigma.item(j, j))
+            return _fisher_z_verdict(min(max(rho, -1.0), 1.0), dof, self.alpha)
+        union = self._union_precision(s.union((i, j)))
         if union is None:
             return fisher_z_test(self.cov, self._n, i, j, s, self.alpha)
         positions, omega = union
         a, b = positions[i], positions[j]  # a < b: Omega's lower triangle holds (b, a)
         rho = -omega.item(b, a) / math.sqrt(omega.item(a, a) * omega.item(b, b))
         return _fisher_z_verdict(min(max(rho, -1.0), 1.0), dof, self.alpha)
+
+    def _decide_first(self, i, j, base, subsets, count):
+        level = len(subsets[0]) if subsets else 0
+        dof = self._n - len(base) - level - 3
+        if len(subsets) < 2 or dof <= 0 or len(set(map(len, subsets))) > 1:
+            # nothing to share, or the degrees-of-freedom guard raises at once
+            return super()._decide_first(i, j, base, subsets, count)
+        base_order = sorted(base)
+        asked = 0
+        for start in range(0, len(subsets), STACK_SIZE):
+            chunk = subsets[start : start + STACK_SIZE]
+            batched, independent = self._stacked_verdicts(i, j, base_order, chunk, dof)
+            # the unions that are independent or must be asked alone, in order
+            for k in np.flatnonzero(independent | ~batched).tolist():
+                count(start + k + 1 - asked)
+                asked = start + k + 1
+                if batched[k] or self._decide(i, j, base.union(chunk[k])).independent:
+                    return start + k
+        count(len(subsets) - asked)
+        return None
+
+    def _stacked_verdicts(self, i, j, base, subsets, dof):
+        """``(batched, independent)`` flags of the unions ``base + T + [i, j]`` of ``subsets``.
+
+        One stacked Cholesky factorization ``L`` of the ``(K, m, m)``
+        union blocks, each ordered ``base + T + [i, j]``; when some union
+        is not positive definite, none is batched.  A union is batched
+        when a rigorous lower bound on its 1-norm reciprocal condition
+        number reaches ``RCOND_MIN`` with a margin of ``RCOND_MARGIN``:
+        then the single query's factorization succeeds and its condition
+        estimate, never below the exact value, passes the guard.  The
+        bound is ``det(R) min(d) / (e m^2 max(d))``, with ``d`` the
+        union's diagonal and ``R`` its correlation matrix: the 2-norm
+        condition number is at most ``max(d) / min(d)`` times that of
+        ``R``, which is below ``e m / det(R)`` because the eigenvalues of
+        ``R`` sum to ``m``, and the 1-norm one is at most ``m`` times the
+        2-norm one.  A NaN fails the bound.  The last two rows of ``L``
+        end in the factor ``[[p, 0], [q, r]]`` of the covariance of ``i``
+        and ``j`` given the rest, so ``rho = q / hypot(q, r)``.
+        """
+        order = np.array([(*base, *t, i, j) for t in subsets], dtype=np.intp)
+        blocks = self.cov.values[order[:, :, None], order[:, None, :]]
+        try:
+            factor = np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError:  # some union is not positive definite
+            nothing = np.zeros(len(subsets), dtype=bool)
+            return nothing, nothing
+        m = order.shape[1]
+        d = np.diagonal(blocks, axis1=1, axis2=2)
+        det_r = np.multiply.reduce(np.diagonal(factor, axis1=1, axis2=2) ** 2 / d, axis=1)
+        spread = np.maximum.reduce(d, axis=1) / np.minimum.reduce(d, axis=1)
+        batched = spread * (math.e * m * m * RCOND_MIN * RCOND_MARGIN) <= det_r
+        q = factor[:, -1, -2]
+        rhos = q / np.hypot(q, factor[:, -1, -1])  # hypot >= |q|, so |rho| <= 1
+        _, independent = _fisher_z_statistics(rhos, dof, self.alpha)
+        return batched, independent & batched
 
     def _decide_block(self, b, sources, cond):
         inside = [a for a in sources if a in cond]
@@ -634,6 +756,19 @@ class RecordingEngine(CiEngine):
         with self._records_lock:
             self.records.extend((min(a, b), max(a, b), cond - {a}, self.phase) for a in sources)
         return self.inner.query_block(b, sources, cond)
+
+    def _decide_first(self, i, j, base, subsets, count):
+        asked = 0
+
+        def count_and_record(n):
+            nonlocal asked
+            count(n)
+            self.inner._count(n)
+            with self._records_lock:
+                self.records.extend((i, j, base.union(t), self.phase) for t in subsets[asked : asked + n])
+            asked += n
+
+        return self.inner._decide_first(i, j, base, subsets, count_and_record)
 
     def tuples(self, phases=None):
         """Recorded (i, j, s) tuples, optionally filtered by phase tags."""

@@ -100,6 +100,16 @@ class TestLearn:
         )
         assert code == EXIT_LABELS
 
+    def test_repeated_data_label_exits_three_naming_it(self, tmp_path, capsys):
+        data = tmp_path / "repeated.csv"
+        data.write_text("A,B,A\n1.0,2.0,3.0\n2.0,3.0,1.0\n3.0,1.0,2.0\n4.0,4.0,5.0\n5.0,6.0,4.0\n")
+        layering = tmp_path / "lay.txt"
+        layering.write_text("A\nB\n")
+        code = run(["learn", "--data", data, "--layering", layering, "-o", tmp_path / "o"])
+        assert code == EXIT_LABELS
+        err = capsys.readouterr().err
+        assert "duplicate column labels: ['A']" in err and "layering" not in err
+
     def test_degenerate_data_exits_four(self, tmp_path):
         data = tmp_path / "flat.csv"
         data.write_text("a,b\n1.0,5.0\n2.0,5.0\n3.0,5.0\n4.0,5.0\n")

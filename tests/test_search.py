@@ -181,6 +181,19 @@ class TestSkeletonDriver:
             else:
                 pc_plus(FailingEngine(), ordering)
 
+    def test_level_one_errors_carry_candidate_context(self):
+        class FailingGivenAnything(OracleEngine):
+            def _decide(self, i, j, s):
+                if s:
+                    raise SingularityError(context=(i, j, tuple(sorted(s))))
+                return super()._decide(i, j, s)
+
+        # the chain 0 -> 1 -> 2 keeps every pair at level 0
+        engine = FailingGivenAnything(Dag(3, [(0, 1), (1, 2)]))
+        with pytest.raises(SingularityError, match=r"\[candidate \(1, 0\), T=\(2,\)\]$"):
+            pc(engine, 3)
+        assert engine.n_queries == 6 + 2  # level 0, then the separator twice
+
     def test_learn_engine_errors_carry_candidate_context(self):
         # 2 = 0 + 1 + noise: screening keeps cross(2) = {0, 1}, so the two
         # level-0 tests of target 2 go to the engine as one block
@@ -228,6 +241,53 @@ class TestSkeletonDriver:
             )
         assert fits[0] == fits[1]
         assert len(per_target) > 100 and max(per_target.values()) <= 2
+
+    @pytest.mark.parametrize("algorithm", ["pc", "pc_plus", "pcor", "sis"])
+    def test_stacked_separators_replay_single_queries(self, monkeypatch, algorithm):
+        # data of the simulation grid's kind: p=50, L=5, n=500, sets up to 3
+        rng = rng_from_seed(50)
+        dag, ordering = generate_layered_dag(
+            GenConfig(n_nodes=50, expected_edges_per_node=3.0, layers=5), rng
+        )
+        data = sample(random_weights(dag, rng), 500, rng)
+        stacked = []
+        kernel = GaussianEngine._stacked_verdicts
+        monkeypatch.setattr(
+            GaussianEngine, "_stacked_verdicts", lambda *args: stacked.append(args) or kernel(*args)
+        )
+
+        class SequentialFirst(GaussianEngine):
+            _decide_first = CiEngine._decide_first
+
+        fits = []
+        for engine_class in (GaussianEngine, SequentialFirst):
+            recorder = RecordingEngine(engine_class(data, alpha=0.05))
+            if algorithm == "pc":
+                res = pc(recorder, data.m, max_level=3, on_conflict="ignore")
+                pdag, ci_tests = res.pdag, res.ci_tests
+            elif algorithm == "pc_plus":
+                res = pc_plus(recorder, ordering, max_level=3, on_conflict="ignore")
+                pdag, ci_tests = res.pdag, res.ci_tests
+            else:
+                cfg = PodagConfig(
+                    backend=algorithm, max_sepset_size=3, learn_within_layers=True, on_conflict="ignore"
+                )
+                res = learn(data, ordering, cfg, engine=recorder)
+                pdag, ci_tests = res.as_pdag(), res.diagnostics.ci_tests
+            fits.append(
+                (
+                    pdag.directed_edges,
+                    pdag.undirected_edges,
+                    sorted(res.sepsets.items()),
+                    ci_tests,
+                    query_digest(recorder),
+                )
+            )
+            if engine_class is GaussianEngine:
+                assert len(stacked) > 10  # the stacked kernel answered
+                stacked.clear()
+        assert fits[0] == fits[1]
+        assert stacked == []
 
 
 class TestScreeningVerdictSepsets:

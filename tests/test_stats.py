@@ -30,7 +30,12 @@ from podag import (
     pc,
     sample_covariance,
 )
-from podag.errors import DegenerateDataError, InsufficientDataError, SingularityError
+from podag.errors import (
+    DegenerateDataError,
+    InsufficientDataError,
+    LabelMismatchError,
+    SingularityError,
+)
 from podag.sem import (
     GenConfig,
     generate_layered_dag,
@@ -142,6 +147,14 @@ class TestCovMatrix:
     def test_rejects_nonpositive_diagonal(self):
         with pytest.raises(DegenerateDataError):
             CovMatrix([[0.0, 0.0], [0.0, 1.0]])
+
+    def test_repeated_labels_are_named(self):
+        labels = ["A", "B", "A", "C", "B"]
+        message = r"duplicate column labels: \['A', 'B'\]"
+        with pytest.raises(LabelMismatchError, match=message):
+            CovMatrix(np.eye(5), n=10, labels=labels)
+        with pytest.raises(LabelMismatchError, match=message):
+            Dataset(rng_from_seed(1).normal(size=(10, 5)), labels)
 
 
 class TestPartialCorrelation:
@@ -361,6 +374,7 @@ class TestEngines:
         def hammer():
             for _ in range(300):
                 rec.query(0, 3, ())
+                rec.query_first(0, 3, (), [(1,), (2,), (1, 2)])  # the third separates
 
         threads = [threading.Thread(target=hammer) for _ in range(8)]
         previous = sys.getswitchinterval()
@@ -373,7 +387,7 @@ class TestEngines:
         finally:
             sys.setswitchinterval(previous)
         assert not any(t.is_alive() for t in threads)
-        assert rec.n_queries == len(rec.records) == inner.n_queries == 2400
+        assert rec.n_queries == len(rec.records) == inner.n_queries == 2400 * 4
 
     def test_determinism_within_engine(self):
         sem, _ = toy_two_layer_sem()
@@ -693,6 +707,127 @@ class TestBlockQueries:
         assert engine.n_queries == 6
         with pytest.raises(ValueError, match="outside sources and cond"):
             engine.query_block(2, [0], {1, 2})
+
+
+def sequential_first(engine, a, b, base, subsets):
+    """The loop that query_first answers for: single queries until one is independent."""
+    for k, t in enumerate(subsets):
+        if engine.query(a, b, base.union(t)).independent:
+            return k
+    return None
+
+
+class TestFirstSeparator:
+    """query_first gives the index, count and records of the sequential loop."""
+
+    @staticmethod
+    def replay(cov, a, b, base, level, alpha=0.05):
+        """query_first's outcome on the ``level``-subsets of the nodes outside ``base | {a, b}``."""
+        base = frozenset(base)
+        pool = sorted(set(range(cov.m)) - base - {a, b})
+        subsets = list(itertools.combinations(pool, level))
+        single = RecordingEngine(GaussianEngine(cov, alpha=alpha))
+        want = outcome(lambda: sequential_first(single, a, b, base, subsets))
+        first = RecordingEngine(GaussianEngine(cov, alpha=alpha))
+        got = outcome(lambda: first.query_first(a, b, base, subsets))
+        assert got == want, (a, b, sorted(base), level)
+        assert first.n_queries == first.inner.n_queries == single.n_queries
+        assert first.records == single.records
+        return got
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(6, 9),
+        rows=st.integers(10, 60),
+        n=st.integers(6, 400),
+        alpha=st.sampled_from([0.5, 0.05, 0.001]),
+        level=st.integers(1, 4),
+    )
+    def test_random_data(self, seed, m, rows, n, alpha, level):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows, m))
+        cov = CovMatrix(x.T @ x / rows, n=n)
+        a, b, *rest = rng.permutation(m).tolist()
+        base = rest[: int(rng.integers(0, 3))]
+        self.replay(cov, a, b, base, min(level, m - 2 - len(base)), alpha)
+
+    def test_stacked_kernel_answers_for_most_separators(self, monkeypatch):
+        data, _ = random_layered_dataset(seed=3, nodes=12, n=300)
+        engine = GaussianEngine(data)
+        decided = []
+        decide = GaussianEngine._decide
+        monkeypatch.setattr(GaussianEngine, "_decide", lambda *args: decided.append(args) or decide(*args))
+        found = [
+            engine.query_first(a, b, (), itertools.combinations(sorted(set(range(12)) - {a, b}), level))
+            for a, b in itertools.combinations(range(12), 2)
+            for level in (1, 2)
+        ]
+        assert {k is None for k in found} == {True, False}
+        assert engine.n_queries > 500 and decided == []
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    @pytest.mark.parametrize("noise", [0.0, 1e-7, 1e-5])
+    def test_collinear_data(self, level, noise):
+        # V2 = V0 + V1, and near-copies whose unions pass the single query's
+        # singularity guard (1e-5) or fail it (1e-7) while positive definite
+        rng = rng_from_seed(7)
+        x = rng.normal(size=(200, 7))
+        x[:, 2] = x[:, 0] + x[:, 1] + noise * rng.normal(size=200)
+        cov = sample_covariance(Dataset(x))
+        outcomes = [
+            self.replay(cov, a, b, base, level)
+            for a, b in itertools.combinations(range(7), 2)
+            for base in ((), (3,))
+            if level <= 5 - len(base) and 3 not in (a, b)
+        ]
+        assert not all(isinstance(o, tuple) for o in outcomes)
+
+    def test_indefinite_covariance(self):
+        # symmetric with a unit diagonal, but not positive definite
+        rng = rng_from_seed(11)
+        upper = np.triu(np.sign(rng.normal(size=(7, 7))), 1) * 0.45
+        cov = CovMatrix(np.eye(7) + upper + upper.T, n=100)
+        assert np.linalg.eigvalsh(cov.values)[0] < 0
+        outcomes = [
+            self.replay(cov, a, b, (), level)
+            for a, b in itertools.combinations(range(7), 2)
+            for level in (1, 2, 3, 4)
+        ]
+        errors = [o for o in outcomes if isinstance(o, tuple)]
+        assert 0 < len(errors) < len(outcomes)
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_perfect_correlation(self, level):
+        x = rng_from_seed(13).normal(size=(100, 6))
+        x[:, 1] = 2.0 * x[:, 0]  # |rho(V0, V1 | S)| = 1 for every S
+        cov = sample_covariance(Dataset(x))
+        assert self.replay(cov, 0, 1, (), level) is None
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_too_few_degrees_of_freedom(self, level):
+        cov = CovMatrix(random_pd(rng_from_seed(17), 7), n=level + 4)
+        got = self.replay(cov, 0, 1, (2,), level)  # n - |S| - 3 = 0
+        assert got[0] is InsufficientDataError
+
+    def test_default_loop_counts_the_asked_prefix(self):
+        dag = Dag(4, [(0, 2), (1, 2), (2, 3)])
+        engine = RecordingEngine(OracleEngine(dag))
+        assert engine.query_first(0, 3, (), [(1,), (2,), (1, 2)]) == 1
+        assert engine.n_queries == engine.inner.n_queries == 2
+        assert engine.tuples() == [(0, 3, frozenset({1})), (0, 3, frozenset({2}))]
+        with pytest.raises(ValueError, match="must be disjoint"):
+            engine.query_first(0, 3, (1,), [(1,), (2,)])
+        assert engine.n_queries == 2
+
+
+def random_layered_dataset(seed, nodes, n):
+    """A simulated dataset on a random layered DAG, and its ordering."""
+    rng = rng_from_seed(seed)
+    dag, ordering = generate_layered_dag(
+        GenConfig(n_nodes=nodes, expected_edges_per_node=2.0, layers=3), rng
+    )
+    return sample(random_weights(dag, rng), n, rng), ordering
 
 
 def collinear_dataset(sources=(4,)):
