@@ -27,6 +27,21 @@ __all__ = [
 ]
 
 
+def _column_labels(labels, m):
+    """The labels of ``m`` nodes (data columns) as strings, ``V0, V1, ...`` by default.
+
+    Raises :class:`LabelMismatchError` naming the labels that repeat.
+    """
+    if labels is None:
+        labels = [f"V{i}" for i in range(m)]
+    if len(labels) != m:
+        raise ValueError("labels must have one entry per column")
+    labels = tuple(str(x) for x in labels)
+    if len(set(labels)) != m:
+        raise LabelMismatchError({x for x in labels if labels.count(x) > 1}, "duplicate column labels")
+    return labels
+
+
 def _check_node(n_nodes, v):
     if not (0 <= v < n_nodes):
         raise ValueError(f"node index {v} out of range [0, {n_nodes})")
@@ -42,12 +57,14 @@ class Dag:
     edges : iterable of (int, int)
         Directed edges as ``(parent, child)`` pairs.
     labels : sequence of str, optional
-        Per-node names.  Defaults to ``V0, V1, ...``.
+        Distinct per-node names.  Defaults to ``V0, V1, ...``.
 
     Raises
     ------
     CycleError
         If the edge set admits no topological sort.
+    LabelMismatchError
+        If a label repeats.
     ValueError
         On self-loops or out-of-range indices.
     """
@@ -63,11 +80,7 @@ class Dag:
                 raise ValueError(f"self-loop at node {u}")
             edge_set.add((u, v))
         self.edges = frozenset(edge_set)
-        if labels is None:
-            labels = [f"V{i}" for i in range(self.n_nodes)]
-        if len(labels) != self.n_nodes:
-            raise ValueError("labels must have one entry per node")
-        self.labels = tuple(str(x) for x in labels)
+        self.labels = _column_labels(labels, self.n_nodes)
 
         self._parents = [set() for _ in range(self.n_nodes)]
         self._children = [set() for _ in range(self.n_nodes)]
@@ -246,9 +259,7 @@ class Pdag:
                 raise ValueError(f"pair {(u, v)} is both directed and undirected")
         self.directed_edges = frozenset(directed)
         self.undirected_edges = frozenset(undirected)
-        if labels is None:
-            labels = [f"V{i}" for i in range(self.n_nodes)]
-        self.labels = tuple(str(x) for x in labels)
+        self.labels = _column_labels(labels, self.n_nodes)
 
     def is_adjacent(self, u, v):
         return (

@@ -24,15 +24,16 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InsufficientDataError, SelectionError, SingularityError
+from .graph import _column_labels
 from .stats import (
     CiEngine,
     CovMatrix,
     Dataset,
     _checked_covariance,
     _dependence_error,
+    _fisher_z_dof,
     _fisher_z_statistics,
     block_partial_correlations,
 )
@@ -111,9 +112,7 @@ class ScreenSets:
     def __init__(self, entries, n_nodes, labels=None):
         self.n_nodes = int(n_nodes)
         self.entries = {int(e.node): e for e in entries}
-        if labels is None:
-            labels = [f"V{i}" for i in range(self.n_nodes)]
-        self.labels = tuple(str(x) for x in labels)
+        self.labels = _column_labels(labels, self.n_nodes)
 
     def __getitem__(self, j):
         return self.entries[j]
@@ -296,26 +295,34 @@ def screen_sis(data, ordering, j, t=0.5, mode="top", pvalue_cutoff=0.5):
     ``mode="top"`` keeps the ceil(t*n) candidates with the largest
     marginal inner products |x_k' y_j| over standardized columns (all of
     them when fewer are available).  ``mode="pvalue"`` instead keeps
-    candidates whose marginal Fisher-z correlation p-value falls below
-    ``pvalue_cutoff``.
+    candidates whose marginal correlation the Fisher z test at level
+    ``pvalue_cutoff`` rejects: two-sided p-value below the cutoff.
+
+    Raises
+    ------
+    InsufficientDataError
+        In ``"pvalue"`` mode, if ``n - 3`` is not positive.
     """
     if mode == "top" and not 0 < t < 1:
         raise ValueError("t must be in (0, 1)")
     if mode not in ("top", "pvalue"):
         raise ValueError("mode must be 'top' or 'pvalue'")
-    x = _standardized(data)
     n = data.n
+    if mode == "pvalue":
+        if not 0 < pvalue_cutoff < 1:
+            raise ValueError("pvalue_cutoff must be in (0, 1)")
+        dof = _fisher_z_dof(n, 0)
+    x = _standardized(data)
     y = x[:, j]
 
     def select(candidates, stage):
         scores = np.abs(x[:, candidates].T @ y)
         if mode == "top":
             return _sis_select(scores, candidates, n, t)
-        # marginal Fisher-z p-values on the correlations scores / n
+        # the Fisher z test on the marginal correlations scores / n
         rho = np.clip(scores / n, 0.0, 1.0 - 1e-15)
-        z = np.sqrt(n - 3) * np.arctanh(rho)
-        pvals = 2.0 * ndtr(-z)
-        return {k for k, p in zip(candidates, pvals) if p < pvalue_cutoff}
+        _, independent = _fisher_z_statistics(rho, dof, pvalue_cutoff)
+        return {k for k, ind in zip(candidates, independent) if not ind}
 
     return _screen_node(ordering, j, select, n)
 

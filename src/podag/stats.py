@@ -23,10 +23,9 @@ and counts the prefix a one-at-a-time loop would ask; the Gaussian
 engine answers it from one stacked Cholesky factorization of all the
 unions, and asks a union that is not provably well conditioned as a
 single query.
-The Fisher z test reads its threshold
-``Phi^-1(1 - alpha/2)`` from a per-alpha cache and its two-sided p-value
-from ``2 Phi(-|z|)``, both straight from the ``scipy.special`` ufuncs
-``ndtri`` and ``ndtr``.  These are the values a frozen normal
+A verdict is a Fisher z statistic and its comparison with the threshold
+``Phi^-1(1 - alpha/2)``, read from a per-alpha cache of the
+``scipy.special`` ufunc ``ndtri``: the value a frozen normal
 distribution object returns, bit for bit, without its per-call argument
 handling or its import cost.
 """
@@ -41,14 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpocon, dpotrf, dpotri, dpotrs
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
-from .errors import (
-    DegenerateDataError,
-    InsufficientDataError,
-    LabelMismatchError,
-    SingularityError,
-)
+from .errors import DegenerateDataError, InsufficientDataError, SingularityError
+from .graph import _column_labels
 
 __all__ = [
     "Dataset",
@@ -68,21 +63,6 @@ __all__ = [
 RCOND_MIN = 1e-12  # reciprocal condition number below this raises SingularityError
 RCOND_MARGIN = 1e3  # a stacked union needs an exact reciprocal condition number this far above it
 STACK_SIZE = 256  # unions per stacked kernel call in GaussianEngine.query_first
-
-
-def _column_labels(labels, m):
-    """The labels of ``m`` columns as strings, ``V0, V1, ...`` by default.
-
-    Raises :class:`LabelMismatchError` naming the labels that repeat.
-    """
-    if labels is None:
-        labels = [f"V{i}" for i in range(m)]
-    if len(labels) != m:
-        raise ValueError("labels must have one entry per column")
-    labels = tuple(str(x) for x in labels)
-    if len(set(labels)) != m:
-        raise LabelMismatchError({x for x in labels if labels.count(x) > 1}, "duplicate column labels")
-    return labels
 
 
 class Dataset:
@@ -152,6 +132,8 @@ class CovMatrix:
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("covariance must be square")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("covariance contains non-finite entries")
         scale = max(np.abs(values).max(), 1.0)
         if np.abs(values - values.T).max() > 1e-12 * scale:
             raise ValueError("covariance must be symmetric")
@@ -365,11 +347,10 @@ def block_partial_correlations(cov, j, pool):
 
 @dataclass(frozen=True)
 class CiVerdict:
-    """Outcome of one conditional-independence query."""
+    """Outcome of one conditional-independence query: the verdict and its test statistic."""
 
     independent: bool
     statistic: float
-    p_value: float | None = None
 
 
 @functools.lru_cache(maxsize=64)
@@ -389,13 +370,9 @@ def _fisher_z_dof(n, size):
 def _fisher_z_verdict(rho, dof, alpha):
     """The Fisher z verdict on one partial correlation ``rho`` in [-1, 1]."""
     if abs(rho) >= 1.0:
-        return CiVerdict(independent=False, statistic=np.inf if rho > 0 else -np.inf, p_value=0.0)
+        return CiVerdict(independent=False, statistic=np.inf if rho > 0 else -np.inf)
     z = float(np.sqrt(dof) * np.arctanh(rho))
-    return CiVerdict(
-        independent=abs(z) <= fisher_z_threshold(alpha),
-        statistic=z,
-        p_value=float(2.0 * ndtr(-abs(z))),
-    )
+    return CiVerdict(independent=abs(z) <= fisher_z_threshold(alpha), statistic=z)
 
 
 def _fisher_z_statistics(rhos, dof, alpha):
@@ -414,7 +391,7 @@ def fisher_z_test(cov, n, i, j, s, alpha):
     """Fisher z test of zero partial correlation.
 
     ``z = sqrt(n - |s| - 3) * atanh(rho)``; the verdict is independent iff
-    ``|z| <= Phi^-1(1 - alpha/2)``.  The p-value is two-sided.
+    ``|z| <= Phi^-1(1 - alpha/2)``.
 
     Raises
     ------
@@ -726,10 +703,9 @@ class GaussianEngine(CiEngine):
 
     def _verdicts(self, sources, rhos, dof):
         z, independent = _fisher_z_statistics(rhos, dof, self.alpha)
-        p_values = 2.0 * ndtr(-np.abs(z))
         return {
-            a: CiVerdict(independent=bool(ind), statistic=float(stat), p_value=float(p))
-            for a, ind, stat, p in zip(sources, independent, z, p_values)
+            a: CiVerdict(independent=bool(ind), statistic=float(stat))
+            for a, ind, stat in zip(sources, independent, z)
         }
 
 

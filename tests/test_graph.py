@@ -46,6 +46,11 @@ class TestDagConstruction:
         with pytest.raises(ValueError):
             Dag(2, [(0, 2)])
 
+    def test_rejects_repeated_labels(self):
+        # a repeated label would write the edge as A\tA
+        with pytest.raises(LabelMismatchError, match=r"duplicate column labels: \['A'\]"):
+            Dag(2, [(0, 1)], labels=["A", "A"])
+
     def test_duplicate_edges_collapse(self):
         g = Dag(2, [(0, 1), (0, 1)])
         assert g.edges == frozenset({(0, 1)})
@@ -245,6 +250,11 @@ class TestPdag:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             Pdag(2, undirected_edges=[(1, 1)])
+
+    def test_rejects_too_few_labels(self):
+        # with one label for three nodes, write_edgelist would fail on the edge (0, 2)
+        with pytest.raises(ValueError, match="one entry per column"):
+            Pdag(3, undirected_edges=[(0, 2)], labels=["a"])
 
 
 class TestPartialOrdering:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 import podag.screening
 from podag import (
     CovMatrix,
     Dag,
+    Dataset,
     OracleEngine,
     PartialOrdering,
     default_lambda_grid,
@@ -225,6 +227,42 @@ class TestSis:
         with pytest.raises(ValueError):
             screen_sis(data, ordering, 3, t=1.5)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pvalue_mode_needs_positive_dof(self, n):
+        sem, ordering = toy_two_layer_sem()
+        data = sample(sem, n, rng_from_seed(6))
+        with pytest.raises(InsufficientDataError, match=r"n - \|s\| - 3 > 0"):
+            screen_sis(data, ordering, 3, mode="pvalue")
+
+    @pytest.mark.parametrize("cutoff", [1.5, 1.0, 0.0, -0.1])
+    def test_pvalue_mode_rejects_cutoff_outside_unit_interval(self, cutoff):
+        sem, ordering = toy_two_layer_sem()
+        data = sample(sem, 50, rng_from_seed(6))
+        with pytest.raises(ValueError, match="pvalue_cutoff"):
+            screen_sis(data, ordering, 3, mode="pvalue", pvalue_cutoff=cutoff)
+
+    @pytest.mark.parametrize("cutoff", [0.5, 0.05, 0.001])
+    def test_pvalue_mode_equals_marginal_p_value_rule(self, cutoff):
+        rng = rng_from_seed(21)
+        n = 40
+        data = rng.standard_normal((n, 12))
+        data[:, :8] += 0.3 * data[:, [11]]  # some association with the target
+        data[:, 8] = data[:, 11]  # a copy of the target: rho at the clip
+        ordering = PartialOrdering([set(range(9)), {9, 10, 11}], n_nodes=12)
+        e = screen_sis(Dataset(data), ordering, 11, mode="pvalue", pvalue_cutoff=cutoff)
+
+        def oracle(pool):
+            # the two-sided p-value of the marginal Fisher z test, through scipy.stats
+            x = podag.screening._standardized(Dataset(data))
+            scores = np.abs(x[:, pool].T @ x[:, 11])
+            z = np.sqrt(n - 3) * np.arctanh(np.clip(scores / n, 0.0, 1.0 - 1e-15))
+            return {k for k, zk in zip(pool, z) if 2.0 * norm.sf(zk) < cutoff}
+
+        s0 = oracle(list(range(9)))
+        assert e.s0 == s0
+        assert e.s1 == oracle(sorted(s0 | {9, 10}))
+        assert 8 in e.s0
+
 
 class TestLassoFit:
     def orthonormal_design(self, rng, n, p):
@@ -399,6 +437,11 @@ class TestScreenAll:
         sets = ScreenSets([ScreenEntry(0, s0={1}, s1=set())], n_nodes=2)
         with pytest.raises(ValueError):
             sets.validate(ordering)
+
+    def test_rejects_too_few_labels(self):
+        # with one label for three nodes, to_json would fail on node 2
+        with pytest.raises(ValueError, match="one entry per column"):
+            ScreenSets([ScreenEntry(2, s0={0}, s1={0})], 3, labels=["x"])
 
     def test_json_round_trip(self):
         cov, ordering = toy_population_cov()
