@@ -112,16 +112,19 @@ def _pc(engine, n_nodes, labels, max_level, stable, on_conflict, ordering=None):
     start = engine.n_queries
     adj = {v: set(range(n_nodes)) - {v} for v in range(n_nodes)}
     layer = [None if ordering is None else ordering.layer_of(v) for v in range(n_nodes)]
+    # the candidates allowed when the later endpoint lies in layer L
+    allowed = {
+        latest: frozenset(v for v in range(n_nodes) if layer[v] is None or layer[v] <= latest)
+        for latest in set(layer) - {None}
+    }
 
-    def family(a, b):
-        pool = adj[b]
+    def pool(a, b):
         if layer[a] is not None and layer[b] is not None:
-            latest = max(layer[a], layer[b])
-            pool = {v for v in pool if layer[v] is None or layer[v] <= latest}
-        return frozenset(), pool
+            return adj[b] & allowed[max(layer[a], layer[b])]
+        return adj[b]
 
     tests = [t for i, j in itertools.combinations(range(n_nodes), 2) for t in ((j, i), (i, j))]
-    sepsets, _ = _search_levels(engine, tests, family, adj, max_level, stable)
+    sepsets, _ = _search_levels(engine, tests, lambda b: frozenset(), pool, adj, max_level, stable)
     und = [(i, j) for i in adj for j in adj[i] if i < j]
     skeleton = Pdag(n_nodes, undirected_edges=und, labels=labels)
     if ordering is not None:

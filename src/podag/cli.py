@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -239,9 +240,17 @@ def _zero_timing(doc):
     return doc
 
 
+def _read_input(path):
+    """The text of an input file; one that cannot be read is a usage error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        raise ValueError(f"cannot read {path}: {err.strerror or err}") from None
+
+
 def cmd_learn(args):
-    dataset = Dataset.from_csv(args.data)
-    layering_text = Path(args.layering).read_text()
+    dataset = Dataset.from_csv(io.StringIO(_read_input(args.data)))
+    layering_text = _read_input(args.layering)
     ordering = read_layering(layering_text, dataset.labels)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -317,7 +326,7 @@ def _check_output_file(path):
 def cmd_benchmark(args):
     _check_output_file(args.output)
     if args.spec:
-        spec = BenchmarkSpec.from_json(Path(args.spec).read_text())
+        spec = BenchmarkSpec.from_json(_read_input(args.spec))
     else:
         spec = BenchmarkSpec(
             n_nodes=args.nodes,

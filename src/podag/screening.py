@@ -275,13 +275,6 @@ def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
     return _screen_node(ordering, j, select, n, verdicts=True)
 
 
-def _standardized(data):
-    x = data.data - data.data.mean(axis=0)
-    sd = x.std(axis=0)
-    sd[sd == 0] = 1.0
-    return x / sd
-
-
 def _sis_select(scores, candidates, n, t):
     """Indices of the ceil(t*n) largest scores; ties resolved by node index."""
     m = int(np.ceil(t * n))
@@ -312,7 +305,7 @@ def screen_sis(data, ordering, j, t=0.5, mode="top", pvalue_cutoff=0.5):
         if not 0 < pvalue_cutoff < 1:
             raise ValueError("pvalue_cutoff must be in (0, 1)")
         dof = _fisher_z_dof(n, 0)
-    x = _standardized(data)
+    x = data.standardized
     y = x[:, j]
 
     def select(candidates, stage):
@@ -454,7 +447,7 @@ def screen_lasso(
     matters downstream).
     """
     n = data.n
-    x = _standardized(data)
+    x = data.standardized
     y = x[:, j]
     notes = []
 

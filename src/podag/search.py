@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -148,6 +149,10 @@ class PodagResult:
         )
 
 
+WINDOW = 512  # unions the skeleton search speculates in one engine call
+STACK_SIZE = 256  # subsets of one test speculated at a time
+
+
 def _elapsed_ms(started):
     return int(round((time.perf_counter() - started) * 1000))
 
@@ -157,17 +162,8 @@ def _set_phase(engine, phase):
         engine.phase = phase
 
 
-def _query(engine, a, b, sep, t):
-    """``engine.query(a, b, sep)``, its error naming the candidate and ``T``."""
-    try:
-        return engine.query(a, b, sep)
-    except PodagError as err:
-        err.args = (f"{err.args[0]} [candidate ({a}, {b}), T={t}]",) + err.args[1:]
-        raise
-
-
 def _level_zero_verdicts(engine, b, sources, cond):
-    """Verdicts of the level-0 tests ``a _||_ b | cond - {a}`` of one target, in order.
+    """Whether ``a _||_ b | cond - {a}`` for each level-0 test of one target, in order.
 
     Two or more tests go to the engine as one block.  A block that
     raises is asked again one test at a time, so that the error names
@@ -175,55 +171,63 @@ def _level_zero_verdicts(engine, b, sources, cond):
     """
     if len(sources) > 1:
         try:
-            return engine.query_block(b, sources, cond)
+            return [verdict.independent for verdict in engine.query_block(b, sources, cond)]
         except PodagError:
             pass
-    return [_query(engine, a, b, cond - {a}, ()) for a in sources]
+    return [engine.query_first(a, b, cond - {a}, [()]) is not None for a in sources]
 
 
-def _first_separator(engine, a, b, base, subsets):
-    """Index of the first ``T`` in ``subsets`` for which ``base | T`` separates ``a`` and ``b``.
+def _later_separator(engine, a, b, base, pool, level, start):
+    """The first ``level``-subset ``T`` of the sorted ``pool``, from position ``start`` on, that separates.
 
-    None when none does.  The subsets go to the engine as one
-    :meth:`CiEngine.query_first` call.  One that raises is asked again
-    one separator at a time, so that the error names the candidate and
-    ``T``.
+    ``base | T`` separates ``a`` and ``b``; None when no such ``T``
+    exists.  The subsets are enumerated and speculated ``STACK_SIZE`` at
+    a time as the walk reaches them.
     """
-    try:
-        return engine.query_first(a, b, base, subsets)
-    except PodagError:
-        for t in subsets:
-            _query(engine, a, b, base.union(t), t)
-        raise
+    if math.comb(len(pool), level) > start:
+        rest = itertools.islice(itertools.combinations(pool, level), start, None)
+        while head := list(itertools.islice(rest, STACK_SIZE)):
+            k = engine.query_first(a, b, base, head)
+            if k is not None:
+                return head[k]
+    return None
 
 
-def _search_levels(engine, tests, family, neighbours, max_level=None, stable=False):
+def _restricted(head, stops, pool):
+    """``head`` and its ``stops`` restricted to the subsets inside ``pool``: the head over that pool."""
+    kept = {k: n for n, k in enumerate(k for k, t in enumerate(head) if pool.issuperset(t))}
+    return [head[k] for k in kept], [(kept[k], known) for k, known in stops if k in kept]
+
+
+def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable=False):
     """Level-wise skeleton search shared by PODAG, PC and PC+.
 
     ``tests`` is an ordered list of directed tests ``(a, b)``.
-    ``family(a, b)`` returns the target's conditioning set ``cond``,
-    which depends on ``b`` only, and a ``pool`` drawn from the current
-    ``neighbours`` (PC's adjacencies, PODAG's blankets).  At level ``l``
-    a test asks whether ``(cond - {a}) | T`` separates ``a`` from ``b``
-    for each ``l``-subset ``T`` of ``pool - {a}``.  The first
-    separator found for either direction removes the pair: it is
-    recorded, the mirror direction is not tested again, and each
-    endpoint leaves the other's neighbour set where it has one.  By
-    default that last step is immediate (order-dependent PC); ``stable``
-    defers it to the end of the level, so every test of a level sees
-    the same pools (order-independent PC, Colombo & Maathuis 2014).  The
-    search ends after a level that runs no test, or after
-    ``max_level``.
+    ``cond(b)`` returns the target's conditioning set, and ``pool(a,
+    b)`` a pool drawn from ``b``'s current set in ``neighbours`` (PC's
+    adjacencies, PODAG's blankets).  At level ``l`` a test asks whether
+    ``(cond(b) - {a}) | T`` separates ``a`` from ``b`` for each
+    ``l``-subset ``T`` of ``pool(a, b) - {a}``, in
+    lexicographic order of the sorted pool.  The first separator found
+    for either direction removes the pair: it is recorded, the mirror
+    direction is not tested again, and each endpoint leaves the other's
+    neighbour set where it has one.  By default that last step is
+    immediate (order-dependent PC); ``stable`` defers it to the end of
+    the level, so every test of a level sees the same pools
+    (order-independent PC, Colombo & Maathuis 2014).  The search ends
+    after a level that runs no test, or after ``max_level``.
 
-    Level 0 tests ``cond - {a}`` alone, which no removal changes: a
-    removal there only skips the mirror test, whose target differs.  So
-    each run of consecutive tests with one target is asked in one go
-    (see :func:`_level_zero_verdicts`), in the same order and with the
-    same verdicts as one test at a time.  At later levels each test asks
-    its separators in one call (see :func:`_first_separator`), which
-    returns the first ``T`` that separates, in lexicographic order of the
-    sorted pool, and counts the prefix a one-at-a-time loop would ask;
-    only the separator that removes the pair is built as a set.
+    Tests are decided a window at a time, with the queries of one test
+    at a time.  A window gathers live tests until their first subsets
+    (at most ``STACK_SIZE`` each) reach ``WINDOW`` unions; one
+    :meth:`CiEngine.speculate` call looks ahead over all of them, and
+    each is then walked in order with :meth:`CiEngine.query_first`,
+    the subsets past the first ones speculated as the walk reaches them
+    (:func:`_later_separator`).  When a removal in the window shrinks a
+    later test's pool, that test's subsets and stops are restricted to
+    the new pool.  At level 0 a test asks ``cond(b) - {a}`` alone, which
+    no removal changes, and a run of tests with one target is one block
+    (:func:`_level_zero_verdicts`).
 
     Returns the :class:`SepsetMap` of removed pairs and the number of
     removals per level (levels without removals are left out).
@@ -231,12 +235,14 @@ def _search_levels(engine, tests, family, neighbours, max_level=None, stable=Fal
     sepsets = SepsetMap()
     removed = set()
     removals = {}
+    shrunk = set()  # targets whose neighbour set lost a member during the current window
     live = [((min(a, b), max(a, b)), a, b) for a, b in tests]
 
     def drop_neighbours(a, b):
         for u, v in ((a, b), (b, a)):
             if u in neighbours:
                 neighbours[u].discard(v)
+                shrunk.add(u)
 
     def remove(pair, a, b, sep):
         sepsets.record(a, b, sep)
@@ -245,36 +251,79 @@ def _search_levels(engine, tests, family, neighbours, max_level=None, stable=Fal
         if not stable:
             drop_neighbours(a, b)
 
+    def gather():
+        """The live tests of the level in order, as ``(pair, a, b, base, pool, head)``.
+
+        At level 0 a run of two or more tests with one target is one
+        item ``(None, b, run)``.
+        """
+        if level == 0:
+            for b, run in itertools.groupby(live, key=lambda test: test[2]):
+                run = [(pair, a) for pair, a, _ in run if pair not in removed]
+                if len(run) > 1:
+                    yield None, b, run
+                elif run:
+                    ((pair, a),) = run
+                    yield pair, a, b, cond(b) - {a}, (), [()]
+            return
+        for pair, a, b in live:
+            if pair not in removed:
+                members = sorted(pool(a, b) - {a})
+                if len(members) >= level:
+                    head = list(itertools.islice(itertools.combinations(members, level), STACK_SIZE))
+                    yield pair, a, b, cond(b) - {a}, members, head
+
+    def block(b, run):
+        """Decide one target's run of level-0 tests; whether any ran."""
+        run = [(pair, a) for pair, a in run if pair not in removed]
+        if not run:
+            return False
+        given = cond(b)
+        for (pair, a), independent in zip(run, _level_zero_verdicts(engine, b, [a for _, a in run], given)):
+            if independent:
+                remove(pair, a, b, given - {a})
+        return True
+
+    def walk(window):
+        """Speculate a window of tests in one call, then decide them in order; whether any ran."""
+        stops = engine.speculate([(a, b, base, head) for _, a, b, base, _, head in window]) if window else []
+        shrunk.clear()
+        ran = False
+        for (pair, a, b, base, members, head), stop in zip(window, stops):
+            if pair in removed:
+                continue
+            if level and b in shrunk:
+                now = pool(a, b) - {a}
+                if len(now) < level:
+                    continue
+                if len(now) < len(members):  # pools only shrink
+                    members, (head, stop) = sorted(now), _restricted(head, stop, now)
+            ran = True
+            k = engine.query_first(a, b, base, head, stop)
+            t = head[k] if k is not None else _later_separator(engine, a, b, base, members, level, len(head))
+            if t is not None:
+                remove(pair, a, b, base.union(t))
+        window.clear()
+        return ran
+
     level = 0
     while max_level is None or level <= max_level:
         live = [test for test in live if test[0] not in removed]
         found = []
         tested = False
-        if level == 0:
-            for b, run in itertools.groupby(live, key=lambda test: test[2]):
-                run = [(pair, a) for pair, a, _ in run if pair not in removed]
-                if not run:
-                    continue
-                tested = True
-                cond = family(run[0][1], b)[0]
-                verdicts = _level_zero_verdicts(engine, b, [a for _, a in run], cond)
-                for (pair, a), verdict in zip(run, verdicts):
-                    if verdict.independent:
-                        remove(pair, a, b, cond - {a})
-        else:
-            for pair, a, b in live:
-                if pair in removed:
-                    continue
-                cond, pool = family(a, b)
-                pool = pool - {a}
-                if len(pool) < level:
-                    continue
-                tested = True
-                base = cond - {a}
-                subsets = list(itertools.combinations(sorted(pool), level))
-                k = _first_separator(engine, a, b, base, subsets)
-                if k is not None:
-                    remove(pair, a, b, base.union(subsets[k]))
+        window, unions = [], 0
+        for item in gather():
+            if item[0] is None:  # a level-0 run, decided in its place
+                tested |= walk(window)
+                tested |= block(*item[1:])
+                unions = 0
+            else:
+                window.append(item)
+                unions += len(item[-1])
+                if unions >= WINDOW:
+                    tested |= walk(window)
+                    unions = 0
+        tested |= walk(window)
         if not tested:
             break
         if stable:
@@ -295,13 +344,12 @@ def _posthoc_sepset(engine, screen, a, b, max_level):
     cross set.  Returns None when no separator is found (the affected
     triples are then left unoriented).
     """
-
-    def family(other, target):
-        return screen[target].cross, screen[target].cmb
-
     for target, other in ((b, a), (a, b)):
         if target in screen:
-            sepsets, _ = _search_levels(engine, [(other, target)], family, {}, max_level)
+            cross, cmb = screen[target].cross, screen[target].cmb
+            sepsets, _ = _search_levels(
+                engine, [(other, target)], lambda t: cross, lambda o, t: cmb, {}, max_level
+            )
             if (a, b) in sepsets:
                 return sepsets.get(a, b)
     return None
@@ -359,7 +407,8 @@ def podag_multi_layer(engine, ordering, screen, cfg=None):
     sepsets, removals = _search_levels(
         engine,
         candidates,
-        lambda k, j: (cross[j], blanket[j]),
+        lambda j: cross[j],
+        lambda k, j: blanket[j],
         blanket,
         cfg.max_sepset_size,
         cfg.stable,

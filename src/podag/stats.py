@@ -16,13 +16,11 @@ in :func:`block_partial_correlations`, and the Gaussian engine's query
 on its conditioning union ``S + {i, j}``.  A block of queries
 (:meth:`CiEngine.query_block`, the level-0 tests of one search target)
 takes at most two factorizations in the Gaussian engine, with an exact
-fallback to single queries (see :class:`GaussianEngine`).  A test of
-the search at level 1 and up asks its separators in one call
-(:meth:`CiEngine.query_first`), which returns the first that separates
-and counts the prefix a one-at-a-time loop would ask; the Gaussian
-engine answers it from one stacked Cholesky factorization of all the
-unions, and asks a union that is not provably well conditioned as a
-single query.
+fallback to single queries (see :class:`GaussianEngine`).  The skeleton
+search looks ahead over a window of tests with
+:meth:`CiEngine.speculate`, which the Gaussian engine answers from
+stacked Cholesky factorizations, then walks each test with
+:meth:`CiEngine.query_first`.
 A verdict is a Fisher z statistic and its comparison with the threshold
 ``Phi^-1(1 - alpha/2)``, read from a per-alpha cache of the
 ``scipy.special`` ufunc ``ndtri``: the value a frozen normal
@@ -34,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import io
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ import numpy as np
 from scipy.linalg.lapack import dpocon, dpotrf, dpotri, dpotrs
 from scipy.special import ndtri
 
-from .errors import DegenerateDataError, InsufficientDataError, SingularityError
+from .errors import DegenerateDataError, InsufficientDataError, PodagError, SingularityError
 from .graph import _column_labels
 
 __all__ = [
@@ -62,7 +61,7 @@ __all__ = [
 
 RCOND_MIN = 1e-12  # reciprocal condition number below this raises SingularityError
 RCOND_MARGIN = 1e3  # a stacked union needs an exact reciprocal condition number this far above it
-STACK_SIZE = 256  # unions per stacked kernel call in GaussianEngine.query_first
+STACK_ENTRIES = 2**14  # covariance entries per stacked kernel call, unless one test holds more
 
 
 class Dataset:
@@ -90,6 +89,15 @@ class Dataset:
     @property
     def m(self):
         return self.data.shape[1]
+
+    @functools.cached_property
+    def standardized(self):
+        """The columns centred and scaled to unit variance (a constant column only centred), read-only."""
+        x = self.data - self.data.mean(axis=0)
+        sd = x.std(axis=0)
+        x /= np.where(sd == 0, 1.0, sd)
+        x.setflags(write=False)
+        return x
 
     @classmethod
     def from_csv(cls, source):
@@ -418,11 +426,10 @@ class CiEngine:
     as the per-source queries would; ``_decide_block`` loops over
     ``_decide`` unless an engine shares work across the block.
 
-    ``query_first(a, b, base, subsets)`` asks the separators ``base | T``
-    of one skeleton-search test in order and stops at the first
-    independent one: it counts index + 1 queries, or all of them, as the
-    sequential loop would.  ``_decide_first`` is that loop over
-    ``_decide`` unless an engine decides several separators at once.
+    A skeleton-search test asks the separators ``base | T`` of a pair in
+    order until one is independent.  ``speculate`` looks ahead over many
+    tests without counting; ``query_first`` walks one test from that
+    look-ahead, counting as the one-at-a-time loop would.
     """
 
     def __init__(self):
@@ -460,35 +467,60 @@ class CiEngine:
         self._count(len(sources))
         return self._decide_block(b, sources, cond)
 
-    def query_first(self, a, b, base, subsets):
+    def speculate(self, requests):
+        """The stops of each skeleton-search test ``(a, b, base, subsets)`` in ``requests``.
+
+        Per test, an iterable of ``(k, known)`` pairs in increasing ``k``:
+        the loop over ``base | subsets[k]`` stops there (``known``
+        independent) or must ask a single query; every other position is
+        known dependent.  Counts nothing and never raises; this engine
+        knows nothing.
+        """
+        return [zip(range(len(subsets)), itertools.repeat(False)) for _, _, _, subsets in requests]
+
+    def query_first(self, a, b, base, subsets, stops=None):
         """Index of the first ``T`` in ``subsets`` for which ``base | T`` separates ``a`` and ``b``.
 
-        None when none does.  The same answer, count and errors as asking
-        ``query(a, b, base | T)`` for each ``T`` in order until the first
-        independent verdict.  ``subsets`` are tuples of distinct nodes
-        outside ``base`` and ``{a, b}``.
+        None when none does.  ``stops`` come from :meth:`speculate`
+        (asked when None).  The same answer, count, records and errors as
+        asking ``query(a, b, base | T)`` for each ``T`` in order until
+        the first independent verdict; an error names the candidate and
+        ``T``.  ``subsets`` are tuples of nodes outside ``base | {a, b}``.
         """
         a, b = int(a), int(b)
         base = frozenset(map(int, base))
         subsets = list(subsets)
-        members = set().union(*subsets)
-        if a == b or not {a, b}.isdisjoint(base.union(members)) or not base.isdisjoint(members):
+        members = base.union(*subsets)
+        overlap = base and not base.isdisjoint(itertools.chain.from_iterable(subsets))
+        if a == b or a in members or b in members or overlap:
             raise ValueError("a, b, base and each T must be disjoint")
-        return self._decide_first(min(a, b), max(a, b), base, subsets, self._count)
+        if stops is None:
+            stops = self.speculate([(a, b, base, subsets)])[0]
+        return self._walk(a, b, base, subsets, stops, self._count)
+
+    def _walk(self, a, b, base, subsets, stops, count):
+        # count(n) counts the next n separators, before any of them is decided
+        i, j = min(a, b), max(a, b)
+        asked = 0
+        for k, known in stops:
+            count(k + 1 - asked)
+            asked = k + 1
+            if known:
+                return k
+            try:
+                if self._decide(i, j, base.union(subsets[k])).independent:
+                    return k
+            except PodagError as err:
+                err.args = (f"{err.args[0]} [candidate ({a}, {b}), T={subsets[k]}]",) + err.args[1:]
+                raise
+        count(len(subsets) - asked)
+        return None
 
     def _decide(self, i, j, s):
         raise NotImplementedError
 
     def _decide_block(self, b, sources, cond):
         return [self._decide(min(a, b), max(a, b), cond - {a}) for a in sources]
-
-    def _decide_first(self, i, j, base, subsets, count):
-        # count(n) counts the next n separators, before any of them is decided
-        for k, t in enumerate(subsets):
-            count(1)
-            if self._decide(i, j, base.union(t)).independent:
-                return k
-        return None
 
 
 class OracleEngine(CiEngine):
@@ -529,15 +561,15 @@ class GaussianEngine(CiEngine):
     rest of its union falls below ``sqrt(RCOND_MIN)`` of its variance,
     where its union may be near singular, is asked as a single query.
 
-    A test ``query_first(a, b, base, subsets)`` (one test of the search
-    at level 1 and up) takes one stacked Cholesky factorization of the
-    unions ``base + T + {a, b}``, up to ``STACK_SIZE`` at a time (see
-    :meth:`_stacked_verdicts`).  A union that is not provably a block
-    the single query accepts, positive definite with a reciprocal
-    condition number ``RCOND_MARGIN`` times above ``RCOND_MIN``, is asked
-    as a single query in its place in the order.  A test with fewer than
-    two separators, or whose degrees-of-freedom guard fails, is asked
-    one separator at a time.
+    ``speculate`` groups the unions ``base + T + {a, b}`` of its tests
+    by size and stacks whole tests, up to ``STACK_ENTRIES`` covariance
+    entries, into one kernel call (:meth:`_stacked_verdicts`).  A union
+    that is not provably a block the single query accepts, positive
+    definite with a reciprocal condition number ``RCOND_MARGIN`` times
+    above ``RCOND_MIN``, is a single ask in its place in the order; a
+    stack with a union that is not positive definite is factored again
+    test by test.  A test whose degrees-of-freedom guard fails is all
+    single asks.
 
     Everything else is :func:`fisher_z_test`'s: its degrees-of-freedom
     guard fires before any factoring, and a union block that fails the
@@ -588,60 +620,93 @@ class GaussianEngine(CiEngine):
         rho = -omega.item(b, a) / math.sqrt(omega.item(a, a) * omega.item(b, b))
         return _fisher_z_verdict(min(max(rho, -1.0), 1.0), dof, self.alpha)
 
-    def _decide_first(self, i, j, base, subsets, count):
-        level = len(subsets[0]) if subsets else 0
-        dof = self._n - len(base) - level - 3
-        if len(subsets) < 2 or dof <= 0 or len(set(map(len, subsets))) > 1:
-            # nothing to share, or the degrees-of-freedom guard raises at once
-            return super()._decide_first(i, j, base, subsets, count)
-        base_order = sorted(base)
-        asked = 0
-        for start in range(0, len(subsets), STACK_SIZE):
-            chunk = subsets[start : start + STACK_SIZE]
-            batched, independent = self._stacked_verdicts(i, j, base_order, chunk, dof)
-            # the unions that are independent or must be asked alone, in order
-            for k in np.flatnonzero(independent | ~batched).tolist():
-                count(start + k + 1 - asked)
-                asked = start + k + 1
-                if batched[k] or self._decide(i, j, base.union(chunk[k])).independent:
-                    return start + k
-        count(len(subsets) - asked)
-        return None
+    def speculate(self, requests):
+        stops = [[] for _ in requests]
+        groups = {}  # union size m -> flat rows of m nodes, and (request, first row) per test
+        for r, (a, b, base, subsets) in enumerate(requests):
+            m = len(base) + len(subsets[0]) + 2 if subsets else 0
+            if not subsets or self._n - m - 1 <= 0 or len(set(map(len, subsets))) > 1:
+                # the degrees-of-freedom guard raises at once, or no one union size
+                stops[r] = zip(range(len(subsets)), itertools.repeat(False))
+                continue
+            rows, tests = groups.setdefault(m, ([], []))
+            tests.append((r, len(rows) // m))
+            base, ends = sorted(base), ((a, b) if a < b else (b, a))
+            for t in subsets:
+                rows += base
+                rows += t
+                rows += ends
+        for m, (rows, tests) in groups.items():
+            order = np.array(rows, dtype=np.intp).reshape(-1, m)
+            flags = np.zeros((2, len(order)), dtype=bool)  # batched, independent
+            bounds = [start for _, start in tests] + [len(order)]
+            first = 0  # tests first, first + 1, ... share one kernel call
+            for p in range(1, len(bounds)):
+                if p == len(tests) or (bounds[p + 1] - bounds[first]) * m * m > STACK_ENTRIES:
+                    self._speculate_stack(order, bounds[first : p + 1], flags)
+                    first = p
+            batched, independent = flags
+            hits = np.flatnonzero(independent | ~batched)
+            at = np.searchsorted(bounds, hits, side="right") - 1
+            for hit, p, known in zip(hits.tolist(), at.tolist(), independent[hits].tolist()):
+                stops[tests[p][0]].append((hit - bounds[p], known))
+        return stops
 
-    def _stacked_verdicts(self, i, j, base, subsets, dof):
-        """``(batched, independent)`` flags of the unions ``base + T + [i, j]`` of ``subsets``.
+    def _speculate_stack(self, order, bounds, flags):
+        """Set the flags of the whole tests between consecutive ``bounds`` from one kernel call.
 
-        One stacked Cholesky factorization ``L`` of the ``(K, m, m)``
-        union blocks, each ordered ``base + T + [i, j]``; when some union
-        is not positive definite, none is batched.  A union is batched
-        when a rigorous lower bound on its 1-norm reciprocal condition
-        number reaches ``RCOND_MIN`` with a margin of ``RCOND_MARGIN``:
-        then the single query's factorization succeeds and its condition
-        estimate, never below the exact value, passes the guard.  The
-        bound is ``det(R) min(d) / (e m^2 max(d))``, with ``d`` the
-        union's diagonal and ``R`` its correlation matrix: the 2-norm
-        condition number is at most ``max(d) / min(d)`` times that of
-        ``R``, which is below ``e m / det(R)`` because the eigenvalues of
-        ``R`` sum to ``m``, and the 1-norm one is at most ``m`` times the
-        2-norm one.  A NaN fails the bound.  The last two rows of ``L``
-        end in the factor ``[[p, 0], [q, r]]`` of the covariance of ``i``
-        and ``j`` given the rest, so ``rho = q / hypot(q, r)``.
+        When some union is not positive definite, each test is tried
+        alone; one that still fails keeps its zero flags: all single asks.
         """
-        order = np.array([(*base, *t, i, j) for t in subsets], dtype=np.intp)
-        blocks = self.cov.values[order[:, :, None], order[:, None, :]]
-        try:
-            factor = np.linalg.cholesky(blocks)
-        except np.linalg.LinAlgError:  # some union is not positive definite
-            nothing = np.zeros(len(subsets), dtype=bool)
-            return nothing, nothing
+        got = self._stacked_verdicts(order[bounds[0] : bounds[-1]])
+        if got is not None:
+            flags[:, bounds[0] : bounds[-1]] = got
+        elif len(bounds) > 2:
+            for lo, hi in zip(bounds, bounds[1:]):
+                self._speculate_stack(order, [lo, hi], flags)
+
+    def _stacked_verdicts(self, order):
+        """``(batched, independent)`` flags of the unions in the rows of ``order``, or None.
+
+        ``order`` is a ``(K, m)`` array of node indices, each row a
+        union ordered ``base + T + [i, j]`` with ``i < j``.  With ``m =
+        2`` (S empty) the correlation is read off three covariance
+        entries, as in :meth:`_decide`, so every union is batched.
+        Otherwise one stacked Cholesky factorization ``L`` of the ``(K,
+        m, m)`` union blocks; None when some union is not positive
+        definite.  A union is batched when a rigorous lower bound on its
+        1-norm reciprocal condition number reaches ``RCOND_MIN`` with a
+        margin of ``RCOND_MARGIN``: then the single query's factorization
+        succeeds and its condition estimate, never below the exact value,
+        passes the guard.  The bound is ``det(R) min(d) / (e m^2
+        max(d))``, with ``d`` the union's diagonal and ``R`` its
+        correlation matrix: the 2-norm condition number is at most
+        ``max(d) / min(d)`` times that of ``R``, which is below ``e m /
+        det(R)`` because the eigenvalues of ``R`` sum to ``m``, and the
+        1-norm one is at most ``m`` times the 2-norm one.  A NaN fails
+        the bound.  The last two rows of ``L`` end in the factor ``[[p,
+        0], [q, r]]`` of the covariance of ``i`` and ``j`` given the
+        rest, so ``rho = q / hypot(q, r)``.
+        """
+        sigma = self.cov.values
         m = order.shape[1]
-        d = np.diagonal(blocks, axis1=1, axis2=2)
-        det_r = np.multiply.reduce(np.diagonal(factor, axis1=1, axis2=2) ** 2 / d, axis=1)
-        spread = np.maximum.reduce(d, axis=1) / np.minimum.reduce(d, axis=1)
-        batched = spread * (math.e * m * m * RCOND_MIN * RCOND_MARGIN) <= det_r
-        q = factor[:, -1, -2]
-        rhos = q / np.hypot(q, factor[:, -1, -1])  # hypot >= |q|, so |rho| <= 1
-        _, independent = _fisher_z_statistics(rhos, dof, self.alpha)
+        if m == 2:
+            i, j = order[:, 0], order[:, 1]
+            rhos = np.clip(sigma[i, j] / np.sqrt(sigma[i, i] * sigma[j, j]), -1.0, 1.0)
+            batched = np.ones(len(order), dtype=bool)
+        else:
+            blocks = sigma[order[:, :, None], order[:, None, :]]
+            try:
+                factor = np.linalg.cholesky(blocks)
+            except np.linalg.LinAlgError:  # some union is not positive definite
+                return None
+            d = np.diagonal(blocks, axis1=1, axis2=2)
+            det_r = np.multiply.reduce(np.diagonal(factor, axis1=1, axis2=2) ** 2 / d, axis=1)
+            spread = np.maximum.reduce(d, axis=1) / np.minimum.reduce(d, axis=1)
+            batched = spread * (math.e * m * m * RCOND_MIN * RCOND_MARGIN) <= det_r
+            q = factor[:, -1, -2]
+            rhos = q / np.hypot(q, factor[:, -1, -1])  # hypot >= |q|, so |rho| <= 1
+        _, independent = _fisher_z_statistics(rhos, self._n - m - 1, self.alpha)
         return batched, independent & batched
 
     def _decide_block(self, b, sources, cond):
@@ -733,7 +798,11 @@ class RecordingEngine(CiEngine):
             self.records.extend((min(a, b), max(a, b), cond - {a}, self.phase) for a in sources)
         return self.inner.query_block(b, sources, cond)
 
-    def _decide_first(self, i, j, base, subsets, count):
+    def speculate(self, requests):
+        return self.inner.speculate(requests)
+
+    def _walk(self, a, b, base, subsets, stops, count):
+        i, j = min(a, b), max(a, b)
         asked = 0
 
         def count_and_record(n):
@@ -744,7 +813,7 @@ class RecordingEngine(CiEngine):
                 self.records.extend((i, j, base.union(t), self.phase) for t in subsets[asked : asked + n])
             asked += n
 
-        return self.inner._decide_first(i, j, base, subsets, count_and_record)
+        return self.inner._walk(a, b, base, subsets, stops, count_and_record)
 
     def tuples(self, phases=None):
         """Recorded (i, j, s) tuples, optionally filtered by phase tags."""

@@ -110,6 +110,19 @@ class TestLearn:
         err = capsys.readouterr().err
         assert "duplicate column labels: ['A']" in err and "layering" not in err
 
+    @pytest.mark.parametrize("flag", ["--data", "--layering"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_input_exits_two(self, tmp_path, capsys, flag, kind):
+        sim = simulate_into(tmp_path)
+        capsys.readouterr()
+        bad = tmp_path / "nope.csv" if kind == "missing" else tmp_path
+        paths = {"--data": sim / "dataset.csv", "--layering": sim / "layering.txt", flag: bad}
+        code = run(["learn", *(x for item in paths.items() for x in item), "-o", tmp_path / "o"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        reason = "No such file or directory" if kind == "missing" else "Is a directory"
+        assert err.strip() == f"error: cannot read {bad}: {reason}"
+
     def test_degenerate_data_exits_four(self, tmp_path):
         data = tmp_path / "flat.csv"
         data.write_text("a,b\n1.0,5.0\n2.0,5.0\n3.0,5.0\n4.0,5.0\n")
@@ -298,6 +311,15 @@ class TestBenchmark:
         assert out.exists()
         spec.write_text('{"n_nodes": [8], "replicate": 1}')
         assert run(["benchmark", "--spec", spec, "-o", out]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_spec_exits_two(self, tmp_path, capsys, kind):
+        spec = tmp_path / "nope.json" if kind == "missing" else tmp_path
+        out = tmp_path / "bench.csv"
+        assert run(["benchmark", "--spec", spec, "-o", out]) == EXIT_USAGE
+        reason = "No such file or directory" if kind == "missing" else "Is a directory"
+        assert capsys.readouterr().err.strip() == f"error: cannot read {spec}: {reason}"
+        assert not out.exists()
 
     def test_unknown_names_exit_two_before_any_fit(self, tmp_path, monkeypatch, capsys):
         grids = []

@@ -253,7 +253,7 @@ class TestSis:
 
         def oracle(pool):
             # the two-sided p-value of the marginal Fisher z test, through scipy.stats
-            x = podag.screening._standardized(Dataset(data))
+            x = Dataset(data).standardized
             scores = np.abs(x[:, pool].T @ x[:, 11])
             z = np.sqrt(n - 3) * np.arctanh(np.clip(scores / n, 0.0, 1.0 - 1e-15))
             return {k for k, zk in zip(pool, z) if 2.0 * norm.sf(zk) < cutoff}

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import re
 import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import podag.search
 from podag import (
@@ -23,10 +26,10 @@ from podag import (
     random_weights,
     screen_all,
 )
-from podag.errors import InsufficientDataError, SingularityError
+from podag.errors import InsufficientDataError, PodagError, SingularityError
 from podag.screening import ScreenEntry, ScreenSets
 from podag.sem import rng_from_seed, sample, toy_two_layer_sem
-from podag.stats import CiEngine, GaussianEngine
+from podag.stats import CiEngine, GaussianEngine, sample_covariance
 
 from helpers import (
     counting_factorizations,
@@ -120,6 +123,12 @@ def query_digest(recorder):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+class KnowsNothing(GaussianEngine):
+    """A Gaussian engine that speculates nothing: every separator is asked as a single query."""
+
+    speculate = CiEngine.speculate
+
+
 class FailingEngine(CiEngine):
     def _decide(self, i, j, s):
         raise SingularityError(context=(i, j, tuple(sorted(s))))
@@ -192,7 +201,7 @@ class TestSkeletonDriver:
         engine = FailingGivenAnything(Dag(3, [(0, 1), (1, 2)]))
         with pytest.raises(SingularityError, match=r"\[candidate \(1, 0\), T=\(2,\)\]$"):
             pc(engine, 3)
-        assert engine.n_queries == 6 + 2  # level 0, then the separator twice
+        assert engine.n_queries == 6 + 1  # level 0, then the separator that raised, as one at a time
 
     def test_learn_engine_errors_carry_candidate_context(self):
         # 2 = 0 + 1 + noise: screening keeps cross(2) = {0, 1}, so the two
@@ -256,11 +265,8 @@ class TestSkeletonDriver:
             GaussianEngine, "_stacked_verdicts", lambda *args: stacked.append(args) or kernel(*args)
         )
 
-        class SequentialFirst(GaussianEngine):
-            _decide_first = CiEngine._decide_first
-
         fits = []
-        for engine_class in (GaussianEngine, SequentialFirst):
+        for engine_class in (GaussianEngine, KnowsNothing):
             recorder = RecordingEngine(engine_class(data, alpha=0.05))
             if algorithm == "pc":
                 res = pc(recorder, data.m, max_level=3, on_conflict="ignore")
@@ -288,6 +294,111 @@ class TestSkeletonDriver:
                 stacked.clear()
         assert fits[0] == fits[1]
         assert stacked == []
+
+
+def near_singular_data(seed, nodes, n, noise):
+    """Simulated layered data; with ``noise``, one column is the sum of two others plus that noise."""
+    rng = rng_from_seed(seed)
+    dag, ordering = generate_layered_dag(
+        GenConfig(n_nodes=nodes, expected_edges_per_node=2.0, layers=3), rng
+    )
+    x = sample(random_weights(dag, rng), n, rng).data.copy()
+    if noise is not None:
+        a, b, c = rng.choice(nodes, size=3, replace=False)
+        x[:, c] = x[:, a] + x[:, b] + noise * rng.normal(size=n)
+    return Dataset(x), ordering
+
+
+def recorded_fit(engine, algorithm, data, ordering, stable=False):
+    """Edges, sepsets, ci_tests and query digest of one fit, or its error with the count at the raise."""
+    recorder = RecordingEngine(engine)
+    try:
+        if algorithm == "pc":
+            res = pc(recorder, data.m, stable=stable, on_conflict="ignore")
+        elif algorithm == "pc_plus":
+            res = pc_plus(recorder, ordering, stable=stable, on_conflict="ignore")
+        else:
+            cfg = PodagConfig(
+                backend=algorithm, learn_within_layers=True, stable=stable, on_conflict="ignore"
+            )
+            res = learn(data, ordering, cfg, engine=recorder)
+    except PodagError as err:
+        return type(err), str(err), recorder.n_queries, query_digest(recorder)
+    if algorithm in ("pc", "pc_plus"):
+        pdag, ci_tests = res.pdag, res.ci_tests
+    else:
+        pdag, ci_tests = res.as_pdag(), res.diagnostics.ci_tests
+    edges = (pdag.directed_edges, pdag.undirected_edges)
+    return edges, sorted(res.sepsets.items()), ci_tests, query_digest(recorder)
+
+
+class TestWindows:
+    """Windows of speculated tests decide, count and record as one test at a time."""
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nodes=st.integers(5, 12),
+        n=st.integers(12, 300),
+        noise=st.sampled_from([None, 1e-7, 1e-5]),
+        algorithm=st.sampled_from(["pc", "pc_plus", "pcor", "sis"]),
+        stable=st.booleans(),
+        window=st.sampled_from([1, 10**6]),
+    )
+    def test_windows_replay_single_queries(self, seed, nodes, n, noise, algorithm, stable, window):
+        # a window of one union holds one test; one of 10^6 holds a whole
+        # level, so removals inside it shrink later pools
+        data, ordering = near_singular_data(seed, nodes, n, noise)
+        cov = sample_covariance(data)  # unchecked: near-singular unions reach the search
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(podag.search, "WINDOW", window)
+            got = recorded_fit(GaussianEngine(cov), algorithm, data, ordering, stable)
+        want = recorded_fit(KnowsNothing(cov), algorithm, data, ordering, stable)
+        assert got == want
+
+    @pytest.mark.parametrize("algorithm", ["pc", "pc_plus", "pcor"])
+    def test_removals_inside_a_window_restrict_later_tests(self, monkeypatch, algorithm):
+        restricted = []
+        restrict = podag.search._restricted
+        monkeypatch.setattr(
+            podag.search,
+            "_restricted",
+            lambda head, stops, pool: restricted.append(len(head)) or restrict(head, stops, pool),
+        )
+        data, ordering = near_singular_data(30, 30, 300, None)
+        got = recorded_fit(GaussianEngine(data), algorithm, data, ordering)
+        assert restricted  # a removal shrank the pool of a gathered test
+        assert got == recorded_fit(KnowsNothing(data), algorithm, data, ordering)
+
+    @pytest.mark.parametrize("window", [1, 10**6])
+    @pytest.mark.parametrize("algorithm", ["pc", "pc_plus"])
+    def test_single_ask_error_mid_window(self, monkeypatch, window, algorithm):
+        # V2 = V0 + V1 + 1e-7 noise: a union holding all three is positive
+        # definite but fails the stacked bound, so it is asked alone, and
+        # the engine below fails every such ask
+        rng = rng_from_seed(7)
+        x = rng.normal(size=(200, 7))
+        x[:, 2] = x[:, 0] + x[:, 1] + 1e-7 * rng.normal(size=200)
+        data = Dataset(x)
+        ordering = PartialOrdering([{0, 1, 3}, {2, 4, 5, 6}], n_nodes=7)
+
+        def failing(engine_class):
+            class Failing(engine_class):
+                def _decide(self, i, j, s):
+                    if {0, 1, 2} <= s | {i, j}:
+                        raise SingularityError(context=(i, j, tuple(sorted(s))))
+                    return super()._decide(i, j, s)
+
+            return Failing(sample_covariance(data))
+
+        monkeypatch.setattr(podag.search, "WINDOW", window)
+        got, want = (
+            recorded_fit(failing(engine_class), algorithm, data, ordering)
+            for engine_class in (GaussianEngine, KnowsNothing)
+        )
+        assert got[0] is SingularityError
+        assert re.search(r"\[candidate \(\d+, \d+\), T=\(\d+,\)\]$", got[1])
+        assert got == want  # the same separator raised, at the sequential count, after the same records
 
 
 class TestScreeningVerdictSepsets:

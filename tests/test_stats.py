@@ -34,6 +34,7 @@ from podag.errors import (
     DegenerateDataError,
     InsufficientDataError,
     LabelMismatchError,
+    PodagError,
     SingularityError,
 )
 from podag.sem import (
@@ -713,29 +714,44 @@ class TestBlockQueries:
 
 
 def sequential_first(engine, a, b, base, subsets):
-    """The loop that query_first answers for: single queries until one is independent."""
+    """The loop a skeleton-search test stands for: single queries until one is independent.
+
+    An error names the candidate and ``T``, as the search reports it.
+    """
     for k, t in enumerate(subsets):
-        if engine.query(a, b, base.union(t)).independent:
+        try:
+            verdict = engine.query(a, b, base.union(t))
+        except PodagError as err:
+            err.args = (f"{err.args[0]} [candidate ({a}, {b}), T={t}]",) + err.args[1:]
+            raise
+        if verdict.independent:
             return k
     return None
 
 
 class TestFirstSeparator:
-    """query_first gives the index, count and records of the sequential loop."""
+    """speculate and query_first give the index, count and records of the sequential loop."""
 
     @staticmethod
     def replay(cov, a, b, base, level, alpha=0.05):
-        """query_first's outcome on the ``level``-subsets of the nodes outside ``base | {a, b}``."""
+        """The outcome on the ``level``-subsets of the nodes outside ``base | {a, b}``.
+
+        The test is walked twice: speculated alone (``query_first``
+        without stops), and speculated in one window with other tests of
+        other union sizes, where it shares its stack with its mirror.
+        """
         base = frozenset(base)
         pool = sorted(set(range(cov.m)) - base - {a, b})
         subsets = list(itertools.combinations(pool, level))
         single = RecordingEngine(GaussianEngine(cov, alpha=alpha))
         want = outcome(lambda: sequential_first(single, a, b, base, subsets))
-        first = RecordingEngine(GaussianEngine(cov, alpha=alpha))
-        got = outcome(lambda: first.query_first(a, b, base, subsets))
-        assert got == want, (a, b, sorted(base), level)
-        assert first.n_queries == first.inner.n_queries == single.n_queries
-        assert first.records == single.records
+        window = [(b, a, base, subsets[::-1]), (a, b, (), [()]), (a, b, base, subsets)]
+        for stops in (None, RecordingEngine(GaussianEngine(cov, alpha=alpha)).speculate(window)[-1]):
+            first = RecordingEngine(GaussianEngine(cov, alpha=alpha))
+            got = outcome(lambda: first.query_first(a, b, base, subsets, stops))
+            assert got == want, (a, b, sorted(base), level, stops is None)
+            assert first.n_queries == first.inner.n_queries == single.n_queries
+            assert first.records == single.records
         return got
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
