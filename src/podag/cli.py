@@ -69,11 +69,18 @@ def _str_list(text):
     return tuple(x.strip() for x in text.split(",") if x.strip())
 
 
+def _thread_count(text):
+    threads = int(text)
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
+    return threads
+
+
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0, help="root RNG seed")
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_thread_count,
         default=1,
         help="worker threads for benchmark and faithfulness (outputs do not depend on it)",
     )
@@ -252,6 +259,8 @@ def cmd_learn(args):
     dataset = Dataset.from_csv(io.StringIO(_read_input(args.data)))
     layering_text = _read_input(args.layering)
     ordering = read_layering(layering_text, dataset.labels)
+    if args.threshold is not None and args.algorithm != "podag":
+        raise ValueError(f"--threshold applies to podag's pcor screening only, not {args.algorithm}")
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 

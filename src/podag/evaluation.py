@@ -473,9 +473,9 @@ def run_benchmark(spec, threads=1, progress=None):
 
 
 def _map_replicates(fn, jobs, threads):
+    if threads is None or threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     jobs = list(jobs)
-    if threads in (None, 0):
-        threads = 1
     if threads == 1:
         return [fn(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=threads) as pool:

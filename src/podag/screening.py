@@ -231,8 +231,11 @@ def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
     independence claim.
 
     A singular block whose correlation matrix holds a linearly dependent
-    column set raises :class:`DegenerateDataError` naming those columns.
+    column set raises :class:`DegenerateDataError` naming those columns,
+    and a ``threshold`` outside ``[0, 1)`` raises :class:`ValueError`.
     """
+    if threshold is not None and not 0 <= threshold < 1:
+        raise ValueError(f"threshold must be in [0, 1), got {threshold}")
     if isinstance(source, CiEngine):
 
         def select(pool, stage):

@@ -162,21 +162,6 @@ def _set_phase(engine, phase):
         engine.phase = phase
 
 
-def _level_zero_verdicts(engine, b, sources, cond):
-    """Whether ``a _||_ b | cond - {a}`` for each level-0 test of one target, in order.
-
-    Two or more tests go to the engine as one block.  A block that
-    raises is asked again one test at a time, so that the error names
-    the candidate that raised it.
-    """
-    if len(sources) > 1:
-        try:
-            return [verdict.independent for verdict in engine.query_block(b, sources, cond)]
-        except PodagError:
-            pass
-    return [engine.query_first(a, b, cond - {a}, [()]) is not None for a in sources]
-
-
 def _later_separator(engine, a, b, base, pool, level, start):
     """The first ``level``-subset ``T`` of the sorted ``pool``, from position ``start`` on, that separates.
 
@@ -217,17 +202,22 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
     (order-independent PC, Colombo & Maathuis 2014).  The search ends
     after a level that runs no test, or after ``max_level``.
 
-    Tests are decided a window at a time, with the queries of one test
-    at a time.  A window gathers live tests until their first subsets
-    (at most ``STACK_SIZE`` each) reach ``WINDOW`` unions; one
+    A level-0 test asks ``cond(b) - {a}`` alone, which no removal
+    changes, so level 0 is decided one target at a time, in increasing
+    ``b``: the target's live tests, in their order in ``tests``, are one
+    :meth:`CiEngine.query_block`.  So the direction of a pair with the
+    lower target is asked first, and a pair it removes is not asked
+    again.  Levels 1 and up keep the order of ``tests``, on which
+    order-dependent PC's output depends.  Their tests are decided a
+    window at a time, with the queries of one test at a time.  A window
+    gathers live tests until their first subsets (at most
+    ``STACK_SIZE`` each) reach ``WINDOW`` unions; one
     :meth:`CiEngine.speculate` call looks ahead over all of them, and
     each is then walked in order with :meth:`CiEngine.query_first`,
     the subsets past the first ones speculated as the walk reaches them
     (:func:`_later_separator`).  When a removal in the window shrinks a
     later test's pool, that test's subsets and stops are restricted to
-    the new pool.  At level 0 a test asks ``cond(b) - {a}`` alone, which
-    no removal changes, and a run of tests with one target is one block
-    (:func:`_level_zero_verdicts`).
+    the new pool.
 
     Returns the :class:`SepsetMap` of removed pairs and the number of
     removals per level (levels without removals are left out).
@@ -251,38 +241,34 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
         if not stable:
             drop_neighbours(a, b)
 
-    def gather():
-        """The live tests of the level in order, as ``(pair, a, b, base, pool, head)``.
+    def level_zero():
+        """Decide level 0 a target at a time, each target's live tests as one block; whether any ran.
 
-        At level 0 a run of two or more tests with one target is one
-        item ``(None, b, run)``.
+        A block that raises is asked again one test at a time, so that
+        the error names the candidate that raised it.
         """
-        if level == 0:
-            for b, run in itertools.groupby(live, key=lambda test: test[2]):
-                run = [(pair, a) for pair, a, _ in run if pair not in removed]
-                if len(run) > 1:
-                    yield None, b, run
-                elif run:
-                    ((pair, a),) = run
-                    yield pair, a, b, cond(b) - {a}, (), [()]
-            return
+        for b, run in itertools.groupby(sorted(live, key=lambda test: test[2]), key=lambda test: test[2]):
+            run = [(pair, a) for pair, a, _ in run if pair not in removed]
+            if not run:
+                continue
+            sources, given = [a for _, a in run], cond(b)
+            try:
+                verdicts = [verdict.independent for verdict in engine.query_block(b, sources, given)]
+            except PodagError:
+                verdicts = [engine.query_first(a, b, given - {a}, [()], [(0, False)]) is not None for a in sources]
+            for (pair, a), independent in zip(run, verdicts):
+                if independent:
+                    remove(pair, a, b, given - {a})
+        return bool(live)  # the first target's tests are all live
+
+    def gather():
+        """The live tests of the level in order, as ``(pair, a, b, base, pool, head)``."""
         for pair, a, b in live:
             if pair not in removed:
                 members = sorted(pool(a, b) - {a})
                 if len(members) >= level:
                     head = list(itertools.islice(itertools.combinations(members, level), STACK_SIZE))
                     yield pair, a, b, cond(b) - {a}, members, head
-
-    def block(b, run):
-        """Decide one target's run of level-0 tests; whether any ran."""
-        run = [(pair, a) for pair, a in run if pair not in removed]
-        if not run:
-            return False
-        given = cond(b)
-        for (pair, a), independent in zip(run, _level_zero_verdicts(engine, b, [a for _, a in run], given)):
-            if independent:
-                remove(pair, a, b, given - {a})
-        return True
 
     def walk(window):
         """Speculate a window of tests in one call, then decide them in order; whether any ran."""
@@ -292,7 +278,7 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
         for (pair, a, b, base, members, head), stop in zip(window, stops):
             if pair in removed:
                 continue
-            if level and b in shrunk:
+            if b in shrunk:
                 now = pool(a, b) - {a}
                 if len(now) < level:
                     continue
@@ -310,20 +296,18 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
     while max_level is None or level <= max_level:
         live = [test for test in live if test[0] not in removed]
         found = []
-        tested = False
-        window, unions = [], 0
-        for item in gather():
-            if item[0] is None:  # a level-0 run, decided in its place
-                tested |= walk(window)
-                tested |= block(*item[1:])
-                unions = 0
-            else:
+        if level == 0:
+            tested = level_zero()
+        else:
+            tested = False
+            window, unions = [], 0
+            for item in gather():
                 window.append(item)
                 unions += len(item[-1])
                 if unions >= WINDOW:
                     tested |= walk(window)
                     unions = 0
-        tested |= walk(window)
+            tested |= walk(window)
         if not tested:
             break
         if stable:

@@ -14,10 +14,11 @@ block with ``dpotrs``; a block precision matrix (``dpotri``) serves
 every partial correlation of one block at once: all of a screening pool
 in :func:`block_partial_correlations`, and the Gaussian engine's query
 on its conditioning union ``S + {i, j}``.  A block of queries
-(:meth:`CiEngine.query_block`, the level-0 tests of one search target)
-takes at most two factorizations in the Gaussian engine, with an exact
-fallback to single queries (see :class:`GaussianEngine`).  The skeleton
-search looks ahead over a window of tests with
+(:meth:`CiEngine.query_block`, the level-0 tests of one search target,
+for every skeleton search) takes at most two factorizations in the
+Gaussian engine, none when the conditioning set is empty, with an exact
+fallback to single queries (see :class:`GaussianEngine`).  At levels 1
+and up the skeleton search looks ahead over a window of tests with
 :meth:`CiEngine.speculate`, which the Gaussian engine answers from
 stacked Cholesky factorizations, then walks each test with
 :meth:`CiEngine.query_first`.
@@ -426,10 +427,10 @@ class CiEngine:
     as the per-source queries would; ``_decide_block`` loops over
     ``_decide`` unless an engine shares work across the block.
 
-    A skeleton-search test asks the separators ``base | T`` of a pair in
-    order until one is independent.  ``speculate`` looks ahead over many
-    tests without counting; ``query_first`` walks one test from that
-    look-ahead, counting as the one-at-a-time loop would.
+    At levels 1 and up a skeleton-search test asks the separators ``base
+    | T`` of a pair in order until one is independent.  ``speculate``
+    looks ahead over many tests without counting; ``query_first`` walks
+    one test from that look-ahead, counting as the loop would.
     """
 
     def __init__(self):
@@ -555,11 +556,12 @@ class GaussianEngine(CiEngine):
     target) needs at most two factorizations.  Sources inside ``cond``
     (cross candidates) share the union ``cond + {b}`` and read their rho
     off its precision matrix, exactly as single queries do.  Sources
-    outside it (within candidates, each conditioning on ``cond`` itself)
-    take :func:`partial_correlation`'s Schur complement on one factored
-    ``Sigma_cond``, batched; a source whose residual variance given the
-    rest of its union falls below ``sqrt(RCOND_MIN)`` of its variance,
-    where its union may be near singular, is asked as a single query.
+    outside it (within candidates, or PC's with ``cond`` empty) take
+    :func:`partial_correlation`'s Schur complement on one factored
+    ``Sigma_cond`` (none when empty: the bits of an empty-S query),
+    batched; one whose residual variance given the rest of its union
+    falls below ``sqrt(RCOND_MIN)`` of its variance, where its union may
+    be near singular, is asked as a single query.
 
     ``speculate`` groups the unions ``base + T + {a, b}`` of its tests
     by size and stacks whole tests, up to ``STACK_ENTRIES`` covariance
@@ -669,16 +671,14 @@ class GaussianEngine(CiEngine):
         """``(batched, independent)`` flags of the unions in the rows of ``order``, or None.
 
         ``order`` is a ``(K, m)`` array of node indices, each row a
-        union ordered ``base + T + [i, j]`` with ``i < j``.  With ``m =
-        2`` (S empty) the correlation is read off three covariance
-        entries, as in :meth:`_decide`, so every union is batched.
-        Otherwise one stacked Cholesky factorization ``L`` of the ``(K,
-        m, m)`` union blocks; None when some union is not positive
-        definite.  A union is batched when a rigorous lower bound on its
-        1-norm reciprocal condition number reaches ``RCOND_MIN`` with a
-        margin of ``RCOND_MARGIN``: then the single query's factorization
-        succeeds and its condition estimate, never below the exact value,
-        passes the guard.  The bound is ``det(R) min(d) / (e m^2
+        union ordered ``base + T + [i, j]`` with ``i < j``.  One stacked
+        Cholesky factorization ``L`` of the ``(K, m, m)`` union blocks;
+        None when some union is not positive definite.  A union is
+        batched when a rigorous lower bound on its 1-norm reciprocal
+        condition number reaches ``RCOND_MIN`` with a margin of
+        ``RCOND_MARGIN``: then the single query's factorization succeeds
+        and its condition estimate, never below the exact value, passes
+        the guard.  The bound is ``det(R) min(d) / (e m^2
         max(d))``, with ``d`` the union's diagonal and ``R`` its
         correlation matrix: the 2-norm condition number is at most
         ``max(d) / min(d)`` times that of ``R``, which is below ``e m /
@@ -690,22 +690,17 @@ class GaussianEngine(CiEngine):
         """
         sigma = self.cov.values
         m = order.shape[1]
-        if m == 2:
-            i, j = order[:, 0], order[:, 1]
-            rhos = np.clip(sigma[i, j] / np.sqrt(sigma[i, i] * sigma[j, j]), -1.0, 1.0)
-            batched = np.ones(len(order), dtype=bool)
-        else:
-            blocks = sigma[order[:, :, None], order[:, None, :]]
-            try:
-                factor = np.linalg.cholesky(blocks)
-            except np.linalg.LinAlgError:  # some union is not positive definite
-                return None
-            d = np.diagonal(blocks, axis1=1, axis2=2)
-            det_r = np.multiply.reduce(np.diagonal(factor, axis1=1, axis2=2) ** 2 / d, axis=1)
-            spread = np.maximum.reduce(d, axis=1) / np.minimum.reduce(d, axis=1)
-            batched = spread * (math.e * m * m * RCOND_MIN * RCOND_MARGIN) <= det_r
-            q = factor[:, -1, -2]
-            rhos = q / np.hypot(q, factor[:, -1, -1])  # hypot >= |q|, so |rho| <= 1
+        blocks = sigma[order[:, :, None], order[:, None, :]]
+        try:
+            factor = np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError:  # some union is not positive definite
+            return None
+        d = np.diagonal(blocks, axis1=1, axis2=2)
+        det_r = np.multiply.reduce(np.diagonal(factor, axis1=1, axis2=2) ** 2 / d, axis=1)
+        spread = np.maximum.reduce(d, axis=1) / np.minimum.reduce(d, axis=1)
+        batched = spread * (math.e * m * m * RCOND_MIN * RCOND_MARGIN) <= det_r
+        q = factor[:, -1, -2]
+        rhos = q / np.hypot(q, factor[:, -1, -1])  # hypot >= |q|, so |rho| <= 1
         _, independent = _fisher_z_statistics(rhos, self._n - m - 1, self.alpha)
         return batched, independent & batched
 
@@ -714,11 +709,10 @@ class GaussianEngine(CiEngine):
         outside = [a for a in sources if a not in cond]
         verdicts = {}
         dof = self._n - len(cond) - 3  # outside cond; a source inside leaves S one smaller
-        # a single source, or S empty, gains nothing from the block; a
-        # failed degrees-of-freedom guard raises in _decide
+        # one source gains nothing from a block; a failed dof guard raises in _decide
         if len(inside) > 1 and dof + 1 > 0:
             verdicts.update(self._inside_block(b, inside, cond, dof + 1))
-        if len(outside) > 1 and cond and dof > 0:
+        if len(outside) > 1 and dof > 0:
             verdicts.update(self._outside_block(b, outside, cond, dof))
         return [
             verdicts[a] if a in verdicts else self._decide(min(a, b), max(a, b), cond - {a})
@@ -741,21 +735,23 @@ class GaussianEngine(CiEngine):
         return self._verdicts(sources, rhos, dof)
 
     def _outside_block(self, b, sources, cond, dof):
-        """Verdicts for sources outside ``cond``, from one factorization of ``Sigma_cond``."""
+        """Verdicts for sources outside ``cond``, off one factored ``Sigma_cond`` (none when empty)."""
         sigma = self.cov.values
-        idx = sorted(cond)
-        rows = sigma.take(idx, axis=0)
-        try:
-            factor = _factor_spd(rows.take(idx, axis=1), context=None)
-        except SingularityError:
-            return {}
         members = sources + [b]
-        cross = rows.take(members, axis=1)
-        solved, _ = dpotrs(factor, cross, lower=1)
         # residual variances and covariances given cond, as partial_correlation
         variances = np.diagonal(sigma)[members]
-        residual = variances - np.einsum("ij,ij->j", cross, solved)
-        d = sigma[sources, b] - cross[:, :-1].T @ solved[:, -1]
+        residual, d = variances, sigma[sources, b]
+        if cond:
+            idx = sorted(cond)
+            rows = sigma.take(idx, axis=0)
+            try:
+                factor = _factor_spd(rows.take(idx, axis=1), context=None)
+            except SingularityError:
+                return {}
+            cross = rows.take(members, axis=1)
+            solved, _ = dpotrs(factor, cross, lower=1)
+            residual = variances - np.einsum("ij,ij->j", cross, solved)
+            d = d - cross[:, :-1].T @ solved[:, -1]
         with np.errstate(invalid="ignore", divide="ignore"):
             rhos = d / np.sqrt(residual[:-1] * residual[-1])
             # a small residual variance given the rest of the union (of a

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import podag.cli
+import podag.evaluation
 from podag import Dataset, Pdag, apply_meek_rules
 from podag.cli import EXIT_LABELS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 
@@ -142,6 +143,27 @@ class TestLearn:
         )
         assert code == EXIT_USAGE
         assert "--threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algorithm", ["pc", "pc+", "h0"])
+    def test_threshold_with_another_algorithm_is_usage_error(self, tmp_path, capsys, algorithm):
+        sim = simulate_into(tmp_path)
+        code = run(
+            ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
+             "--algorithm", algorithm, "--threshold", 0.1, "-o", tmp_path / "o"]
+        )
+        assert code == EXIT_USAGE
+        assert f"--threshold applies to podag's pcor screening only, not {algorithm}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("threshold", [-1, 2, "nan"])
+    def test_threshold_outside_the_unit_interval_is_usage_error(self, tmp_path, capsys, threshold):
+        sim = simulate_into(tmp_path)
+        code = run(
+            ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
+             "--threshold", threshold, "-o", tmp_path / "o"]
+        )
+        assert code == EXIT_USAGE
+        assert "threshold must be in [0, 1)" in capsys.readouterr().err
 
     def test_more_nodes_than_samples_exits_four(self, tmp_path, capsys):
         sim = simulate_into(tmp_path, nodes=40, layers=2, n=20)
@@ -351,6 +373,19 @@ class TestBenchmark:
         assert run(["benchmark", "--algorithms", "pc,pc_plus", flag, value, "-o", out]) == EXIT_USAGE
         assert message in capsys.readouterr().err
         assert grids == [] and not out.exists()
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize("command", ["benchmark", "faithfulness"])
+def test_threads_below_one_exit_two_naming_the_flag(tmp_path, monkeypatch, capsys, command, threads):
+    pools = []
+    monkeypatch.setattr(podag.evaluation, "ThreadPoolExecutor", lambda *args, **kwargs: pools.append(args))
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as err:
+        run([command, "--threads", threads, "-o", out])
+    assert err.value.code == EXIT_USAGE
+    assert f"argument --threads: must be at least 1, got {threads}" in capsys.readouterr().err
+    assert pools == [] and not out.exists()
 
 
 class TestFaithfulness:

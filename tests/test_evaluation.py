@@ -245,6 +245,15 @@ class TestFaithfulnessReport:
                 row["rho_min_skeleton"]
             )
 
+    @pytest.mark.parametrize("threads", [None, 0, -1])
+    def test_threads_below_one_raise_before_any_replicate(self, monkeypatch, threads):
+        started = []
+        monkeypatch.setattr(podag.evaluation, "ThreadPoolExecutor", lambda *args, **kwargs: started.append(args))
+        monkeypatch.setattr(podag.evaluation, "_draw_replicate", lambda *args: started.append(args))
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            faithfulness_report(replicates=2, n_nodes=6, seed=1, threads=threads)
+        assert started == []
+
     def test_csv_rendering(self):
         rows = faithfulness_report(replicates=2, n_nodes=6, seed=1)
         text = rows_to_csv(rows, FAITHFULNESS_FIELDS)

@@ -84,6 +84,14 @@ class TestScreenPcorToy:
         e = screen_pcor(data, ordering, 3, alpha=0.5)
         assert {1} <= e.s0  # the true parent survives screening
 
+    @pytest.mark.parametrize("threshold", [-1.0, 1.0, 2.0, float("nan")])
+    def test_threshold_outside_the_unit_interval_raises(self, threshold):
+        # -1 would keep every candidate, 1, 2 and nan none
+        cov, ordering = toy_population_cov()
+        with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\)"):
+            screen_pcor(cov, ordering, 3, threshold=threshold)
+        assert screen_pcor(cov, ordering, 3, threshold=0.0).s0 == {0, 1}  # the whole before set
+
     def test_pool_outnumbering_samples_fails_before_factoring(self, monkeypatch):
         def no_factoring(*args):
             raise AssertionError("the pool was factored before the sample-size check")

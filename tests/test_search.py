@@ -139,18 +139,19 @@ class TestSkeletonDriver:
 
     # recorded from the separate PODAG and PC loops the driver replaced,
     # the learn entries again once orientation read the screening
-    # verdicts: (ci_tests, digest of the recorded query sequence);
-    # numpy 2.4, x86-64
+    # verdicts, the PC and PC+ entries again once their level 0 was asked
+    # target by target (equal counts and record multisets):
+    # (ci_tests, digest of the recorded query sequence); numpy 2.4, x86-64
     PINNED = {
-        (5, "pc", False): (395, "678e07d32b4d3696"),
-        (5, "pc", True): (476, "9acd5fd7b3dfa0ba"),
-        (5, "pc_plus", False): (412, "29febaebb96bc39c"),
-        (5, "pc_plus", True): (469, "05c65c3da2992934"),
+        (5, "pc", False): (395, "29c01f1d2f68aba8"),
+        (5, "pc", True): (476, "6ef36840ad6261a9"),
+        (5, "pc_plus", False): (412, "313271b08bf48aae"),
+        (5, "pc_plus", True): (469, "f308538d08f5f0a9"),
         (5, "learn", False): (292, "acca25e740e63044"),
-        (6, "pc", False): (216, "6ec91a6d7389ac11"),
-        (6, "pc", True): (232, "aedb07b63c48678d"),
-        (6, "pc_plus", False): (204, "193ea6c7d56e780e"),
-        (6, "pc_plus", True): (214, "4d35657653d76e07"),
+        (6, "pc", False): (216, "a249fbe6bfd9fa15"),
+        (6, "pc", True): (232, "b21fb38132d73d27"),
+        (6, "pc_plus", False): (204, "b3a1b731ce2d3215"),
+        (6, "pc_plus", True): (214, "6377a92e0c878121"),
         (6, "learn", False): (267, "687ecb09eb14a1fc"),
     }
 
@@ -214,7 +215,8 @@ class TestSkeletonDriver:
             learn(Dataset(x), ordering, engine=engine)
         assert engine.n_queries == 3  # the block of two, then the first test again
 
-    def test_level_zero_blocks_replay_single_queries(self, monkeypatch):
+    @pytest.mark.parametrize("algorithm", ["learn", "pc", "pc_plus"])
+    def test_level_zero_blocks_replay_single_queries(self, monkeypatch, algorithm):
         # a fit of the benchmark's learn-p120 kind: p=120, L=5, n=1000
         rng = rng_from_seed(120)
         dag, ordering = generate_layered_dag(
@@ -238,18 +240,50 @@ class TestSkeletonDriver:
         fits = []
         for engine_class in (BlockCounting, SingleQueries):
             recorder = RecordingEngine(engine_class(data, alpha=cfg.alpha))
-            res = learn(data, ordering, cfg, engine=recorder)
-            fits.append(
-                (
-                    sorted(res.sepsets.items()),
-                    res.diagnostics.removals_per_level,
-                    res.diagnostics.ci_tests,
-                    query_digest(recorder),
-                    res.as_pdag(),
-                )
-            )
+            if algorithm == "learn":
+                res = learn(data, ordering, cfg, engine=recorder)
+                fit = (res.diagnostics.removals_per_level, res.diagnostics.ci_tests, res.as_pdag())
+            else:
+                estimator, target = (pc, data.m) if algorithm == "pc" else (pc_plus, ordering)
+                res = estimator(recorder, target, max_level=cfg.max_sepset_size, on_conflict="ignore")
+                fit = (res.ci_tests, res.pdag)
+            fits.append((sorted(res.sepsets.items()), query_digest(recorder)) + fit)
         assert fits[0] == fits[1]
         assert len(per_target) > 100 and max(per_target.values()) <= 2
+
+    @pytest.mark.parametrize("algorithm", ["pc", "pc_plus"])
+    def test_baseline_level_zero_is_one_block_per_target(self, algorithm):
+        data, ordering = sixteen_node_data(5)
+        blocks = []
+        windows = []
+
+        class Blocks(GaussianEngine):
+            def _decide_block(self, b, sources, cond):
+                verdicts = super()._decide_block(b, sources, cond)
+                blocks.append((b, sources, cond, [v.independent for v in verdicts]))
+                return verdicts
+
+            def speculate(self, requests):
+                windows.extend(len(subsets[0]) for _, _, _, subsets in requests)
+                return super().speculate(requests)
+
+        engine = Blocks(data, alpha=0.05)
+        if algorithm == "pc":
+            res = pc(engine, data.m, on_conflict="ignore")
+        else:
+            res = pc_plus(engine, ordering, on_conflict="ignore")
+        # every target in turn asks its pairs that no earlier target removed, as one block
+        removed = set()
+        asked = iter(blocks)
+        for b in range(data.m):
+            live = [a for a in range(data.m) if a != b and (min(a, b), max(a, b)) not in removed]
+            if live:
+                target, sources, cond, independent = next(asked)
+                assert (target, sources, cond) == (b, live, frozenset())
+                removed.update((min(a, b), max(a, b)) for a, ind in zip(live, independent) if ind)
+        assert next(asked, None) is None
+        assert removed == {pair for pair, sep in res.sepsets.items() if not sep}
+        assert windows and min(windows) >= 1  # no level-0 test reaches the windows
 
     @pytest.mark.parametrize("algorithm", ["pc", "pc_plus", "pcor", "sis"])
     def test_stacked_separators_replay_single_queries(self, monkeypatch, algorithm):

@@ -658,6 +658,7 @@ class TestBlockQueries:
         assert block.n_queries == block.inner.n_queries == single.n_queries == len(sources)
         assert block.records == single.records
 
+    @pytest.mark.parametrize("empty", [False, True])
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -665,15 +666,20 @@ class TestBlockQueries:
         n=st.integers(12, 400),
         alpha=st.sampled_from([0.5, 0.05, 0.001]),
     )
-    def test_inside_sources_equal_single_queries(self, seed, m, n, alpha):
+    def test_inside_sources_equal_single_queries(self, empty, seed, m, n, alpha):
+        # with cond empty (PC's level 0) every source lies outside it, and
+        # its rho is read off three covariance entries as the single query's
         rng = np.random.default_rng(seed)
         engine = GaussianEngine(CovMatrix(random_pd(rng, m), n=n), alpha=alpha)
         b = int(rng.integers(m))
         others = [int(v) for v in rng.permutation([v for v in range(m) if v != b])]
-        cond = frozenset(others[: int(rng.integers(2, m))])
-        sources = [a for a in others if a in cond]
-        got = engine.query_block(b, sources, cond)
-        # the same rho, bit for bit, so the same statistic and p-value
+        cond = frozenset() if empty else frozenset(others[: int(rng.integers(2, m))])
+        sources = others if empty else [a for a in others if a in cond]
+        with pytest.MonkeyPatch.context() as patch:
+            if empty:  # the block itself answers, not the single-query fallback
+                patch.setattr(engine, "_decide", None)
+            got = engine.query_block(b, sources, cond)
+        # the same rho, bit for bit, so the same statistic
         assert got == [engine.query(a, b, cond - {a}) for a in sources]
 
     def test_singular_unions_fall_back_to_single_queries(self):
