@@ -48,6 +48,15 @@ EXIT_USAGE = 2
 EXIT_LABELS = 3
 EXIT_NUMERIC = 4
 
+# learn flags that only podag reads, and their defaults
+PODAG_FLAGS = {
+    "--backend": "pcor",
+    "--screen-alpha": 0.5,
+    "--threshold": None,
+    "--within-layers": False,
+    "--screen-only": False,
+}
+
 NUMERIC_ERRORS = (
     SingularityError,
     InsufficientDataError,
@@ -135,13 +144,13 @@ def build_parser():
         default="podag",
         choices=["podag", "pc", "pc+", "h0", "h-minus-j"],
     )
-    p_learn.add_argument("--backend", default="pcor", choices=BACKENDS)
+    p_learn.add_argument("--backend", default=PODAG_FLAGS["--backend"], choices=BACKENDS)
     p_learn.add_argument("--alpha", type=float, default=0.05)
-    p_learn.add_argument("--screen-alpha", type=float, default=0.5)
+    p_learn.add_argument("--screen-alpha", type=float, default=PODAG_FLAGS["--screen-alpha"])
     p_learn.add_argument(
         "--threshold",
         type=float,
-        default=None,
+        default=PODAG_FLAGS["--threshold"],
         help="absolute partial-correlation screening threshold (pcor backend)",
     )
     p_learn.add_argument("--within-layers", action="store_true")
@@ -259,8 +268,10 @@ def cmd_learn(args):
     dataset = Dataset.from_csv(io.StringIO(_read_input(args.data)))
     layering_text = _read_input(args.layering)
     ordering = read_layering(layering_text, dataset.labels)
-    if args.threshold is not None and args.algorithm != "podag":
-        raise ValueError(f"--threshold applies to podag's pcor screening only, not {args.algorithm}")
+    for flag, default in PODAG_FLAGS.items():
+        if args.algorithm != "podag" and getattr(args, flag[2:].replace("-", "_")) != default:
+            scope = "podag's pcor screening" if flag == "--threshold" else "podag"
+            raise ValueError(f"{flag} applies to {scope} only, not {args.algorithm}")
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -9,8 +9,12 @@ backends (exact partial correlation, sure-independence screening, lasso):
   associated with j after adjusting for all of ``s0`` and the peers.
 
 The two stages are the same for every backend; a backend only decides
-which members of a pool stay associated with j.  :func:`screen_all`
-screens every target node and counts the tests pcor screening performs.
+which members of a pool stay associated with j.  Every backend reads one
+input, the checked covariance (a :class:`Dataset` is reduced to it, so
+collinear columns fail alike): pcor its block precision matrices, sis
+the marginal correlations, and the lasso, Gram-form coordinate descent,
+the correlation block of each pool.  :func:`screen_all` screens every
+target node and counts the tests pcor screening performs.
 
 The derived sets drive the searching loop: ``cross = s0 & s1`` holds the
 candidate incoming cross edges and ``cmb = s1 - s0`` is the conditional
@@ -29,9 +33,10 @@ from .errors import InsufficientDataError, SelectionError, SingularityError
 from .graph import _column_labels
 from .stats import (
     CiEngine,
-    CovMatrix,
     Dataset,
     _checked_covariance,
+    _correlation,
+    _covariance,
     _dependence_error,
     _fisher_z_dof,
     _fisher_z_statistics,
@@ -56,6 +61,7 @@ __all__ = [
 BACKENDS = ("pcor", "sis", "lasso")
 LASSO_TOL = 1e-7
 LASSO_MAX_SWEEPS = 100_000
+LASSO_TIE = 1e-9  # |z| this close to lam, relative to |z|, is a rounding tie: the coefficient stays 0
 
 
 @dataclass(frozen=True)
@@ -169,16 +175,10 @@ class ScreenSets:
     def from_json(cls, text, labels):
         index = {lab: i for i, lab in enumerate(labels)}
         doc = json.loads(text)
-        entries = []
-        for lab, sets in doc.items():
-            j = index[lab]
-            entries.append(
-                ScreenEntry(
-                    j,
-                    {index[x] for x in sets["s0"]},
-                    {index[x] for x in sets["s1"]},
-                )
-            )
+        entries = [
+            ScreenEntry(index[lab], {index[x] for x in sets["s0"]}, {index[x] for x in sets["s1"]})
+            for lab, sets in doc.items()
+        ]
         return cls(entries, n_nodes=len(labels), labels=labels)
 
 
@@ -244,9 +244,7 @@ def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
 
         return _screen_node(ordering, j, select, None, verdicts=True)
 
-    cov = _checked_covariance(source) if isinstance(source, Dataset) else source
-    if not isinstance(cov, CovMatrix):
-        raise TypeError("source must be a Dataset, CovMatrix or CiEngine")
+    cov = _covariance(source)
     n = cov.n
     if threshold is None and n is None:
         raise ValueError("Fisher-z screening needs a sample size; population input wants threshold mode")
@@ -278,46 +276,41 @@ def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
     return _screen_node(ordering, j, select, n, verdicts=True)
 
 
-def _sis_select(scores, candidates, n, t):
-    """Indices of the ceil(t*n) largest scores; ties resolved by node index."""
-    m = int(np.ceil(t * n))
-    order = sorted(range(len(candidates)), key=lambda idx: (-scores[idx], candidates[idx]))
-    return {candidates[idx] for idx in order[:m]}
+def screen_sis(source, ordering, j, t=0.5, mode="top", pvalue_cutoff=0.5):
+    """Sure-independence screening for node ``j`` (Fan & Lv 2008).
 
-
-def screen_sis(data, ordering, j, t=0.5, mode="top", pvalue_cutoff=0.5):
-    """Sure-independence screening for node ``j``.
-
-    ``mode="top"`` keeps the ceil(t*n) candidates with the largest
-    marginal inner products |x_k' y_j| over standardized columns (all of
-    them when fewer are available).  ``mode="pvalue"`` instead keeps
+    Candidates are scored by their absolute marginal correlation with j,
+    ``|Sigma_kj| / sqrt(Sigma_kk Sigma_jj)`` on the covariance that every
+    backend reads (a :class:`Dataset`'s checked sample covariance, or a
+    :class:`CovMatrix` as given).  ``mode="top"`` keeps the ceil(t*n)
+    highest-scoring candidates, ties resolved by node index (all of them
+    when fewer are available).  ``mode="pvalue"`` instead keeps
     candidates whose marginal correlation the Fisher z test at level
     ``pvalue_cutoff`` rejects: two-sided p-value below the cutoff.
 
     Raises
     ------
     InsufficientDataError
-        In ``"pvalue"`` mode, if ``n - 3`` is not positive.
+        In ``"pvalue"`` mode, if ``n - 3`` is not positive (checked before
+        the covariance is read).
     """
     if mode == "top" and not 0 < t < 1:
         raise ValueError("t must be in (0, 1)")
     if mode not in ("top", "pvalue"):
         raise ValueError("mode must be 'top' or 'pvalue'")
-    n = data.n
+    n = source.n
     if mode == "pvalue":
         if not 0 < pvalue_cutoff < 1:
             raise ValueError("pvalue_cutoff must be in (0, 1)")
         dof = _fisher_z_dof(n, 0)
-    x = data.standardized
-    y = x[:, j]
+    sigma = _covariance(source).values
 
     def select(candidates, stage):
-        scores = np.abs(x[:, candidates].T @ y)
+        scores = np.abs(sigma[candidates, j]) / np.sqrt(np.diag(sigma)[candidates] * sigma[j, j])
         if mode == "top":
-            return _sis_select(scores, candidates, n, t)
-        # the Fisher z test on the marginal correlations scores / n
-        rho = np.clip(scores / n, 0.0, 1.0 - 1e-15)
-        _, independent = _fisher_z_statistics(rho, dof, pvalue_cutoff)
+            order = sorted(range(len(candidates)), key=lambda idx: (-scores[idx], candidates[idx]))
+            return {candidates[idx] for idx in order[: int(np.ceil(t * n))]}
+        _, independent = _fisher_z_statistics(np.clip(scores, 0.0, 1.0 - 1e-15), dof, pvalue_cutoff)
         return {k for k, ind in zip(candidates, independent) if not ind}
 
     return _screen_node(ordering, j, select, n)
@@ -334,111 +327,110 @@ class LassoFit:
     converged: bool
 
 
-def lasso_lambda_max(y, x):
-    """Smallest penalty with an all-zero solution: max |x' y| / n."""
-    n = x.shape[0]
-    return float(np.max(np.abs(x.T @ y)) / n) if x.shape[1] else 0.0
+def _moments(y, x):
+    """``(x'x/n, x'y/n, y'y/n, n)``: all that the lasso reads of ``(y, x)``."""
+    y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
+    return x.T @ x / len(x), x.T @ y / len(x), float(y @ y) / len(x), len(x)
 
 
-def lasso_fit(y, x, lam, warm_start=None, tol=LASSO_TOL, max_sweeps=LASSO_MAX_SWEEPS, trace=None):
-    """Coordinate-descent minimizer of ||y - x b||^2 / (2n) + lam ||b||_1.
+def _lasso(gram, xy, lam, warm_start=None, tol=LASSO_TOL, max_sweeps=LASSO_MAX_SWEEPS, trace=None, yy=0.0):
+    """Gram-form coordinate descent, the one lasso solver.
 
-    Cyclic coordinate descent with active-set iteration: sweep the active
-    set until it stabilizes, then one full sweep to confirm optimality.
-    ``converged`` is False when the sweep cap is hit; the caller decides
-    how to treat that.  When ``trace`` is a list, the objective value is
-    appended after every sweep.
+    Minimizes ``||y - x b||^2 / (2n) + lam ||b||_1`` given only ``G =
+    x'x/n``, ``xy = x'y/n`` and ``yy = y'y/n``: coordinate k moves to
+    ``S(z, lam) / G_kk`` with ``z = xy_k - G_k b + G_kk b_k`` (covariance
+    updates, Friedman, Hastie & Tibshirani 2010), at O(p) per changed
+    coefficient.  Sweeps the active set until it stabilizes, then all
+    coordinates to confirm optimality; ``converged`` is False when the
+    sweep cap is hit.  A ``trace`` list gets the objective after every sweep.
     """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    n, p = x.shape
-    beta = np.zeros(p) if warm_start is None else np.asarray(warm_start, dtype=float).copy()
-    col_sq = (x**2).sum(axis=0) / n
-    resid = y - x @ beta
+    beta = np.zeros(len(xy)) if warm_start is None else np.asarray(warm_start, dtype=float).copy()
+    diag = np.diag(gram)
+    fitted = gram @ beta
     sweeps = 0
 
     def sweep(indices):
-        nonlocal resid, sweeps
+        nonlocal sweeps, fitted
         sweeps += 1
         max_delta = 0.0
         for k in indices:
-            if col_sq[k] == 0.0:
+            if diag[k] == 0.0:
                 continue
             old = beta[k]
-            z = (x[:, k] @ resid) / n + col_sq[k] * old
-            new = np.sign(z) * max(abs(z) - lam, 0.0) / col_sq[k]
+            z = xy[k] - fitted[k] + diag[k] * old
+            excess = abs(z) - lam
+            new = np.sign(z) * excess / diag[k] if excess > LASSO_TIE * abs(z) else 0.0
             if new != old:
                 beta[k] = new
-                resid += x[:, k] * (old - new)
+                fitted += gram[k] * (new - old)
                 max_delta = max(max_delta, abs(new - old))
         if trace is not None:
-            trace.append(float(resid @ resid / (2 * n) + lam * np.abs(beta).sum()))
+            trace.append(float(yy / 2 - xy @ beta + beta @ fitted / 2 + lam * np.abs(beta).sum()))
         return max_delta
 
-    everything = range(p)
     converged = False
     while sweeps < max_sweeps:
-        delta = sweep(everything)
-        if delta < tol:
+        if sweep(range(len(xy))) < tol:
             converged = True
             break
         active = np.nonzero(beta)[0]
-        while sweeps < max_sweeps:
-            if sweep(active) < tol:
-                break
-    return LassoFit(
-        coefficients=beta,
-        lam=float(lam),
-        active_set=frozenset(int(k) for k in np.nonzero(beta)[0]),
-        iterations=sweeps,
-        converged=converged,
-    )
+        while sweeps < max_sweeps and sweep(active) >= tol:
+            pass
+    return LassoFit(beta, float(lam), frozenset(map(int, np.flatnonzero(beta))), sweeps, converged)
+
+
+def _lambda_grid(xy, size=50, ratio=0.01):
+    lam_max = float(np.max(np.abs(xy))) if len(xy) else 0.0
+    return [0.0] if lam_max <= 0 else list(np.geomspace(lam_max, ratio * lam_max, size))
+
+
+def _select_lambda_aic(gram, xy, yy, n, grid, max_sweeps=LASSO_MAX_SWEEPS):
+    grid = list(grid)
+    if not grid:
+        raise ValueError("lambda grid is empty")
+    aic = [None] * len(grid)
+    warm = None
+    for idx in sorted(range(len(grid)), key=lambda idx: -grid[idx]):
+        fit = _lasso(gram, xy, grid[idx], warm_start=warm, max_sweeps=max_sweeps)
+        if fit.converged:
+            b = warm = fit.coefficients
+            rss = n * (yy - 2 * xy @ b + b @ gram @ b)
+            aic[idx] = n * np.log(max(rss, 1e-300) / n) + 2 * len(fit.active_set)
+    if all(a is None for a in aic):
+        raise SelectionError("no lasso fit converged on the lambda grid")
+    return grid[min((a, idx) for idx, a in enumerate(aic) if a is not None)[1]]
+
+
+def lasso_lambda_max(y, x):
+    """Smallest penalty with an all-zero solution: max |x' y| / n."""
+    return _lambda_grid(_moments(y, x)[1], size=1)[0]
+
+
+def lasso_fit(y, x, lam, warm_start=None, tol=LASSO_TOL, max_sweeps=LASSO_MAX_SWEEPS, trace=None):
+    """Minimizer of ||y - x b||^2 / (2n) + lam ||b||_1: :func:`_lasso` on the moments of ``(y, x)``."""
+    gram, xy, yy, _ = _moments(y, x)
+    return _lasso(gram, xy, lam, warm_start, tol, max_sweeps, trace, yy)
 
 
 def default_lambda_grid(y, x, size=50, ratio=0.01):
     """Log-spaced grid from the null threshold down to ``ratio`` times it."""
-    lam_max = lasso_lambda_max(y, x)
-    if lam_max <= 0:
-        return [0.0]
-    return list(np.geomspace(lam_max, ratio * lam_max, size))
+    return _lambda_grid(_moments(y, x)[1], size, ratio)
 
 
 def select_lambda_aic(y, x, lambda_grid, max_sweeps=LASSO_MAX_SWEEPS):
     """Pick the grid value minimizing n log(RSS/n) + 2 |active set|.
 
-    Fits are warm-started along the grid in decreasing order.  Fits that
-    fail to converge are skipped; if none converge a
-    :class:`SelectionError` is raised.
+    Fits are warm-started along the grid in decreasing order, and RSS is
+    ``n (y'y/n - 2 b'x'y/n + b'(x'x/n) b)``.  Fits that fail to converge
+    are skipped; if none converge a :class:`SelectionError` is raised.
     """
-    grid = list(lambda_grid)
-    if not grid:
-        raise ValueError("lambda grid is empty")
-    n = x.shape[0]
-    order = sorted(range(len(grid)), key=lambda idx: -grid[idx])
-    aic = [None] * len(grid)
-    warm = None
-    for idx in order:
-        fit = lasso_fit(y, x, grid[idx], warm_start=warm, max_sweeps=max_sweeps)
-        if fit.converged:
-            warm = fit.coefficients
-            rss = float(np.sum((y - x @ fit.coefficients) ** 2))
-            aic[idx] = n * np.log(max(rss, 1e-300) / n) + 2 * len(fit.active_set)
-    if all(a is None for a in aic):
-        raise SelectionError("no lasso fit converged on the lambda grid")
-    best = min((a, idx) for idx, a in enumerate(aic) if a is not None)
-    return grid[best[1]]
+    gram, xy, yy, n = _moments(y, x)
+    return _select_lambda_aic(gram, xy, yy, n, lambda_grid, max_sweeps)
 
 
-def screen_lasso(
-    data,
-    ordering,
-    j,
-    lambda0=None,
-    lambda1=None,
-    aic=False,
-):
+def screen_lasso(source, ordering, j, lambda0=None, lambda1=None, aic=False):
     """Lasso screening for node ``j``.
 
     ``s0`` is the active set of a lasso of y_j on the earlier-layer
@@ -446,23 +438,22 @@ def screen_lasso(
     ``s0`` columns plus j's unordered peers at ``lambda1``.  Default
     penalties follow the sqrt(2 log p / n) rate; ``aic=True`` instead
     selects each penalty by AIC over a log-spaced grid.  Columns are
-    standardized internally (membership in the active set is what
-    matters downstream).
+    standardized (the active set is what matters downstream):
+    :func:`_lasso` reads the pool's correlation block, as sis reads it.
     """
-    n = data.n
-    x = data.standardized
-    y = x[:, j]
+    cov = _covariance(source)
+    n = cov.n
     notes = []
 
     def active(pool, stage):
-        design = x[:, pool]
+        corr = _correlation(cov.values[np.ix_(pool + [j], pool + [j])])
+        gram, xy, yy = corr[:-1, :-1], corr[:-1, -1], corr[-1, -1]
         lam = (lambda0, lambda1)[stage]
         if aic:
-            lam = select_lambda_aic(y, design, default_lambda_grid(y, design))
+            lam = _select_lambda_aic(gram, xy, yy, n, _lambda_grid(xy))
         elif lam is None:
-            default_count = len(pool) if stage == 0 else data.m
-            lam = np.sqrt(2.0 * np.log(max(default_count, 2)) / n)
-        fit = lasso_fit(y, design, lam)
+            lam = np.sqrt(2.0 * np.log(max(len(pool) if stage == 0 else cov.m, 2)) / n)
+        fit = _lasso(gram, xy, lam)
         if not fit.converged:
             notes.append(f"lasso for node {j} (s{stage}) did not converge")
         return {pool[k] for k in fit.active_set}
@@ -475,9 +466,10 @@ def screen_all(source, ordering, backend="pcor", params=None, targets=None):
 
     ``targets`` defaults to all nodes (first-layer nodes get ``s0 = {}``
     and are screened only for within-layer structure).  ``params`` are
-    keyword arguments of the backend's per-node screen.  A
-    :class:`Dataset` source is reduced to its sample covariance once for
-    the pcor backend.  Per-node errors fail fast.
+    keyword arguments of the backend's per-node screen.  Every backend
+    reads the checked covariance, to which a :class:`Dataset` source is
+    reduced once; the lasso is Gram-form coordinate descent on its
+    correlation blocks.  Per-node errors fail fast.
 
     Returns ``(screen_sets, n_tests)``: ``n_tests`` counts one logical
     test per pool member screened by pcor (the queries an engine source
@@ -489,7 +481,7 @@ def screen_all(source, ordering, backend="pcor", params=None, targets=None):
     if targets is None:
         targets = range(ordering.n_nodes)
     labels = getattr(source, "labels", None)
-    if backend == "pcor" and isinstance(source, Dataset):
+    if isinstance(source, Dataset):
         source = _checked_covariance(source)
     entries = [screen_node(source, ordering, j, **(params or {})) for j in sorted(targets)]
     n_tests = sum(len(pool) for e in entries for pool in e.pools)  # only pcor records pools

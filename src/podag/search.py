@@ -470,12 +470,10 @@ def learn(source, ordering, cfg=None, engine=None):
             engine = OracleEngine(source)
         screen_source = engine
     elif isinstance(source, Dataset):
-        screen_source = source
         if engine is None:
             engine = GaussianEngine(source, alpha=cfg.alpha)
-            if cfg.backend == "pcor":
-                # screening and the search read one checked covariance
-                screen_source = engine.cov
+        # screening and the search read one checked covariance
+        screen_source = getattr(engine, "cov", source)
     else:
         raise TypeError("source must be a Dataset or a Dag")
 

@@ -91,15 +91,6 @@ class Dataset:
     def m(self):
         return self.data.shape[1]
 
-    @functools.cached_property
-    def standardized(self):
-        """The columns centred and scaled to unit variance (a constant column only centred), read-only."""
-        x = self.data - self.data.mean(axis=0)
-        sd = x.std(axis=0)
-        x /= np.where(sd == 0, 1.0, sd)
-        x.setflags(write=False)
-        return x
-
     @classmethod
     def from_csv(cls, source):
         """Read a dataset from CSV text, a path, or a file object.
@@ -205,6 +196,13 @@ def _checked_covariance(dataset):
     if error is not None:
         raise error
     return cov
+
+
+def _covariance(source):
+    """What tests and screens read: a :class:`Dataset`'s checked covariance, a :class:`CovMatrix` as given."""
+    if not isinstance(source, (Dataset, CovMatrix)):
+        raise TypeError("source must be a Dataset or CovMatrix")
+    return _checked_covariance(source) if isinstance(source, Dataset) else source
 
 
 def _dependence_error(cov, idx, spare):
@@ -585,16 +583,11 @@ class GaussianEngine(CiEngine):
         self.alpha = float(alpha)
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
-        if isinstance(source, Dataset):
-            if source.n < 4:
-                raise InsufficientDataError("gaussian engine needs n >= 4")
-            self.cov = _checked_covariance(source)
-        elif isinstance(source, CovMatrix):
-            if source.n is None:
-                raise ValueError("a CovMatrix source needs a sample size n")
-            self.cov = source
-        else:
-            raise TypeError("source must be a Dataset or CovMatrix")
+        if isinstance(source, Dataset) and source.n < 4:
+            raise InsufficientDataError("gaussian engine needs n >= 4")
+        if isinstance(source, CovMatrix) and source.n is None:
+            raise ValueError("a CovMatrix source needs a sample size n")
+        self.cov = _covariance(source)
         self._n = source.n
 
     def _union_precision(self, union):
@@ -783,6 +776,11 @@ class RecordingEngine(CiEngine):
         self.records = []
         self.phase = "search"
         self._records_lock = threading.Lock()
+
+    @property
+    def cov(self):
+        """The inner engine's covariance; AttributeError when it has none."""
+        return self.inner.cov
 
     def _decide(self, i, j, s):
         with self._records_lock:

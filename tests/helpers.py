@@ -7,10 +7,13 @@ machinery is never trusted to check itself.
 
 import itertools
 
+import numpy as np
+
 import podag.stats
 from podag import Dag, PartialOrdering, Pdag, SepsetMap, apply_meek_rules, orient_v_structures
 from podag.errors import PodagError
 from podag.graph import orient_by_ordering
+from podag.screening import LASSO_MAX_SWEEPS, LASSO_TIE, LASSO_TOL
 from podag.sem import GenConfig, generate_layered_dag
 
 
@@ -235,3 +238,44 @@ def counting_factorizations(monkeypatch, name="_block_precision"):
 
     monkeypatch.setattr(podag.stats, name, counted)
     return calls
+
+
+def residual_lasso(y, x, lam, tol=LASSO_TOL, max_sweeps=LASSO_MAX_SWEEPS):
+    """Residual-form coordinate descent for ||y - x b||^2 / (2n) + lam ||b||_1.
+
+    The textbook form: keep the residual ``r = y - x b`` and move
+    coordinate k to ``S(z, lam) / (x_k'x_k/n)`` with ``z = x_k'r/n + b_k
+    x_k'x_k/n``, at O(n) per coordinate.  The stopping rule, the
+    active-set sweeps and the rounding-tie rule are the package's.
+    Returns ``(coefficients, converged)``.
+    """
+    n, p = x.shape
+    beta = np.zeros(p)
+    resid = np.asarray(y, dtype=float).copy()
+    col_sq = (x**2).sum(axis=0) / n
+    sweeps = 0
+
+    def sweep(indices):
+        nonlocal sweeps, resid
+        sweeps += 1
+        max_delta = 0.0
+        for k in indices:
+            if col_sq[k] == 0.0:
+                continue
+            old = beta[k]
+            z = x[:, k] @ resid / n + col_sq[k] * old
+            excess = abs(z) - lam
+            new = np.sign(z) * excess / col_sq[k] if excess > LASSO_TIE * abs(z) else 0.0
+            if new != old:
+                beta[k] = new
+                resid += x[:, k] * (old - new)
+                max_delta = max(max_delta, abs(new - old))
+        return max_delta
+
+    while sweeps < max_sweeps:
+        if sweep(range(p)) < tol:
+            return beta, True
+        active = np.nonzero(beta)[0]
+        while sweeps < max_sweeps and sweep(active) >= tol:
+            pass
+    return beta, False

@@ -155,6 +155,29 @@ class TestLearn:
         assert f"--threshold applies to podag's pcor screening only, not {algorithm}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("algorithm", ["pc", "pc+", "h0", "h-minus-j"])
+    @pytest.mark.parametrize(
+        "flag", [["--backend", "lasso"], ["--screen-alpha", "0.9"], ["--within-layers"], ["--screen-only"]]
+    )
+    def test_podag_flag_with_another_algorithm_is_usage_error(self, tmp_path, capsys, algorithm, flag):
+        sim = simulate_into(tmp_path, nodes=8)
+        out = tmp_path / "o"
+        code = run(
+            ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
+             "--algorithm", algorithm, *flag, "-o", out]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{flag[0]} applies to podag only, not {algorithm}" in err
+        assert not (out / "result.json").exists()
+
+    def test_podag_flags_at_their_defaults_pass_with_another_algorithm(self, tmp_path):
+        sim = simulate_into(tmp_path, nodes=8)
+        args = ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt", "--algorithm", "pc"]
+        assert run(args + ["-o", tmp_path / "plain"]) == EXIT_OK
+        assert run(args + ["--backend", "pcor", "--screen-alpha", "0.5", "-o", tmp_path / "flagged"]) == EXIT_OK
+        assert (tmp_path / "plain" / "result.json").read_text() == (tmp_path / "flagged" / "result.json").read_text()
+
     @pytest.mark.parametrize("threshold", [-1, 2, "nan"])
     def test_threshold_outside_the_unit_interval_is_usage_error(self, tmp_path, capsys, threshold):
         sim = simulate_into(tmp_path)
@@ -190,6 +213,23 @@ class TestLearn:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"columns {data.labels[4]} and {data.labels[5]} are collinear" in err
+
+    @pytest.mark.parametrize("backend", ["pcor", "sis", "lasso"])
+    def test_screen_only_on_collinear_columns_exits_four(self, tmp_path, capsys, backend):
+        sim = simulate_into(tmp_path, nodes=30, layers=3, n=500)
+        data = Dataset.from_csv(sim / "dataset.csv")
+        copied = data.data.copy()
+        copied[:, 5] = copied[:, 4]
+        (sim / "dataset.csv").write_text(Dataset(copied, data.labels).to_csv())
+        capsys.readouterr()
+        out = tmp_path / "o"
+        code = run(
+            ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
+             "--screen-only", "--backend", backend, "-o", out]
+        )
+        assert code == EXIT_NUMERIC
+        assert f"columns {data.labels[4]} and {data.labels[5]} are collinear" in capsys.readouterr().err
+        assert not (out / "screen.json").exists()
 
     @pytest.mark.parametrize("algorithm", ["podag", "pc"])
     def test_dependent_columns_exit_four_with_one_line(self, tmp_path, capsys, algorithm):

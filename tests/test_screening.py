@@ -14,6 +14,7 @@ from podag import (
     lasso_fit,
     lasso_lambda_max,
     population_covariance,
+    sample_covariance,
     screen_all,
     screen_lasso,
     screen_pcor,
@@ -21,7 +22,7 @@ from podag import (
     select_lambda_aic,
 )
 from podag.errors import InsufficientDataError, SelectionError
-from podag.screening import ScreenEntry, ScreenSets
+from podag.screening import LASSO_MAX_SWEEPS, ScreenEntry, ScreenSets
 from podag.sem import (
     GenConfig,
     generate_layered_dag,
@@ -32,7 +33,7 @@ from podag.sem import (
     toy_two_layer_sem,
 )
 
-from helpers import random_layered_instance
+from helpers import random_layered_instance, residual_lasso
 
 
 def toy_population_cov():
@@ -192,11 +193,10 @@ class TestSis:
         x = rng.standard_normal((n, 3))
         y = x[:, 1].copy()
         data_matrix = np.column_stack([x, y])
-        from podag import Dataset
-
-        data = Dataset(data_matrix)
+        # an exact copy fails the checked covariance; the unchecked one ranks it
+        cov = sample_covariance(Dataset(data_matrix))
         ordering = PartialOrdering([{0, 1, 2}, {3}], n_nodes=4)
-        e = screen_sis(data, ordering, 3, t=1.0 / n)  # ceil(t n) = 1
+        e = screen_sis(cov, ordering, 3, t=1.0 / n)  # ceil(t n) = 1
         assert e.s0 == {1}
 
     def test_tie_broken_by_ascending_index(self):
@@ -206,11 +206,10 @@ class TestSis:
         other = rng.standard_normal(n)
         y = base + 0.1 * rng.standard_normal(n)
         data_matrix = np.column_stack([base, base.copy(), other, y])
-        from podag import Dataset
-
-        data = Dataset(data_matrix)
+        # a copied column fails the checked covariance; the unchecked one ranks it
+        cov = sample_covariance(Dataset(data_matrix))
         ordering = PartialOrdering([{0, 1, 2}, {3}], n_nodes=4)
-        e = screen_sis(data, ordering, 3, t=1.0 / n)
+        e = screen_sis(cov, ordering, 3, t=1.0 / n)
         assert e.s0 == {0}  # columns 0 and 1 tie exactly; lower index wins
 
     def test_monotone_in_t(self):
@@ -257,11 +256,11 @@ class TestSis:
         data[:, :8] += 0.3 * data[:, [11]]  # some association with the target
         data[:, 8] = data[:, 11]  # a copy of the target: rho at the clip
         ordering = PartialOrdering([set(range(9)), {9, 10, 11}], n_nodes=12)
-        e = screen_sis(Dataset(data), ordering, 11, mode="pvalue", pvalue_cutoff=cutoff)
+        e = screen_sis(sample_covariance(Dataset(data)), ordering, 11, mode="pvalue", pvalue_cutoff=cutoff)
 
         def oracle(pool):
             # the two-sided p-value of the marginal Fisher z test, through scipy.stats
-            x = Dataset(data).standardized
+            x = (data - data.mean(axis=0)) / data.std(axis=0)
             scores = np.abs(x[:, pool].T @ x[:, 11])
             z = np.sqrt(n - 3) * np.arctanh(np.clip(scores / n, 0.0, 1.0 - 1e-15))
             return {k for k, zk in zip(pool, z) if 2.0 * norm.sf(zk) < cutoff}
@@ -343,6 +342,26 @@ class TestLassoFit:
         fit = lasso_fit(y, x, 0.05)
         assert 0 in fit.active_set
         assert 1 not in fit.active_set
+
+    @pytest.mark.parametrize("max_sweeps", [LASSO_MAX_SWEEPS, 2])
+    @pytest.mark.parametrize("n, p, copies", [(60, 8, 0), (30, 60, 0), (60, 8, 2), (30, 60, 3)])
+    def test_matches_residual_form_reference(self, n, p, copies, max_sweeps):
+        # the Gram-form solver against the textbook residual updates, with
+        # the trailing ``copies`` columns duplicating the leading ones
+        rng = rng_from_seed(30 + n + p + copies)
+        for _ in range(10):
+            x = rng.standard_normal((n, p))
+            x[:, p - copies :] = x[:, :copies]
+            beta = np.zeros(p)
+            beta[:3] = rng.uniform(0.5, 2.0, size=3) * rng.choice([-1.0, 1.0], size=3)
+            y = x @ beta + 0.5 * rng.standard_normal(n)
+            lam = rng.uniform(0.05, 0.5) * lasso_lambda_max(y, x)
+            fit = lasso_fit(y, x, lam, max_sweeps=max_sweeps)
+            coefficients, converged = residual_lasso(y, x, lam, max_sweeps=max_sweeps)
+            assert fit.active_set == frozenset(np.flatnonzero(coefficients))
+            np.testing.assert_allclose(fit.coefficients, coefficients, rtol=0, atol=1e-8)
+            assert fit.converged == converged
+            assert fit.converged or max_sweeps == 2
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ from podag import (
     screen_all,
 )
 from podag.errors import InsufficientDataError, PodagError, SingularityError
-from podag.screening import ScreenEntry, ScreenSets
+from podag.screening import BACKENDS, ScreenEntry, ScreenSets
 from podag.sem import rng_from_seed, sample, toy_two_layer_sem
 from podag.stats import CiEngine, GaussianEngine, sample_covariance
 
@@ -658,6 +658,23 @@ class TestLearnDispatch:
         sem, ordering = toy_two_layer_sem()
         res = learn(sem.dag, ordering, PodagConfig())
         assert res.diagnostics.elapsed_ms >= 50
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_more_nodes_than_samples(self, backend):
+        # the high-dimensional half: p = 120 nodes from n = 60 samples
+        rng = rng_from_seed(3)
+        dag, ordering = generate_layered_dag(
+            GenConfig(n_nodes=120, expected_edges_per_node=3.0, layers=3), rng
+        )
+        data = sample(random_weights(dag, rng), 60, rng)
+        cfg = PodagConfig(backend=backend, learn_within_layers=True, on_conflict="ignore", max_sepset_size=2)
+        if backend == "pcor":
+            with pytest.raises(InsufficientDataError, match="--backend lasso"):
+                learn(data, ordering, cfg)
+            return
+        res = learn(data, ordering, cfg)
+        assert res.cross_edges & dag.edges
+        assert res.diagnostics.ci_tests > 0
 
     def test_backends_pinned_on_fixed_seed(self):
         # edges and test counts of one fixed simulated fit per backend,

@@ -29,6 +29,7 @@ from podag import (
     partial_correlation,
     pc,
     sample_covariance,
+    screen_all,
 )
 from podag.errors import (
     DegenerateDataError,
@@ -47,6 +48,7 @@ from podag.sem import (
     sample,
     toy_two_layer_sem,
 )
+from podag.screening import BACKENDS
 from podag.stats import _factor_spd, block_partial_correlations
 
 from helpers import counting_factorizations, random_layered_instance, toy_diamond
@@ -910,6 +912,34 @@ class TestCollinearColumns:
         data = sample(random_weights(dag, rng), 300, rng)
         learn(data, ordering, PodagConfig(learn_within_layers=True, on_conflict="ignore"))
         assert calls == [data]
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_backend_screens_the_engines_covariance(self, monkeypatch, backend, wrap):
+        # one checked covariance per fit, also under a caller's recording engine
+        calls = []
+        checked = podag.stats._checked_covariance
+        monkeypatch.setattr(podag.stats, "_checked_covariance", lambda data: calls.append(data) or checked(data))
+        monkeypatch.setattr(podag.screening, "_checked_covariance", podag.stats._checked_covariance)
+        rng = rng_from_seed(5)
+        dag, ordering = generate_layered_dag(GenConfig(n_nodes=20, layers=3), rng)
+        data = sample(random_weights(dag, rng), 300, rng)
+        engine = RecordingEngine(GaussianEngine(data, alpha=0.05)) if wrap else None
+        cfg = PodagConfig(backend=backend, learn_within_layers=True, on_conflict="ignore")
+        learn(data, ordering, cfg, engine=engine)
+        assert calls == [data]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "sources, message",
+        [((4,), MESSAGE), ((3, 4), "columns V3, V4 and V5 are linearly dependent")],
+        ids=["copy", "sum"],
+    )
+    def test_every_screening_backend_names_the_columns(self, backend, sources, message):
+        # all backends read one checked covariance, so they fail alike
+        data, ordering = collinear_dataset(sources)
+        with pytest.raises(DegenerateDataError, match=message):
+            screen_all(data, ordering, backend)
 
     @pytest.mark.parametrize("algorithm", ["learn", "pc"])
     def test_dependent_column_set_is_named(self, algorithm):
