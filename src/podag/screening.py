@@ -290,6 +290,8 @@ def screen_sis(source, ordering, j, t=0.5, mode="top", pvalue_cutoff=0.5):
 
     Raises
     ------
+    ValueError
+        On a population :class:`CovMatrix`: both modes read n.
     InsufficientDataError
         In ``"pvalue"`` mode, if ``n - 3`` is not positive (checked before
         the covariance is read).
@@ -299,6 +301,8 @@ def screen_sis(source, ordering, j, t=0.5, mode="top", pvalue_cutoff=0.5):
     if mode not in ("top", "pvalue"):
         raise ValueError("mode must be 'top' or 'pvalue'")
     n = source.n
+    if n is None:
+        raise ValueError("sis screening needs a sample size; a population CovMatrix has none")
     if mode == "pvalue":
         if not 0 < pvalue_cutoff < 1:
             raise ValueError("pvalue_cutoff must be in (0, 1)")
@@ -437,7 +441,8 @@ def screen_lasso(source, ordering, j, lambda0=None, lambda1=None, aic=False):
     columns at ``lambda0``; ``s1`` the active set of a lasso on the
     ``s0`` columns plus j's unordered peers at ``lambda1``.  Default
     penalties follow the sqrt(2 log p / n) rate; ``aic=True`` instead
-    selects each penalty by AIC over a log-spaced grid.  Columns are
+    selects each penalty by AIC over a log-spaced grid.  Both read n:
+    population input needs ``lambda0`` and ``lambda1``.  Columns are
     standardized (the active set is what matters downstream):
     :func:`_lasso` reads the pool's correlation block, as sis reads it.
     """
@@ -449,6 +454,8 @@ def screen_lasso(source, ordering, j, lambda0=None, lambda1=None, aic=False):
         corr = _correlation(cov.values[np.ix_(pool + [j], pool + [j])])
         gram, xy, yy = corr[:-1, :-1], corr[:-1, -1], corr[-1, -1]
         lam = (lambda0, lambda1)[stage]
+        if n is None and (aic or lam is None):
+            raise ValueError("lasso screening needs a sample size unless lambda0 and lambda1 are given")
         if aic:
             lam = _select_lambda_aic(gram, xy, yy, n, _lambda_grid(xy))
         elif lam is None:
@@ -459,6 +466,11 @@ def screen_lasso(source, ordering, j, lambda0=None, lambda1=None, aic=False):
         return {pool[k] for k in fit.active_set}
 
     return _screen_node(ordering, j, active, n, notes)
+
+
+def _backend_screen(backend):
+    """The per-node screen of ``backend`` (None if unknown), looked up at call time."""
+    return {"pcor": screen_pcor, "sis": screen_sis, "lasso": screen_lasso}.get(backend)
 
 
 def screen_all(source, ordering, backend="pcor", params=None, targets=None):
@@ -475,7 +487,7 @@ def screen_all(source, ordering, backend="pcor", params=None, targets=None):
     test per pool member screened by pcor (the queries an engine source
     answered are also on its own counter), and 0 for sis and lasso.
     """
-    screen_node = {"pcor": screen_pcor, "sis": screen_sis, "lasso": screen_lasso}.get(backend)
+    screen_node = _backend_screen(backend)
     if screen_node is None:
         raise ValueError(f"unknown screening backend {backend!r}")
     if targets is None:

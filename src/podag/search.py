@@ -15,6 +15,7 @@ one :func:`screen_all` call followed by it.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import math
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from .errors import PodagError
 from .graph import Dag, Pdag, SepsetMap, apply_meek_rules, orient_v_structures, write_edgelist
 from .graph import _unshielded_triples
-from .screening import BACKENDS, ScreenSets, screen_all
+from .screening import BACKENDS, ScreenSets, _backend_screen, screen_all
 from .stats import Dataset, GaussianEngine, OracleEngine
 
 __all__ = [
@@ -73,6 +74,10 @@ class PodagConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if "alpha" in self.backend_params:
             raise ValueError("set the screening significance with screen_alpha, not backend_params")
+        accepted = list(inspect.signature(_backend_screen(self.backend)).parameters)[3:]
+        for key in self.backend_params:  # keywords after (source, ordering, j)
+            if key not in accepted:
+                raise ValueError(f"backend {self.backend!r} takes no parameter {key!r}")
 
     def screen_params(self):
         """Keyword arguments of the backend's per-node screen (pcor screens at ``screen_alpha``)."""

@@ -10,10 +10,12 @@ The CI-test kernel is kept lean because a fit makes thousands of tests.
 A covariance block is factored with one LAPACK ``dpotrf`` call and
 rejected when ``dpocon`` estimates its reciprocal condition number below
 ``RCOND_MIN``.  :func:`partial_correlation` solves the conditioning
-block with ``dpotrs``; a block precision matrix (``dpotri``) serves
-every partial correlation of one block at once: all of a screening pool
-in :func:`block_partial_correlations`, and the Gaussian engine's query
-on its conditioning union ``S + {i, j}``.  A block of queries
+block with ``dpotrs``; every other partial correlation is read off a
+block precision matrix (``dpotri``) by one helper,
+:func:`_precision_rhos`, as ``-Omega_kt / sqrt(Omega_kk Omega_tt)`` for
+every member k against one member t: all of a screening pool in
+:func:`block_partial_correlations`, and the Gaussian engine's query on
+its conditioning union ``S + {i, j}``.  A block of queries
 (:meth:`CiEngine.query_block`, the level-0 tests of one search target,
 for every skeleton search) takes at most two factorizations in the
 Gaussian engine, none when the conditioning set is empty, with an exact
@@ -273,18 +275,23 @@ def _factor_spd(block, context):
     return factor
 
 
-def _block_precision(sigma, idx, context):
-    """Precision matrix of the ``idx`` block of ``sigma``, lower triangle only.
+def _precision_rhos(sigma, order, t, context):
+    """rho(order[k], order[t] | the rest of the block) for every position k.
 
-    One guarded factorization (:func:`_factor_spd`, which raises
-    :class:`SingularityError` with ``context``) and its LAPACK ``dpotri``
-    inverse.  The strict upper triangle holds no part of the result.
+    The one precision read: one guarded factorization of the ``order``
+    block of ``sigma`` (:func:`_factor_spd`), its LAPACK ``dpotri``
+    inverse ``Omega`` and ``rho_k = -Omega_kt / sqrt(Omega_kk Omega_tt)``
+    off its lower triangle, clipped to [-1, 1].  Position ``t`` itself
+    reads -1.  Raises :class:`SingularityError` with ``context`` when
+    the block fails the guard or ``Omega`` has a non-positive diagonal.
     """
-    factor = _factor_spd(sigma.take(idx, axis=0).take(idx, axis=1), context)
+    factor = _factor_spd(sigma.take(order, axis=0).take(order, axis=1), context)
     omega, info = dpotri(factor, lower=1, overwrite_c=1)
-    if info != 0:
+    diag = np.diag(omega)
+    if info != 0 or (diag <= 0).any():
         raise SingularityError(context=context)
-    return omega
+    column = np.concatenate((omega[t, :t], omega[t:, t]))  # the lower triangle's entries (k, t)
+    return np.clip(-column / np.sqrt(diag * diag[t]), -1.0, 1.0)
 
 
 def partial_correlation(cov, i, j, s):
@@ -333,23 +340,17 @@ def partial_correlation(cov, i, j, s):
 def block_partial_correlations(cov, j, pool):
     """rho(k, j | pool - {k}) for every k in ``pool``, via one factorization.
 
-    The partial correlation of k and j given the rest of the block equals
-    ``-Omega_kj / sqrt(Omega_kk Omega_jj)`` on the precision matrix of the
-    ``pool + [j]`` block, so a single inversion serves all k.  The values
-    equal per-pair :func:`partial_correlation` calls up to rounding.
+    The partial correlations of k and j given the rest of the ``pool +
+    [j]`` block, read off its precision matrix by :func:`_precision_rhos`,
+    so a single inversion serves all k.  The values equal per-pair
+    :func:`partial_correlation` calls up to rounding.
     """
     pool = [int(v) for v in pool]
     if j in pool:
         raise ValueError("pool must not contain j")
     if not pool:
         return np.zeros(0)
-    context = (j, "pool", tuple(pool))
-    omega = _block_precision(cov.values, pool + [int(j)], context)
-    diag = np.diag(omega)
-    if np.any(diag <= 0):
-        raise SingularityError(context=context)
-    rhos = -omega[-1, :-1] / np.sqrt(diag[:-1] * diag[-1])
-    return np.clip(rhos, -1.0, 1.0)
+    return _precision_rhos(cov.values, pool + [int(j)], len(pool), (j, "pool", tuple(pool)))[:-1]
 
 
 @dataclass(frozen=True)
@@ -374,24 +375,22 @@ def _fisher_z_dof(n, size):
     return dof
 
 
-def _fisher_z_verdict(rho, dof, alpha):
-    """The Fisher z verdict on one partial correlation ``rho`` in [-1, 1]."""
-    if abs(rho) >= 1.0:
-        return CiVerdict(independent=False, statistic=np.inf if rho > 0 else -np.inf)
-    z = float(np.sqrt(dof) * np.arctanh(rho))
-    return CiVerdict(independent=abs(z) <= fisher_z_threshold(alpha), statistic=z)
-
-
 def _fisher_z_statistics(rhos, dof, alpha):
     """Fisher z statistics of partial correlations ``rhos`` in [-1, 1] and their verdicts.
 
-    The array form of :func:`_fisher_z_verdict`: ``z = sqrt(dof) *
-    atanh(rho)``, infinite at ``|rho| = 1``, and independent iff ``|z| <=
-    Phi^-1(1 - alpha/2)``.  Returns ``(z, independent)``.
+    ``z = sqrt(dof) * atanh(rho)``, infinite at ``|rho| = 1``, and
+    independent iff ``|z| <= Phi^-1(1 - alpha/2)``.  Returns ``(z,
+    independent)``.
     """
     with np.errstate(divide="ignore"):
         z = np.sqrt(dof) * np.arctanh(np.asarray(rhos, dtype=float))
     return z, np.abs(z) <= fisher_z_threshold(alpha)
+
+
+def _fisher_z_verdict(rho, dof, alpha):
+    """The Fisher z verdict on one partial correlation ``rho``: :func:`_fisher_z_statistics` of one."""
+    z, independent = _fisher_z_statistics(rho, dof, alpha)
+    return CiVerdict(independent=bool(independent), statistic=float(z))
 
 
 def fisher_z_test(cov, n, i, j, s, alpha):
@@ -544,22 +543,20 @@ class GaussianEngine(CiEngine):
     across threads.
 
     A query ``(i, j | S)`` with S non-empty reads its partial correlation
-    off the precision matrix of the union block ``U = S + {i, j}``:
-    ``rho = -Omega_ij / sqrt(Omega_ii Omega_jj)``.  With S empty it reads
-    the correlation off three covariance entries, with
-    :func:`partial_correlation`'s formula and operation order, so the
-    same bits.
+    off the precision matrix of the sorted union block ``U = S + {i,
+    j}`` (:func:`_precision_rhos`).  With S empty it is
+    :func:`fisher_z_test`'s.
 
     A block ``query_block(b, sources, cond)`` (the level-0 tests of one
     target) needs at most two factorizations.  Sources inside ``cond``
-    (cross candidates) share the union ``cond + {b}`` and read their rho
-    off its precision matrix, exactly as single queries do.  Sources
-    outside it (within candidates, or PC's with ``cond`` empty) take
-    :func:`partial_correlation`'s Schur complement on one factored
-    ``Sigma_cond`` (none when empty: the bits of an empty-S query),
-    batched; one whose residual variance given the rest of its union
-    falls below ``sqrt(RCOND_MIN)`` of its variance, where its union may
-    be near singular, is asked as a single query.
+    (cross candidates) share the sorted union ``cond + {b}`` and read
+    their rhos off its precision matrix with the same helper, so the bits
+    of single queries.  Sources outside it (within candidates, or PC's
+    with ``cond`` empty) take :func:`partial_correlation`'s Schur
+    complement on one factored ``Sigma_cond`` (none when empty: the bits
+    of an empty-S query), batched; one whose residual variance given the
+    rest of its union falls below ``sqrt(RCOND_MIN)`` of its variance,
+    where its union may be near singular, is asked as a single query.
 
     ``speculate`` groups the unions ``base + T + {a, b}`` of its tests
     by size and stacks whole tests, up to ``STACK_ENTRIES`` covariance
@@ -590,30 +587,17 @@ class GaussianEngine(CiEngine):
         self.cov = _covariance(source)
         self._n = source.n
 
-    def _union_precision(self, union):
-        """``(positions, Omega)`` of a union's precision matrix, or None when it is singular."""
-        idx = sorted(union)
-        try:
-            omega = _block_precision(self.cov.values, idx, context=None)
-        except SingularityError:
-            return None
-        return {v: pos for pos, v in enumerate(idx)}, omega
-
     def _decide(self, i, j, s):
-        dof = _fisher_z_dof(self._n, len(s))
-        if not s:
-            # partial_correlation's formula and operation order, so the same
-            # bits; a CovMatrix has a positive diagonal
-            sigma = self.cov.values
-            rho = sigma.item(i, j) / math.sqrt(sigma.item(i, i) * sigma.item(j, j))
-            return _fisher_z_verdict(min(max(rho, -1.0), 1.0), dof, self.alpha)
-        union = self._union_precision(s.union((i, j)))
-        if union is None:
-            return fisher_z_test(self.cov, self._n, i, j, s, self.alpha)
-        positions, omega = union
-        a, b = positions[i], positions[j]  # a < b: Omega's lower triangle holds (b, a)
-        rho = -omega.item(b, a) / math.sqrt(omega.item(a, a) * omega.item(b, b))
-        return _fisher_z_verdict(min(max(rho, -1.0), 1.0), dof, self.alpha)
+        if s:
+            dof = _fisher_z_dof(self._n, len(s))
+            order = sorted(s.union((i, j)))
+            try:
+                rhos = _precision_rhos(self.cov.values, order, order.index(j), context=None)
+            except SingularityError:  # fisher_z_test's own solve decides, or raises
+                pass
+            else:
+                return _fisher_z_verdict(rhos[order.index(i)], dof, self.alpha)
+        return fisher_z_test(self.cov, self._n, i, j, s, self.alpha)
 
     def speculate(self, requests):
         stops = [[] for _ in requests]
@@ -714,18 +698,12 @@ class GaussianEngine(CiEngine):
 
     def _inside_block(self, b, sources, cond, dof):
         """Verdicts for sources in ``cond``, off the precision matrix of ``cond + {b}``."""
-        union = self._union_precision(cond.union((b,)))
-        if union is None:
+        order = sorted(cond.union((b,)))
+        try:
+            rhos = _precision_rhos(self.cov.values, order, order.index(b), context=None)
+        except SingularityError:
             return {}
-        positions, omega = union
-        at = np.array([positions[a] for a in sources])
-        bt = positions[b]
-        # Omega's lower triangle holds (max, min); the rho of each pair is
-        # computed as in _decide, so it is bit-identical
-        off = omega[np.maximum(at, bt), np.minimum(at, bt)]
-        diag = np.diagonal(omega)
-        rhos = np.clip(-off / np.sqrt(diag[at] * diag[bt]), -1.0, 1.0)
-        return self._verdicts(sources, rhos, dof)
+        return self._verdicts(sources, rhos[np.searchsorted(order, sources)], dof)
 
     def _outside_block(self, b, sources, cond, dof):
         """Verdicts for sources outside ``cond``, off one factored ``Sigma_cond`` (none when empty)."""

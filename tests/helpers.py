@@ -223,10 +223,10 @@ def toy_diamond():
     return Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 
 
-def counting_factorizations(monkeypatch, name="_block_precision"):
+def counting_factorizations(monkeypatch, name="_precision_rhos"):
     """Arguments of each call to ``podag.stats.<name>``, in call order.
 
-    ``_factor_spd`` counts every guarded factorization; ``_block_precision``
+    ``_factor_spd`` counts every guarded factorization; ``_precision_rhos``
     only those of a precision matrix.
     """
     calls = []

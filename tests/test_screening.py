@@ -486,6 +486,30 @@ class TestScreenAll:
         with pytest.raises(ValueError):
             screen_all(cov, ordering, backend="magic")
 
+    @pytest.mark.parametrize(
+        "backend, params",
+        [
+            ("sis", {}),
+            ("sis", {"mode": "pvalue"}),
+            ("lasso", {}),
+            ("lasso", {"aic": True}),
+            ("lasso", {"lambda0": 0.1}),  # stage 1 still wants its default
+        ],
+    )
+    def test_population_input_needs_a_sample_size(self, backend, params):
+        cov = CovMatrix(np.eye(4) + 0.3)
+        ordering = PartialOrdering([{0, 1}, {2, 3}], n_nodes=4)
+        with pytest.raises(ValueError, match="needs a sample size"):
+            screen_all(cov, ordering, backend, params)
+
+    def test_population_lasso_with_explicit_penalties(self):
+        cov = CovMatrix(np.eye(4) + 0.3)
+        ordering = PartialOrdering([{0, 1}, {2, 3}], n_nodes=4)
+        params = {"lambda0": 0.01, "lambda1": 0.01}
+        screen, n_tests = screen_all(cov, ordering, "lasso", params)
+        assert screen[3].s0 == {0, 1}
+        assert n_tests == 0
+
 
 class TestInflation:
     def test_inflated_sets_are_supersets(self):

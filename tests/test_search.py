@@ -628,6 +628,11 @@ class TestLearnDispatch:
         assert cfg.screen_params() == {"threshold": 0.2, "alpha": 0.3}
         assert PodagConfig(backend="sis", backend_params={"t": 0.01}).screen_params() == {"t": 0.01}
 
+    @pytest.mark.parametrize("backend, key", [("sis", "threshold"), ("lasso", "t"), ("pcor", "lambda0")])
+    def test_rejects_parameters_of_another_backend(self, backend, key):
+        with pytest.raises(ValueError, match=f"backend '{backend}' takes no parameter '{key}'"):
+            PodagConfig(backend=backend, backend_params={key: 0.1})
+
     def test_rejects_unknown_source(self):
         sem, ordering = toy_two_layer_sem()
         with pytest.raises(TypeError):

@@ -232,6 +232,17 @@ class TestPartialCorrelation:
             assert got == pytest.approx(precision_pcor(sigma, int(i), int(j), s), abs=1e-9)
             assert got == pytest.approx(residual_corr(sigma, int(i), int(j), s), abs=1e-9)
 
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 9))
+    def test_block_equals_per_pair_partial_correlations(self, seed, m):
+        rng = np.random.default_rng(seed)
+        cov = CovMatrix(random_pd(rng, m))
+        j, *pool = (int(v) for v in rng.permutation(m)[: int(rng.integers(2, m + 1))])
+        got = block_partial_correlations(cov, j, pool)
+        for k, rho in zip(pool, got):
+            rest = [v for v in pool if v != k]
+            assert rho == pytest.approx(partial_correlation(cov, k, j, rest), abs=1e-10), (k, j, pool)
+
     def test_zero_equivalence_with_regression_coefficient(self):
         # the three formulations share their zero set: regression
         # coefficient, partial correlation, and the conditional covariance
@@ -340,6 +351,18 @@ class TestFisherZ:
         assert v.statistic > 100  # rho = 1 - 4e-16, so z = sqrt(47) atanh(rho) is about 123.6
         exact = fisher_z_test(CovMatrix(np.ones((2, 2))), 50, 0, 1, (), alpha=0.05)
         assert exact == CiVerdict(independent=False, statistic=np.inf)
+
+    @pytest.mark.parametrize("s", [(), (3,)])
+    def test_perfect_negative_correlation_dependent(self, s):
+        # V1 = -V0, and V2, V3 are independent of both: rho(0, 1 | s) is exactly -1
+        sigma = np.eye(4)
+        sigma[0, 1] = sigma[1, 0] = -1.0
+        cov = CovMatrix(sigma, n=50)
+        want = CiVerdict(independent=False, statistic=-np.inf)
+        assert fisher_z_test(cov, 50, 0, 1, s, alpha=0.05) == want
+        engine = GaussianEngine(cov)
+        assert engine.query(1, 0, s) == want
+        assert engine.query_block(1, [0, 2], s) == [want, engine.query(2, 1, s)]
 
 
 class TestEngines:
