@@ -14,7 +14,9 @@ input, the checked covariance (a :class:`Dataset` is reduced to it, so
 collinear columns fail alike): pcor its block precision matrices, sis
 the marginal correlations, and the lasso, Gram-form coordinate descent,
 the correlation block of each pool.  :func:`screen_all` screens every
-target node and counts the tests pcor screening performs.
+target node and counts the tests pcor screening performs; under pcor,
+the targets that share a before set (every target of a layer) share one
+factorization of it at stage 0.
 
 The derived sets drive the searching loop: ``cross = s0 & s1`` holds the
 candidate incoming cross edges and ``cmb = s1 - s0`` is the conditional
@@ -23,6 +25,7 @@ Markov blanket of j within its own layer.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -34,6 +37,7 @@ from .graph import _column_labels
 from .stats import (
     CiEngine,
     Dataset,
+    _bordered_rhos,
     _checked_covariance,
     _correlation,
     _covariance,
@@ -234,22 +238,46 @@ def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
     column set raises :class:`DegenerateDataError` naming those columns,
     and a ``threshold`` outside ``[0, 1)`` raises :class:`ValueError`.
     """
+    return _screen_pcor(source, ordering, [j], threshold, alpha)[0]
+
+
+def _screen_pcor(source, ordering, targets, threshold=None, alpha=0.5):
+    """:func:`screen_pcor` of each of ``targets`` in turn, with its errors for the same target.
+
+    On a covariance source the targets that share a before set share
+    their stage-0 reads: when the first of them is screened, one
+    factorization of the pool serves them all (:func:`_bordered_rhos`,
+    whose rhos may differ from the per-target block's in the last bits).
+    A target alone in its group, one whose residual variance given the
+    pool falls below its floor, and every target of a pool block that
+    fails the guard read their own ``pool + [j]`` block instead, so a
+    singular block raises for the same target as one node at a time.
+    """
     if threshold is not None and not 0 <= threshold < 1:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
     if isinstance(source, CiEngine):
 
-        def select(pool, stage):
+        def answer(j, pool, stage):
             verdicts = source.query_block(j, pool, pool)
             return {k for k, verdict in zip(pool, verdicts) if not verdict.independent}
 
-        return _screen_node(ordering, j, select, None, verdicts=True)
+        return [_screen_node(ordering, j, functools.partial(answer, j), None, verdicts=True) for j in targets]
 
     cov = _covariance(source)
     n = cov.n
     if threshold is None and n is None:
         raise ValueError("Fisher-z screening needs a sample size; population input wants threshold mode")
+    groups, shared = {}, {}  # before set -> its targets, and -> their stage-0 rhos once read
+    for j in targets:
+        groups.setdefault(ordering.before_set(j), []).append(j)
 
-    def pool_rhos(pool):
+    def pool_rhos(j, pool, stage):
+        before = ordering.before_set(j)
+        if stage == 0 and len(groups[before]) > 1:
+            if before not in shared:
+                shared[before] = _bordered_rhos(cov.values, pool, groups[before])
+            if j in shared[before]:
+                return shared[before][j]
         try:
             return block_partial_correlations(cov, j, pool)
         except SingularityError:
@@ -258,9 +286,9 @@ def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
                 raise
             raise error from None
 
-    def select(pool, stage):
+    def select(j, pool, stage):
         if threshold is not None:
-            keep = np.abs(pool_rhos(pool)) > threshold
+            keep = np.abs(pool_rhos(j, pool, stage)) > threshold
         else:
             dof = n - (len(pool) - 1) - 3
             if dof <= 0:
@@ -269,11 +297,11 @@ def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
                     f"which needs n > {len(pool) + 2} samples (n={n}); "
                     "use --backend lasso or --backend sis when nodes outnumber samples"
                 )
-            _, independent = _fisher_z_statistics(pool_rhos(pool), dof, alpha)
+            _, independent = _fisher_z_statistics(pool_rhos(j, pool, stage), dof, alpha)
             keep = ~independent
         return {k for k, flag in zip(pool, keep) if flag}
 
-    return _screen_node(ordering, j, select, n, verdicts=True)
+    return [_screen_node(ordering, j, functools.partial(select, j), n, verdicts=True) for j in targets]
 
 
 def screen_sis(source, ordering, j, t=0.5, mode="top", pvalue_cutoff=0.5):
@@ -481,7 +509,10 @@ def screen_all(source, ordering, backend="pcor", params=None, targets=None):
     keyword arguments of the backend's per-node screen.  Every backend
     reads the checked covariance, to which a :class:`Dataset` source is
     reduced once; the lasso is Gram-form coordinate descent on its
-    correlation blocks.  Per-node errors fail fast.
+    correlation blocks.  Under pcor the targets with one before set read
+    stage 0 off one factorization of it, with the fall-backs of
+    :func:`_screen_pcor`, so entries and errors are those of
+    :func:`screen_pcor` node by node.  Per-node errors fail fast.
 
     Returns ``(screen_sets, n_tests)``: ``n_tests`` counts one logical
     test per pool member screened by pcor (the queries an engine source
@@ -495,7 +526,10 @@ def screen_all(source, ordering, backend="pcor", params=None, targets=None):
     labels = getattr(source, "labels", None)
     if isinstance(source, Dataset):
         source = _checked_covariance(source)
-    entries = [screen_node(source, ordering, j, **(params or {})) for j in sorted(targets)]
+    if backend == "pcor":
+        entries = _screen_pcor(source, ordering, sorted(targets), **(params or {}))
+    else:
+        entries = [screen_node(source, ordering, j, **(params or {})) for j in sorted(targets)]
     n_tests = sum(len(pool) for e in entries for pool in e.pools)  # only pcor records pools
     return ScreenSets(entries, n_nodes=ordering.n_nodes, labels=labels), n_tests
 

@@ -177,7 +177,7 @@ def _later_separator(engine, a, b, base, pool, level, start):
     if math.comb(len(pool), level) > start:
         rest = itertools.islice(itertools.combinations(pool, level), start, None)
         while head := list(itertools.islice(rest, STACK_SIZE)):
-            k = engine.query_first(a, b, base, head)
+            k = engine._query_first(a, b, base, head)
             if k is not None:
                 return head[k]
     return None
@@ -260,7 +260,7 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
             try:
                 verdicts = [verdict.independent for verdict in engine.query_block(b, sources, given)]
             except PodagError:
-                verdicts = [engine.query_first(a, b, given - {a}, [()], [(0, False)]) is not None for a in sources]
+                verdicts = [engine._query_first(a, b, given - {a}, [()], [(0, False)]) is not None for a in sources]
             for (pair, a), independent in zip(run, verdicts):
                 if independent:
                     remove(pair, a, b, given - {a})
@@ -290,7 +290,7 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
                 if len(now) < len(members):  # pools only shrink
                     members, (head, stop) = sorted(now), _restricted(head, stop, now)
             ran = True
-            k = engine.query_first(a, b, base, head, stop)
+            k = engine._query_first(a, b, base, head, stop)
             t = head[k] if k is not None else _later_separator(engine, a, b, base, members, level, len(head))
             if t is not None:
                 remove(pair, a, b, base.union(t))

@@ -15,7 +15,11 @@ block precision matrix (``dpotri``) by one helper,
 :func:`_precision_rhos`, as ``-Omega_kt / sqrt(Omega_kk Omega_tt)`` for
 every member k against one member t: all of a screening pool in
 :func:`block_partial_correlations`, and the Gaussian engine's query on
-its conditioning union ``S + {i, j}``.  A block of queries
+its conditioning union ``S + {i, j}``.  Targets whose screening pools
+are one shared set (every target of a layer at stage 0) border that
+pool's single factorization instead (:func:`_bordered_rhos`); that read
+and the engine's batched outside-``cond`` block are one Schur
+complement, :func:`_conditioned`.  A block of queries
 (:meth:`CiEngine.query_block`, the level-0 tests of one search target,
 for every skeleton search) takes at most two factorizations in the
 Gaussian engine, none when the conditioning set is empty, with an exact
@@ -294,6 +298,56 @@ def _precision_rhos(sigma, order, t, context):
     return np.clip(-column / np.sqrt(diag * diag[t]), -1.0, 1.0)
 
 
+def _conditioned(sigma, cond, members):
+    """The Schur complement of the sorted nodes ``cond`` for the ``members`` columns.
+
+    Returns ``(factor, cross, solved, residual, floor)``: the guarded
+    factor of ``Sigma_cond`` (:func:`_factor_spd`, raising without
+    context), ``cross = Sigma_cond,members``, ``solved = Sigma_cond^-1
+    cross`` (one multi-column ``dpotrs``), the members' residual
+    variances given ``cond``, and ``sqrt(RCOND_MIN)`` times their
+    variances: a member whose residual variance given the rest of its
+    block falls below that floor may leave the block near singular, so
+    the caller asks it another way.  With ``cond`` empty nothing is
+    factored, and the residual variances are the variances.
+    """
+    variances = np.diagonal(sigma)[members]
+    floor = math.sqrt(RCOND_MIN) * variances
+    if not cond:
+        return None, None, None, variances, floor
+    rows = sigma.take(cond, axis=0)
+    factor = _factor_spd(rows.take(cond, axis=1), context=None)
+    cross = rows.take(members, axis=1)
+    solved, _ = dpotrs(factor, cross, lower=1)
+    return factor, cross, solved, variances - np.einsum("ij,ij->j", cross, solved), floor
+
+
+def _bordered_rhos(sigma, pool, targets):
+    """rho(k, t | pool - {k}) for every k in the sorted ``pool``, for each t of ``targets``.
+
+    The pool block is factored once (:func:`_conditioned`) and each
+    target borders it: with ``W = Sigma_pool^-1 Sigma_pool,t`` and ``s_t
+    = Sigma_tt - Sigma_t,pool W``, the precision matrix of ``pool + [t]``
+    gives ``rho_k = W_k / sqrt(s_t (Sigma_pool^-1)_kk + W_k^2)``, clipped
+    to [-1, 1]; ``diag(Sigma_pool^-1)`` comes from one ``dpotri``.
+    Returns ``{t: rhos}`` in pool order, leaving out each target whose
+    ``s_t`` falls below its floor; empty when the pool block fails the
+    guard.  The values equal :func:`block_partial_correlations` up to
+    rounding.
+    """
+    try:
+        factor, _, solved, residual, floor = _conditioned(sigma, pool, targets)
+    except SingularityError:
+        return {}
+    inverse, info = dpotri(factor, lower=1, overwrite_c=1)
+    diag = np.diag(inverse)
+    if info != 0 or (diag <= 0).any():
+        return {}
+    with np.errstate(invalid="ignore"):  # a negative s_t is below its floor
+        rhos = np.clip(solved / np.sqrt(residual * diag[:, None] + solved * solved), -1.0, 1.0)
+    return {t: rhos[:, c] for c, t in enumerate(targets) if residual[c] >= floor[c]}
+
+
 def partial_correlation(cov, i, j, s):
     """Partial correlation rho(i, j | s) from a covariance matrix.
 
@@ -492,6 +546,14 @@ class CiEngine:
         overlap = base and not base.isdisjoint(itertools.chain.from_iterable(subsets))
         if a == b or a in members or b in members or overlap:
             raise ValueError("a, b, base and each T must be disjoint")
+        return self._query_first(a, b, base, subsets, stops)
+
+    def _query_first(self, a, b, base, subsets, stops=None):
+        """:meth:`query_first` on arguments it would accept unchanged, without checking them.
+
+        ``a`` and ``b`` are ints, ``base`` a frozenset and ``subsets`` a
+        list of tuples, all disjoint, as the skeleton search builds them.
+        """
         if stops is None:
             stops = self.speculate([(a, b, base, subsets)])[0]
         return self._walk(a, b, base, subsets, stops, self._count)
@@ -706,29 +768,21 @@ class GaussianEngine(CiEngine):
         return self._verdicts(sources, rhos[np.searchsorted(order, sources)], dof)
 
     def _outside_block(self, b, sources, cond, dof):
-        """Verdicts for sources outside ``cond``, off one factored ``Sigma_cond`` (none when empty)."""
+        """Verdicts for sources outside ``cond``, off one Schur complement on ``cond`` (:func:`_conditioned`)."""
         sigma = self.cov.values
-        members = sources + [b]
         # residual variances and covariances given cond, as partial_correlation
-        variances = np.diagonal(sigma)[members]
-        residual, d = variances, sigma[sources, b]
+        try:
+            _, cross, solved, residual, floor = _conditioned(sigma, sorted(cond), sources + [b])
+        except SingularityError:
+            return {}
+        d = sigma[sources, b]
         if cond:
-            idx = sorted(cond)
-            rows = sigma.take(idx, axis=0)
-            try:
-                factor = _factor_spd(rows.take(idx, axis=1), context=None)
-            except SingularityError:
-                return {}
-            cross = rows.take(members, axis=1)
-            solved, _ = dpotrs(factor, cross, lower=1)
-            residual = variances - np.einsum("ij,ij->j", cross, solved)
             d = d - cross[:, :-1].T @ solved[:, -1]
         with np.errstate(invalid="ignore", divide="ignore"):
             rhos = d / np.sqrt(residual[:-1] * residual[-1])
             # a small residual variance given the rest of the union (of a
             # source or of b) means the union may fail the singularity guard
             shrink = 1.0 - rhos * rhos
-            floor = math.sqrt(RCOND_MIN) * variances
             ok = (residual[:-1] * shrink >= floor[:-1]) & (residual[-1] * shrink >= floor[-1])
         kept = [a for a, flag in zip(sources, ok) if flag]
         return self._verdicts(kept, np.clip(rhos[ok], -1.0, 1.0), dof)

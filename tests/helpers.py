@@ -10,11 +10,11 @@ import itertools
 import numpy as np
 
 import podag.stats
-from podag import Dag, PartialOrdering, Pdag, SepsetMap, apply_meek_rules, orient_v_structures
+from podag import Dag, Dataset, PartialOrdering, Pdag, SepsetMap, apply_meek_rules, orient_v_structures
 from podag.errors import PodagError
 from podag.graph import orient_by_ordering
 from podag.screening import LASSO_MAX_SWEEPS, LASSO_TIE, LASSO_TOL
-from podag.sem import GenConfig, generate_layered_dag
+from podag.sem import GenConfig, generate_layered_dag, rng_from_seed
 
 
 def brute_force_dsep(dag, i, j, s):
@@ -221,6 +221,13 @@ def random_bipartite_instance(rng, p_lo=2, p_hi=5, q_lo=2, q_hi=5, edge_prob=0.3
 def toy_diamond():
     """Four-node graph 0->1, 0->2, 1->3, 2->3 (a diamond with one collider)."""
     return Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+
+
+def dependent_four_columns():
+    """n=200 data with V2 = V0 + V1, layered {V0, V1} < {V2, V3}."""
+    x = rng_from_seed(7).normal(size=(200, 4))
+    x[:, 2] = x[:, 0] + x[:, 1]
+    return Dataset(x), PartialOrdering([{0, 1}, {2, 3}], n_nodes=4)
 
 
 def counting_factorizations(monkeypatch, name="_precision_rhos"):

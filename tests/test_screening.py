@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 import podag.screening
@@ -21,8 +23,9 @@ from podag import (
     screen_sis,
     select_lambda_aic,
 )
-from podag.errors import InsufficientDataError, SelectionError
+from podag.errors import DegenerateDataError, InsufficientDataError, PodagError, SelectionError
 from podag.screening import LASSO_MAX_SWEEPS, ScreenEntry, ScreenSets
+from podag.stats import _bordered_rhos, block_partial_correlations
 from podag.sem import (
     GenConfig,
     generate_layered_dag,
@@ -33,7 +36,7 @@ from podag.sem import (
     toy_two_layer_sem,
 )
 
-from helpers import random_layered_instance, residual_lasso
+from helpers import dependent_four_columns, random_layered_instance, residual_lasso
 
 
 def toy_population_cov():
@@ -509,6 +512,111 @@ class TestScreenAll:
         screen, n_tests = screen_all(cov, ordering, "lasso", params)
         assert screen[3].s0 == {0, 1}
         assert n_tests == 0
+
+
+def shared_before_instance(rng, m, weak):
+    """A random ordering of ``m`` nodes in which several targets share a before set.
+
+    Layered, or weak: every node is unordered and some take one of a few
+    random before sets as an override, so a group's node ids need not be
+    contiguous.
+    """
+    nodes = [int(v) for v in rng.permutation(m)]
+    if not weak:
+        cuts = sorted(rng.choice(np.arange(1, m), size=int(rng.integers(1, min(4, m - 1) + 1)), replace=False))
+        return PartialOrdering([set(part) for part in np.split(nodes, cuts)], n_nodes=m)
+    pools = [set(nodes[: int(rng.integers(1, m - 1))]) for _ in range(int(rng.integers(1, 4)))]
+    before = {}
+    for j in range(m):
+        options = [pool for pool in pools if j not in pool]
+        if options and rng.random() < 0.8:
+            before[j] = options[int(rng.integers(len(options)))]
+    return PartialOrdering([], n_nodes=m, unordered=range(m), before=before)
+
+
+def outcome(call):
+    try:
+        return call()
+    except (PodagError, ValueError) as err:
+        return type(err), str(err)
+
+
+class TestSharedBeforeSets:
+    """screen_all reads the stage 0 of the targets sharing a before set off one factorization."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(4, 12),
+        weak=st.booleans(),
+        threshold=st.sampled_from([None, 0.05, 0.2]),
+        alpha=st.sampled_from([0.5, 0.05]),
+    )
+    def test_grouped_reads_equal_per_node_screens(self, seed, m, weak, threshold, alpha):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(3 * m, m))
+        cov = CovMatrix(x.T @ x / (3 * m), n=int(rng.integers(m + 4, 500)))
+        ordering = shared_before_instance(rng, m, weak)
+        groups = {}
+        for j in range(m):
+            if ordering.before_set(j):
+                groups.setdefault(ordering.before_set(j), []).append(j)
+        shared = [group for group in groups.values() if len(group) > 1]
+        for before, group in groups.items():
+            pool = sorted(before)
+            rhos = _bordered_rhos(cov.values, pool, group)
+            assert sorted(rhos) == group  # a well-conditioned pool serves every target
+            for t in group:
+                np.testing.assert_allclose(rhos[t], block_partial_correlations(cov, t, pool), rtol=0, atol=1e-12)
+
+        reads = []
+        params = {"alpha": alpha} if threshold is None else {"threshold": threshold}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(podag.screening, "_bordered_rhos", lambda *args: reads.append(args) or _bordered_rhos(*args))
+            screen, n_tests = screen_all(cov, ordering, "pcor", params)
+        assert sorted(tuple(group) for _, _, group in reads) == sorted(tuple(group) for group in shared)
+        single = [screen_pcor(cov, ordering, j, **params) for j in range(m)]
+        assert [screen[j] for j in range(m)] == single
+        assert [screen[j].pools for j in range(m)] == [entry.pools for entry in single]
+        assert n_tests == sum(len(pool) for entry in single for pool in entry.pools)
+
+    def test_dependent_target_falls_back_and_is_named(self, monkeypatch):
+        # V2 = V0 + V1 shares before = {V0, V1} with V3: V2 leaves no
+        # residual variance, so it reads its own block, which names the set
+        data, ordering = dependent_four_columns()
+        reads = []
+        monkeypatch.setattr(podag.screening, "_bordered_rhos", lambda *args: reads.append(args) or _bordered_rhos(*args))
+        with pytest.raises(DegenerateDataError, match="columns V0, V1 and V2 are linearly dependent"):
+            screen_all(data, ordering, "pcor", {"alpha": 0.5}, targets=[2, 3])
+        assert [group for _, _, group in reads] == [[2, 3]]
+        cov = sample_covariance(data)
+        assert sorted(_bordered_rhos(cov.values, [0, 1], [2, 3])) == [3]
+
+    def test_singular_earlier_layer_raises_the_per_node_error(self):
+        x = rng_from_seed(8).normal(size=(500, 5))
+        x[:, 2] = x[:, 0] - 2.0 * x[:, 1]
+        cov = CovMatrix(np.cov(x, rowvar=False, bias=True))  # a population input
+        ordering = PartialOrdering([{0, 1, 2}, {3, 4}], n_nodes=5)
+        assert _bordered_rhos(cov.values, [0, 1, 2], [3, 4]) == {}  # the shared block fails the guard
+        got = outcome(lambda: screen_all(cov, ordering, "pcor", {"threshold": 0.01}, targets=[3, 4]))
+        assert got == outcome(lambda: screen_pcor(cov, ordering, 3, threshold=0.01))
+        assert got[0] is DegenerateDataError and "columns V0, V1 and V2" in got[1]
+
+    def test_pool_outnumbering_samples_names_the_same_node(self, monkeypatch):
+        rng = rng_from_seed(5)
+        dag, ordering = generate_layered_dag(GenConfig(n_nodes=40, layers=2), rng)
+        data = sample(random_weights(dag, rng), 20, rng)
+        targets = sorted(ordering.layers[1])
+        want = outcome(lambda: screen_pcor(data, ordering, targets[0]))
+
+        def no_read(*args):
+            raise AssertionError("a pool was read before the sample-size check")
+
+        monkeypatch.setattr(podag.screening, "_bordered_rhos", no_read)
+        monkeypatch.setattr(podag.screening, "block_partial_correlations", no_read)
+        got = outcome(lambda: screen_all(data, ordering, "pcor", {"alpha": 0.5}, targets=targets))
+        assert got == want and got[0] is InsufficientDataError
+        assert f"node {targets[0]}" in got[1]
 
 
 class TestInflation:

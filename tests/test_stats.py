@@ -51,7 +51,7 @@ from podag.sem import (
 from podag.screening import BACKENDS
 from podag.stats import _factor_spd, block_partial_correlations
 
-from helpers import counting_factorizations, random_layered_instance, toy_diamond
+from helpers import counting_factorizations, dependent_four_columns, random_layered_instance, toy_diamond
 
 
 def random_pd(rng, m):
@@ -518,13 +518,6 @@ class CheckingEngine(CiEngine):
         return got
 
 
-def dependent_four_columns():
-    """n=200 data with V2 = V0 + V1, layered {V0, V1} < {V2, V3}."""
-    x = rng_from_seed(7).normal(size=(200, 4))
-    x[:, 2] = x[:, 0] + x[:, 1]
-    return Dataset(x), PartialOrdering([{0, 1}, {2, 3}], n_nodes=4)
-
-
 def learn_p120_fit():
     """Data, ordering and config of a fit of the benchmark's learn-p120 kind: p=120, L=5, n=1000."""
     rng = rng_from_seed(120)
@@ -552,6 +545,16 @@ class TestUnionPrecision:
         factorizations = counting_factorizations(monkeypatch)
         learn(data, ordering, cfg, engine=GaussianEngine(data, alpha=cfg.alpha))
         assert 0 < len(factorizations) < conditioned / 2
+
+    def test_factorizations_per_learn_fit_pinned(self, monkeypatch):
+        # the 96 targets with a non-empty before set share 4 of them,
+        # one stage-0 factorization each
+        data, ordering, cfg = learn_p120_fit()
+        engine = GaussianEngine(data, alpha=cfg.alpha)
+        factorizations = counting_factorizations(monkeypatch, "_factor_spd")
+        result = learn(data, ordering, cfg, engine=engine)
+        assert len(factorizations) == 338
+        assert result.diagnostics.ci_tests == 14915
 
     def test_engine_is_unchanged_by_a_fit(self):
         data, ordering, cfg = learn_p120_fit()
