@@ -48,13 +48,22 @@ EXIT_USAGE = 2
 EXIT_LABELS = 3
 EXIT_NUMERIC = 4
 
-# learn flags that only podag reads, and their defaults
+# learn flags that not every run reads: each flag's default, then the
+# rules of the runs that read it, as (argument, values, scope named)
 PODAG_FLAGS = {
-    "--backend": "pcor",
-    "--screen-alpha": 0.5,
-    "--threshold": None,
-    "--within-layers": False,
-    "--screen-only": False,
+    "--backend": ("pcor", [("algorithm", {"podag"}, "podag")]),
+    "--screen-alpha": (
+        0.5,
+        [("algorithm", {"podag"}, "podag"), ("backend", {"pcor"}, "the pcor backend"),
+         ("threshold", {None}, "alpha screening")],
+    ),
+    "--threshold": (
+        None,
+        [("algorithm", {"podag"}, "podag's pcor screening"), ("backend", {"pcor"}, "the pcor backend")],
+    ),
+    "--within-layers": (False, [("algorithm", {"podag"}, "podag")]),
+    "--screen-only": (False, [("algorithm", {"podag"}, "podag")]),
+    "--orient-by-ordering": (False, [("algorithm", {"pc", "pc+"}, "pc and pc+")]),
 }
 
 NUMERIC_ERRORS = (
@@ -144,13 +153,13 @@ def build_parser():
         default="podag",
         choices=["podag", "pc", "pc+", "h0", "h-minus-j"],
     )
-    p_learn.add_argument("--backend", default=PODAG_FLAGS["--backend"], choices=BACKENDS)
+    p_learn.add_argument("--backend", default=PODAG_FLAGS["--backend"][0], choices=BACKENDS)
     p_learn.add_argument("--alpha", type=float, default=0.05)
-    p_learn.add_argument("--screen-alpha", type=float, default=PODAG_FLAGS["--screen-alpha"])
+    p_learn.add_argument("--screen-alpha", type=float, default=PODAG_FLAGS["--screen-alpha"][0])
     p_learn.add_argument(
         "--threshold",
         type=float,
-        default=PODAG_FLAGS["--threshold"],
+        default=PODAG_FLAGS["--threshold"][0],
         help="absolute partial-correlation screening threshold (pcor backend)",
     )
     p_learn.add_argument("--within-layers", action="store_true")
@@ -268,18 +277,20 @@ def cmd_learn(args):
     dataset = Dataset.from_csv(io.StringIO(_read_input(args.data)))
     layering_text = _read_input(args.layering)
     ordering = read_layering(layering_text, dataset.labels)
-    for flag, default in PODAG_FLAGS.items():
-        if args.algorithm != "podag" and getattr(args, flag[2:].replace("-", "_")) != default:
-            scope = "podag's pcor screening" if flag == "--threshold" else "podag"
-            raise ValueError(f"{flag} applies to {scope} only, not {args.algorithm}")
+    for flag, (default, rules) in PODAG_FLAGS.items():
+        if getattr(args, flag[2:].replace("-", "_")) == default:
+            continue
+        for name, values, scope in rules:
+            value = getattr(args, name)
+            if value not in values:
+                named = value if isinstance(value, str) else f"--{name}"
+                raise ValueError(f"{flag} applies to {scope} only, not {named}")
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
     if args.algorithm == "podag":
         backend_params = {}
         if args.threshold is not None:
-            if args.backend != "pcor":
-                raise ValueError(f"--threshold applies to the pcor backend only, not {args.backend}")
             backend_params["threshold"] = args.threshold
         cfg = PodagConfig(
             backend=args.backend,
@@ -324,7 +335,7 @@ def cmd_learn(args):
                 stable=args.stable,
                 on_conflict=args.on_conflict,
             )
-        if args.orient_by_ordering and args.algorithm in ("pc", "pc+"):
+        if args.orient_by_ordering:
             oriented = orient_by_ordering(res.pdag, ordering)
             res = dataclasses.replace(res, pdag=apply_meek_rules(oriented, on_conflict=args.on_conflict))
         (out / "result.json").write_text(res.to_json() + "\n")

@@ -1,38 +1,13 @@
 """Datasets, covariance, partial correlations, and conditional-independence tests.
 
-Two interchangeable test engines implement the same contract: a Gaussian
-sample test (Fisher z on partial correlations) and a population
-d-separation oracle.  Engines are deterministic and keep an exact count
-of queries.  Every query is decided afresh: a fit rarely asks the same
-question twice, so verdicts are not kept.
-
-The CI-test kernel is kept lean because a fit makes thousands of tests.
-A covariance block is factored with one LAPACK ``dpotrf`` call and
-rejected when ``dpocon`` estimates its reciprocal condition number below
-``RCOND_MIN``.  :func:`partial_correlation` solves the conditioning
-block with ``dpotrs``; every other partial correlation is read off a
-block precision matrix (``dpotri``) by one helper,
-:func:`_precision_rhos`, as ``-Omega_kt / sqrt(Omega_kk Omega_tt)`` for
-every member k against one member t: all of a screening pool in
-:func:`block_partial_correlations`, and the Gaussian engine's query on
-its conditioning union ``S + {i, j}``.  Targets whose screening pools
-are one shared set (every target of a layer at stage 0) border that
-pool's single factorization instead (:func:`_bordered_rhos`); that read
-and the engine's batched outside-``cond`` block are one Schur
-complement, :func:`_conditioned`.  A block of queries
-(:meth:`CiEngine.query_block`, the level-0 tests of one search target,
-for every skeleton search) takes at most two factorizations in the
-Gaussian engine, none when the conditioning set is empty, with an exact
-fallback to single queries (see :class:`GaussianEngine`).  At levels 1
-and up the skeleton search looks ahead over a window of tests with
-:meth:`CiEngine.speculate`, which the Gaussian engine answers from
-stacked Cholesky factorizations, then walks each test with
-:meth:`CiEngine.query_first`.
-A verdict is a Fisher z statistic and its comparison with the threshold
-``Phi^-1(1 - alpha/2)``, read from a per-alpha cache of the
-``scipy.special`` ufunc ``ndtri``: the value a frozen normal
-distribution object returns, bit for bit, without its per-call argument
-handling or its import cost.
+Two interchangeable test engines implement the same contract
+(:class:`CiEngine`): a Gaussian sample test (Fisher z on partial
+correlations) and a population d-separation oracle.  Engines are
+deterministic and keep an exact count of queries.  Every query is decided
+afresh: a fit rarely asks the same question twice, so verdicts are not
+kept.  A covariance block is factored by :func:`_factor_spd`, which
+rejects it when its reciprocal condition number falls below
+``RCOND_MIN``.  The README's architecture section describes the kernel.
 """
 
 from __future__ import annotations
@@ -279,73 +254,63 @@ def _factor_spd(block, context):
     return factor
 
 
-def _precision_rhos(sigma, order, t, context):
-    """rho(order[k], order[t] | the rest of the block) for every position k.
+def _factored_pool(sigma, pool, t=None, borders=(), context=None):
+    """Partial correlations read off one guarded factorization of the ``pool`` block of ``sigma``.
 
-    The one precision read: one guarded factorization of the ``order``
-    block of ``sigma`` (:func:`_factor_spd`), its LAPACK ``dpotri``
-    inverse ``Omega`` and ``rho_k = -Omega_kt / sqrt(Omega_kk Omega_tt)``
-    off its lower triangle, clipped to [-1, 1].  Position ``t`` itself
-    reads -1.  Raises :class:`SingularityError` with ``context`` when
-    the block fails the guard or ``Omega`` has a non-positive diagonal.
+    The block is factored (:func:`_factor_spd`) and inverted (``dpotri``)
+    to ``Omega``.  Returns ``(inside, outside, kept)``, clipped to [-1, 1]:
+
+    - ``inside[k] = rho(pool[k], pool[t] | the rest of the pool) =
+      -Omega_kt / sqrt(Omega_kk Omega_tt)`` (None without ``t``; position
+      ``t`` reads -1);
+    - ``outside[k, c] = rho(pool[k], a | pool - {pool[k]})`` for each
+      column ``a = borders[c]`` outside the pool, which borders it: with
+      ``W = Sigma_pool^-1 Sigma_pool,a`` (one multi-column ``dpotrs``) and
+      ``s_a = Sigma_aa - Sigma_a,pool W``, it is ``W_k / sqrt(s_a
+      Omega_kk + W_k^2)``;
+    - ``kept[c]``, whether ``s_a`` reaches ``sqrt(RCOND_MIN) Sigma_aa``:
+      below it ``pool + [a]`` may be near singular, so the caller asks
+      column ``a`` another way.
+
+    Raises :class:`SingularityError` with ``context`` when the block
+    fails the guard or ``Omega`` has a non-positive diagonal.
     """
-    factor = _factor_spd(sigma.take(order, axis=0).take(order, axis=1), context)
+    rows = sigma.take(pool, axis=0)
+    factor = _factor_spd(rows.take(pool, axis=1), context)
+    if borders:
+        cross = rows.take(borders, axis=1)
+        solved, _ = dpotrs(factor, cross, lower=1)
+        variances = np.diagonal(sigma)[borders]
+        residual = variances - np.einsum("ij,ij->j", cross, solved)
     omega, info = dpotri(factor, lower=1, overwrite_c=1)
     diag = np.diag(omega)
     if info != 0 or (diag <= 0).any():
         raise SingularityError(context=context)
-    column = np.concatenate((omega[t, :t], omega[t:, t]))  # the lower triangle's entries (k, t)
-    return np.clip(-column / np.sqrt(diag * diag[t]), -1.0, 1.0)
-
-
-def _conditioned(sigma, cond, members):
-    """The Schur complement of the sorted nodes ``cond`` for the ``members`` columns.
-
-    Returns ``(factor, cross, solved, residual, floor)``: the guarded
-    factor of ``Sigma_cond`` (:func:`_factor_spd`, raising without
-    context), ``cross = Sigma_cond,members``, ``solved = Sigma_cond^-1
-    cross`` (one multi-column ``dpotrs``), the members' residual
-    variances given ``cond``, and ``sqrt(RCOND_MIN)`` times their
-    variances: a member whose residual variance given the rest of its
-    block falls below that floor may leave the block near singular, so
-    the caller asks it another way.  With ``cond`` empty nothing is
-    factored, and the residual variances are the variances.
-    """
-    variances = np.diagonal(sigma)[members]
-    floor = math.sqrt(RCOND_MIN) * variances
-    if not cond:
-        return None, None, None, variances, floor
-    rows = sigma.take(cond, axis=0)
-    factor = _factor_spd(rows.take(cond, axis=1), context=None)
-    cross = rows.take(members, axis=1)
-    solved, _ = dpotrs(factor, cross, lower=1)
-    return factor, cross, solved, variances - np.einsum("ij,ij->j", cross, solved), floor
+    inside = outside = kept = None
+    if t is not None:
+        column = np.concatenate((omega[t, :t], omega[t:, t]))  # the lower triangle's entries (k, t)
+        inside = np.clip(-column / np.sqrt(diag * diag[t]), -1.0, 1.0)
+    if borders:
+        with np.errstate(invalid="ignore"):  # a negative s_a is below its floor
+            outside = np.clip(solved / np.sqrt(residual * diag[:, None] + solved * solved), -1.0, 1.0)
+        kept = residual >= math.sqrt(RCOND_MIN) * variances
+    return inside, outside, kept
 
 
 def _bordered_rhos(sigma, pool, targets):
     """rho(k, t | pool - {k}) for every k in the sorted ``pool``, for each t of ``targets``.
 
-    The pool block is factored once (:func:`_conditioned`) and each
-    target borders it: with ``W = Sigma_pool^-1 Sigma_pool,t`` and ``s_t
-    = Sigma_tt - Sigma_t,pool W``, the precision matrix of ``pool + [t]``
-    gives ``rho_k = W_k / sqrt(s_t (Sigma_pool^-1)_kk + W_k^2)``, clipped
-    to [-1, 1]; ``diag(Sigma_pool^-1)`` comes from one ``dpotri``.
-    Returns ``{t: rhos}`` in pool order, leaving out each target whose
-    ``s_t`` falls below its floor; empty when the pool block fails the
-    guard.  The values equal :func:`block_partial_correlations` up to
-    rounding.
+    The pool block is factored once and each target borders it
+    (:func:`_factored_pool`).  Returns ``{t: rhos}`` in pool order,
+    leaving out each target that is not kept; empty when the pool block
+    fails the guard.  The values equal :func:`block_partial_correlations`
+    up to rounding.
     """
     try:
-        factor, _, solved, residual, floor = _conditioned(sigma, pool, targets)
+        _, rhos, kept = _factored_pool(sigma, pool, borders=targets)
     except SingularityError:
         return {}
-    inverse, info = dpotri(factor, lower=1, overwrite_c=1)
-    diag = np.diag(inverse)
-    if info != 0 or (diag <= 0).any():
-        return {}
-    with np.errstate(invalid="ignore"):  # a negative s_t is below its floor
-        rhos = np.clip(solved / np.sqrt(residual * diag[:, None] + solved * solved), -1.0, 1.0)
-    return {t: rhos[:, c] for c, t in enumerate(targets) if residual[c] >= floor[c]}
+    return {t: rhos[:, c] for c, t in enumerate(targets) if kept[c]}
 
 
 def partial_correlation(cov, i, j, s):
@@ -395,7 +360,7 @@ def block_partial_correlations(cov, j, pool):
     """rho(k, j | pool - {k}) for every k in ``pool``, via one factorization.
 
     The partial correlations of k and j given the rest of the ``pool +
-    [j]`` block, read off its precision matrix by :func:`_precision_rhos`,
+    [j]`` block, read off its precision matrix by :func:`_factored_pool`,
     so a single inversion serves all k.  The values equal per-pair
     :func:`partial_correlation` calls up to rounding.
     """
@@ -404,7 +369,8 @@ def block_partial_correlations(cov, j, pool):
         raise ValueError("pool must not contain j")
     if not pool:
         return np.zeros(0)
-    return _precision_rhos(cov.values, pool + [int(j)], len(pool), (j, "pool", tuple(pool)))[:-1]
+    inside, _, _ = _factored_pool(cov.values, pool + [int(j)], len(pool), context=(j, "pool", tuple(pool)))
+    return inside[:-1]
 
 
 @dataclass(frozen=True)
@@ -606,19 +572,20 @@ class GaussianEngine(CiEngine):
 
     A query ``(i, j | S)`` with S non-empty reads its partial correlation
     off the precision matrix of the sorted union block ``U = S + {i,
-    j}`` (:func:`_precision_rhos`).  With S empty it is
+    j}`` (:func:`_factored_pool`).  With S empty it is
     :func:`fisher_z_test`'s.
 
     A block ``query_block(b, sources, cond)`` (the level-0 tests of one
-    target) needs at most two factorizations.  Sources inside ``cond``
-    (cross candidates) share the sorted union ``cond + {b}`` and read
-    their rhos off its precision matrix with the same helper, so the bits
-    of single queries.  Sources outside it (within candidates, or PC's
-    with ``cond`` empty) take :func:`partial_correlation`'s Schur
-    complement on one factored ``Sigma_cond`` (none when empty: the bits
-    of an empty-S query), batched; one whose residual variance given the
-    rest of its union falls below ``sqrt(RCOND_MIN)`` of its variance,
-    where its union may be near singular, is asked as a single query.
+    target) needs at most one factorization, of the sorted union ``U =
+    cond + {b}`` (:func:`_factored_pool`), and none when ``cond`` is
+    empty: then each rho is read off three covariance entries, the bits
+    of an empty-S query.  Sources inside ``cond`` (cross candidates) read
+    their rhos off the precision matrix of ``U``, the bits of their
+    single queries.  Sources outside it (within candidates) border ``U``;
+    one whose residual variance given ``U`` falls below
+    ``sqrt(RCOND_MIN)`` of its variance, where its union may be near
+    singular, is asked as a single query, and so is every source when
+    ``U`` fails the guard, or when the block holds one source.
 
     ``speculate`` groups the unions ``base + T + {a, b}`` of its tests
     by size and stacks whole tests, up to ``STACK_ENTRIES`` covariance
@@ -654,7 +621,7 @@ class GaussianEngine(CiEngine):
             dof = _fisher_z_dof(self._n, len(s))
             order = sorted(s.union((i, j)))
             try:
-                rhos = _precision_rhos(self.cov.values, order, order.index(j), context=None)
+                rhos, _, _ = _factored_pool(self.cov.values, order, order.index(j))
             except SingularityError:  # fisher_z_test's own solve decides, or raises
                 pass
             else:
@@ -744,51 +711,37 @@ class GaussianEngine(CiEngine):
         return batched, independent & batched
 
     def _decide_block(self, b, sources, cond):
-        inside = [a for a in sources if a in cond]
-        outside = [a for a in sources if a not in cond]
-        verdicts = {}
         dof = self._n - len(cond) - 3  # outside cond; a source inside leaves S one smaller
-        # one source gains nothing from a block; a failed dof guard raises in _decide
-        if len(inside) > 1 and dof + 1 > 0:
-            verdicts.update(self._inside_block(b, inside, cond, dof + 1))
-        if len(outside) > 1 and dof > 0:
-            verdicts.update(self._outside_block(b, outside, cond, dof))
+        # a failed dof guard raises in _decide; one source gains nothing from a block
+        batched = [a for a in sources if dof + (a in cond) > 0]
+        verdicts = self._block_verdicts(b, batched, cond, dof) if len(batched) > 1 else {}
         return [
             verdicts[a] if a in verdicts else self._decide(min(a, b), max(a, b), cond - {a})
             for a in sources
         ]
 
-    def _inside_block(self, b, sources, cond, dof):
-        """Verdicts for sources in ``cond``, off the precision matrix of ``cond + {b}``."""
-        order = sorted(cond.union((b,)))
-        try:
-            rhos = _precision_rhos(self.cov.values, order, order.index(b), context=None)
-        except SingularityError:
-            return {}
-        return self._verdicts(sources, rhos[np.searchsorted(order, sources)], dof)
-
-    def _outside_block(self, b, sources, cond, dof):
-        """Verdicts for sources outside ``cond``, off one Schur complement on ``cond`` (:func:`_conditioned`)."""
+    def _block_verdicts(self, b, sources, cond, dof):
+        """Verdicts of the ``sources`` a block reads off one factorization; none when it fails the guard."""
         sigma = self.cov.values
-        # residual variances and covariances given cond, as partial_correlation
-        try:
-            _, cross, solved, residual, floor = _conditioned(sigma, sorted(cond), sources + [b])
-        except SingularityError:
-            return {}
-        d = sigma[sources, b]
-        if cond:
-            d = d - cross[:, :-1].T @ solved[:, -1]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rhos = d / np.sqrt(residual[:-1] * residual[-1])
-            # a small residual variance given the rest of the union (of a
-            # source or of b) means the union may fail the singularity guard
-            shrink = 1.0 - rhos * rhos
-            ok = (residual[:-1] * shrink >= floor[:-1]) & (residual[-1] * shrink >= floor[-1])
-        kept = [a for a, flag in zip(sources, ok) if flag]
-        return self._verdicts(kept, np.clip(rhos[ok], -1.0, 1.0), dof)
-
-    def _verdicts(self, sources, rhos, dof):
-        z, independent = _fisher_z_statistics(rhos, dof, self.alpha)
+        if not cond:  # fisher_z_test's read of three covariance entries
+            rhos = np.clip(sigma[sources, b] / np.sqrt(np.diagonal(sigma)[sources] * sigma[b, b]), -1.0, 1.0)
+            dofs = dof
+        else:
+            order = sorted(cond.union((b,)))
+            t = order.index(b)
+            inside = [a for a in sources if a in cond]
+            outside = [a for a in sources if a not in cond]
+            try:
+                column, bordered, kept = _factored_pool(sigma, order, t, outside)
+            except SingularityError:
+                return {}
+            rhos = column[np.searchsorted(order, inside)]
+            if outside:
+                rhos = np.concatenate((rhos, bordered[t, kept]))
+                outside = [a for a, ok in zip(outside, kept) if ok]
+            sources = inside + outside
+            dofs = np.repeat([dof + 1, dof], [len(inside), len(outside)])
+        z, independent = _fisher_z_statistics(rhos, dofs, self.alpha)
         return {
             a: CiVerdict(independent=bool(ind), statistic=float(stat))
             for a, ind, stat in zip(sources, independent, z)

@@ -230,11 +230,11 @@ def dependent_four_columns():
     return Dataset(x), PartialOrdering([{0, 1}, {2, 3}], n_nodes=4)
 
 
-def counting_factorizations(monkeypatch, name="_precision_rhos"):
+def counting_factorizations(monkeypatch, name="_factored_pool"):
     """Arguments of each call to ``podag.stats.<name>``, in call order.
 
-    ``_factor_spd`` counts every guarded factorization; ``_precision_rhos``
-    only those of a precision matrix.
+    ``_factor_spd`` counts every guarded factorization; ``_factored_pool``
+    only those of a pool that is read.
     """
     calls = []
     factor = getattr(podag.stats, name)

@@ -178,6 +178,37 @@ class TestLearn:
         assert run(args + ["--backend", "pcor", "--screen-alpha", "0.5", "-o", tmp_path / "flagged"]) == EXIT_OK
         assert (tmp_path / "plain" / "result.json").read_text() == (tmp_path / "flagged" / "result.json").read_text()
 
+    @pytest.mark.parametrize("algorithm", ["podag", "h0", "h-minus-j"])
+    def test_orient_by_ordering_with_another_algorithm_is_usage_error(self, tmp_path, capsys, algorithm):
+        sim = simulate_into(tmp_path, nodes=8)
+        out = tmp_path / "o"
+        code = run(
+            ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
+             "--algorithm", algorithm, "--orient-by-ordering", "-o", out]
+        )
+        assert code == EXIT_USAGE
+        assert f"--orient-by-ordering applies to pc and pc+ only, not {algorithm}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--backend", "sis"], "the pcor backend only, not sis"),
+            (["--backend", "lasso"], "the pcor backend only, not lasso"),
+            (["--threshold", "0.1"], "alpha screening only, not --threshold"),
+        ],
+    )
+    def test_screen_alpha_that_no_screen_reads_is_usage_error(self, tmp_path, capsys, flag, message):
+        sim = simulate_into(tmp_path, nodes=8)
+        out = tmp_path / "o"
+        code = run(
+            ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
+             "--screen-alpha", "0.3", *flag, "-o", out]
+        )
+        assert code == EXIT_USAGE
+        assert f"--screen-alpha applies to {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threshold", [-1, 2, "nan"])
     def test_threshold_outside_the_unit_interval_is_usage_error(self, tmp_path, capsys, threshold):
         sim = simulate_into(tmp_path)

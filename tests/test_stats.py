@@ -49,7 +49,7 @@ from podag.sem import (
     toy_two_layer_sem,
 )
 from podag.screening import BACKENDS
-from podag.stats import _factor_spd, block_partial_correlations
+from podag.stats import _factor_spd, _factored_pool, block_partial_correlations
 
 from helpers import counting_factorizations, dependent_four_columns, random_layered_instance, toy_diamond
 
@@ -553,7 +553,7 @@ class TestUnionPrecision:
         engine = GaussianEngine(data, alpha=cfg.alpha)
         factorizations = counting_factorizations(monkeypatch, "_factor_spd")
         result = learn(data, ordering, cfg, engine=engine)
-        assert len(factorizations) == 338
+        assert len(factorizations) == 243
         assert result.diagnostics.ci_tests == 14915
 
     def test_engine_is_unchanged_by_a_fit(self):
@@ -736,6 +736,35 @@ class TestBlockQueries:
             engine.query_block(0, [4, 5], {1, 2, 3})  # sources outside cond
         assert factorizations == []
         assert engine.n_queries == 6
+
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_mixed_block_factors_its_union_once(self, monkeypatch, empty):
+        # sources inside and outside a non-empty cond share one factored
+        # union cond + {b}; an empty cond factors nothing
+        rng = rng_from_seed(19)
+        cov = CovMatrix(random_pd(rng, 9), n=200)
+        cond = set() if empty else {1, 3, 5, 7}
+        sources = [2, 1, 6, 3, 8, 5]
+        want = [GaussianEngine(cov).query(a, 0, cond - {a}) for a in sources]
+        factorizations = counting_factorizations(monkeypatch, "_factor_spd")
+        got = GaussianEngine(cov).query_block(0, sources, cond)
+        assert len(factorizations) == (0 if empty else 1)
+        assert all(same_outcome(g, w) for g, w in zip(got, want))
+        assert {v.independent for v in got} == {True, False}
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 10), size=st.integers(1, 8))
+    def test_bordered_read_equals_partial_correlation(self, seed, m, size):
+        rng = np.random.default_rng(seed)
+        cov = CovMatrix(random_pd(rng, m + 1))
+        nodes = [int(v) for v in rng.permutation(m + 1)]
+        pool, borders = sorted(nodes[: min(size, m - 1)]), nodes[min(size, m - 1) :]
+        _, bordered, kept = _factored_pool(cov.values, pool, borders=borders)
+        assert kept.all()
+        for k, c in itertools.product(range(len(pool)), range(len(borders))):
+            rest = [v for v in pool if v != pool[k]]
+            want = partial_correlation(cov, pool[k], borders[c], rest)
+            assert abs(bordered[k, c] - want) <= 1e-12, (pool, borders, k, c)
 
     def test_default_block_loops_over_single_queries(self):
         dag = Dag(4, [(0, 2), (1, 2), (2, 3)])
