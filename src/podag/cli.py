@@ -19,7 +19,6 @@ import json
 import sys
 from pathlib import Path
 
-from .baselines import estimate_h0, estimate_h_minus_j, pc, pc_plus
 from .errors import (
     DegenerateDataError,
     InconsistencyError,
@@ -33,27 +32,34 @@ from .evaluation import (
     BENCHMARK_FIELDS,
     FAITHFULNESS_FIELDS,
     BenchmarkSpec,
+    _fit,
     faithfulness_report,
     rows_to_csv,
     run_benchmark,
 )
 from .graph import apply_meek_rules, orient_by_ordering, read_layering, write_edgelist, write_layering
 from .screening import BACKENDS, screen_all
-from .search import PodagConfig, learn
+from .search import PodagConfig
 from .sem import GenConfig, generate_layered_dag, random_weights, rng_from_seed, sample
-from .stats import Dataset, GaussianEngine
+from .stats import Dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_LABELS = 3
 EXIT_NUMERIC = 4
 
+# learn's --algorithm values, each mapped to its name in evaluation._fit
+ALGORITHMS = {"podag": "podag", "pc": "pc", "pc+": "pc_plus", "h0": "h0", "h-minus-j": "h_minus_j"}
+
+DEFAULTS = PodagConfig()  # learn's defaults are the library's
+SEARCHES = ("algorithm", {"podag", "pc", "pc+"}, "podag, pc and pc+")
+
 # learn flags that not every run reads: each flag's default, then the
 # rules of the runs that read it, as (argument, values, scope named)
 PODAG_FLAGS = {
-    "--backend": ("pcor", [("algorithm", {"podag"}, "podag")]),
+    "--backend": (DEFAULTS.backend, [("algorithm", {"podag"}, "podag")]),
     "--screen-alpha": (
-        0.5,
+        DEFAULTS.screen_alpha,
         [("algorithm", {"podag"}, "podag"), ("backend", {"pcor"}, "the pcor backend"),
          ("threshold", {None}, "alpha screening")],
     ),
@@ -61,9 +67,12 @@ PODAG_FLAGS = {
         None,
         [("algorithm", {"podag"}, "podag's pcor screening"), ("backend", {"pcor"}, "the pcor backend")],
     ),
-    "--within-layers": (False, [("algorithm", {"podag"}, "podag")]),
+    "--within-layers": (DEFAULTS.learn_within_layers, [("algorithm", {"podag"}, "podag")]),
     "--screen-only": (False, [("algorithm", {"podag"}, "podag")]),
     "--orient-by-ordering": (False, [("algorithm", {"pc", "pc+"}, "pc and pc+")]),
+    "--max-sepset-size": (DEFAULTS.max_sepset_size, [SEARCHES]),
+    "--stable": (DEFAULTS.stable, [SEARCHES]),
+    "--on-conflict": (DEFAULTS.on_conflict, [SEARCHES]),
 }
 
 NUMERIC_ERRORS = (
@@ -148,22 +157,17 @@ def build_parser():
     )
     p_learn.add_argument("--data", required=True, help="dataset CSV path")
     p_learn.add_argument("--layering", required=True, help="layering file path")
-    p_learn.add_argument(
-        "--algorithm",
-        default="podag",
-        choices=["podag", "pc", "pc+", "h0", "h-minus-j"],
-    )
-    p_learn.add_argument("--backend", default=PODAG_FLAGS["--backend"][0], choices=BACKENDS)
-    p_learn.add_argument("--alpha", type=float, default=0.05)
-    p_learn.add_argument("--screen-alpha", type=float, default=PODAG_FLAGS["--screen-alpha"][0])
+    p_learn.add_argument("--algorithm", default="podag", choices=ALGORITHMS)
+    p_learn.add_argument("--backend", default=DEFAULTS.backend, choices=BACKENDS)
+    p_learn.add_argument("--alpha", type=float, default=DEFAULTS.alpha)
+    p_learn.add_argument("--screen-alpha", type=float, default=DEFAULTS.screen_alpha)
     p_learn.add_argument(
         "--threshold",
         type=float,
-        default=PODAG_FLAGS["--threshold"][0],
         help="absolute partial-correlation screening threshold (pcor backend)",
     )
     p_learn.add_argument("--within-layers", action="store_true")
-    p_learn.add_argument("--max-sepset-size", type=int, default=None)
+    p_learn.add_argument("--max-sepset-size", type=int, default=DEFAULTS.max_sepset_size)
     p_learn.add_argument("--stable", action="store_true", help="batch removals per level")
     p_learn.add_argument(
         "--screen-only",
@@ -178,7 +182,7 @@ def build_parser():
     )
     p_learn.add_argument(
         "--on-conflict",
-        default="error",
+        default=DEFAULTS.on_conflict,
         choices=["error", "ignore"],
         help="policy for conflicting edge orientations",
     )
@@ -195,22 +199,19 @@ def build_parser():
             "CSV columns: " + ",".join(BENCHMARK_FIELDS)
         ),
     )
+    # each grid flag sets the BenchmarkSpec field of its dest; one not given leaves the field's default
     p_bench.add_argument("--spec", help="JSON spec file; overrides the inline flags")
-    p_bench.add_argument("--nodes", type=_int_list, default=(50,))
-    p_bench.add_argument("--layers", type=_int_list, default=(2, 5))
-    p_bench.add_argument("--n", type=_int_list, default=(500,))
-    p_bench.add_argument("--epn", type=float, default=3.0)
-    p_bench.add_argument("--replicates", type=int, default=20)
-    p_bench.add_argument("--backends", type=_str_list, default=("pcor",))
-    p_bench.add_argument(
-        "--algorithms", type=_str_list, default=("pc", "pc_plus", "podag")
-    )
-    p_bench.add_argument("--alpha", type=float, default=0.05, help="test level for pc/pc+")
-    p_bench.add_argument(
-        "--podag-alpha", type=float, default=0.005, help="searching-loop test level"
-    )
-    p_bench.add_argument("--screen-alpha", type=float, default=0.5)
-    p_bench.add_argument("--max-sepset-size", type=int, default=3)
+    p_bench.add_argument("--nodes", dest="n_nodes", metavar="NODES", type=_int_list)
+    p_bench.add_argument("--layers", type=_int_list)
+    p_bench.add_argument("--n", type=_int_list)
+    p_bench.add_argument("--epn", dest="expected_edges_per_node", metavar="EPN", type=float)
+    p_bench.add_argument("--replicates", type=int)
+    p_bench.add_argument("--backends", type=_str_list)
+    p_bench.add_argument("--algorithms", type=_str_list)
+    p_bench.add_argument("--alpha", type=float, help="test level for pc/pc+")
+    p_bench.add_argument("--podag-alpha", type=float, help="searching-loop test level")
+    p_bench.add_argument("--screen-alpha", type=float)
+    p_bench.add_argument("--max-sepset-size", type=int)
     p_bench.add_argument("-o", "--output", required=True, help="output CSV path")
     _add_common(p_bench)
 
@@ -287,61 +288,36 @@ def cmd_learn(args):
                 raise ValueError(f"{flag} applies to {scope} only, not {named}")
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-
+    cfg = PodagConfig(
+        backend=args.backend,
+        backend_params={} if args.threshold is None else {"threshold": args.threshold},
+        alpha=args.alpha,
+        screen_alpha=args.screen_alpha,
+        max_sepset_size=args.max_sepset_size,
+        learn_within_layers=args.within_layers,
+        stable=args.stable,
+        on_conflict=args.on_conflict,
+    )
+    if args.screen_only:
+        screen, _ = screen_all(dataset, ordering, backend=cfg.backend, params=cfg.screen_params())
+        (out / "screen.json").write_text(screen.to_json() + "\n")
+        if args.stdout:
+            print(screen.to_json())
+        _progress(f"learn: wrote screening sets to {out / 'screen.json'}")
+        return EXIT_OK
+    result = _fit(ALGORITHMS[args.algorithm], dataset, ordering, cfg)
+    if args.orient_by_ordering:
+        oriented = orient_by_ordering(result.pdag, ordering)
+        result = dataclasses.replace(result, pdag=apply_meek_rules(oriented, on_conflict=cfg.on_conflict))
+    doc = json.loads(result.to_json())
+    if not args.timing:
+        doc = _zero_timing(doc)
+    (out / "result.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    (out / "edges.tsv").write_text(result.to_edgelist())
     if args.algorithm == "podag":
-        backend_params = {}
-        if args.threshold is not None:
-            backend_params["threshold"] = args.threshold
-        cfg = PodagConfig(
-            backend=args.backend,
-            backend_params=backend_params,
-            alpha=args.alpha,
-            screen_alpha=args.screen_alpha,
-            max_sepset_size=args.max_sepset_size,
-            learn_within_layers=args.within_layers,
-            stable=args.stable,
-            on_conflict=args.on_conflict,
-        )
-        if args.screen_only:
-            screen, _ = screen_all(dataset, ordering, backend=cfg.backend, params=cfg.screen_params())
-            (out / "screen.json").write_text(screen.to_json() + "\n")
-            if args.stdout:
-                print(screen.to_json())
-            _progress(f"learn: wrote screening sets to {out / 'screen.json'}")
-            return EXIT_OK
-        result = learn(dataset, ordering, cfg=cfg)
-        doc = json.loads(result.to_json())
-        if not args.timing:
-            doc = _zero_timing(doc)
-        (out / "result.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        (out / "edges.tsv").write_text(result.to_edgelist())
-        _progress(
-            f"learn: podag kept {len(result.cross_edges)} cross edges, "
-            f"{result.diagnostics.ci_tests} CI tests"
-        )
+        _progress(f"learn: podag kept {len(result.cross_edges)} cross edges, {result.ci_tests} CI tests")
     else:
-        engine = GaussianEngine(dataset, alpha=args.alpha)
-        if args.algorithm == "h0":
-            res = estimate_h0(engine, ordering, labels=dataset.labels)
-        elif args.algorithm == "h-minus-j":
-            res = estimate_h_minus_j(engine, ordering, labels=dataset.labels)
-        else:
-            estimator, target = (pc, dataset.m) if args.algorithm == "pc" else (pc_plus, ordering)
-            res = estimator(
-                engine,
-                target,
-                labels=dataset.labels,
-                max_level=args.max_sepset_size,
-                stable=args.stable,
-                on_conflict=args.on_conflict,
-            )
-        if args.orient_by_ordering:
-            oriented = orient_by_ordering(res.pdag, ordering)
-            res = dataclasses.replace(res, pdag=apply_meek_rules(oriented, on_conflict=args.on_conflict))
-        (out / "result.json").write_text(res.to_json() + "\n")
-        (out / "edges.tsv").write_text(res.to_edgelist())
-        doc = json.loads(res.to_json())
-        _progress(f"learn: {args.algorithm} finished, {res.ci_tests} CI tests")
+        _progress(f"learn: {args.algorithm} finished, {result.ci_tests} CI tests")
     if args.stdout:
         print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
@@ -359,20 +335,8 @@ def cmd_benchmark(args):
     if args.spec:
         spec = BenchmarkSpec.from_json(_read_input(args.spec))
     else:
-        spec = BenchmarkSpec(
-            n_nodes=args.nodes,
-            layers=args.layers,
-            n=args.n,
-            backends=args.backends,
-            algorithms=args.algorithms,
-            replicates=args.replicates,
-            seed=args.seed,
-            expected_edges_per_node=args.epn,
-            alpha=args.alpha,
-            podag_alpha=args.podag_alpha,
-            screen_alpha=args.screen_alpha,
-            max_sepset_size=args.max_sepset_size,
-        )
+        fields = {field.name for field in dataclasses.fields(BenchmarkSpec)}
+        spec = BenchmarkSpec(**{k: v for k, v in vars(args).items() if k in fields and v is not None})
     rows, failures = run_benchmark(
         spec,
         threads=args.threads,

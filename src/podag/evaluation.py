@@ -13,7 +13,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .baselines import pc, pc_plus
+from .baselines import estimate_h0, estimate_h_minus_j, pc, pc_plus
 from .errors import SingularityError
 from .graph import Pdag, orient_by_ordering
 from .screening import BACKENDS
@@ -156,23 +156,27 @@ def edge_metrics(estimated, truth, scope="all_edges", ordering=None):
 
 
 def _fit(algorithm, source, ordering, cfg, engine=None):
-    """Fit one algorithm on a :class:`Dataset` or :class:`Dag`; returns (Pdag, ci_tests).
+    """Fit one algorithm on a :class:`Dataset` or :class:`Dag`; returns its result.
 
-    The one estimator dispatch of the benchmark grid, the faithfulness
-    report and :func:`collect_test_tuples`.  ``engine`` overrides the
-    CI-test engine, as in :func:`learn`; without it pc and pc_plus test
-    a :class:`Dataset` at ``cfg.alpha``.  They also take
-    ``max_sepset_size``, ``stable`` and ``on_conflict`` from ``cfg``.
+    The one estimator dispatch of ``podag learn``, the benchmark grid,
+    the faithfulness report and :func:`collect_test_tuples`.  ``engine``
+    overrides the CI-test engine, as in :func:`learn`; without it the
+    other estimators test a :class:`Dataset` at ``cfg.alpha``.  pc and
+    pc_plus also take ``max_sepset_size``, ``stable`` and ``on_conflict``
+    from ``cfg``.  A result's ``pdag`` and ``ci_tests`` read the same for
+    every algorithm.
     """
     if algorithm == "podag":
-        result = learn(source, ordering, cfg=cfg, engine=engine)
-        return result.as_pdag(), result.diagnostics.ci_tests
-    if algorithm not in ("pc", "pc_plus"):
+        return learn(source, ordering, cfg=cfg, engine=engine)
+    if algorithm not in ("pc", "pc_plus", "h0", "h_minus_j"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if engine is None:
         engine = GaussianEngine(source, alpha=cfg.alpha)
+    if algorithm in ("h0", "h_minus_j"):
+        estimator = estimate_h0 if algorithm == "h0" else estimate_h_minus_j
+        return estimator(engine, ordering, labels=source.labels)
     estimator, nodes = (pc, len(source.labels)) if algorithm == "pc" else (pc_plus, ordering)
-    res = estimator(
+    return estimator(
         engine,
         nodes,
         labels=source.labels,
@@ -180,7 +184,6 @@ def _fit(algorithm, source, ordering, cfg, engine=None):
         stable=cfg.stable,
         on_conflict=cfg.on_conflict,
     )
-    return res.pdag, res.ci_tests
 
 
 def _recorded_fit(algorithm, dag, ordering, cfg=None):
@@ -439,7 +442,9 @@ def run_benchmark(spec, threads=1, progress=None):
             for backend in backends:
                 started = time.perf_counter()
                 try:
-                    pdag, ci = _fit(algo, dataset, ordering, spec.fit_config(algo, backend))
+                    result = _fit(algo, dataset, ordering, spec.fit_config(algo, backend))
+                    pdag, ci = result.pdag, result.ci_tests
+                    del result  # a PODAG result holds its screening sets; the next fit runs without them
                 except Exception as err:  # noqa: BLE001 - recorded per contract
                     label = f"{algo}/{backend}" if backend else algo
                     failures.append((cell, rep, label, repr(err)))

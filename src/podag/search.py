@@ -119,6 +119,16 @@ class PodagResult:
             labels=self.labels,
         )
 
+    @property
+    def pdag(self):
+        """:meth:`as_pdag`, named as on a baseline's result."""
+        return self.as_pdag()
+
+    @property
+    def ci_tests(self):
+        """``diagnostics.ci_tests``, named as on a baseline's result."""
+        return self.diagnostics.ci_tests
+
     def to_json(self):
         doc = {
             "cross_edges": [

@@ -585,7 +585,9 @@ class GaussianEngine(CiEngine):
     one whose residual variance given ``U`` falls below
     ``sqrt(RCOND_MIN)`` of its variance, where its union may be near
     singular, is asked as a single query, and so is every source when
-    ``U`` fails the guard, or when the block holds one source.
+    the block holds one source or ``U`` fails the guard.  In the latter
+    case a source inside ``cond``, whose single query would factor ``U``
+    again, goes straight to :func:`fisher_z_test`.
 
     ``speculate`` groups the unions ``base + T + {a, b}`` of its tests
     by size and stacks whole tests, up to ``STACK_ENTRIES`` covariance
@@ -715,13 +717,17 @@ class GaussianEngine(CiEngine):
         # a failed dof guard raises in _decide; one source gains nothing from a block
         batched = [a for a in sources if dof + (a in cond) > 0]
         verdicts = self._block_verdicts(b, batched, cond, dof) if len(batched) > 1 else {}
-        return [
-            verdicts[a] if a in verdicts else self._decide(min(a, b), max(a, b), cond - {a})
-            for a in sources
-        ]
+
+        def single(a):
+            i, j, s = min(a, b), max(a, b), cond - {a}
+            if verdicts is None and a in cond:  # its union is cond + {b}, which just failed the guard
+                return fisher_z_test(self.cov, self._n, i, j, s, self.alpha)
+            return self._decide(i, j, s)
+
+        return [verdicts[a] if verdicts and a in verdicts else single(a) for a in sources]
 
     def _block_verdicts(self, b, sources, cond, dof):
-        """Verdicts of the ``sources`` a block reads off one factorization; none when it fails the guard."""
+        """Verdicts of the ``sources`` a block reads off one factorization; None when ``cond + {b}`` fails the guard."""
         sigma = self.cov.values
         if not cond:  # fisher_z_test's read of three covariance entries
             rhos = np.clip(sigma[sources, b] / np.sqrt(np.diagonal(sigma)[sources] * sigma[b, b]), -1.0, 1.0)
@@ -734,7 +740,7 @@ class GaussianEngine(CiEngine):
             try:
                 column, bordered, kept = _factored_pool(sigma, order, t, outside)
             except SingularityError:
-                return {}
+                return None
             rhos = column[np.searchsorted(order, inside)]
             if outside:
                 rhos = np.concatenate((rhos, bordered[t, kept]))

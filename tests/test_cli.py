@@ -85,9 +85,11 @@ class TestLearn:
         sim = simulate_into(tmp_path, nodes=8, n=300)
         for algo in ("podag", "pc", "pc+", "h0", "h-minus-j"):
             out = tmp_path / f"algo-{algo}"
+            # h0 and h-minus-j orient nothing, so --on-conflict is theirs to reject
+            policy = ["--on-conflict", "ignore"] if algo in ("podag", "pc", "pc+") else []
             code = run(
                 ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
-                 "--algorithm", algo, "--on-conflict", "ignore", "-o", out]
+                 "--algorithm", algo, *policy, "-o", out]
             )
             assert code == EXIT_OK, algo
             assert (out / "result.json").exists()
@@ -177,6 +179,48 @@ class TestLearn:
         assert run(args + ["-o", tmp_path / "plain"]) == EXIT_OK
         assert run(args + ["--backend", "pcor", "--screen-alpha", "0.5", "-o", tmp_path / "flagged"]) == EXIT_OK
         assert (tmp_path / "plain" / "result.json").read_text() == (tmp_path / "flagged" / "result.json").read_text()
+
+    @pytest.mark.parametrize("algorithm", ["h0", "h-minus-j"])
+    @pytest.mark.parametrize("flag", [["--stable"], ["--max-sepset-size", "1"], ["--on-conflict", "ignore"]])
+    def test_search_flag_with_a_naive_estimator_is_usage_error(self, tmp_path, capsys, algorithm, flag):
+        sim = simulate_into(tmp_path, nodes=8)
+        out = tmp_path / "o"
+        code = run(
+            ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
+             "--algorithm", algorithm, *flag, "-o", out]
+        )
+        assert code == EXIT_USAGE
+        assert f"{flag[0]} applies to podag, pc and pc+ only, not {algorithm}" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
+
+    def test_search_flags_at_their_defaults_pass_with_a_naive_estimator(self, tmp_path):
+        sim = simulate_into(tmp_path, nodes=8)
+        args = ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt", "--algorithm", "h0"]
+        assert run(args + ["-o", tmp_path / "plain"]) == EXIT_OK
+        assert run(args + ["--on-conflict", "error", "-o", tmp_path / "flagged"]) == EXIT_OK
+        assert (tmp_path / "plain" / "result.json").read_text() == (tmp_path / "flagged" / "result.json").read_text()
+
+    @pytest.mark.parametrize(
+        "algorithm, name",
+        [("podag", "podag"), ("pc", "pc"), ("pc+", "pc_plus"), ("h0", "h0"), ("h-minus-j", "h_minus_j")],
+    )
+    def test_each_algorithm_is_one_fit_call(self, tmp_path, monkeypatch, algorithm, name):
+        sim = simulate_into(tmp_path, nodes=8)
+        calls = []
+        fit = podag.evaluation._fit
+
+        def recorded(fitted, *args, **kwargs):
+            calls.append(fitted)
+            return fit(fitted, *args, **kwargs)
+
+        monkeypatch.setattr(podag.cli, "_fit", recorded)
+        policy = ["--on-conflict", "ignore"] if algorithm in ("podag", "pc", "pc+") else []
+        code = run(
+            ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
+             "--algorithm", algorithm, *policy, "-o", tmp_path / "o"]
+        )
+        assert code == EXIT_OK
+        assert calls == [name]
 
     @pytest.mark.parametrize("algorithm", ["podag", "h0", "h-minus-j"])
     def test_orient_by_ordering_with_another_algorithm_is_usage_error(self, tmp_path, capsys, algorithm):
@@ -332,7 +376,7 @@ class TestLearn:
              "--algorithm", algorithm, "--max-sepset-size", -1, "-o", out]
         )
         assert code == EXIT_USAGE
-        assert "max_level must be nonnegative" in capsys.readouterr().err
+        assert "max_sepset_size must be nonnegative" in capsys.readouterr().err
         assert not (out / "edges.tsv").exists()
 
     def test_screen_only_mode(self, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,13 +9,16 @@ import podag.evaluation
 from podag import (
     BenchmarkSpec,
     Dag,
+    GaussianEngine,
     OracleEngine,
     PartialOrdering,
     Pdag,
+    PodagConfig,
     Sem,
     collect_test_tuples,
     edge_metrics,
     estimate_h0,
+    estimate_h_minus_j,
     partial_correlation,
     rho_min_star,
     run_benchmark,
@@ -25,7 +29,7 @@ from podag.evaluation import (
     faithfulness_report,
     rows_to_csv,
 )
-from podag.sem import rng_from_seed, toy_two_layer_sem
+from podag.sem import rng_from_seed, sample, toy_two_layer_sem
 
 from helpers import random_layered_instance, reference_edge_metrics, toy_diamond
 
@@ -165,6 +169,32 @@ class TestEdgeMetricsAgainstReference:
         )
         m = edge_metrics(set(), Dag(3, [(0, 1)]), scope="cross_only", ordering=ordering)
         assert (m.universe_size, m.fn) == (2, 1)
+
+
+class TestFit:
+    """``_fit`` is the one estimator dispatch; every result reads ``pdag`` and ``ci_tests``."""
+
+    @staticmethod
+    def two_layer_data():
+        sem, ordering = toy_two_layer_sem()
+        return sample(sem, 300, rng_from_seed(5)), ordering
+
+    @pytest.mark.parametrize("algorithm, estimator", [("h0", estimate_h0), ("h_minus_j", estimate_h_minus_j)])
+    def test_naive_estimators_run_on_a_gaussian_engine(self, algorithm, estimator):
+        data, ordering = self.two_layer_data()
+        got = podag.evaluation._fit(algorithm, data, ordering, PodagConfig())
+        want = estimator(GaussianEngine(data), ordering, labels=data.labels)
+        assert got == want
+        assert got.pdag.directed_edges and got.ci_tests > 0
+
+    @pytest.mark.parametrize("algorithm", ["podag", "pc", "pc_plus", "h0", "h_minus_j"])
+    def test_every_result_reads_pdag_and_ci_tests(self, algorithm):
+        data, ordering = self.two_layer_data()
+        result = podag.evaluation._fit(algorithm, data, ordering, PodagConfig(on_conflict="ignore"))
+        assert isinstance(result.pdag, Pdag) and result.pdag.labels == data.labels
+        assert result.ci_tests == json.loads(result.to_json())["diagnostics"]["ci_tests"] > 0
+        if algorithm == "podag":
+            assert result.pdag == result.as_pdag()
 
 
 class TestCollectTuples:

@@ -727,6 +727,17 @@ class TestBlockQueries:
                     assert verdict == fisher_z_test(cov, data.n, i, j, s, 0.05), (a, b)
         assert [v.independent for v in engine.query_block(0, [2, 3], {1})] == [False, True]
 
+    def test_a_failed_union_is_not_factored_again(self, monkeypatch):
+        # every source lies inside cond, so each single query would factor
+        # the singular union {0, 1, 2, 3} again; fisher_z_test decides each
+        data, _ = dependent_four_columns()
+        engine = GaussianEngine(data)
+        cond = {0, 1, 2}
+        want = [fisher_z_test(engine.cov, data.n, a, 3, cond - {a}, 0.05) for a in (0, 1, 2)]
+        factorizations = counting_factorizations(monkeypatch, "_factor_spd")
+        assert engine.query_block(3, [0, 1, 2], cond) == want
+        assert len(factorizations) == 4  # the union, then one partial_correlation per source
+
     def test_degrees_of_freedom_guard_precedes_the_block(self, monkeypatch):
         factorizations = counting_factorizations(monkeypatch, "_factor_spd")
         engine = GaussianEngine(CovMatrix(np.eye(6), n=6))
