@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .graph import Pdag, SepsetMap, orient_by_ordering, write_edgelist
 from .search import _orient, _search_levels
+from .stats import _dependence_error
 
 __all__ = ["BaselineResult", "estimate_h0", "estimate_h_minus_j", "pc", "pc_plus"]
 
@@ -65,14 +66,24 @@ def _dependence_edges(engine, ordering, labels, adjust_second):
     """k -> j for each first-layer k on which second-layer j depends.
 
     The conditioning set is every other first-layer node, plus every
-    second-layer node but j when ``adjust_second`` is set.
+    second-layer node but j when ``adjust_second`` is set.  A sample
+    engine raises :class:`DegenerateDataError` naming a linearly
+    dependent column set in j's union with it, as screening does, where
+    that union has fewer columns than samples (and so could have full
+    rank): its tests would read rounding noise, or fail naming indices.
     """
     first, second = _two_layer_sets(ordering)
     adjusted = first + second if adjust_second else first
+    cov = getattr(engine, "cov", None)  # an oracle has none
     start = engine.n_queries
     edges = set()
     for j in second:
-        verdicts = engine.query_block(j, first, set(adjusted) - {j})
+        cond = set(adjusted) - {j}
+        union = sorted(cond | {j})
+        error = _dependence_error(cov, union, spare=0) if cov is not None and cov.n > len(union) else None
+        if error is not None:
+            raise error
+        verdicts = engine.query_block(j, first, cond)
         edges.update((k, j) for k, verdict in zip(first, verdicts) if not verdict.independent)
     pdag = Pdag(ordering.n_nodes, directed_edges=edges, labels=labels)
     return BaselineResult(pdag=pdag, sepsets=SepsetMap(), ci_tests=engine.n_queries - start)
@@ -124,7 +135,7 @@ def _pc(engine, n_nodes, labels, max_level, stable, on_conflict, ordering=None):
         return adj[b]
 
     tests = [t for i, j in itertools.combinations(range(n_nodes), 2) for t in ((j, i), (i, j))]
-    sepsets, _ = _search_levels(engine, tests, lambda b: frozenset(), pool, adj, max_level, stable)
+    sepsets, _, _ = _search_levels(engine, tests, lambda b: frozenset(), pool, adj, max_level, stable)
     und = [(i, j) for i in adj for j in adj[i] if i < j]
     skeleton = Pdag(n_nodes, undirected_edges=und, labels=labels)
     if ordering is not None:

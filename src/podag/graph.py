@@ -319,6 +319,8 @@ class PartialOrdering:
             self._before, self._after = self._layer_tables()
         else:
             self._before, self._after = self._override_tables(before or {}, after or {})
+        everything = frozenset(range(self.n_nodes))
+        self._peers = tuple(everything - b - a - {j} for j, (b, a) in enumerate(zip(self._before, self._after)))
 
     def _layer_tables(self):
         """Per-node before/after sets implied by the layers alone."""
@@ -379,7 +381,7 @@ class PartialOrdering:
     def peer_set(self, j):
         """Nodes with no known order relative to ``j``."""
         _check_node(self.n_nodes, j)
-        return frozenset(range(self.n_nodes)) - self.before_set(j) - self.after_set(j) - {j}
+        return self._peers[j]
 
     def orders_before(self, u, v):
         """True when ``u`` is known to precede ``v``."""
@@ -408,14 +410,22 @@ class PartialOrdering:
 
 
 class SepsetMap:
-    """Separating sets recorded during search, keyed by unordered pair."""
+    """Separating sets recorded during search, keyed by unordered pair.
+
+    The skeleton search records a level-0 separator, and orientation a
+    screening verdict, as a shared set plus the node it leaves out
+    (``cond - {a}``, ``pool - {k}``): many pairs share one set, so
+    recording builds none.  :meth:`get`, :meth:`items` and ``==`` build
+    such a separator on first read and keep it, so a map reads the same
+    whichever way its entries were recorded.
+    """
 
     def __init__(self):
-        self._map = {}
+        self._map = {}  # pair -> frozenset, or (shared frozenset, excluded node) not yet built
 
     @staticmethod
     def _key(i, j):
-        return (min(i, j), max(i, j))
+        return (i, j) if i < j else (j, i)
 
     def record(self, i, j, sepset):
         """Record ``sepset`` for the pair; a frozenset is kept as given."""
@@ -424,24 +434,49 @@ class SepsetMap:
             sepset = frozenset(map(int, sepset))
         if i in sepset or j in sepset:
             raise ValueError("separating set must not contain its endpoints")
-        if key in self._map and self._map[key] != sepset:
+        if key in self._map and self._built(key) != sepset:
             raise ValueError(f"pair {key} already has a different separating set")
         self._map[key] = sepset
 
+    def _record_excluding(self, keys, shared, excluded):
+        """Record ``shared - {a}`` for each pair of ``keys`` and ``a`` of ``excluded``, in step.
+
+        Unchecked, for the search and orientation: each key is ordered
+        and not yet recorded, and no separator holds an endpoint.
+        """
+        self._map.update(zip(keys, zip(itertools.repeat(shared), excluded)))
+
+    def _built(self, key):
+        """The separator of a recorded ``key``, built now if it was recorded as a set plus an excluded node."""
+        sepset = self._map[key]
+        if type(sepset) is tuple:
+            shared, excluded = sepset
+            sepset = self._map[key] = shared - {excluded}
+        return sepset
+
     def get(self, i, j):
-        return self._map.get(self._key(i, j))
+        key = self._key(i, j)
+        return self._built(key) if key in self._map else None
+
+    def _in_separator(self, v, i, j):
+        """Whether ``v`` lies in the separator of the pair; None when none is recorded.  Builds no set."""
+        sepset = self._map.get(self._key(i, j))
+        if type(sepset) is tuple:
+            shared, excluded = sepset
+            return v != excluded and v in shared
+        return None if sepset is None else v in sepset
 
     def __contains__(self, pair):
         return self._key(*pair) in self._map
 
     def items(self):
-        return sorted(self._map.items())
+        return [(key, self._built(key)) for key in sorted(self._map)]
 
     def __len__(self):
         return len(self._map)
 
     def __eq__(self, other):
-        return isinstance(other, SepsetMap) and self._map == other._map
+        return isinstance(other, SepsetMap) and dict(self.items()) == dict(other.items())
 
 
 # -- orientation ------------------------------------------------------
@@ -534,8 +569,7 @@ def orient_v_structures(skeleton, sepsets, on_conflict="error"):
     """
     state = _OrientationState(skeleton)
     for i, j, k in _unshielded_triples(skeleton):
-        sep = sepsets.get(i, k)
-        if sep is None or j in sep:
+        if sepsets._in_separator(j, i, k) is not False:  # no separator, or j in it
             continue
         state.orient(i, j, on_conflict=on_conflict, context=(i, j, k))
         state.orient(k, j, on_conflict=on_conflict, context=(i, j, k))

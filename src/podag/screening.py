@@ -110,9 +110,14 @@ class ScreenEntry:
         pool, and None for a kept member, a node outside both pools, or
         an entry without recorded pools.
         """
+        pool = self._verdict_pool(k)
+        return None if pool is None else pool - {k}
+
+    def _verdict_pool(self, k):
+        """The pool of :meth:`verdict_sepset`, ``k`` still in it; None where that is None."""
         for pool, kept in zip(self.pools, (self.s0, self.s1)):
             if k in pool and k not in kept:
-                return pool - {k}
+                return pool
         return None
 
 

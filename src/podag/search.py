@@ -19,6 +19,7 @@ import inspect
 import itertools
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field, replace
 
@@ -222,11 +223,17 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
     ``b``: the target's live tests, in their order in ``tests``, are one
     :meth:`CiEngine.query_block`.  So the direction of a pair with the
     lower target is asked first, and a pair it removes is not asked
-    again.  Levels 1 and up keep the order of ``tests``, on which
-    order-dependent PC's output depends.  Their tests are decided a
-    window at a time, with the queries of one test at a time.  A window
-    gathers live tests until their first subsets (at most
-    ``STACK_SIZE`` each) reach ``WINDOW`` unions; one
+    again.  A target's removals are recorded together, with no object
+    per verdict: the block's verdicts come as one boolean array, each
+    separator is stored as the shared ``cond(b)`` plus the removed
+    source (built as a set only when read, see :class:`SepsetMap`), and
+    the neighbour sets lose the removed sources in one set difference
+    (at the end of the level under ``stable``).  Levels 1 and up keep
+    the order of ``tests``, on which order-dependent PC's output
+    depends.  Their tests are decided a window at a time, with the
+    queries of one test at a time.  A window gathers live tests until
+    their first subsets (at most ``STACK_SIZE`` each) reach ``WINDOW``
+    unions; one
     :meth:`CiEngine.speculate` call looks ahead over all of them, and
     each is then walked in order with :meth:`CiEngine.query_first`,
     the subsets past the first ones speculated as the walk reaches them
@@ -234,47 +241,61 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
     later test's pool, that test's subsets and stops are restricted to
     the new pool.
 
-    Returns the :class:`SepsetMap` of removed pairs and the number of
-    removals per level (levels without removals are left out).
+    Returns the :class:`SepsetMap` of removed pairs, the number of
+    removals per level (levels without removals are left out) and the
+    tests of the pairs never removed, in their order in ``tests``.
     """
     sepsets = SepsetMap()
     removed = set()
     removals = {}
-    shrunk = set()  # targets whose neighbour set lost a member during the current window
-    live = [((min(a, b), max(a, b)), a, b) for a, b in tests]
+    shrunk = set()  # targets whose neighbour set may have lost a member during the current window
 
-    def drop_neighbours(a, b):
-        for u, v in ((a, b), (b, a)):
-            if u in neighbours:
-                neighbours[u].discard(v)
-                shrunk.add(u)
+    def drop(b, sources):
+        """Take the pairs ``(a, b)``, ``a`` in ``sources``, out of the neighbour sets."""
+        if b in neighbours:
+            neighbours[b].difference_update(sources)
+        for a in sources:
+            if a in neighbours:
+                neighbours[a].discard(b)
 
     def remove(pair, a, b, sep):
         sepsets.record(a, b, sep)
         removed.add(pair)
-        found.append(pair)
+        found.append((b, (a,)))
         if not stable:
-            drop_neighbours(a, b)
+            drop(b, (a,))
+            shrunk.update(pair)
 
     def level_zero():
         """Decide level 0 a target at a time, each target's live tests as one block; whether any ran.
 
-        A block that raises is asked again one test at a time, so that
-        the error names the candidate that raised it.
+        The separators of a block's independent sources are recorded as
+        its shared ``cond`` plus the excluded source.  A block that
+        raises is asked again one test at a time, so that the error
+        names the candidate that raised it.
         """
-        for b, run in itertools.groupby(sorted(live, key=lambda test: test[2]), key=lambda test: test[2]):
-            run = [(pair, a) for pair, a, _ in run if pair not in removed]
-            if not run:
+        sources_of = {}
+        for a, b in tests:
+            sources_of.setdefault(b, []).append(a)
+        for b in sorted(sources_of):
+            # a pair with a lower target was asked in that target's block
+            sources = [a for a in sources_of[b] if a > b or (a, b) not in removed]
+            if not sources:
                 continue
-            sources, given = [a for _, a in run], cond(b)
+            given = cond(b)
             try:
-                verdicts = [verdict.independent for verdict in engine.query_block(b, sources, given)]
+                independent = engine._query_block(b, sources, given)[0]
             except PodagError:
-                verdicts = [engine._query_first(a, b, given - {a}, [()], [(0, False)]) is not None for a in sources]
-            for (pair, a), independent in zip(run, verdicts):
-                if independent:
-                    remove(pair, a, b, given - {a})
-        return bool(live)  # the first target's tests are all live
+                independent = [engine._query_first(a, b, given - {a}, [()], [(0, False)]) is not None for a in sources]
+            gone = list(itertools.compress(sources, independent))
+            if gone:
+                pairs = [(a, b) if a < b else (b, a) for a in gone]
+                sepsets._record_excluding(pairs, given, gone)
+                removed.update(pairs)
+                found.append((b, gone))
+                if not stable:
+                    drop(b, gone)
+        return bool(tests)
 
     def gather():
         """The live tests of the level in order, as ``(pair, a, b, base, pool, head)``."""
@@ -309,11 +330,12 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
 
     level = 0
     while max_level is None or level <= max_level:
-        live = [test for test in live if test[0] not in removed]
-        found = []
+        found = []  # (b, sources): the pairs (a, b) removed at this level
         if level == 0:
             tested = level_zero()
+            live = [(pair, a, b) for a, b in tests if (pair := (a, b) if a < b else (b, a)) not in removed]
         else:
+            live = [test for test in live if test[0] not in removed]
             tested = False
             window, unions = [], 0
             for item in gather():
@@ -326,12 +348,12 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
         if not tested:
             break
         if stable:
-            for pair in found:
-                drop_neighbours(*pair)
+            for b, sources in found:
+                drop(b, sources)
         if found:
-            removals[level] = len(found)
+            removals[level] = sum(len(sources) for _, sources in found)
         level += 1
-    return sepsets, removals
+    return sepsets, removals, [(a, b) for pair, a, b in live if pair not in removed]
 
 
 def _posthoc_sepset(engine, screen, a, b, max_level):
@@ -346,7 +368,7 @@ def _posthoc_sepset(engine, screen, a, b, max_level):
     for target, other in ((b, a), (a, b)):
         if target in screen:
             cross, cmb = screen[target].cross, screen[target].cmb
-            sepsets, _ = _search_levels(
+            sepsets, _, _ = _search_levels(
                 engine, [(other, target)], lambda t: cross, lambda o, t: cmb, {}, max_level
             )
             if (a, b) in sepsets:
@@ -354,26 +376,24 @@ def _posthoc_sepset(engine, screen, a, b, max_level):
     return None
 
 
-def _orient(pdag, sepsets, on_conflict, separator=None):
+def _orient(pdag, sepsets, on_conflict, separate=None):
     """V-structures and Meek closure: the orientation stage of PODAG, PC and PC+.
 
-    ``pdag`` already carries the ordering's orientations.  Each
-    unshielded pair without a recorded separator asks ``separator(a, b)``
-    (when given) and records a non-None answer.  One valid separator
-    suffices: the middle node of an unshielded triple lies in every
-    separator of its endpoints or in none (Spirtes, Glymour & Scheines
-    2000).
+    ``pdag`` already carries the ordering's orientations.  For each
+    unshielded pair without a recorded separator, ``separate(a, b)``
+    (when given) records one in ``sepsets`` if it finds one.  One valid
+    separator suffices: the middle node of an unshielded triple lies in
+    every separator of its endpoints or in none (Spirtes, Glymour &
+    Scheines 2000).
     """
     # the ordering's orientations are in pdag from the start (the ordering
     # is ground truth), but Meek's rules run only after v-structure
     # detection: closing the rules early would let R1 orient edges that
     # are really colliders.
-    if separator is not None:
+    if separate is not None:
         for a, b in sorted({(i, k) for i, _, k in _unshielded_triples(pdag)}):
-            if sepsets.get(a, b) is None:
-                sep = separator(a, b)
-                if sep is not None:
-                    sepsets.record(a, b, sep)
+            if (a, b) not in sepsets:
+                separate(a, b)
     oriented = orient_v_structures(pdag, sepsets, on_conflict=on_conflict)
     return apply_meek_rules(oriented, on_conflict=on_conflict)
 
@@ -396,14 +416,14 @@ def podag_multi_layer(engine, ordering, screen, cfg=None):
     candidates = set(screen.cross_candidates())
     if cfg.learn_within_layers:
         candidates.update(screen.within_candidates())
-    candidates = sorted(candidates, key=lambda e: (e[1], e[0]))
+    candidates = sorted(candidates, key=operator.itemgetter(1, 0))
     # a removed pair leaves both blankets: separating sets only ever need
     # true neighbours, which are never removed, so shrinking the pool is
     # sound and skips subsets of members already ruled out
     blanket = {j: set(screen[j].cmb) for j in screen.nodes()}
     cross = {j: screen[j].cross for j in screen.nodes()}
     _set_phase(engine, "search")
-    sepsets, removals = _search_levels(
+    sepsets, removals, surviving = _search_levels(
         engine,
         candidates,
         lambda j: cross[j],
@@ -412,30 +432,31 @@ def podag_multi_layer(engine, ordering, screen, cfg=None):
         cfg.max_sepset_size,
         cfg.stable,
     )
-    surviving = [e for e in candidates if e not in sepsets]
 
     cross_edges = frozenset((k, j) for (k, j) in surviving if k in cross[j])
-    within_pairs = frozenset(
-        (min(k, j), max(k, j)) for (k, j) in surviving if k in screen[j].cmb
-    )
+    # a surviving pair never left the blankets
+    within_pairs = frozenset((k, j) if k < j else (j, k) for (k, j) in surviving if k in blanket[j])
 
     n_nodes = screen.n_nodes
     labels = screen.labels
     if cfg.learn_within_layers:
 
-        def separator(a, b):
+        def separate(a, b):
             # b's screening verdict on a, then a's on b, then a search
-            recorded = (screen[t].verdict_sepset(o) for t, o in ((b, a), (a, b)) if t in screen)
-            sep = next((s for s in recorded if s is not None), None)
-            if sep is None:
-                sep = _posthoc_sepset(engine, screen, a, b, cfg.max_sepset_size)
-            return sep
+            for t, o in ((b, a), (a, b)):
+                pool = screen[t]._verdict_pool(o) if t in screen else None
+                if pool is not None:
+                    sepsets._record_excluding([(a, b)], pool, [o])
+                    return
+            sep = _posthoc_sepset(engine, screen, a, b, cfg.max_sepset_size)
+            if sep is not None:
+                sepsets.record(a, b, sep)
 
         with_background = Pdag(
             n_nodes, directed_edges=cross_edges, undirected_edges=within_pairs, labels=labels
         )
         _set_phase(engine, "orient")
-        maximal = _orient(with_background, sepsets, cfg.on_conflict, separator)
+        maximal = _orient(with_background, sepsets, cfg.on_conflict, separate)
         within = Pdag(
             n_nodes,
             directed_edges=[

@@ -441,7 +441,11 @@ class CiEngine:
     ``query_block(b, sources, cond)`` asks ``a _||_ b | cond - {a}`` for
     every ``a`` in ``sources`` at once: the level-0 tests of one target
     in the skeleton search.  It counts one query per source and answers
-    as the per-source queries would; ``_decide_block`` loops over
+    as the per-source queries would.  The search asks through
+    ``_query_block``, which skips the argument checks and returns the
+    verdicts as two sequences in source order, ``(independent,
+    statistics)``; ``query_block`` builds its :class:`CiVerdict` list
+    from them.  ``_decide_block`` computes them, looping over
     ``_decide`` unless an engine shares work across the block.
 
     At levels 1 and up a skeleton-search test asks the separators ``base
@@ -482,6 +486,15 @@ class CiEngine:
         cond = frozenset(map(int, cond))
         if b in cond or b in sources:
             raise ValueError("b must lie outside sources and cond")
+        independent, statistics = self._query_block(b, sources, cond)
+        return [CiVerdict(independent=bool(i), statistic=float(z)) for i, z in zip(independent, statistics)]
+
+    def _query_block(self, b, sources, cond):
+        """:meth:`query_block` as ``(independent, statistics)`` sequences, without checking its arguments.
+
+        ``b`` is an int outside ``cond``, ``sources`` a list of ints and
+        ``cond`` a frozenset, as the skeleton search builds them.
+        """
         self._count(len(sources))
         return self._decide_block(b, sources, cond)
 
@@ -546,7 +559,8 @@ class CiEngine:
         raise NotImplementedError
 
     def _decide_block(self, b, sources, cond):
-        return [self._decide(min(a, b), max(a, b), cond - {a}) for a in sources]
+        verdicts = [self._decide(min(a, b), max(a, b), cond - {a}) for a in sources]
+        return [v.independent for v in verdicts], [v.statistic for v in verdicts]
 
 
 class OracleEngine(CiEngine):
@@ -585,9 +599,13 @@ class GaussianEngine(CiEngine):
     one whose residual variance given ``U`` falls below
     ``sqrt(RCOND_MIN)`` of its variance, where its union may be near
     singular, is asked as a single query, and so is every source when
-    the block holds one source or ``U`` fails the guard.  In the latter
-    case a source inside ``cond``, whose single query would factor ``U``
-    again, goes straight to :func:`fisher_z_test`.
+    the block holds one source, a source outside ``cond`` would have no
+    degrees of freedom (``n - |cond| - 3 <= 0``) or ``U`` fails the
+    guard.  In the last case a source inside ``cond``, whose single
+    query would factor ``U`` again, goes straight to
+    :func:`fisher_z_test`.  The block's verdicts and statistics are
+    read as arrays in source order (:meth:`_block_verdicts`), and the
+    single queries fill in the sources it did not read.
 
     ``speculate`` groups the unions ``base + T + {a, b}`` of its tests
     by size and stacks whole tests, up to ``STACK_ENTRIES`` covariance
@@ -715,43 +733,48 @@ class GaussianEngine(CiEngine):
     def _decide_block(self, b, sources, cond):
         dof = self._n - len(cond) - 3  # outside cond; a source inside leaves S one smaller
         # a failed dof guard raises in _decide; one source gains nothing from a block
-        batched = [a for a in sources if dof + (a in cond) > 0]
-        verdicts = self._block_verdicts(b, batched, cond, dof) if len(batched) > 1 else {}
-
-        def single(a):
+        # False: no block was read; None: cond + {b} failed the guard
+        got = self._block_verdicts(b, sources, cond, dof) if dof > 0 and len(sources) > 1 else False
+        read, independent, statistics = got or (*np.zeros((2, len(sources)), dtype=bool), np.zeros(len(sources)))
+        for k in np.flatnonzero(~read).tolist():
+            a = sources[k]
             i, j, s = min(a, b), max(a, b), cond - {a}
-            if verdicts is None and a in cond:  # its union is cond + {b}, which just failed the guard
-                return fisher_z_test(self.cov, self._n, i, j, s, self.alpha)
-            return self._decide(i, j, s)
-
-        return [verdicts[a] if verdicts and a in verdicts else single(a) for a in sources]
+            if got is None and a in cond:  # its union is cond + {b}, which just failed the guard
+                verdict = fisher_z_test(self.cov, self._n, i, j, s, self.alpha)
+            else:
+                verdict = self._decide(i, j, s)
+            independent[k], statistics[k] = verdict.independent, verdict.statistic
+        return independent, statistics
 
     def _block_verdicts(self, b, sources, cond, dof):
-        """Verdicts of the ``sources`` a block reads off one factorization; None when ``cond + {b}`` fails the guard."""
+        """``(read, independent, z)`` arrays over ``sources``, in order, from at most one factorization.
+
+        ``read`` is False where a source was not read (its union with
+        ``cond + {b}`` may be near singular); its other entries are then
+        meaningless.  None when ``cond + {b}`` fails the guard.
+        """
         sigma = self.cov.values
+        nodes = np.array(sources)
         if not cond:  # fisher_z_test's read of three covariance entries
-            rhos = np.clip(sigma[sources, b] / np.sqrt(np.diagonal(sigma)[sources] * sigma[b, b]), -1.0, 1.0)
-            dofs = dof
+            rhos = np.clip(sigma[nodes, b] / np.sqrt(np.diagonal(sigma)[nodes] * sigma[b, b]), -1.0, 1.0)
+            read, dofs = np.ones(len(nodes), dtype=bool), dof
         else:
-            order = sorted(cond.union((b,)))
-            t = order.index(b)
-            inside = [a for a in sources if a in cond]
-            outside = [a for a in sources if a not in cond]
+            order = np.array(sorted(cond.union((b,))))
+            t = int(np.searchsorted(order, b))
+            at = np.searchsorted(order, nodes)
+            inside = order[np.minimum(at, len(order) - 1)] == nodes
+            outside = ~inside
             try:
-                column, bordered, kept = _factored_pool(sigma, order, t, outside)
+                column, bordered, kept = _factored_pool(sigma, order, t, nodes[outside].tolist())
             except SingularityError:
                 return None
-            rhos = column[np.searchsorted(order, inside)]
-            if outside:
-                rhos = np.concatenate((rhos, bordered[t, kept]))
-                outside = [a for a, ok in zip(outside, kept) if ok]
-            sources = inside + outside
-            dofs = np.repeat([dof + 1, dof], [len(inside), len(outside)])
+            rhos, read = np.empty(len(nodes)), inside.copy()
+            rhos[inside] = column[at[inside]]
+            if kept is not None:
+                rhos[outside], read[outside] = bordered[t], kept
+            dofs = np.where(inside, dof + 1, dof)
         z, independent = _fisher_z_statistics(rhos, dofs, self.alpha)
-        return {
-            a: CiVerdict(independent=bool(ind), statistic=float(stat))
-            for a, ind, stat in zip(sources, independent, z)
-        }
+        return read, independent, z
 
 
 class RecordingEngine(CiEngine):
@@ -781,7 +804,7 @@ class RecordingEngine(CiEngine):
     def _decide_block(self, b, sources, cond):
         with self._records_lock:
             self.records.extend((min(a, b), max(a, b), cond - {a}, self.phase) for a in sources)
-        return self.inner.query_block(b, sources, cond)
+        return self.inner._query_block(b, sources, cond)
 
     def speculate(self, requests):
         return self.inner.speculate(requests)

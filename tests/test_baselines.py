@@ -4,6 +4,7 @@ import pytest
 
 from podag import (
     Dag,
+    DegenerateDataError,
     GaussianEngine,
     OracleEngine,
     PartialOrdering,
@@ -24,6 +25,7 @@ from podag.sem import (
 
 from helpers import (
     counting_factorizations,
+    dependent_four_columns,
     enumeration_maximal_pdag,
     random_bipartite_instance,
     random_layered_instance,
@@ -142,6 +144,16 @@ class TestNaiveEstimatorBlocks:
         assert block.records == single.records
         assert res.ci_tests == single.n_queries
         assert len(factorizations) == len(second)
+
+    @pytest.mark.parametrize("estimator", [estimate_h0, estimate_h_minus_j])
+    def test_dependent_union_names_its_columns(self, estimator):
+        # V2 = V0 + V1: target V2's union holds the three columns under both
+        # estimators; its tests would read rounding noise
+        data, ordering = dependent_four_columns()
+        engine = GaussianEngine(data)
+        with pytest.raises(DegenerateDataError, match="^columns V0, V1 and V2 are linearly dependent"):
+            estimator(engine, ordering, data.labels)
+        assert engine.n_queries == 0
 
 
 class TestPc:

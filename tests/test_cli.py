@@ -11,6 +11,8 @@ import podag.evaluation
 from podag import Dataset, Pdag, apply_meek_rules
 from podag.cli import EXIT_LABELS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 
+from helpers import dependent_four_columns
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -337,6 +339,21 @@ class TestLearn:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "columns a, b and c are linearly dependent" in err
+
+    @pytest.mark.parametrize("algorithm", ["h0", "h-minus-j"])
+    def test_dependent_set_in_a_naive_estimator_exits_four_with_labels(self, tmp_path, capsys, algorithm):
+        data, _ = dependent_four_columns()
+        (tmp_path / "data.csv").write_text(data.to_csv())
+        (tmp_path / "layering.txt").write_text("V0, V1\nV2, V3\n")
+        capsys.readouterr()
+        code = run(
+            ["learn", "--algorithm", algorithm, "--data", tmp_path / "data.csv",
+             "--layering", tmp_path / "layering.txt", "-o", tmp_path / "o"]
+        )
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "columns V0, V1 and V2 are linearly dependent" in err
 
     def test_orientation_conflict_names_labels_and_points_to_ignore(self, tmp_path, capsys):
         sim = simulate_into(tmp_path, seed=88, nodes=30, layers=3, n=500)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -293,6 +294,26 @@ class TestFaithfulnessReport:
 
 
 class TestRunBenchmark:
+    def test_benchmark_kind_grid_pinned(self):
+        # every row, without elapsed_ms, of one grid call of the benchmark's
+        # simgrid-p50 kind; recorded before level 0 recorded separators lazily
+        spec = BenchmarkSpec(
+            n_nodes=(50,),
+            layers=(2, 5),
+            n=(500,),
+            algorithms=("pc", "pc_plus", "podag"),
+            backends=("pcor", "sis", "lasso"),
+            expected_edges_per_node=3.0,
+            max_sepset_size=3,
+            replicates=1,
+            seed=1000,
+        )
+        rows, failures = run_benchmark(spec, threads=1)
+        rows = [{k: v for k, v in row.items() if k != "elapsed_ms"} for row in rows]
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert (len(rows), failures) == (30, [])
+        assert digest == "4e770c8abb95798dcc2bd94aa76a094a6ecebdfaac2f1608e8839f3b72cbb71e"
+
     def small_spec(self):
         return BenchmarkSpec(
             n_nodes=(8,),

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from podag import (
     Dag,
@@ -314,6 +316,55 @@ class TestSepsetMap:
         m = SepsetMap()
         with pytest.raises(ValueError):
             m.record(1, 2, {1})
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_deferred_entries_read_as_eager_ones(self, data):
+        # the search records a level-0 block's separators as its shared cond
+        # plus each excluded source, orientation a screening verdict as its
+        # pool plus the excluded node; other entries are recorded as sets
+        n = 8
+        node = st.integers(0, n - 1)
+        steps, eager = [], SepsetMap()
+        for _ in range(data.draw(st.integers(1, 6))):
+            b = data.draw(node)
+            shared = frozenset(data.draw(st.sets(node))) - {b}
+            sources = [a for a in data.draw(st.lists(node, unique=True)) if a != b and (a, b) not in eager]
+            how = data.draw(st.sampled_from(["block", "one at a time", "record"]))
+            steps.append((how, b, shared, sources))
+            for a in sources:
+                eager.record(a, b, shared - {a})
+
+        def deferred():
+            m = SepsetMap()
+            for how, b, shared, sources in steps:
+                pairs = [(a, b) if a < b else (b, a) for a in sources]
+                if how == "block":
+                    m._record_excluding(pairs, shared, sources)
+                for pair, a in zip(pairs, sources):
+                    if how == "one at a time":
+                        m._record_excluding([pair], shared, [a])
+                    elif how == "record":
+                        m.record(a, b, shared - {a})
+            return m
+
+        assert deferred() == eager and eager == deferred()
+        assert deferred().items() == eager.items()
+        assert len(deferred()) == len(eager)
+        m = deferred()
+        for i, j in itertools.permutations(range(n), 2):
+            assert ((i, j) in m) == ((i, j) in eager)
+            for v in range(n):
+                want = None if eager.get(i, j) is None else v in eager.get(i, j)
+                assert m._in_separator(v, i, j) == want
+            assert m.get(i, j) == eager.get(i, j)
+        for (i, j), sep in eager.items():
+            m = deferred()
+            m.record(j, i, set(sep))  # the same set is fine
+            other = sep ^ {min(set(range(n)) - {i, j})}
+            with pytest.raises(ValueError, match="already has a different separating set"):
+                deferred().record(i, j, other)
+            assert m == eager
 
 
 class TestTextFormats:

@@ -228,9 +228,9 @@ class TestSkeletonDriver:
         per_target = {}
 
         class BlockCounting(GaussianEngine):
-            def _decide_block(self, b, sources, cond):
+            def _query_block(self, b, sources, cond):
                 before = len(factorizations)
-                verdicts = super()._decide_block(b, sources, cond)
+                verdicts = super()._query_block(b, sources, cond)
                 per_target[b] = per_target.get(b, 0) + len(factorizations) - before
                 return verdicts
 
@@ -258,9 +258,9 @@ class TestSkeletonDriver:
         windows = []
 
         class Blocks(GaussianEngine):
-            def _decide_block(self, b, sources, cond):
-                verdicts = super()._decide_block(b, sources, cond)
-                blocks.append((b, sources, cond, [v.independent for v in verdicts]))
+            def _query_block(self, b, sources, cond):
+                verdicts = super()._query_block(b, sources, cond)
+                blocks.append((b, sources, cond, [bool(independent) for independent in verdicts[0]]))
                 return verdicts
 
             def speculate(self, requests):
@@ -705,6 +705,22 @@ class TestLearnDispatch:
 
 
 class TestResultSerialization:
+    def test_benchmark_kind_fit_pinned(self):
+        # the full result.json, sepsets and ci_tests included, of one fit of
+        # the benchmark's learn-p120 kind (p=120, L=5, n=1000), without
+        # elapsed_ms; recorded before level 0 recorded separators lazily
+        rng = rng_from_seed(120)
+        dag, ordering = generate_layered_dag(
+            GenConfig(n_nodes=120, expected_edges_per_node=3.0, layers=5), rng
+        )
+        data = sample(random_weights(dag, rng), 1000, rng)
+        cfg = PodagConfig(alpha=0.005, max_sepset_size=3, learn_within_layers=True, on_conflict="ignore")
+        doc = json.loads(learn(data, ordering, cfg).to_json())
+        del doc["diagnostics"]["elapsed_ms"]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert (doc["diagnostics"]["ci_tests"], len(doc["sepsets"])) == (14915, 3487)
+        assert digest == "dc30ee16b8d1e78d5c384a2cd5b669e74964ab1b9e4b1bd3f6f0fc22f7df04ba"
+
     def test_json_shape_and_determinism(self):
         sem, ordering = toy_two_layer_sem()
         r1 = learn(sem.dag, ordering, PodagConfig(learn_within_layers=True))
