@@ -567,8 +567,13 @@ def orient_v_structures(skeleton, sepsets, on_conflict="error"):
     raise :class:`InconsistencyError` unless ``on_conflict="ignore"``,
     in which case the earlier orientation wins.
     """
+    return _orient_triples(skeleton, sepsets, _unshielded_triples(skeleton), on_conflict)
+
+
+def _orient_triples(skeleton, sepsets, triples, on_conflict):
+    """:func:`orient_v_structures` over the sorted unshielded ``triples`` of ``skeleton``."""
     state = _OrientationState(skeleton)
-    for i, j, k in _unshielded_triples(skeleton):
+    for i, j, k in triples:
         if sepsets._in_separator(j, i, k) is not False:  # no separator, or j in it
             continue
         state.orient(i, j, on_conflict=on_conflict, context=(i, j, k))

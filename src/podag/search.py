@@ -19,13 +19,12 @@ import inspect
 import itertools
 import json
 import math
-import operator
 import time
 from dataclasses import dataclass, field, replace
 
 from .errors import PodagError
-from .graph import Dag, Pdag, SepsetMap, apply_meek_rules, orient_v_structures, write_edgelist
-from .graph import _unshielded_triples
+from .graph import Dag, Pdag, SepsetMap, apply_meek_rules, write_edgelist
+from .graph import _orient_triples, _unshielded_triples
 from .screening import BACKENDS, ScreenSets, _backend_screen, screen_all
 from .stats import Dataset, GaussianEngine, OracleEngine
 
@@ -390,12 +389,32 @@ def _orient(pdag, sepsets, on_conflict, separate=None):
     # is ground truth), but Meek's rules run only after v-structure
     # detection: closing the rules early would let R1 orient edges that
     # are really colliders.
+    triples = _unshielded_triples(pdag)
     if separate is not None:
-        for a, b in sorted({(i, k) for i, _, k in _unshielded_triples(pdag)}):
+        for a, b in sorted({(i, k) for i, _, k in triples}):
             if (a, b) not in sepsets:
                 separate(a, b)
-    oriented = orient_v_structures(pdag, sepsets, on_conflict=on_conflict)
+    oriented = _orient_triples(pdag, sepsets, triples, on_conflict)
     return apply_meek_rules(oriented, on_conflict=on_conflict)
+
+
+def _candidates(cross, cmb, within):
+    """The search's tests ``(k, j)``, ordered by target ``j``, then source ``k``.
+
+    ``cross`` and ``cmb`` map each screened target, in ascending order,
+    to its cross set and its cmb.  Target ``j`` tests its cross set and,
+    with ``within``, its cmb and every target whose cmb holds ``j``: the
+    union of :meth:`ScreenSets.cross_candidates` and
+    :meth:`ScreenSets.within_candidates`, grouped by target.
+    """
+    sources = {j: set(c) for j, c in cross.items()}
+    if within:
+        for j, members in cmb.items():
+            sources[j].update(members)
+            for k in members:
+                if k in sources:
+                    sources[k].add(j)
+    return [(k, j) for j, ks in sources.items() for k in sorted(ks)]
 
 
 def podag_multi_layer(engine, ordering, screen, cfg=None):
@@ -413,15 +432,12 @@ def podag_multi_layer(engine, ordering, screen, cfg=None):
     started = time.perf_counter()
     start_queries = engine.n_queries
 
-    candidates = set(screen.cross_candidates())
-    if cfg.learn_within_layers:
-        candidates.update(screen.within_candidates())
-    candidates = sorted(candidates, key=operator.itemgetter(1, 0))
+    cross = {j: screen[j].cross for j in screen.nodes()}
+    blanket = {j: set(screen[j].cmb) for j in screen.nodes()}
+    candidates = _candidates(cross, blanket, cfg.learn_within_layers)
     # a removed pair leaves both blankets: separating sets only ever need
     # true neighbours, which are never removed, so shrinking the pool is
     # sound and skips subsets of members already ruled out
-    blanket = {j: set(screen[j].cmb) for j in screen.nodes()}
-    cross = {j: screen[j].cross for j in screen.nodes()}
     _set_phase(engine, "search")
     sepsets, removals, surviving = _search_levels(
         engine,

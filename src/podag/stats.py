@@ -5,9 +5,12 @@ Two interchangeable test engines implement the same contract
 correlations) and a population d-separation oracle.  Engines are
 deterministic and keep an exact count of queries.  Every query is decided
 afresh: a fit rarely asks the same question twice, so verdicts are not
-kept.  A covariance block is factored by :func:`_factor_spd`, which
-rejects it when its reciprocal condition number falls below
-``RCOND_MIN``.  The README's architecture section describes the kernel.
+kept.  A covariance block is factored and inverted by
+:func:`_factor_spd`, which rejects it when its reciprocal condition
+number falls below ``RCOND_MIN``: a bound read off the diagonals of the
+block and its inverse decides, and a ``dpocon`` estimate where the bound
+is not conclusive.  The README's architecture section describes the
+kernel.
 """
 
 from __future__ import annotations
@@ -237,28 +240,48 @@ def _dependent_columns(corr, spare):
 
 
 def _factor_spd(block, context):
-    """Cholesky-factor a conditioning block, guarding its conditioning.
+    """Cholesky-factor and invert a conditioning block, guarding its conditioning.
 
-    Returns the lower factor as LAPACK leaves it (the strict upper
-    triangle is not cleared).  Raises :class:`SingularityError` when the
-    block is not positive definite or its reciprocal condition number
-    (LAPACK 1-norm estimate) falls below ``RCOND_MIN``.
+    Returns ``(factor, omega)``: the lower factor as LAPACK leaves it (the
+    strict upper triangle is not cleared) and the lower triangle of the
+    inverse ``Omega`` (``dpotri`` on a copy, so the factor stays for
+    solves).  Raises :class:`SingularityError` when the block is not
+    positive definite or its reciprocal condition number (LAPACK 1-norm
+    estimate, ``dpocon``) falls below ``RCOND_MIN``.
+
+    The estimate is needed only when a cheaper bound leaves the verdict
+    open.  For a symmetric positive definite block of order ``m`` every
+    entry is at most the largest diagonal entry, so ``||A||_1 <= m max
+    diag(A)``, and likewise for ``Omega``; the exact reciprocal
+    condition number is therefore at least ``1 / (m^2 max diag(A) max
+    diag(Omega))``.  When that bound reaches ``RCOND_MIN`` with a margin
+    of ``RCOND_MARGIN``, which covers the rounding in the computed
+    ``Omega``, the block is accepted: ``dpocon`` estimates
+    ``||A^-1||_1`` from below, so its reciprocal condition number is
+    never below the exact one and would pass too.  Otherwise (a NaN
+    fails the bound) ``dpocon`` decides as the only guard.
     """
     factor, info = dpotrf(block, lower=1, clean=0)
     if info != 0:
         raise SingularityError(context=context)
-    anorm = float(np.abs(block).sum(axis=0).max())
-    rcond, info = dpocon(factor, anorm, uplo=b"L")
-    if info != 0 or rcond < RCOND_MIN:
+    omega, info = dpotri(factor, lower=1, overwrite_c=0)
+    if info != 0:  # a zero pivot, which dpotrf has already excluded
         raise SingularityError(context=context)
-    return factor
+    bound = len(block) ** 2 * float(block.diagonal().max()) * float(omega.diagonal().max())
+    if not bound * (RCOND_MIN * RCOND_MARGIN) <= 1.0:  # python floats: inf * 0 is a NaN, with no warning
+        anorm = float(np.abs(block).sum(axis=0).max())
+        rcond, info = dpocon(factor, anorm, uplo=b"L")
+        if info != 0 or rcond < RCOND_MIN:
+            raise SingularityError(context=context)
+    return factor, omega
 
 
 def _factored_pool(sigma, pool, t=None, borders=(), context=None):
     """Partial correlations read off one guarded factorization of the ``pool`` block of ``sigma``.
 
-    The block is factored (:func:`_factor_spd`) and inverted (``dpotri``)
-    to ``Omega``.  Returns ``(inside, outside, kept)``, clipped to [-1, 1]:
+    The block is factored and inverted to ``Omega`` by
+    :func:`_factor_spd`.  Returns ``(inside, outside, kept)``, clipped to
+    [-1, 1]:
 
     - ``inside[k] = rho(pool[k], pool[t] | the rest of the pool) =
       -Omega_kt / sqrt(Omega_kk Omega_tt)`` (None without ``t``; position
@@ -276,25 +299,30 @@ def _factored_pool(sigma, pool, t=None, borders=(), context=None):
     fails the guard or ``Omega`` has a non-positive diagonal.
     """
     rows = sigma.take(pool, axis=0)
-    factor = _factor_spd(rows.take(pool, axis=1), context)
+    factor, omega = _factor_spd(rows.take(pool, axis=1), context)
     if borders:
         cross = rows.take(borders, axis=1)
         solved, _ = dpotrs(factor, cross, lower=1)
-        variances = np.diagonal(sigma)[borders]
+        variances = sigma.diagonal()[borders]
         residual = variances - np.einsum("ij,ij->j", cross, solved)
-    omega, info = dpotri(factor, lower=1, overwrite_c=1)
-    diag = np.diag(omega)
-    if info != 0 or (diag <= 0).any():
+    diag = omega.diagonal()
+    if (diag <= 0).any():
         raise SingularityError(context=context)
     inside = outside = kept = None
     if t is not None:
         column = np.concatenate((omega[t, :t], omega[t:, t]))  # the lower triangle's entries (k, t)
-        inside = np.clip(-column / np.sqrt(diag * diag[t]), -1.0, 1.0)
+        inside = _clip_unit(-column / np.sqrt(diag * diag[t]))
     if borders:
         with np.errstate(invalid="ignore"):  # a negative s_a is below its floor
-            outside = np.clip(solved / np.sqrt(residual * diag[:, None] + solved * solved), -1.0, 1.0)
+            outside = _clip_unit(solved / np.sqrt(residual * diag[:, None] + solved * solved))
         kept = residual >= math.sqrt(RCOND_MIN) * variances
     return inside, outside, kept
+
+
+def _clip_unit(values):
+    """``values`` clipped to [-1, 1] in place (NaN stays NaN), as ``np.clip`` would."""
+    np.maximum(values, -1.0, out=values)
+    return np.minimum(values, 1.0, out=values)
 
 
 def _bordered_rhos(sigma, pool, targets):
@@ -340,7 +368,7 @@ def partial_correlation(cov, i, j, s):
     else:
         idx = np.array(s)
         rows = sigma.take(idx, axis=0)
-        factor = _factor_spd(rows.take(idx, axis=1), context=(i, j, tuple(s)))
+        factor, _ = _factor_spd(rows.take(idx, axis=1), context=(i, j, tuple(s)))
         solved, _ = dpotrs(factor, rows[:, [i, j]], lower=1)
         row_i = sigma[i].take(idx)
         row_j = sigma[j].take(idx)
@@ -756,7 +784,7 @@ class GaussianEngine(CiEngine):
         sigma = self.cov.values
         nodes = np.array(sources)
         if not cond:  # fisher_z_test's read of three covariance entries
-            rhos = np.clip(sigma[nodes, b] / np.sqrt(np.diagonal(sigma)[nodes] * sigma[b, b]), -1.0, 1.0)
+            rhos = _clip_unit(sigma[nodes, b] / np.sqrt(sigma.diagonal()[nodes] * sigma[b, b]))
             read, dofs = np.ones(len(nodes), dtype=bool), dof
         else:
             order = np.array(sorted(cond.union((b,))))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import operator
 import re
 import time
 from dataclasses import replace
@@ -506,6 +507,31 @@ class TestMultiLayerSearch:
             assert dag.cross_edges(ordering) <= res.cross_edges
             for (a, b), _ in res.sepsets.items():
                 assert not dag.is_adjacent(a, b)
+
+
+@st.composite
+def screen_sets(draw):
+    """Screening entries for a random subset of targets; their sets may name unscreened nodes."""
+    n = draw(st.integers(2, 9))
+    targets = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    entries = []
+    for j in sorted(targets):
+        others = st.sets(st.sampled_from([v for v in range(n) if v != j]))
+        entries.append(ScreenEntry(j, draw(others), draw(others)))
+    return ScreenSets(entries, n_nodes=n)
+
+
+class TestCandidates:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(screen=screen_sets(), within=st.booleans())
+    def test_grouped_by_target_as_the_sorted_union(self, screen, within):
+        cross = {j: screen[j].cross for j in screen.nodes()}
+        cmb = {j: set(screen[j].cmb) for j in screen.nodes()}
+        want = set(screen.cross_candidates())
+        if within:
+            want |= set(screen.within_candidates())
+        got = podag.search._candidates(cross, cmb, within)
+        assert got == sorted(want, key=operator.itemgetter(1, 0))
 
 
 class TestSupersetRobustness:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpocon, dpotrf, dpotri
 from scipy.stats import norm
 
 import podag
@@ -556,6 +557,15 @@ class TestUnionPrecision:
         assert len(factorizations) == 243
         assert result.diagnostics.ci_tests == 14915
 
+    def test_condition_estimates_per_learn_fit_pinned(self, monkeypatch):
+        # the diagonal bound accepts every block the fit factors, so no
+        # guarded factorization falls back to dpocon
+        data, ordering, cfg = learn_p120_fit()
+        factorizations = counting_factorizations(monkeypatch, "_factor_spd")
+        estimates = counting_factorizations(monkeypatch, "dpocon")
+        learn(data, ordering, cfg, engine=GaussianEngine(data, alpha=cfg.alpha))
+        assert (len(factorizations), len(estimates)) == (243, 0)
+
     def test_engine_is_unchanged_by_a_fit(self):
         data, ordering, cfg = learn_p120_fit()
         engine = GaussianEngine(data, alpha=cfg.alpha)
@@ -646,6 +656,74 @@ class TestUnionPrecision:
         with pytest.raises(InsufficientDataError, match=r"n=6, \|s\|=3"):
             engine.query(0, 1, (2, 3, 4))
         assert factorizations == []
+
+
+def conditioned_block(seed, m, exponent, spread):
+    """A symmetric positive definite block with eigenvalues from 1 down to ``10**-exponent``.
+
+    Its eigenvectors are random and its diagonal is then rescaled by
+    factors whose squares span up to ``10**spread``.
+    """
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    eigenvalues = 10.0 ** -np.concatenate(([0.0, exponent], rng.uniform(0, exponent, m)))[:m]
+    scale = 10.0 ** (rng.uniform(0, spread, m) / 2)
+    block = (q * eigenvalues) @ q.T * np.outer(scale, scale)
+    return (block + block.T) / 2
+
+
+def dependent_unions():
+    """The covariance blocks of every set of two or more of ``dependent_four_columns``' columns."""
+    data, _ = dependent_four_columns()
+    sigma = sample_covariance(data).values
+    return [
+        sigma[np.ix_(union, union)]
+        for size in range(2, 5)
+        for union in itertools.combinations(range(4), size)
+    ]
+
+
+def dpocon_verdict(block):
+    """``(factor, rcond)`` from ``dpotrf`` and ``dpocon`` alone; rcond is None where either fails."""
+    factor, info = dpotrf(block, lower=1, clean=0)
+    if info != 0:
+        return factor, None
+    rcond, info = dpocon(factor, float(np.abs(block).sum(axis=0).max()), uplo=b"L")
+    return factor, (rcond if info == 0 else None)
+
+
+class TestConditionGuard:
+    """_factor_spd skips dpocon only where dpocon would accept the block by a wide margin."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        block=st.one_of(
+            st.builds(
+                conditioned_block,
+                seed=st.integers(0, 2**32 - 1),
+                m=st.integers(1, 8),
+                exponent=st.one_of(st.floats(9, 14), st.floats(0, 9)),
+                spread=st.one_of(st.just(0.0), st.floats(0, 8)),
+            ),
+            st.sampled_from(dependent_unions()),
+            st.sampled_from([np.diag([np.inf, np.inf]), np.array([[np.inf]]), np.diag([np.nan, 1.0])]),
+        )
+    )
+    def test_raises_exactly_when_dpocon_rejects(self, block):
+        factor, rcond = dpocon_verdict(block)
+        rejected = rcond is None or rcond < podag.stats.RCOND_MIN
+        with pytest.MonkeyPatch.context() as patch:
+            estimates = counting_factorizations(patch, "dpocon")
+            try:
+                got = _factor_spd(block, context=None)
+            except SingularityError:
+                got = None
+        assert (got is None) == rejected, rcond
+        if got is not None:
+            assert np.array_equal(got[0], factor)  # the factor is kept for solves
+            assert np.array_equal(got[1], dpotri(factor, lower=1)[0])
+            if not estimates:  # the bound accepted the block without dpocon
+                assert rcond >= podag.stats.RCOND_MIN * podag.stats.RCOND_MARGIN
 
 
 class TestBlockQueries:
