@@ -38,10 +38,7 @@ class BaselineResult:
         doc = {
             "directed": [[labels[u], labels[v]] for u, v in sorted(self.pdag.directed_edges)],
             "undirected": [[labels[u], labels[v]] for u, v in sorted(self.pdag.undirected_edges)],
-            "sepsets": {
-                f"{labels[a]},{labels[b]}": sorted(labels[v] for v in s)
-                for (a, b), s in self.sepsets.items()
-            },
+            "sepsets": self.sepsets._by_label(labels),
             "diagnostics": {"ci_tests": self.ci_tests},
         }
         return json.dumps(doc, indent=2, sort_keys=True)

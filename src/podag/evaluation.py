@@ -192,7 +192,6 @@ def _recorded_fit(algorithm, dag, ordering, cfg=None):
     ``cfg`` defaults to a within-layers PODAG configuration.
     """
     recorder = RecordingEngine(OracleEngine(dag))
-    recorder.phase = "search"
     _fit(algorithm, dag, ordering, cfg or PodagConfig(learn_within_layers=True), recorder)
     return recorder
 

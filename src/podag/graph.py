@@ -475,6 +475,10 @@ class SepsetMap:
     def __len__(self):
         return len(self._map)
 
+    def _by_label(self, labels):
+        """The separators as ``result.json`` writes them: ``{"a,b": [sorted labels]}``."""
+        return {f"{labels[a]},{labels[b]}": sorted(labels[v] for v in s) for (a, b), s in self.items()}
+
     def __eq__(self, other):
         return isinstance(other, SepsetMap) and dict(self.items()) == dict(other.items())
 

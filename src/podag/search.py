@@ -142,10 +142,7 @@ class PodagResult:
                 [self.labels[u], self.labels[v]]
                 for u, v in sorted(self.within.undirected_edges)
             ],
-            "sepsets": {
-                f"{self.labels[a]},{self.labels[b]}": sorted(self.labels[v] for v in s)
-                for (a, b), s in self.sepsets.items()
-            },
+            "sepsets": self.sepsets._by_label(self.labels),
             "diagnostics": {
                 "ci_tests": self.diagnostics.ci_tests,
                 "elapsed_ms": self.diagnostics.elapsed_ms,

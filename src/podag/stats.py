@@ -466,6 +466,12 @@ class CiEngine:
     measures the logical tests performed by the algorithms driving the
     engine, repeats included.  Engines are safe to share across threads.
 
+    Every counted query passes ``_count(n, queries)`` before it is
+    decided, whichever method asks it: ``queries()`` lists the ``n``
+    queries as ``(i, j, s)`` with ``i < j`` and is valid only until
+    ``_count`` returns.  This engine never calls it, so an unrecorded
+    fit builds no extra sets; :class:`RecordingEngine` hooks ``_count``.
+
     ``query_block(b, sources, cond)`` asks ``a _||_ b | cond - {a}`` for
     every ``a`` in ``sources`` at once: the level-0 tests of one target
     in the skeleton search.  It counts one query per source and answers
@@ -490,7 +496,7 @@ class CiEngine:
     def n_queries(self):
         return self._n_queries
 
-    def _count(self, n):
+    def _count(self, n, queries):
         with self._count_lock:
             self._n_queries += n
 
@@ -499,8 +505,9 @@ class CiEngine:
         s = frozenset(map(int, s))
         if i == j or i in s or j in s:
             raise ValueError("i, j and s must be disjoint")
-        self._count(1)
-        return self._decide(min(i, j), max(i, j), s)
+        i, j = min(i, j), max(i, j)
+        self._count(1, lambda: [(i, j, s)])
+        return self._decide(i, j, s)
 
     def query_block(self, b, sources, cond):
         """Verdicts of ``a _||_ b | cond - {a}`` for each ``a`` in ``sources``, in order.
@@ -523,7 +530,7 @@ class CiEngine:
         ``b`` is an int outside ``cond``, ``sources`` a list of ints and
         ``cond`` a frozenset, as the skeleton search builds them.
         """
-        self._count(len(sources))
+        self._count(len(sources), lambda: [(min(a, b), max(a, b), cond - {a}) for a in sources])
         return self._decide_block(b, sources, cond)
 
     def speculate(self, requests):
@@ -563,14 +570,10 @@ class CiEngine:
         """
         if stops is None:
             stops = self.speculate([(a, b, base, subsets)])[0]
-        return self._walk(a, b, base, subsets, stops, self._count)
-
-    def _walk(self, a, b, base, subsets, stops, count):
-        # count(n) counts the next n separators, before any of them is decided
         i, j = min(a, b), max(a, b)
         asked = 0
         for k, known in stops:
-            count(k + 1 - asked)
+            self._count(k + 1 - asked, lambda: [(i, j, base.union(t)) for t in subsets[asked : k + 1]])
             asked = k + 1
             if known:
                 return k
@@ -580,7 +583,7 @@ class CiEngine:
             except PodagError as err:
                 err.args = (f"{err.args[0]} [candidate ({a}, {b}), T={subsets[k]}]",) + err.args[1:]
                 raise
-        count(len(subsets) - asked)
+        self._count(len(subsets) - asked, lambda: [(i, j, base.union(t)) for t in subsets[asked:]])
         return None
 
     def _decide(self, i, j, s):
@@ -809,7 +812,10 @@ class RecordingEngine(CiEngine):
     """Wrapper that records every query issued to an inner engine.
 
     Records ``(i, j, s, phase)`` tuples in call order; ``phase`` is a
-    caller-controlled tag (e.g. "screen", "search", "orient").
+    caller-controlled tag (e.g. "screen", "search", "orient").  Recording
+    hooks :meth:`CiEngine._count`, the one point every counted query
+    passes: it records the queries, counts them here and in the inner
+    engine, and the inner engine decides them.
     """
 
     def __init__(self, inner):
@@ -817,39 +823,26 @@ class RecordingEngine(CiEngine):
         self.inner = inner
         self.records = []
         self.phase = "search"
-        self._records_lock = threading.Lock()
 
     @property
     def cov(self):
         """The inner engine's covariance; AttributeError when it has none."""
         return self.inner.cov
 
+    def _count(self, n, queries):
+        with self._count_lock:
+            self.records.extend((i, j, s, self.phase) for i, j, s in queries())
+            self._n_queries += n
+            self.inner._count(n, queries)
+
     def _decide(self, i, j, s):
-        with self._records_lock:
-            self.records.append((i, j, s, self.phase))
-        return self.inner.query(i, j, s)
+        return self.inner._decide(i, j, s)
 
     def _decide_block(self, b, sources, cond):
-        with self._records_lock:
-            self.records.extend((min(a, b), max(a, b), cond - {a}, self.phase) for a in sources)
-        return self.inner._query_block(b, sources, cond)
+        return self.inner._decide_block(b, sources, cond)
 
     def speculate(self, requests):
         return self.inner.speculate(requests)
-
-    def _walk(self, a, b, base, subsets, stops, count):
-        i, j = min(a, b), max(a, b)
-        asked = 0
-
-        def count_and_record(n):
-            nonlocal asked
-            count(n)
-            self.inner._count(n)
-            with self._records_lock:
-                self.records.extend((i, j, base.union(t), self.phase) for t in subsets[asked : asked + n])
-            asked += n
-
-        return self.inner._walk(a, b, base, subsets, stops, count_and_record)
 
     def tuples(self, phases=None):
         """Recorded (i, j, s) tuples, optionally filtered by phase tags."""

@@ -229,9 +229,9 @@ class TestSkeletonDriver:
         per_target = {}
 
         class BlockCounting(GaussianEngine):
-            def _query_block(self, b, sources, cond):
+            def _decide_block(self, b, sources, cond):
                 before = len(factorizations)
-                verdicts = super()._query_block(b, sources, cond)
+                verdicts = super()._decide_block(b, sources, cond)
                 per_target[b] = per_target.get(b, 0) + len(factorizations) - before
                 return verdicts
 

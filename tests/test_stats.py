@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import subprocess
@@ -1112,3 +1113,65 @@ class TestDatasetCsv:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             Dataset([[1.0, np.nan], [2.0, 3.0]])
+
+
+class CountChecking:
+    """Checks the counting contract on each call to ``_count``, and keeps the queries it lists."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.counted = 0
+        self.listed = []
+
+    def _count(self, n, queries):
+        listed = list(queries())
+        assert len(listed) == n
+        assert all(i < j and isinstance(s, frozenset) and not s & {i, j} for i, j, s in listed)
+        self.counted += n
+        self.listed += listed
+        super()._count(n, queries)
+
+
+class CountCheckingOracle(CountChecking, OracleEngine):
+    pass
+
+
+class CountCheckingGaussian(CountChecking, GaussianEngine):
+    pass
+
+
+COUNTED_FITS = [
+    (algorithm, backend, kind)
+    for algorithm, backend in [
+        ("podag", "pcor"), ("podag", "sis"), ("podag", "lasso"), ("pc", "pcor"), ("pc_plus", "pcor"),
+        ("h0", "pcor"), ("h_minus_j", "pcor"),
+    ]
+    for kind in ("oracle", "gaussian")
+    if kind == "gaussian" or backend == "pcor"  # an oracle screens only through the pcor backend
+]
+
+
+class TestCountingPoint:
+    """Every counted query passes ``CiEngine._count`` once, listed by its ``queries`` callable."""
+
+    @pytest.mark.parametrize("algorithm, backend, kind", COUNTED_FITS)
+    def test_every_counted_query_is_listed_once(self, algorithm, backend, kind):
+        rng = rng_from_seed(23)
+        layers = 2 if algorithm in ("h0", "h_minus_j") else 3
+        dag, ordering = generate_layered_dag(
+            GenConfig(n_nodes=16, expected_edges_per_node=2.0, layers=layers), rng
+        )
+        cfg = PodagConfig(backend=backend, learn_within_layers=True, max_sepset_size=3, on_conflict="ignore")
+        if kind == "oracle":
+            source, engine = dag, functools.partial(CountCheckingOracle, dag)
+        else:
+            source = sample(random_weights(dag, rng), 300, rng)
+            engine = functools.partial(CountCheckingGaussian, source, alpha=cfg.alpha)
+        bare, inner = engine(), engine()
+        recorder = RecordingEngine(inner)
+        want = podag.evaluation._fit(algorithm, source, ordering, cfg, bare)
+        got = podag.evaluation._fit(algorithm, source, ordering, cfg, recorder)
+        assert bare.counted == bare.n_queries > 0
+        assert inner.counted == inner.n_queries == recorder.n_queries == bare.n_queries
+        assert inner.listed == bare.listed == recorder.tuples()
+        assert (got.pdag, got.ci_tests) == (want.pdag, want.ci_tests)
