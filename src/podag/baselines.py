@@ -75,13 +75,13 @@ def _dependence_edges(engine, ordering, labels, adjust_second):
     start = engine.n_queries
     edges = set()
     for j in second:
-        cond = set(adjusted) - {j}
+        cond = frozenset(adjusted) - {j}
         union = sorted(cond | {j})
         error = _dependence_error(cov, union, spare=0) if cov is not None and cov.n > len(union) else None
         if error is not None:
             raise error
-        verdicts = engine.query_block(j, first, cond)
-        edges.update((k, j) for k, verdict in zip(first, verdicts) if not verdict.independent)
+        independent = engine._query_block(j, first, cond)[0]
+        edges.update((k, j) for k, ind in zip(first, independent) if not ind)
     pdag = Pdag(ordering.n_nodes, directed_edges=edges, labels=labels)
     return BaselineResult(pdag=pdag, sepsets=SepsetMap(), ci_tests=engine.n_queries - start)
 

@@ -37,6 +37,12 @@ __all__ = [
 ZERO_RHO_TOL = 1e-10
 ALGORITHMS = ("pc", "pc_plus", "podag")
 SCOPES = ("cross_only", "all_edges", "skeleton")
+# a scalar BenchmarkSpec field's annotation -> the JSON values it takes, and their name
+SPEC_SCALARS = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "int | None": ((int, type(None)), "an integer or null"),
+}
 
 
 @dataclass(frozen=True)
@@ -283,6 +289,8 @@ def faithfulness_report(
     :func:`collect_test_tuples`).  Returns one row per (replicate,
     algorithm).
     """
+    if replicates < 1:
+        raise ValueError("replicates must be at least 1")
     rngs = spawn_rngs(seed, replicates)
 
     def one(rep):
@@ -382,6 +390,8 @@ class BenchmarkSpec:
         """
         if isinstance(doc, str):
             doc = json.loads(doc)
+        if not isinstance(doc, dict):
+            raise ValueError("a benchmark spec must be a JSON object")
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         unknown = sorted(set(doc) - set(types))
         if unknown:
@@ -392,6 +402,10 @@ class BenchmarkSpec:
                 kwargs[key] = tuple(value)
             elif types[key] == "tuple" and key != "weight_range":
                 kwargs[key] = (value,)
+            elif types[key] in SPEC_SCALARS:
+                accepted, name = SPEC_SCALARS[types[key]]
+                if isinstance(value, bool) or not isinstance(value, accepted):
+                    raise ValueError(f"benchmark spec key {key!r} must be {name}, got {value!r}")
         return cls(**kwargs)
 
 

@@ -47,6 +47,16 @@ def _check_node(n_nodes, v):
         raise ValueError(f"node index {v} out of range [0, {n_nodes})")
 
 
+def _checked_edge(n_nodes, edge):
+    """``edge`` as a pair of ints, both in range and distinct."""
+    u, v = (int(x) for x in edge)
+    _check_node(n_nodes, u)
+    _check_node(n_nodes, v)
+    if u == v:
+        raise ValueError(f"self-loop at node {u}")
+    return u, v
+
+
 class Dag:
     """Directed acyclic graph over ``n_nodes`` indexed nodes.
 
@@ -71,15 +81,7 @@ class Dag:
 
     def __init__(self, n_nodes, edges=(), labels=None):
         self.n_nodes = int(n_nodes)
-        edge_set = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            _check_node(self.n_nodes, u)
-            _check_node(self.n_nodes, v)
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            edge_set.add((u, v))
-        self.edges = frozenset(edge_set)
+        self.edges = frozenset(_checked_edge(self.n_nodes, e) for e in edges)
         self.labels = _column_labels(labels, self.n_nodes)
 
         self._parents = [set() for _ in range(self.n_nodes)]
@@ -126,30 +128,23 @@ class Dag:
 
     def ancestors(self, nodes):
         """Return ``nodes`` together with all their strict ancestors."""
-        out = set()
-        stack = list(nodes)
-        for v in stack:
-            _check_node(self.n_nodes, v)
-        while stack:
-            v = stack.pop()
-            if v in out:
-                continue
-            out.add(v)
-            stack.extend(self._parents[v])
-        return frozenset(out)
+        return self._reachable(nodes, self._parents)
 
     def descendants(self, nodes):
         """Return ``nodes`` together with all their strict descendants."""
+        return self._reachable(nodes, self._children)
+
+    def _reachable(self, nodes, step):
+        """``nodes`` together with every node reached from them through ``step`` (parents or children)."""
         out = set()
         stack = list(nodes)
         for v in stack:
             _check_node(self.n_nodes, v)
         while stack:
             v = stack.pop()
-            if v in out:
-                continue
-            out.add(v)
-            stack.extend(self._children[v])
+            if v not in out:
+                out.add(v)
+                stack.extend(step[v])
         return frozenset(out)
 
     # -- d-separation -------------------------------------------------
@@ -236,22 +231,8 @@ class Pdag:
 
     def __init__(self, n_nodes, directed_edges=(), undirected_edges=(), labels=None):
         self.n_nodes = int(n_nodes)
-        directed = set()
-        for u, v in directed_edges:
-            u, v = int(u), int(v)
-            _check_node(self.n_nodes, u)
-            _check_node(self.n_nodes, v)
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            directed.add((u, v))
-        undirected = set()
-        for e in undirected_edges:
-            u, v = (int(x) for x in e)
-            _check_node(self.n_nodes, u)
-            _check_node(self.n_nodes, v)
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            undirected.add((min(u, v), max(u, v)))
+        directed = {_checked_edge(self.n_nodes, e) for e in directed_edges}
+        undirected = {tuple(sorted(_checked_edge(self.n_nodes, e))) for e in undirected_edges}
         for u, v in directed:
             if (v, u) in directed:
                 raise InconsistencyError((u, v), message=f"edge {(u, v)} directed both ways")
@@ -697,22 +678,22 @@ def read_layering(text, labels):
     index = {lab: i for i, lab in enumerate(labels)}
     layers = []
     unordered = []
+
+    def nodes(line):
+        names = [x.strip() for x in line.split(",") if x.strip()]
+        unknown = [x for x in names if x not in index]
+        if unknown:
+            raise LabelMismatchError(unknown, "layering file mentions unknown labels")
+        return [index[x] for x in names]
+
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("unordered:"):
-            names = [x.strip() for x in line[len("unordered:"):].split(",") if x.strip()]
-            unknown = [x for x in names if x not in index]
-            if unknown:
-                raise LabelMismatchError(unknown, "layering file mentions unknown labels")
-            unordered.extend(index[x] for x in names)
-            continue
-        names = [x.strip() for x in line.split(",") if x.strip()]
-        unknown = [x for x in names if x not in index]
-        if unknown:
-            raise LabelMismatchError(unknown, "layering file mentions unknown labels")
-        layers.append({index[x] for x in names})
+            unordered.extend(nodes(line[len("unordered:"):]))
+        else:
+            layers.append(set(nodes(line)))
     seen = {v for layer in layers for v in layer} | set(unordered)
     missing = set(range(len(labels))) - seen
     if missing:

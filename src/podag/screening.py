@@ -263,8 +263,8 @@ def _screen_pcor(source, ordering, targets, threshold=None, alpha=0.5):
     if isinstance(source, CiEngine):
 
         def answer(j, pool, stage):
-            verdicts = source.query_block(j, pool, pool)
-            return {k for k, verdict in zip(pool, verdicts) if not verdict.independent}
+            independent = source._query_block(j, pool, frozenset(pool))[0]
+            return {k for k, ind in zip(pool, independent) if not ind}
 
         return [_screen_node(ordering, j, functools.partial(answer, j), None, verdicts=True) for j in targets]
 

@@ -196,7 +196,7 @@ def _restricted(head, stops, pool):
     return [head[k] for k in kept], [(kept[k], known) for k, known in stops if k in kept]
 
 
-def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable=False):
+def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable=False, sepsets=None):
     """Level-wise skeleton search shared by PODAG, PC and PC+.
 
     ``tests`` is an ordered list of directed tests ``(a, b)``.
@@ -212,12 +212,15 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
     immediate (order-dependent PC); ``stable`` defers it to the end of
     the level, so every test of a level sees the same pools
     (order-independent PC, Colombo & Maathuis 2014).  The search ends
-    after a level that runs no test, or after ``max_level``.
+    after a level that runs no test, or after ``max_level``.  With
+    ``neighbours={}`` no pool shrinks, so each test asks the separators
+    it would ask alone, in the same order: the post-hoc search
+    (:func:`_posthoc_search`) asks many unrelated pairs in one call.
 
     A level-0 test asks ``cond(b) - {a}`` alone, which no removal
     changes, so level 0 is decided one target at a time, in increasing
     ``b``: the target's live tests, in their order in ``tests``, are one
-    :meth:`CiEngine.query_block`.  So the direction of a pair with the
+    :meth:`CiEngine._query_block`.  So the direction of a pair with the
     lower target is asked first, and a pair it removes is not asked
     again.  A target's removals are recorded together, with no object
     per verdict: the block's verdicts come as one boolean array, each
@@ -231,17 +234,18 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
     their first subsets (at most ``STACK_SIZE`` each) reach ``WINDOW``
     unions; one
     :meth:`CiEngine.speculate` call looks ahead over all of them, and
-    each is then walked in order with :meth:`CiEngine.query_first`,
+    each is then walked in order with :meth:`CiEngine._query_first`,
     the subsets past the first ones speculated as the walk reaches them
     (:func:`_later_separator`).  When a removal in the window shrinks a
     later test's pool, that test's subsets and stops are restricted to
     the new pool.
 
-    Returns the :class:`SepsetMap` of removed pairs, the number of
-    removals per level (levels without removals are left out) and the
-    tests of the pairs never removed, in their order in ``tests``.
+    Returns the :class:`SepsetMap` of removed pairs (``sepsets``, when
+    given, with the removed pairs added), the number of removals per
+    level (levels without removals are left out) and the tests of the
+    pairs never removed, in their order in ``tests``.
     """
-    sepsets = SepsetMap()
+    sepsets = SepsetMap() if sepsets is None else sepsets
     removed = set()
     removals = {}
     shrunk = set()  # targets whose neighbour set may have lost a member during the current window
@@ -352,32 +356,32 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
     return sepsets, removals, [(a, b) for pair, a, b in live if pair not in removed]
 
 
-def _posthoc_sepset(engine, screen, a, b, max_level):
-    """Search a separating set for a pair that neither the search nor screening separated.
+def _posthoc_search(engine, pairs, screen, sepsets, max_level):
+    """Record in ``sepsets`` a separator for each of ``pairs`` ``(a, b)`` that a search finds.
 
-    The fallback for entries without screening verdicts (sis, lasso,
-    entries read from JSON or inflated).  Tries each side's restricted
-    family, target ``b`` first: subsets of the target's cmb on top of its
-    cross set.  Returns None when no separator is found (the affected
-    triples are then left unoriented).
+    The fallback for the pairs that neither the search nor screening
+    separated, whose entries carry no screening verdicts (sis, lasso,
+    entries read from JSON or inflated).  A pair tries each side's
+    restricted family, target ``b`` first: subsets of the target's cmb
+    on top of its cross set, for the targets in ``screen``.  One
+    :func:`_search_levels` call tests the pairs still open from ``b``'s
+    side, and one more those still open from ``a``'s.  A pair found by
+    neither keeps no separator, and its triples stay unoriented.
     """
-    for target, other in ((b, a), (a, b)):
-        if target in screen:
-            cross, cmb = screen[target].cross, screen[target].cmb
-            sepsets, _, _ = _search_levels(
-                engine, [(other, target)], lambda t: cross, lambda o, t: cmb, {}, max_level
-            )
-            if (a, b) in sepsets:
-                return sepsets.get(a, b)
-    return None
+    for side in (1, 0):  # the target is b = pair[1], then a = pair[0]
+        tests = [(pair[1 - side], pair[side]) for pair in pairs if pair[side] in screen and pair not in sepsets]
+        if tests:
+            cross, cmb = (lambda t: screen[t].cross), (lambda o, t: screen[t].cmb)
+            _search_levels(engine, tests, cross, cmb, {}, max_level, sepsets=sepsets)
 
 
 def _orient(pdag, sepsets, on_conflict, separate=None):
     """V-structures and Meek closure: the orientation stage of PODAG, PC and PC+.
 
-    ``pdag`` already carries the ordering's orientations.  For each
-    unshielded pair without a recorded separator, ``separate(a, b)``
-    (when given) records one in ``sepsets`` if it finds one.  One valid
+    ``pdag`` already carries the ordering's orientations.  The sorted
+    unshielded pairs without a recorded separator go to
+    ``separate(pairs)`` (when given) in one call, which records in
+    ``sepsets`` the separators it finds.  One valid
     separator suffices: the middle node of an unshielded triple lies in
     every separator of its endpoints or in none (Spirtes, Glymour &
     Scheines 2000).
@@ -388,9 +392,7 @@ def _orient(pdag, sepsets, on_conflict, separate=None):
     # are really colliders.
     triples = _unshielded_triples(pdag)
     if separate is not None:
-        for a, b in sorted({(i, k) for i, _, k in triples}):
-            if (a, b) not in sepsets:
-                separate(a, b)
+        separate([pair for pair in sorted({(i, k) for i, _, k in triples}) if pair not in sepsets])
     oriented = _orient_triples(pdag, sepsets, triples, on_conflict)
     return apply_meek_rules(oriented, on_conflict=on_conflict)
 
@@ -454,16 +456,15 @@ def podag_multi_layer(engine, ordering, screen, cfg=None):
     labels = screen.labels
     if cfg.learn_within_layers:
 
-        def separate(a, b):
-            # b's screening verdict on a, then a's on b, then a search
-            for t, o in ((b, a), (a, b)):
-                pool = screen[t]._verdict_pool(o) if t in screen else None
-                if pool is not None:
-                    sepsets._record_excluding([(a, b)], pool, [o])
-                    return
-            sep = _posthoc_sepset(engine, screen, a, b, cfg.max_sepset_size)
-            if sep is not None:
-                sepsets.record(a, b, sep)
+        def separate(pairs):
+            # b's screening verdict on a, then a's on b, then a search for the rest
+            for a, b in pairs:
+                for t, o in ((b, a), (a, b)):
+                    pool = screen[t]._verdict_pool(o) if t in screen else None
+                    if pool is not None:
+                        sepsets._record_excluding([(a, b)], pool, [o])
+                        break
+            _posthoc_search(engine, pairs, screen, sepsets, cfg.max_sepset_size)
 
         with_background = Pdag(
             n_nodes, directed_edges=cross_edges, undirected_edges=within_pairs, labels=labels

@@ -472,19 +472,20 @@ class CiEngine:
     ``_count`` returns.  This engine never calls it, so an unrecorded
     fit builds no extra sets; :class:`RecordingEngine` hooks ``_count``.
 
-    ``query_block(b, sources, cond)`` asks ``a _||_ b | cond - {a}`` for
-    every ``a`` in ``sources`` at once: the level-0 tests of one target
-    in the skeleton search.  It counts one query per source and answers
-    as the per-source queries would.  The search asks through
-    ``_query_block``, which skips the argument checks and returns the
-    verdicts as two sequences in source order, ``(independent,
-    statistics)``; ``query_block`` builds its :class:`CiVerdict` list
-    from them.  ``_decide_block`` computes them, looping over
-    ``_decide`` unless an engine shares work across the block.
+    A fit asks every query through one of two batched entry points,
+    which skip the argument checks because the caller builds the
+    arguments.  ``_query_block(b, sources, cond)`` asks ``a _||_ b |
+    cond - {a}`` for every ``a`` in ``sources`` at once: the level-0
+    tests of one target in the skeleton search, and the tests of a
+    screening stage or of h0 and h-minus-j.  It counts one query per
+    source and returns the verdicts as two sequences in source order,
+    ``(independent, statistics)``, as the per-source queries would
+    answer.  ``_decide_block`` computes them, looping over ``_decide``
+    unless an engine shares work across the block.
 
     At levels 1 and up a skeleton-search test asks the separators ``base
     | T`` of a pair in order until one is independent.  ``speculate``
-    looks ahead over many tests without counting; ``query_first`` walks
+    looks ahead over many tests without counting; ``_query_first`` walks
     one test from that look-ahead, counting as the loop would.
     """
 
@@ -509,26 +510,13 @@ class CiEngine:
         self._count(1, lambda: [(i, j, s)])
         return self._decide(i, j, s)
 
-    def query_block(self, b, sources, cond):
-        """Verdicts of ``a _||_ b | cond - {a}`` for each ``a`` in ``sources``, in order.
+    def _query_block(self, b, sources, cond):
+        """``(independent, statistics)`` of ``a _||_ b | cond - {a}`` for each ``a`` in ``sources``, in order.
 
         The same verdicts and count as ``[query(a, b, cond - {a}) for a
         in sources]``, except that a raised error leaves every source
-        counted.
-        """
-        b = int(b)
-        sources = [int(a) for a in sources]
-        cond = frozenset(map(int, cond))
-        if b in cond or b in sources:
-            raise ValueError("b must lie outside sources and cond")
-        independent, statistics = self._query_block(b, sources, cond)
-        return [CiVerdict(independent=bool(i), statistic=float(z)) for i, z in zip(independent, statistics)]
-
-    def _query_block(self, b, sources, cond):
-        """:meth:`query_block` as ``(independent, statistics)`` sequences, without checking its arguments.
-
-        ``b`` is an int outside ``cond``, ``sources`` a list of ints and
-        ``cond`` a frozenset, as the skeleton search builds them.
+        counted.  Unchecked: ``b`` is an int outside ``sources`` and
+        ``cond``, ``sources`` a list of ints and ``cond`` a frozenset.
         """
         self._count(len(sources), lambda: [(min(a, b), max(a, b), cond - {a}) for a in sources])
         return self._decide_block(b, sources, cond)
@@ -544,29 +532,15 @@ class CiEngine:
         """
         return [zip(range(len(subsets)), itertools.repeat(False)) for _, _, _, subsets in requests]
 
-    def query_first(self, a, b, base, subsets, stops=None):
+    def _query_first(self, a, b, base, subsets, stops=None):
         """Index of the first ``T`` in ``subsets`` for which ``base | T`` separates ``a`` and ``b``.
 
         None when none does.  ``stops`` come from :meth:`speculate`
         (asked when None).  The same answer, count, records and errors as
         asking ``query(a, b, base | T)`` for each ``T`` in order until
         the first independent verdict; an error names the candidate and
-        ``T``.  ``subsets`` are tuples of nodes outside ``base | {a, b}``.
-        """
-        a, b = int(a), int(b)
-        base = frozenset(map(int, base))
-        subsets = list(subsets)
-        members = base.union(*subsets)
-        overlap = base and not base.isdisjoint(itertools.chain.from_iterable(subsets))
-        if a == b or a in members or b in members or overlap:
-            raise ValueError("a, b, base and each T must be disjoint")
-        return self._query_first(a, b, base, subsets, stops)
-
-    def _query_first(self, a, b, base, subsets, stops=None):
-        """:meth:`query_first` on arguments it would accept unchanged, without checking them.
-
-        ``a`` and ``b`` are ints, ``base`` a frozenset and ``subsets`` a
-        list of tuples, all disjoint, as the skeleton search builds them.
+        ``T``.  Unchecked: ``a`` and ``b`` are ints, ``base`` a frozenset
+        and ``subsets`` a list of tuples, all disjoint.
         """
         if stops is None:
             stops = self.speculate([(a, b, base, subsets)])[0]
@@ -620,7 +594,7 @@ class GaussianEngine(CiEngine):
     j}`` (:func:`_factored_pool`).  With S empty it is
     :func:`fisher_z_test`'s.
 
-    A block ``query_block(b, sources, cond)`` (the level-0 tests of one
+    A block ``_query_block(b, sources, cond)`` (the level-0 tests of one
     target) needs at most one factorization, of the sorted union ``U =
     cond + {b}`` (:func:`_factored_pool`), and none when ``cond`` is
     empty: then each rho is read off three covariance entries, the bits

@@ -488,6 +488,25 @@ class TestBenchmark:
         assert grids == [] and not out.exists()
 
     @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ("[1, 2]", "error: a benchmark spec must be a JSON object"),
+            ('{"replicates": "3"}', "error: benchmark spec key 'replicates' must be an integer, got '3'"),
+            ('{"max_sepset_size": "2"}', "error: benchmark spec key 'max_sepset_size' must be an integer or null, got '2'"),
+        ],
+        ids=["array", "replicates", "max_sepset_size"],
+    )
+    def test_mistyped_spec_exits_two_naming_the_key(self, tmp_path, monkeypatch, capsys, doc, message):
+        grids = []
+        monkeypatch.setattr(podag.cli, "run_benchmark", lambda *args, **kwargs: grids.append(args))
+        spec = tmp_path / "spec.json"
+        spec.write_text(doc)
+        out = tmp_path / "bench.csv"
+        assert run(["benchmark", "--spec", spec, "-o", out]) == EXIT_USAGE
+        assert capsys.readouterr().err.strip() == message
+        assert grids == [] and not out.exists()
+
+    @pytest.mark.parametrize(
         "flag, value, message",
         [
             ("--max-sepset-size", -1, "max_sepset_size must be nonnegative"),
@@ -531,6 +550,13 @@ class TestFaithfulness:
         assert (tmp_path / "f1.csv").read_bytes() == (tmp_path / "f2.csv").read_bytes()
         lines = (tmp_path / "f1.csv").read_text().strip().splitlines()
         assert len(lines) == 10  # header + 3 replicates x 3 algorithms
+
+    @pytest.mark.parametrize("replicates", [0, -1])
+    def test_replicates_below_one_exit_two(self, tmp_path, capsys, replicates):
+        out = tmp_path / "f.csv"
+        assert run(["faithfulness", "--replicates", replicates, "-o", out]) == EXIT_USAGE
+        assert capsys.readouterr().err.strip() == "error: replicates must be at least 1"
+        assert not out.exists()
 
 
 def readme_commands():

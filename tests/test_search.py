@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import operator
 import re
@@ -28,6 +29,7 @@ from podag import (
     screen_all,
 )
 from podag.errors import InsufficientDataError, PodagError, SingularityError
+from podag.graph import SepsetMap
 from podag.screening import BACKENDS, ScreenEntry, ScreenSets
 from podag.sem import rng_from_seed, sample, toy_two_layer_sem
 from podag.stats import CiEngine, GaussianEngine, sample_covariance
@@ -456,10 +458,10 @@ class TestScreeningVerdictSepsets:
 
     # (orientation-phase queries, query digest) per screen source
     POSTHOC_PINNED = {
-        "sis": (33, "205082a2b637d18f"),
-        "lasso": (39, "14d35d66196a4de5"),
-        "from_json": (31, "7c91f874bab2adb1"),
-        "inflated": (9, "95600c1e4644e1d6"),
+        "sis": (33, "5d23d06200f6e479"),
+        "lasso": (39, "9851d5f64acc8914"),
+        "from_json": (31, "fbc265898d888d36"),
+        "inflated": (9, "c154a36e463e5dd2"),
     }
 
     @pytest.mark.parametrize("source", ["sis", "lasso", "from_json", "inflated"])
@@ -479,6 +481,62 @@ class TestScreeningVerdictSepsets:
             podag_multi_layer(recorder, ordering, screen, self.CFG)
         pinned = (len(recorder.tuples(["orient"])), query_digest(recorder))
         assert pinned == self.POSTHOC_PINNED[source]
+
+    @pytest.mark.parametrize("backend", ["sis", "lasso"])
+    def test_a_fit_searches_at_most_three_times(self, monkeypatch, backend):
+        # the search, then the post-hoc search from each side
+        calls = []
+        search_levels = podag.search._search_levels
+        monkeypatch.setattr(
+            podag.search, "_search_levels", lambda *args, **kw: calls.append(args[1]) or search_levels(*args, **kw)
+        )
+        data, ordering = sixteen_node_data(5)
+        params = {"t": 0.01} if backend == "sis" else {}
+        recorder = RecordingEngine(GaussianEngine(data, alpha=0.05))
+        learn(data, ordering, replace(self.CFG, backend=backend, backend_params=params), engine=recorder)
+        assert recorder.tuples(["orient"]) and len(calls) == 3
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nodes=st.integers(6, 14),
+        source=st.sampled_from(["sis", "lasso", "from_json", "inflated"]),
+        max_level=st.sampled_from([None, 0, 1, 2]),
+        share=st.floats(0.2, 1.0),
+    )
+    def test_batched_posthoc_search_equals_per_pair_searches(self, seed, nodes, source, max_level, share):
+        rng = rng_from_seed(seed)
+        dag, ordering = generate_layered_dag(GenConfig(n_nodes=nodes, expected_edges_per_node=2.0, layers=3), rng)
+        data = sample(random_weights(dag, rng), 200, rng)
+        if source in ("sis", "lasso"):
+            screen, _ = screen_all(data, ordering, source, {"t": 0.02} if source == "sis" else {})
+        else:
+            screen, _ = screen_all(data, ordering, "pcor", {"alpha": 0.5})
+            if source == "from_json":
+                screen = ScreenSets.from_json(screen.to_json(), data.labels)
+            else:
+                screen = inflate_screen_sets(screen, ordering, rng)
+        pairs = [pair for pair in itertools.combinations(range(nodes), 2) if rng.random() < share]
+        batched, single = GaussianEngine(data, alpha=0.05), GaussianEngine(data, alpha=0.05)
+        sepsets = SepsetMap()
+        podag.search._posthoc_search(batched, pairs, screen, sepsets, max_level)
+        for a, b in pairs:
+            assert sepsets.get(a, b) == per_pair_separator(single, screen, a, b, max_level), (a, b)
+        assert {pair for pair, _ in sepsets.items()} <= set(pairs)
+        assert batched.n_queries == single.n_queries
+
+
+def per_pair_separator(engine, screen, a, b, max_level):
+    """The post-hoc search of one pair: a one-test skeleton search from each side, target ``b`` first."""
+    for target, other in ((b, a), (a, b)):
+        if target in screen:
+            cross, cmb = screen[target].cross, screen[target].cmb
+            sepsets, _, _ = podag.search._search_levels(
+                engine, [(other, target)], lambda t: cross, lambda o, t: cmb, {}, max_level
+            )
+            if (a, b) in sepsets:
+                return sepsets.get(a, b)
+    return None
 
 
 class TestMultiLayerSearch:

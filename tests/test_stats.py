@@ -364,7 +364,7 @@ class TestFisherZ:
         assert fisher_z_test(cov, 50, 0, 1, s, alpha=0.05) == want
         engine = GaussianEngine(cov)
         assert engine.query(1, 0, s) == want
-        assert engine.query_block(1, [0, 2], s) == [want, engine.query(2, 1, s)]
+        assert block_verdicts(engine, 1, [0, 2], s) == [want, engine.query(2, 1, s)]
 
 
 class TestEngines:
@@ -406,7 +406,7 @@ class TestEngines:
         def hammer():
             for _ in range(300):
                 rec.query(0, 3, ())
-                rec.query_first(0, 3, (), [(1,), (2,), (1, 2)])  # the third separates
+                rec._query_first(0, 3, frozenset(), [(1,), (2,), (1, 2)])  # the third separates
 
         threads = [threading.Thread(target=hammer) for _ in range(8)]
         previous = sys.getswitchinterval()
@@ -502,6 +502,12 @@ def same_outcome(got, want):
         and got.independent == want.independent
         and got.statistic == pytest.approx(want.statistic, rel=1e-9, abs=1e-9)
     )
+
+
+def block_verdicts(engine, b, sources, cond):
+    """``engine._query_block(b, sources, cond)`` as a list of :class:`CiVerdict`, in source order."""
+    independent, statistics = engine._query_block(b, list(sources), frozenset(cond))
+    return [CiVerdict(independent=bool(i), statistic=float(z)) for i, z in zip(independent, statistics)]
 
 
 class CheckingEngine(CiEngine):
@@ -728,7 +734,7 @@ class TestConditionGuard:
 
 
 class TestBlockQueries:
-    """query_block answers a target's level-0 tests as the single queries would."""
+    """_query_block answers a target's level-0 tests as the single queries would."""
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(
@@ -756,7 +762,7 @@ class TestBlockQueries:
             if not isinstance(want[-1], CiVerdict):
                 break
         block = RecordingEngine(GaussianEngine(cov, alpha=alpha))
-        got = outcome(lambda: block.query_block(b, sources, cond))
+        got = outcome(lambda: block_verdicts(block, b, sources, cond))
         if not isinstance(want[-1], CiVerdict):
             assert got == want[-1]  # the first error of the single queries
             return
@@ -785,7 +791,7 @@ class TestBlockQueries:
         with pytest.MonkeyPatch.context() as patch:
             if empty:  # the block itself answers, not the single-query fallback
                 patch.setattr(engine, "_decide", None)
-            got = engine.query_block(b, sources, cond)
+            got = block_verdicts(engine, b, sources, cond)
         # the same rho, bit for bit, so the same statistic
         assert got == [engine.query(a, b, cond - {a}) for a in sources]
 
@@ -797,14 +803,14 @@ class TestBlockQueries:
         # second, V2 - V1 = V0 makes source 2's union {0, 1, 2} singular
         # while Sigma_cond and source 3's union are not
         for b, sources, cond, batched in [(3, [0, 1, 2], {0, 1, 2}, []), (0, [2, 3], {1}, [3])]:
-            got = engine.query_block(b, sources, cond)
+            got = block_verdicts(engine, b, sources, cond)
             for a, verdict in zip(sources, got):
                 i, j, s = min(a, b), max(a, b), cond - {a}
                 if a in batched:
                     assert same_outcome(verdict, GaussianEngine(data).query(i, j, s))
                 else:
                     assert verdict == fisher_z_test(cov, data.n, i, j, s, 0.05), (a, b)
-        assert [v.independent for v in engine.query_block(0, [2, 3], {1})] == [False, True]
+        assert [v.independent for v in block_verdicts(engine, 0, [2, 3], {1})] == [False, True]
 
     def test_a_failed_union_is_not_factored_again(self, monkeypatch):
         # every source lies inside cond, so each single query would factor
@@ -814,16 +820,16 @@ class TestBlockQueries:
         cond = {0, 1, 2}
         want = [fisher_z_test(engine.cov, data.n, a, 3, cond - {a}, 0.05) for a in (0, 1, 2)]
         factorizations = counting_factorizations(monkeypatch, "_factor_spd")
-        assert engine.query_block(3, [0, 1, 2], cond) == want
+        assert block_verdicts(engine, 3, [0, 1, 2], cond) == want
         assert len(factorizations) == 4  # the union, then one partial_correlation per source
 
     def test_degrees_of_freedom_guard_precedes_the_block(self, monkeypatch):
         factorizations = counting_factorizations(monkeypatch, "_factor_spd")
         engine = GaussianEngine(CovMatrix(np.eye(6), n=6))
         with pytest.raises(InsufficientDataError, match=r"n=6, \|s\|=3"):
-            engine.query_block(0, [1, 2, 3, 4], {1, 2, 3, 4})  # sources inside cond
+            block_verdicts(engine, 0, [1, 2, 3, 4], {1, 2, 3, 4})  # sources inside cond
         with pytest.raises(InsufficientDataError, match=r"n=6, \|s\|=3"):
-            engine.query_block(0, [4, 5], {1, 2, 3})  # sources outside cond
+            block_verdicts(engine, 0, [4, 5], {1, 2, 3})  # sources outside cond
         assert factorizations == []
         assert engine.n_queries == 6
 
@@ -837,7 +843,7 @@ class TestBlockQueries:
         sources = [2, 1, 6, 3, 8, 5]
         want = [GaussianEngine(cov).query(a, 0, cond - {a}) for a in sources]
         factorizations = counting_factorizations(monkeypatch, "_factor_spd")
-        got = GaussianEngine(cov).query_block(0, sources, cond)
+        got = block_verdicts(GaussianEngine(cov), 0, sources, cond)
         assert len(factorizations) == (0 if empty else 1)
         assert all(same_outcome(g, w) for g, w in zip(got, want))
         assert {v.independent for v in got} == {True, False}
@@ -859,11 +865,9 @@ class TestBlockQueries:
     def test_default_block_loops_over_single_queries(self):
         dag = Dag(4, [(0, 2), (1, 2), (2, 3)])
         engine = OracleEngine(dag)
-        got = engine.query_block(2, [0, 1, 3], {0, 1})
+        got = block_verdicts(engine, 2, [0, 1, 3], {0, 1})
         assert got == [engine.query(a, 2, {0, 1} - {a}) for a in (0, 1, 3)]
         assert engine.n_queries == 6
-        with pytest.raises(ValueError, match="outside sources and cond"):
-            engine.query_block(2, [0], {1, 2})
 
 
 def sequential_first(engine, a, b, base, subsets):
@@ -883,13 +887,13 @@ def sequential_first(engine, a, b, base, subsets):
 
 
 class TestFirstSeparator:
-    """speculate and query_first give the index, count and records of the sequential loop."""
+    """speculate and _query_first give the index, count and records of the sequential loop."""
 
     @staticmethod
     def replay(cov, a, b, base, level, alpha=0.05):
         """The outcome on the ``level``-subsets of the nodes outside ``base | {a, b}``.
 
-        The test is walked twice: speculated alone (``query_first``
+        The test is walked twice: speculated alone (``_query_first``
         without stops), and speculated in one window with other tests of
         other union sizes, where it shares its stack with its mirror.
         """
@@ -901,7 +905,7 @@ class TestFirstSeparator:
         window = [(b, a, base, subsets[::-1]), (a, b, (), [()]), (a, b, base, subsets)]
         for stops in (None, RecordingEngine(GaussianEngine(cov, alpha=alpha)).speculate(window)[-1]):
             first = RecordingEngine(GaussianEngine(cov, alpha=alpha))
-            got = outcome(lambda: first.query_first(a, b, base, subsets, stops))
+            got = outcome(lambda: first._query_first(a, b, base, subsets, stops))
             assert got == want, (a, b, sorted(base), level, stops is None)
             assert first.n_queries == first.inner.n_queries == single.n_queries
             assert first.records == single.records
@@ -931,8 +935,9 @@ class TestFirstSeparator:
         decide = GaussianEngine._decide
         monkeypatch.setattr(GaussianEngine, "_decide", lambda *args: decided.append(args) or decide(*args))
         found = [
-            engine.query_first(a, b, (), itertools.combinations(sorted(set(range(12)) - {a, b}), level))
+            engine._query_first(a, b, frozenset(), list(itertools.combinations(rest, level)))
             for a, b in itertools.combinations(range(12), 2)
+            for rest in [sorted(set(range(12)) - {a, b})]
             for level in (1, 2)
         ]
         assert {k is None for k in found} == {True, False}
@@ -985,12 +990,9 @@ class TestFirstSeparator:
     def test_default_loop_counts_the_asked_prefix(self):
         dag = Dag(4, [(0, 2), (1, 2), (2, 3)])
         engine = RecordingEngine(OracleEngine(dag))
-        assert engine.query_first(0, 3, (), [(1,), (2,), (1, 2)]) == 1
+        assert engine._query_first(0, 3, frozenset(), [(1,), (2,), (1, 2)]) == 1
         assert engine.n_queries == engine.inner.n_queries == 2
         assert engine.tuples() == [(0, 3, frozenset({1})), (0, 3, frozenset({2}))]
-        with pytest.raises(ValueError, match="must be disjoint"):
-            engine.query_first(0, 3, (1,), [(1,), (2,)])
-        assert engine.n_queries == 2
 
 
 def random_layered_dataset(seed, nodes, n):
