@@ -131,8 +131,10 @@ def _pc(engine, n_nodes, labels, max_level, stable, on_conflict, ordering=None):
             return adj[b] & allowed[max(layer[a], layer[b])]
         return adj[b]
 
-    tests = [t for i, j in itertools.combinations(range(n_nodes), 2) for t in ((j, i), (i, j))]
-    sepsets, _, _ = _search_levels(engine, tests, lambda b: frozenset(), pool, adj, max_level, stable)
+    # each pair i < j as (j, i), then (i, j)
+    sources = [a for i, j in itertools.combinations(range(n_nodes), 2) for a in (j, i)]
+    targets = [b for i, j in itertools.combinations(range(n_nodes), 2) for b in (i, j)]
+    sepsets, _, _ = _search_levels(engine, (sources, targets), lambda b: frozenset(), pool, adj, max_level, stable)
     und = [(i, j) for i in adj for j in adj[i] if i < j]
     skeleton = Pdag(n_nodes, undirected_edges=und, labels=labels)
     if ordering is not None:

@@ -37,12 +37,15 @@ __all__ = [
 ZERO_RHO_TOL = 1e-10
 ALGORITHMS = ("pc", "pc_plus", "podag")
 SCOPES = ("cross_only", "all_edges", "skeleton")
-# a scalar BenchmarkSpec field's annotation -> the JSON values it takes, and their name
+# a scalar BenchmarkSpec field's annotation -> the JSON values it takes, and their rule
 SPEC_SCALARS = {
-    "int": (int, "an integer"),
-    "float": ((int, float), "a number"),
-    "int | None": ((int, type(None)), "an integer or null"),
+    "int": (int, "be an integer"),
+    "float": ((int, float), "be a number"),
+    "int | None": ((int, type(None)), "be an integer or null"),
 }
+# a numeric tuple field -> the JSON values its entries take, and their rule
+SPEC_ELEMENTS = dict.fromkeys(("n_nodes", "layers", "n"), (int, "hold integers"))
+SPEC_ELEMENTS["weight_range"] = ((int, float), "hold numbers")
 
 
 @dataclass(frozen=True)
@@ -402,10 +405,11 @@ class BenchmarkSpec:
                 kwargs[key] = tuple(value)
             elif types[key] == "tuple" and key != "weight_range":
                 kwargs[key] = (value,)
-            elif types[key] in SPEC_SCALARS:
-                accepted, name = SPEC_SCALARS[types[key]]
-                if isinstance(value, bool) or not isinstance(value, accepted):
-                    raise ValueError(f"benchmark spec key {key!r} must be {name}, got {value!r}")
+            if types[key] in SPEC_SCALARS or key in SPEC_ELEMENTS:
+                accepted, rule = SPEC_SCALARS.get(types[key]) or SPEC_ELEMENTS[key]
+                for entry in kwargs[key] if isinstance(kwargs[key], tuple) else (value,):
+                    if isinstance(entry, bool) or not isinstance(entry, accepted):
+                        raise ValueError(f"benchmark spec key {key!r} must {rule}, got {entry!r}")
         return cls(**kwargs)
 
 

@@ -393,16 +393,20 @@ class PartialOrdering:
 class SepsetMap:
     """Separating sets recorded during search, keyed by unordered pair.
 
-    The skeleton search records a level-0 separator, and orientation a
-    screening verdict, as a shared set plus the node it leaves out
-    (``cond - {a}``, ``pool - {k}``): many pairs share one set, so
-    recording builds none.  :meth:`get`, :meth:`items` and ``==`` build
-    such a separator on first read and keep it, so a map reads the same
-    whichever way its entries were recorded.
+    The skeleton search records a level-0 block, and orientation its
+    screening verdicts, as a group ``(shared, excluded)`` on the target:
+    the separator of ``(a, target)`` is ``shared - {a}`` for each ``a``
+    in ``excluded`` (``cond(b)`` and the removed sources, a verdict pool
+    and its dropped members), and a target may hold several groups.
+    ``in``, :meth:`get`, :meth:`_in_separator` and :meth:`record`'s
+    conflict check look in both endpoints' groups without expanding
+    them; :meth:`items`, ``len`` and ``==`` expand them, so a map reads
+    the same whichever way its entries were recorded.
     """
 
     def __init__(self):
-        self._map = {}  # pair -> frozenset, or (shared frozenset, excluded node) not yet built
+        self._map = {}  # pair -> frozenset
+        self._groups = {}  # target -> [(shared frozenset, excluded sources)]
 
     @staticmethod
     def _key(i, j):
@@ -410,51 +414,57 @@ class SepsetMap:
 
     def record(self, i, j, sepset):
         """Record ``sepset`` for the pair; a frozenset is kept as given."""
-        key = self._key(i, j)
         if not isinstance(sepset, frozenset):
             sepset = frozenset(map(int, sepset))
         if i in sepset or j in sepset:
             raise ValueError("separating set must not contain its endpoints")
-        if key in self._map and self._built(key) != sepset:
-            raise ValueError(f"pair {key} already has a different separating set")
-        self._map[key] = sepset
+        known = self.get(i, j)
+        if known is None:
+            self._map[self._key(i, j)] = sepset
+        elif known != sepset:
+            raise ValueError(f"pair {self._key(i, j)} already has a different separating set")
 
-    def _record_excluding(self, keys, shared, excluded):
-        """Record ``shared - {a}`` for each pair of ``keys`` and ``a`` of ``excluded``, in step.
+    def _record_excluding(self, target, shared, excluded):
+        """Record ``shared - {a}`` for the pair ``(a, target)`` of each ``a`` in the set ``excluded``.
 
-        Unchecked, for the search and orientation: each key is ordered
-        and not yet recorded, and no separator holds an endpoint.
+        Unchecked, for the search and orientation: no pair is recorded
+        yet, and no separator holds an endpoint.
         """
-        self._map.update(zip(keys, zip(itertools.repeat(shared), excluded)))
+        self._groups.setdefault(target, []).append((shared, excluded))
 
-    def _built(self, key):
-        """The separator of a recorded ``key``, built now if it was recorded as a set plus an excluded node."""
-        sepset = self._map[key]
-        if type(sepset) is tuple:
-            shared, excluded = sepset
-            sepset = self._map[key] = shared - {excluded}
-        return sepset
+    def _find(self, i, j):
+        """``(shared, left_out)``, the pair's separator being ``shared - {left_out}``; None when unrecorded."""
+        sepset = self._map.get(self._key(i, j))
+        if sepset is not None:
+            return sepset, None
+        for shared, excluded in self._groups.get(j, ()):
+            if i in excluded:
+                return shared, i
+        for shared, excluded in self._groups.get(i, ()):
+            if j in excluded:
+                return shared, j
+        return None
 
     def get(self, i, j):
-        key = self._key(i, j)
-        return self._built(key) if key in self._map else None
+        found = self._find(i, j)
+        return None if found is None else found[0] - {found[1]}
 
     def _in_separator(self, v, i, j):
         """Whether ``v`` lies in the separator of the pair; None when none is recorded.  Builds no set."""
-        sepset = self._map.get(self._key(i, j))
-        if type(sepset) is tuple:
-            shared, excluded = sepset
-            return v != excluded and v in shared
-        return None if sepset is None else v in sepset
+        found = self._find(i, j)
+        return None if found is None else v != found[1] and v in found[0]
 
     def __contains__(self, pair):
-        return self._key(*pair) in self._map
+        return self._find(*pair) is not None
 
     def items(self):
-        return [(key, self._built(key)) for key in sorted(self._map)]
+        pairs = dict(self._map)
+        for target, groups in self._groups.items():
+            pairs.update((self._key(a, target), shared - {a}) for shared, excluded in groups for a in excluded)
+        return sorted(pairs.items())
 
     def __len__(self):
-        return len(self._map)
+        return len(self._map) + sum(len(excluded) for groups in self._groups.values() for _, excluded in groups)
 
     def _by_label(self, labels):
         """The separators as ``result.json`` writes them: ``{"a,b": [sorted labels]}``."""

@@ -26,6 +26,7 @@ Markov blanket of j within its own layer.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -42,9 +43,9 @@ from .stats import (
     _correlation,
     _covariance,
     _dependence_error,
+    _factored_pool,
     _fisher_z_dof,
     _fisher_z_statistics,
-    block_partial_correlations,
 )
 
 __all__ = [
@@ -88,8 +89,8 @@ class ScreenEntry:
     pools: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "s0", frozenset(int(v) for v in self.s0))
-        object.__setattr__(self, "s1", frozenset(int(v) for v in self.s1))
+        object.__setattr__(self, "s0", frozenset(map(int, self.s0)))
+        object.__setattr__(self, "s1", frozenset(map(int, self.s1)))
         if self.node in self.s0 or self.node in self.s1:
             raise ValueError("a node cannot screen itself")
 
@@ -283,8 +284,8 @@ def _screen_pcor(source, ordering, targets, threshold=None, alpha=0.5):
                 shared[before] = _bordered_rhos(cov.values, pool, groups[before])
             if j in shared[before]:
                 return shared[before][j]
-        try:
-            return block_partial_correlations(cov, j, pool)
+        try:  # block_partial_correlations' read; pool is already a list of ints without j
+            return _factored_pool(cov.values, pool + [j], len(pool), context=(j, "pool", tuple(pool)))[0][:-1]
         except SingularityError:
             error = _dependence_error(cov, pool + [j], spare=0)
             if error is None:
@@ -304,7 +305,7 @@ def _screen_pcor(source, ordering, targets, threshold=None, alpha=0.5):
                 )
             _, independent = _fisher_z_statistics(pool_rhos(j, pool, stage), dof, alpha)
             keep = ~independent
-        return {k for k, flag in zip(pool, keep) if flag}
+        return set(itertools.compress(pool, keep))
 
     return [_screen_node(ordering, j, functools.partial(select, j), n, verdicts=True) for j in targets]
 

@@ -199,7 +199,8 @@ def _restricted(head, stops, pool):
 def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable=False, sepsets=None):
     """Level-wise skeleton search shared by PODAG, PC and PC+.
 
-    ``tests`` is an ordered list of directed tests ``(a, b)``.
+    ``tests`` holds the directed tests ``(a, b)`` in order, as two int
+    lists ``(sources, targets)``.
     ``cond(b)`` returns the target's conditioning set, and ``pool(a,
     b)`` a pool drawn from ``b``'s current set in ``neighbours`` (PC's
     adjacencies, PODAG's blankets).  At level ``l`` a test asks whether
@@ -222,17 +223,17 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
     ``b``: the target's live tests, in their order in ``tests``, are one
     :meth:`CiEngine._query_block`.  So the direction of a pair with the
     lower target is asked first, and a pair it removes is not asked
-    again.  A target's removals are recorded together, with no object
-    per verdict: the block's verdicts come as one boolean array, each
-    separator is stored as the shared ``cond(b)`` plus the removed
-    source (built as a set only when read, see :class:`SepsetMap`), and
-    the neighbour sets lose the removed sources in one set difference
-    (at the end of the level under ``stable``).  Levels 1 and up keep
-    the order of ``tests``, on which order-dependent PC's output
-    depends.  Their tests are decided a window at a time, with the
-    queries of one test at a time.  A window gathers live tests until
-    their first subsets (at most ``STACK_SIZE`` each) reach ``WINDOW``
-    unions; one
+    again.  Level 0 builds no object per test: the block's verdicts come
+    as one boolean array, and a target's removals are one set of
+    sources, which that filter and the later levels read, stored in
+    ``sepsets`` as one group ``(cond(b), removed sources)`` (see
+    :class:`SepsetMap`); the neighbour sets lose them in one set
+    difference (at the end of the level under ``stable``).  Levels 1
+    and up keep the order of ``tests``, on which order-dependent PC's
+    output depends.  Their tests are decided a window at a time, with
+    the queries of one test at a time.  A window gathers live tests
+    until their first subsets (at most ``STACK_SIZE`` each) reach
+    ``WINDOW`` unions; one
     :meth:`CiEngine.speculate` call looks ahead over all of them, and
     each is then walked in order with :meth:`CiEngine._query_first`,
     the subsets past the first ones speculated as the walk reaches them
@@ -243,76 +244,79 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
     Returns the :class:`SepsetMap` of removed pairs (``sepsets``, when
     given, with the removed pairs added), the number of removals per
     level (levels without removals are left out) and the tests of the
-    pairs never removed, in their order in ``tests``.
+    pairs never removed, in their order, as ``(sources, targets)``.
     """
+    sources, targets = tests
     sepsets = SepsetMap() if sepsets is None else sepsets
-    removed = set()
+    # b -> the sources a whose pair (a, b) was removed from b's side; frozen, as level 0's are sepsets' groups
+    removed_at = {}
+    removed_from = removed_at.get
     removals = {}
     shrunk = set()  # targets whose neighbour set may have lost a member during the current window
 
-    def drop(b, sources):
-        """Take the pairs ``(a, b)``, ``a`` in ``sources``, out of the neighbour sets."""
+    def removed(a, b):
+        return a in removed_from(b, ()) or b in removed_from(a, ())
+
+    def drop(b, gone):
+        """Take the pairs ``(a, b)``, ``a`` in ``gone``, out of the neighbour sets."""
         if b in neighbours:
-            neighbours[b].difference_update(sources)
-        for a in sources:
+            neighbours[b].difference_update(gone)
+        for a in gone:
             if a in neighbours:
                 neighbours[a].discard(b)
 
-    def remove(pair, a, b, sep):
+    def remove(a, b, sep):
         sepsets.record(a, b, sep)
-        removed.add(pair)
+        removed_at[b] = removed_from(b, frozenset()).union((a,))
         found.append((b, (a,)))
         if not stable:
             drop(b, (a,))
-            shrunk.update(pair)
+            shrunk.update((a, b))
 
     def level_zero():
         """Decide level 0 a target at a time, each target's live tests as one block; whether any ran.
 
-        The separators of a block's independent sources are recorded as
-        its shared ``cond`` plus the excluded source.  A block that
-        raises is asked again one test at a time, so that the error
-        names the candidate that raised it.
+        A block that raises is asked again one test at a time, so that
+        the error names the candidate that raised it.
         """
         sources_of = {}
-        for a, b in tests:
+        for a, b in zip(sources, targets):
             sources_of.setdefault(b, []).append(a)
         for b in sorted(sources_of):
             # a pair with a lower target was asked in that target's block
-            sources = [a for a in sources_of[b] if a > b or (a, b) not in removed]
-            if not sources:
+            block = [a for a in sources_of[b] if a > b or b not in removed_from(a, ())]
+            if not block:
                 continue
             given = cond(b)
             try:
-                independent = engine._query_block(b, sources, given)[0]
+                independent = engine._query_block(b, block, given)[0]
             except PodagError:
-                independent = [engine._query_first(a, b, given - {a}, [()], [(0, False)]) is not None for a in sources]
-            gone = list(itertools.compress(sources, independent))
+                independent = [engine._query_first(a, b, given - {a}, [()], [(0, False)]) is not None for a in block]
+            gone = frozenset(itertools.compress(block, independent))
             if gone:
-                pairs = [(a, b) if a < b else (b, a) for a in gone]
-                sepsets._record_excluding(pairs, given, gone)
-                removed.update(pairs)
+                removed_at[b] = gone
+                sepsets._record_excluding(b, given, gone)
                 found.append((b, gone))
                 if not stable:
                     drop(b, gone)
-        return bool(tests)
+        return bool(sources)
 
     def gather():
-        """The live tests of the level in order, as ``(pair, a, b, base, pool, head)``."""
-        for pair, a, b in live:
-            if pair not in removed:
+        """The live tests of the level in order, as ``(a, b, base, pool, head)``."""
+        for a, b in zip(sources, targets):
+            if not removed(a, b):
                 members = sorted(pool(a, b) - {a})
                 if len(members) >= level:
                     head = list(itertools.islice(itertools.combinations(members, level), STACK_SIZE))
-                    yield pair, a, b, cond(b) - {a}, members, head
+                    yield a, b, cond(b) - {a}, members, head
 
     def walk(window):
         """Speculate a window of tests in one call, then decide them in order; whether any ran."""
-        stops = engine.speculate([(a, b, base, head) for _, a, b, base, _, head in window]) if window else []
+        stops = engine.speculate([(a, b, base, head) for a, b, base, _, head in window]) if window else []
         shrunk.clear()
         ran = False
-        for (pair, a, b, base, members, head), stop in zip(window, stops):
-            if pair in removed:
+        for (a, b, base, members, head), stop in zip(window, stops):
+            if removed(a, b):
                 continue
             if b in shrunk:
                 now = pool(a, b) - {a}
@@ -324,7 +328,7 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
             k = engine._query_first(a, b, base, head, stop)
             t = head[k] if k is not None else _later_separator(engine, a, b, base, members, level, len(head))
             if t is not None:
-                remove(pair, a, b, base.union(t))
+                remove(a, b, base.union(t))
         window.clear()
         return ran
 
@@ -333,9 +337,7 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
         found = []  # (b, sources): the pairs (a, b) removed at this level
         if level == 0:
             tested = level_zero()
-            live = [(pair, a, b) for a, b in tests if (pair := (a, b) if a < b else (b, a)) not in removed]
         else:
-            live = [test for test in live if test[0] not in removed]
             tested = False
             window, unions = [], 0
             for item in gather():
@@ -348,12 +350,14 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
         if not tested:
             break
         if stable:
-            for b, sources in found:
-                drop(b, sources)
+            for b, gone in found:
+                drop(b, gone)
         if found:
-            removals[level] = sum(len(sources) for _, sources in found)
+            removals[level] = sum(len(gone) for _, gone in found)
+            live = [a not in removed_from(b, ()) and b not in removed_from(a, ()) for a, b in zip(sources, targets)]
+            sources, targets = list(itertools.compress(sources, live)), list(itertools.compress(targets, live))
         level += 1
-    return sepsets, removals, [(a, b) for pair, a, b in live if pair not in removed]
+    return sepsets, removals, (sources, targets)
 
 
 def _posthoc_search(engine, pairs, screen, sepsets, max_level):
@@ -369,8 +373,9 @@ def _posthoc_search(engine, pairs, screen, sepsets, max_level):
     neither keeps no separator, and its triples stay unoriented.
     """
     for side in (1, 0):  # the target is b = pair[1], then a = pair[0]
-        tests = [(pair[1 - side], pair[side]) for pair in pairs if pair[side] in screen and pair not in sepsets]
-        if tests:
+        open_pairs = [pair for pair in pairs if pair[side] in screen and pair not in sepsets]
+        if open_pairs:
+            tests = [pair[1 - side] for pair in open_pairs], [pair[side] for pair in open_pairs]
             cross, cmb = (lambda t: screen[t].cross), (lambda o, t: screen[t].cmb)
             _search_levels(engine, tests, cross, cmb, {}, max_level, sepsets=sepsets)
 
@@ -398,7 +403,7 @@ def _orient(pdag, sepsets, on_conflict, separate=None):
 
 
 def _candidates(cross, cmb, within):
-    """The search's tests ``(k, j)``, ordered by target ``j``, then source ``k``.
+    """The search's tests ``(k, j)`` as ``(sources, targets)`` lists, ordered by target ``j``, then source ``k``.
 
     ``cross`` and ``cmb`` map each screened target, in ascending order,
     to its cross set and its cmb.  Target ``j`` tests its cross set and,
@@ -413,7 +418,7 @@ def _candidates(cross, cmb, within):
             for k in members:
                 if k in sources:
                     sources[k].add(j)
-    return [(k, j) for j, ks in sources.items() for k in sorted(ks)]
+    return [k for ks in sources.values() for k in sorted(ks)], [j for j, ks in sources.items() for _ in ks]
 
 
 def podag_multi_layer(engine, ordering, screen, cfg=None):
@@ -448,9 +453,9 @@ def podag_multi_layer(engine, ordering, screen, cfg=None):
         cfg.stable,
     )
 
-    cross_edges = frozenset((k, j) for (k, j) in surviving if k in cross[j])
+    cross_edges = frozenset((k, j) for k, j in zip(*surviving) if k in cross[j])
     # a surviving pair never left the blankets
-    within_pairs = frozenset((k, j) if k < j else (j, k) for (k, j) in surviving if k in blanket[j])
+    within_pairs = frozenset((k, j) if k < j else (j, k) for k, j in zip(*surviving) if k in blanket[j])
 
     n_nodes = screen.n_nodes
     labels = screen.labels
@@ -458,12 +463,15 @@ def podag_multi_layer(engine, ordering, screen, cfg=None):
 
         def separate(pairs):
             # b's screening verdict on a, then a's on b, then a search for the rest
+            verdicts = {}  # (target, pool) -> the sources its verdicts separate
             for a, b in pairs:
                 for t, o in ((b, a), (a, b)):
                     pool = screen[t]._verdict_pool(o) if t in screen else None
                     if pool is not None:
-                        sepsets._record_excluding([(a, b)], pool, [o])
+                        verdicts.setdefault((t, pool), set()).add(o)
                         break
+            for (t, pool), excluded in verdicts.items():
+                sepsets._record_excluding(t, pool, excluded)
             _posthoc_search(engine, pairs, screen, sepsets, cfg.max_sepset_size)
 
         with_background = Pdag(

@@ -290,7 +290,8 @@ def _factored_pool(sigma, pool, t=None, borders=(), context=None):
       column ``a = borders[c]`` outside the pool, which borders it: with
       ``W = Sigma_pool^-1 Sigma_pool,a`` (one multi-column ``dpotrs``) and
       ``s_a = Sigma_aa - Sigma_a,pool W``, it is ``W_k / sqrt(s_a
-      Omega_kk + W_k^2)``;
+      Omega_kk + W_k^2)``; with ``t`` given, only row ``k = t`` is read,
+      and ``outside[c]`` is ``rho(pool[t], a | the rest of the pool)``;
     - ``kept[c]``, whether ``s_a`` reaches ``sqrt(RCOND_MIN) Sigma_aa``:
       below it ``pool + [a]`` may be near singular, so the caller asks
       column ``a`` another way.
@@ -313,8 +314,9 @@ def _factored_pool(sigma, pool, t=None, borders=(), context=None):
         column = np.concatenate((omega[t, :t], omega[t:, t]))  # the lower triangle's entries (k, t)
         inside = _clip_unit(-column / np.sqrt(diag * diag[t]))
     if borders:
+        w, d = (solved, diag[:, None]) if t is None else (solved[t], diag[t])
         with np.errstate(invalid="ignore"):  # a negative s_a is below its floor
-            outside = _clip_unit(solved / np.sqrt(residual * diag[:, None] + solved * solved))
+            outside = _clip_unit(w / np.sqrt(residual * d + w * w))
         kept = residual >= math.sqrt(RCOND_MIN) * variances
     return inside, outside, kept
 
@@ -427,11 +429,12 @@ def _fisher_z_statistics(rhos, dof, alpha):
     """Fisher z statistics of partial correlations ``rhos`` in [-1, 1] and their verdicts.
 
     ``z = sqrt(dof) * atanh(rho)``, infinite at ``|rho| = 1``, and
-    independent iff ``|z| <= Phi^-1(1 - alpha/2)``.  Returns ``(z,
-    independent)``.
+    independent iff ``|z| <= Phi^-1(1 - alpha/2)``.  ``dof`` is an int,
+    or an array of them.  Returns ``(z, independent)``.
     """
+    root = math.sqrt(dof) if isinstance(dof, int) else np.sqrt(dof)
     with np.errstate(divide="ignore"):
-        z = np.sqrt(dof) * np.arctanh(np.asarray(rhos, dtype=float))
+        z = root * np.arctanh(np.asarray(rhos, dtype=float))
     return z, np.abs(z) <= fisher_z_threshold(alpha)
 
 
@@ -776,7 +779,7 @@ class GaussianEngine(CiEngine):
             rhos, read = np.empty(len(nodes)), inside.copy()
             rhos[inside] = column[at[inside]]
             if kept is not None:
-                rhos[outside], read[outside] = bordered[t], kept
+                rhos[outside], read[outside] = bordered, kept
             dofs = np.where(inside, dof + 1, dof)
         z, independent = _fisher_z_statistics(rhos, dofs, self.alpha)
         return read, independent, z

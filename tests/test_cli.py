@@ -493,8 +493,16 @@ class TestBenchmark:
             ("[1, 2]", "error: a benchmark spec must be a JSON object"),
             ('{"replicates": "3"}', "error: benchmark spec key 'replicates' must be an integer, got '3'"),
             ('{"max_sepset_size": "2"}', "error: benchmark spec key 'max_sepset_size' must be an integer or null, got '2'"),
+            (
+                '{"n_nodes": ["8"], "replicates": 1, "algorithms": ["pc"]}',
+                "error: benchmark spec key 'n_nodes' must hold integers, got '8'",
+            ),
+            (
+                '{"weight_range": ["a", 1], "n_nodes": [8], "replicates": 1, "algorithms": ["pc"]}',
+                "error: benchmark spec key 'weight_range' must hold numbers, got 'a'",
+            ),
         ],
-        ids=["array", "replicates", "max_sepset_size"],
+        ids=["array", "replicates", "max_sepset_size", "n_nodes_element", "weight_range_element"],
     )
     def test_mistyped_spec_exits_two_naming_the_key(self, tmp_path, monkeypatch, capsys, doc, message):
         grids = []

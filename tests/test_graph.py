@@ -320,9 +320,9 @@ class TestSepsetMap:
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(st.data())
     def test_deferred_entries_read_as_eager_ones(self, data):
-        # the search records a level-0 block's separators as its shared cond
-        # plus each excluded source, orientation a screening verdict as its
-        # pool plus the excluded node; other entries are recorded as sets
+        # the search records a level-0 block's separators as one group on
+        # its target, its shared cond plus the excluded sources, orientation
+        # a screening verdict as a group of its pool; other entries are sets
         n = 8
         node = st.integers(0, n - 1)
         steps, eager = [], SepsetMap()
@@ -338,33 +338,70 @@ class TestSepsetMap:
         def deferred():
             m = SepsetMap()
             for how, b, shared, sources in steps:
-                pairs = [(a, b) if a < b else (b, a) for a in sources]
                 if how == "block":
-                    m._record_excluding(pairs, shared, sources)
-                for pair, a in zip(pairs, sources):
+                    m._record_excluding(b, shared, frozenset(sources))
+                for a in sources:
                     if how == "one at a time":
-                        m._record_excluding([pair], shared, [a])
+                        m._record_excluding(b, shared, {a})
                     elif how == "record":
                         m.record(a, b, shared - {a})
             return m
 
-        assert deferred() == eager and eager == deferred()
-        assert deferred().items() == eager.items()
-        assert len(deferred()) == len(eager)
-        m = deferred()
-        for i, j in itertools.permutations(range(n), 2):
-            assert ((i, j) in m) == ((i, j) in eager)
-            for v in range(n):
-                want = None if eager.get(i, j) is None else v in eager.get(i, j)
-                assert m._in_separator(v, i, j) == want
-            assert m.get(i, j) == eager.get(i, j)
-        for (i, j), sep in eager.items():
-            m = deferred()
-            m.record(j, i, set(sep))  # the same set is fine
-            other = sep ^ {min(set(range(n)) - {i, j})}
-            with pytest.raises(ValueError, match="already has a different separating set"):
-                deferred().record(i, j, other)
-            assert m == eager
+        assert_reads_as(deferred, eager, n)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_groups_on_one_target_read_as_pair_records(self, data):
+        # one target holds the groups of the search, of the post-hoc search
+        # and of screening verdicts, and its partners hold groups naming it
+        n = 9
+        target = data.draw(st.integers(0, n - 1))
+        others = [v for v in range(n) if v != target]
+        free = list(others)  # partners not yet separated from the target
+        groups = []
+        for _ in range(data.draw(st.integers(2, 4))):
+            excluded = data.draw(st.sets(st.sampled_from(free), max_size=3)) if free else set()
+            free = [v for v in free if v not in excluded]
+            groups.append((target, frozenset(data.draw(st.sets(st.sampled_from(others)))), excluded))
+        for a in data.draw(st.lists(st.sampled_from(others), unique=True, max_size=3)):
+            if a in free:  # the pair seen from the partner's side
+                free.remove(a)
+                shared = frozenset(data.draw(st.sets(st.integers(0, n - 1)))) - {a, target}
+                groups.append((a, shared, {target}))
+        eager = SepsetMap()
+        for b, shared, excluded in data.draw(st.permutations(groups)):
+            for a in excluded:
+                eager.record(a, b, shared - {a})
+
+        def grouped():
+            m = SepsetMap()
+            for b, shared, excluded in groups:
+                m._record_excluding(b, shared, excluded)
+            return m
+
+        assert_reads_as(grouped, eager, n)
+
+
+def assert_reads_as(build, eager, n):
+    """The map ``build()`` returns reads as ``eager`` through every reader, and its ``record`` checks conflicts."""
+    labels = [f"V{v}" for v in range(n)]
+    m = build()
+    assert m == eager and eager == m
+    assert m.items() == eager.items() and len(m) == len(eager)
+    assert m._by_label(labels) == eager._by_label(labels)
+    for i, j in itertools.permutations(range(n), 2):
+        assert ((i, j) in m) == ((i, j) in eager)
+        assert m.get(i, j) == eager.get(i, j)
+        for v in range(n):
+            want = None if eager.get(i, j) is None else v in eager.get(i, j)
+            assert m._in_separator(v, i, j) == want
+    for (i, j), sep in eager.items():
+        m = build()
+        m.record(j, i, set(sep))  # the same set is fine
+        assert m == eager and len(m) == len(eager)
+        other = sep ^ {min(set(range(n)) - {i, j})}
+        with pytest.raises(ValueError, match="already has a different separating set"):
+            build().record(i, j, other)
 
 
 class TestTextFormats:

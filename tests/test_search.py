@@ -532,7 +532,7 @@ def per_pair_separator(engine, screen, a, b, max_level):
         if target in screen:
             cross, cmb = screen[target].cross, screen[target].cmb
             sepsets, _, _ = podag.search._search_levels(
-                engine, [(other, target)], lambda t: cross, lambda o, t: cmb, {}, max_level
+                engine, ([other], [target]), lambda t: cross, lambda o, t: cmb, {}, max_level
             )
             if (a, b) in sepsets:
                 return sepsets.get(a, b)
@@ -588,8 +588,8 @@ class TestCandidates:
         want = set(screen.cross_candidates())
         if within:
             want |= set(screen.within_candidates())
-        got = podag.search._candidates(cross, cmb, within)
-        assert got == sorted(want, key=operator.itemgetter(1, 0))
+        sources, targets = podag.search._candidates(cross, cmb, within)
+        assert list(zip(sources, targets)) == sorted(want, key=operator.itemgetter(1, 0))
 
 
 class TestSupersetRobustness:

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import os
 import subprocess
@@ -572,6 +573,22 @@ class TestUnionPrecision:
         estimates = counting_factorizations(monkeypatch, "dpocon")
         learn(data, ordering, cfg, engine=GaussianEngine(data, alpha=cfg.alpha))
         assert (len(factorizations), len(estimates)) == (243, 0)
+
+    def test_learn_fit_seldom_runs_the_cyclic_collector(self):
+        # level 0 keeps one set of removed sources and one separator group
+        # per target, not a few tuples per test, so a fit allocates too
+        # few long-lived containers to trigger many generation-0 passes
+        data, ordering, cfg = learn_p120_fit()
+        threshold = gc.get_threshold()
+        gc.collect()
+        gc.set_threshold(700, 10, 10)
+        try:
+            before = gc.get_stats()[0]["collections"]
+            learn(data, ordering, cfg)
+            collections = gc.get_stats()[0]["collections"] - before
+        finally:
+            gc.set_threshold(*threshold)
+        assert collections <= 8  # 6 measured; 20 while level 0 kept a few tuples per test
 
     def test_engine_is_unchanged_by_a_fit(self):
         data, ordering, cfg = learn_p120_fit()
