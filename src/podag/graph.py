@@ -398,10 +398,11 @@ class SepsetMap:
     the separator of ``(a, target)`` is ``shared - {a}`` for each ``a``
     in ``excluded`` (``cond(b)`` and the removed sources, a verdict pool
     and its dropped members), and a target may hold several groups.
-    ``in``, :meth:`get`, :meth:`_in_separator` and :meth:`record`'s
-    conflict check look in both endpoints' groups without expanding
-    them; :meth:`items`, ``len`` and ``==`` expand them, so a map reads
-    the same whichever way its entries were recorded.
+    ``in``, :meth:`get`, :meth:`record`'s conflict check and
+    orientation's reads (:func:`_separators`) look in both endpoints'
+    groups without expanding them; :meth:`items`, ``len`` and ``==``
+    expand them, so a map reads the same whichever way its entries were
+    recorded.
     """
 
     def __init__(self):
@@ -448,11 +449,6 @@ class SepsetMap:
     def get(self, i, j):
         found = self._find(i, j)
         return None if found is None else found[0] - {found[1]}
-
-    def _in_separator(self, v, i, j):
-        """Whether ``v`` lies in the separator of the pair; None when none is recorded.  Builds no set."""
-        found = self._find(i, j)
-        return None if found is None else v != found[1] and v in found[0]
 
     def __contains__(self, pair):
         return self._find(*pair) is not None
@@ -539,18 +535,20 @@ def orient_by_ordering(pdag, ordering):
     return Pdag(pdag.n_nodes, directed, undirected, labels=pdag.labels)
 
 
-def _unshielded_triples(pdag):
-    """Triples ``(i, j, k)`` with ``i < k`` both adjacent to ``j`` but not to each other, sorted."""
-    adjacency = [set() for _ in range(pdag.n_nodes)]
-    for u, v in pdag.adjacency_pairs():
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    return sorted(
-        (i, j, k)
-        for j in range(pdag.n_nodes)
-        for i, k in itertools.combinations(sorted(adjacency[j]), 2)
-        if k not in adjacency[i]
-    )
+def _unshielded_pairs(state):
+    """Each node's sorted neighbours in ``state``, and the sorted unshielded pairs.
+
+    A pair ``(i, k)``, ``i < k``, is unshielded when the two are not
+    adjacent but share a neighbour; it is given as the int ``i * n + k``,
+    ``n`` nodes, so that a fit builds no tuple per pair.
+    """
+    n = state.n_nodes
+    neighbours = [sorted(state._neigh[v] | state._children[v] | state._parents[v]) for v in range(n)]
+    pairs = []
+    for i, around in enumerate(neighbours):
+        ends = {k for j in around for k in neighbours[j] if k > i}.difference(around)
+        pairs += [i * n + k for k in sorted(ends)]
+    return neighbours, pairs
 
 
 def orient_v_structures(skeleton, sepsets, on_conflict="error"):
@@ -562,18 +560,37 @@ def orient_v_structures(skeleton, sepsets, on_conflict="error"):
     raise :class:`InconsistencyError` unless ``on_conflict="ignore"``,
     in which case the earlier orientation wins.
     """
-    return _orient_triples(skeleton, sepsets, _unshielded_triples(skeleton), on_conflict)
-
-
-def _orient_triples(skeleton, sepsets, triples, on_conflict):
-    """:func:`orient_v_structures` over the sorted unshielded ``triples`` of ``skeleton``."""
     state = _OrientationState(skeleton)
-    for i, j, k in triples:
-        if sepsets._in_separator(j, i, k) is not False:  # no separator, or j in it
-            continue
-        state.orient(i, j, on_conflict=on_conflict, context=(i, j, k))
-        state.orient(k, j, on_conflict=on_conflict, context=(i, j, k))
+    neighbours, pairs = _unshielded_pairs(state)
+    _orient_triples(state, neighbours, _separators(sepsets, pairs, state.n_nodes), on_conflict)
     return state.to_pdag()
+
+
+def _separators(sepsets, pairs, n):
+    """``{pair: shared}`` for the int ``pairs`` of :func:`_unshielded_pairs`, each read once from ``sepsets``.
+
+    ``shared`` is the set that :meth:`SepsetMap._find` returns, the
+    separator plus the endpoint it leaves out, or None when the pair has
+    none.  Only a middle node is looked up in it, and that is never an
+    endpoint, so it lies in ``shared`` exactly when it lies in the
+    separator.
+    """
+    return {pair: (sepsets._find(*divmod(pair, n)) or (None,))[0] for pair in pairs}
+
+
+def _orient_triples(state, neighbours, found, on_conflict):
+    """:func:`orient_v_structures` on ``state``, with the separators ``found`` by :func:`_separators`.
+
+    The triples ``i - j - k``, ``i < k``, are oriented in lexicographic
+    order, walked from ``neighbours`` without being listed.
+    """
+    n = state.n_nodes
+    for i, around in enumerate(neighbours):
+        for j in around:
+            for k in neighbours[j]:
+                if k > i and found.get(i * n + k) is not None and j not in found[i * n + k]:
+                    state.orient(i, j, on_conflict=on_conflict, context=(i, j, k))
+                    state.orient(k, j, on_conflict=on_conflict, context=(i, j, k))
 
 
 def apply_meek_rules(pdag, on_conflict="error"):

@@ -43,9 +43,9 @@ from .stats import (
     _correlation,
     _covariance,
     _dependence_error,
-    _factored_pool,
     _fisher_z_dof,
     _fisher_z_statistics,
+    _read_stage,
 )
 
 __all__ = [
@@ -250,14 +250,21 @@ def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
 def _screen_pcor(source, ordering, targets, threshold=None, alpha=0.5):
     """:func:`screen_pcor` of each of ``targets`` in turn, with its errors for the same target.
 
-    On a covariance source the targets that share a before set share
-    their stage-0 reads: when the first of them is screened, one
-    factorization of the pool serves them all (:func:`_bordered_rhos`,
-    whose rhos may differ from the per-target block's in the last bits).
-    A target alone in its group, one whose residual variance given the
-    pool falls below its floor, and every target of a pool block that
-    fails the guard read their own ``pool + [j]`` block instead, so a
-    singular block raises for the same target as one node at a time.
+    On a covariance source each stage is read for every target at once:
+    stage 0 of all targets, then stage 1 of those that passed it, each
+    decided in one pass.  The targets that share a before set share
+    their stage-0 reads: one factorization of the pool serves them all
+    (:func:`_bordered_rhos`, whose rhos may differ from the per-target
+    block's in the last bits).  Every other read is a target's own
+    ``pool + [j]`` block, and all of a stage's are one
+    :func:`_read_stage` call: a target alone in its group, one whose
+    residual variance given the pool falls below its floor, every target
+    of a pool block that fails the guard, and stage 1.  The entries,
+    warnings and warning order, and the error raised, are those of
+    screening one node at a time: a stage stops at the first target
+    whose sample-size check fails, before reading it, and the first
+    target that fails either stage raises, after the warnings of the
+    targets before it.
     """
     if threshold is not None and not 0 <= threshold < 1:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
@@ -277,37 +284,78 @@ def _screen_pcor(source, ordering, targets, threshold=None, alpha=0.5):
     for j in targets:
         groups.setdefault(ordering.before_set(j), []).append(j)
 
-    def pool_rhos(j, pool, stage):
+    def group_rhos(j, pool):
         before = ordering.before_set(j)
-        if stage == 0 and len(groups[before]) > 1:
-            if before not in shared:
-                shared[before] = _bordered_rhos(cov.values, pool, groups[before])
-            if j in shared[before]:
-                return shared[before][j]
-        try:  # block_partial_correlations' read; pool is already a list of ints without j
-            return _factored_pool(cov.values, pool + [j], len(pool), context=(j, "pool", tuple(pool)))[0][:-1]
-        except SingularityError:
+        if len(groups[before]) < 2:
+            return None
+        if before not in shared:
+            shared[before] = _bordered_rhos(cov.values, pool, groups[before])
+        return shared[before].get(j)
+
+    pool0 = [sorted(ordering.before_set(j)) for j in targets]
+    s0, error = _pcor_stage(cov, targets, pool0, threshold, alpha, group_rhos)
+    pool1 = [sorted(kept) + sorted(ordering.peer_set(j)) for j, kept in zip(targets, s0)]
+    s1, error1 = _pcor_stage(cov, targets, pool1, threshold, alpha)
+    entries = []
+    for j, pool, kept0, kept1 in zip(targets, pool1, s0, s1):
+        notes = _success_warnings(j, frozenset(kept0), frozenset(kept1), n)
+        pools = (ordering.before_set(j), frozenset(pool))
+        entries.append(ScreenEntry(j, kept0, kept1, warnings=notes, pools=pools))
+    if error1 or error:
+        raise error1 or error
+    return entries
+
+
+def _pcor_stage(cov, targets, pools, threshold, alpha, shared=lambda j, pool: None):
+    """The members each of a stage's ``targets`` keeps of its pool in ``pools``, in order.
+
+    Returns ``(kept, error)``: the kept sets of the targets before the
+    first one that fails, and its error (None when none fails).  A target
+    fails its sample-size check before any read, and a ``pool + [j]``
+    block that fails the guard raises :class:`DegenerateDataError`
+    naming a linearly dependent column set (or
+    :class:`SingularityError`).  ``shared(j, pool)`` gives rhos read
+    elsewhere, or None; every other non-empty pool is read by one
+    :func:`_read_stage` call, and the whole stage is decided in one pass.
+    """
+    n, error = cov.n, None
+    for stop, pool in enumerate(pools):
+        if threshold is None and pool and n - len(pool) - 2 <= 0:
+            error = InsufficientDataError(
+                f"pcor screening of node {targets[stop]} conditions on a pool of {len(pool)} nodes, "
+                f"which needs n > {len(pool) + 2} samples (n={n}); "
+                "use --backend lasso or --backend sis when nodes outnumber samples"
+            )
+            pools = pools[:stop]
+            break
+    rhos = [shared(j, pool) if pool else None for j, pool in zip(targets, pools)]
+    own = [k for k, pool in enumerate(pools) if pool and rhos[k] is None]
+    if own:
+        read, _, failed = _read_stage(cov.values, ((pools[k] + [targets[k]], len(pools[k]), ()) for k in own))
+        start = 0
+        for k in own:
+            rhos[k] = read[start : start + len(pools[k])]  # the pool's positions, then the target's
+            start += len(pools[k]) + 1
+        if failed:
+            stop = own[failed[0]]
+            j, pool = targets[stop], pools[stop]
             error = _dependence_error(cov, pool + [j], spare=0)
-            if error is None:
-                raise
-            raise error from None
-
-    def select(j, pool, stage):
+            error = error or SingularityError(context=(j, "pool", tuple(pool)))
+            pools = pools[:stop]
+    sizes = [len(pool) for pool in pools]
+    keep = []
+    if any(sizes):
+        values = np.concatenate([r for r in rhos[: len(pools)] if r is not None])
         if threshold is not None:
-            keep = np.abs(pool_rhos(j, pool, stage)) > threshold
+            keep = (np.abs(values) > threshold).tolist()
         else:
-            dof = n - (len(pool) - 1) - 3
-            if dof <= 0:
-                raise InsufficientDataError(
-                    f"pcor screening of node {j} conditions on a pool of {len(pool)} nodes, "
-                    f"which needs n > {len(pool) + 2} samples (n={n}); "
-                    "use --backend lasso or --backend sis when nodes outnumber samples"
-                )
-            _, independent = _fisher_z_statistics(pool_rhos(j, pool, stage), dof, alpha)
-            keep = ~independent
-        return set(itertools.compress(pool, keep))
-
-    return [_screen_node(ordering, j, functools.partial(select, j), n, verdicts=True) for j in targets]
+            dofs = np.repeat([n - size - 2 for size in sizes], sizes)
+            keep = (~_fisher_z_statistics(values, dofs, alpha)[1]).tolist()
+    kept, start = [], 0
+    for pool in pools:
+        kept.append(set(itertools.compress(pool, keep[start : start + len(pool)])))
+        start += len(pool)
+    return kept, error
 
 
 def screen_sis(source, ordering, j, t=0.5, mode="top", pvalue_cutoff=0.5):

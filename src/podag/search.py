@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import PodagError
 from .graph import Dag, Pdag, SepsetMap, apply_meek_rules, write_edgelist
-from .graph import _orient_triples, _unshielded_triples
+from .graph import _orient_triples, _OrientationState, _separators, _unshielded_pairs
 from .screening import BACKENDS, ScreenSets, _backend_screen, screen_all
 from .stats import Dataset, GaussianEngine, OracleEngine
 
@@ -223,12 +223,15 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
     ``b``: the target's live tests, in their order in ``tests``, are one
     :meth:`CiEngine._query_block`.  So the direction of a pair with the
     lower target is asked first, and a pair it removes is not asked
-    again.  Level 0 builds no object per test: the block's verdicts come
-    as one boolean array, and a target's removals are one set of
-    sources, which that filter and the later levels read, stored in
-    ``sepsets`` as one group ``(cond(b), removed sources)`` (see
-    :class:`SepsetMap`); the neighbour sets lose them in one set
-    difference (at the end of the level under ``stable``).  Levels 1
+    again.  Before any is asked, one :meth:`CiEngine._read_blocks` call
+    reads every target's block with all of its tests, uncounted; a
+    target's block keeps the reads of its live tests, and only the tests
+    left unread are single queries.  Level 0 builds no object per test:
+    the block's verdicts come as one list of booleans, and a target's
+    removals are one set of sources, which that filter and the later
+    levels read, stored in ``sepsets`` as one group ``(cond(b), removed
+    sources)`` (see :class:`SepsetMap`); the neighbour sets lose them in
+    one set difference (at the end of the level under ``stable``).  Levels 1
     and up keep the order of ``tests``, on which order-dependent PC's
     output depends.  Their tests are decided a window at a time, with
     the queries of one test at a time.  A window gathers live tests
@@ -276,20 +279,25 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
     def level_zero():
         """Decide level 0 a target at a time, each target's live tests as one block; whether any ran.
 
-        A block that raises is asked again one test at a time, so that
-        the error names the candidate that raised it.
+        Every target's block is read first, in one engine call; a block
+        that raises is asked again one test at a time, so that the error
+        names the candidate that raised it.
         """
         sources_of = {}
         for a, b in zip(sources, targets):
             sources_of.setdefault(b, []).append(a)
-        for b in sorted(sources_of):
+        requests = [(b, sources_of[b], cond(b)) for b in sorted(sources_of)]
+        for (b, block, given), got in zip(requests, engine._read_blocks(requests)):
             # a pair with a lower target was asked in that target's block
-            block = [a for a in sources_of[b] if a > b or b not in removed_from(a, ())]
-            if not block:
-                continue
-            given = cond(b)
+            live = [a > b or b not in removed_from(a, ()) for a in block]
+            if not all(live):
+                block = list(itertools.compress(block, live))
+                if not block:
+                    continue
+                if got is not None:
+                    got = tuple(list(itertools.compress(reads, live)) for reads in got)
             try:
-                independent = engine._query_block(b, block, given)[0]
+                independent = engine._query_block(b, block, given, got)[0]
             except PodagError:
                 independent = [engine._query_first(a, b, given - {a}, [()], [(0, False)]) is not None for a in block]
             gone = frozenset(itertools.compress(block, independent))
@@ -305,8 +313,9 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
         """The live tests of the level in order, as ``(a, b, base, pool, head)``."""
         for a, b in zip(sources, targets):
             if not removed(a, b):
-                members = sorted(pool(a, b) - {a})
-                if len(members) >= level:
+                members = pool(a, b)
+                if len(members) - (a in members) >= level:  # a pool without a level-subset is not sorted
+                    members = sorted(members - {a})
                     head = list(itertools.islice(itertools.combinations(members, level), STACK_SIZE))
                     yield a, b, cond(b) - {a}, members, head
 
@@ -365,41 +374,48 @@ def _posthoc_search(engine, pairs, screen, sepsets, max_level):
 
     The fallback for the pairs that neither the search nor screening
     separated, whose entries carry no screening verdicts (sis, lasso,
-    entries read from JSON or inflated).  A pair tries each side's
-    restricted family, target ``b`` first: subsets of the target's cmb
-    on top of its cross set, for the targets in ``screen``.  One
-    :func:`_search_levels` call tests the pairs still open from ``b``'s
-    side, and one more those still open from ``a``'s.  A pair found by
-    neither keeps no separator, and its triples stay unoriented.
+    entries read from JSON or inflated); none of ``pairs`` has a
+    separator yet.  A pair tries each side's restricted family, target
+    ``b`` first: subsets of the target's cmb on top of its cross set,
+    for the targets in ``screen``.  One :func:`_search_levels` call tests
+    the pairs from ``b``'s side, and one more those it left open from
+    ``a``'s.  A pair found by neither keeps no separator, and its triples
+    stay unoriented.
     """
+    cross, cmb = (lambda t: screen[t].cross), (lambda o, t: screen[t].cmb)
     for side in (1, 0):  # the target is b = pair[1], then a = pair[0]
-        open_pairs = [pair for pair in pairs if pair[side] in screen and pair not in sepsets]
-        if open_pairs:
-            tests = [pair[1 - side] for pair in open_pairs], [pair[side] for pair in open_pairs]
-            cross, cmb = (lambda t: screen[t].cross), (lambda o, t: screen[t].cmb)
-            _search_levels(engine, tests, cross, cmb, {}, max_level, sepsets=sepsets)
+        tests = [pair for pair in pairs if pair[side] in screen]
+        if tests:
+            ends = [pair[1 - side] for pair in tests], [pair[side] for pair in tests]
+            _, _, (sources, targets) = _search_levels(engine, ends, cross, cmb, {}, max_level, sepsets=sepsets)
+            separated = set(tests).difference(zip(sources, targets) if side else zip(targets, sources))
+            pairs = [pair for pair in pairs if pair not in separated]
 
 
 def _orient(pdag, sepsets, on_conflict, separate=None):
     """V-structures and Meek closure: the orientation stage of PODAG, PC and PC+.
 
-    ``pdag`` already carries the ordering's orientations.  The sorted
-    unshielded pairs without a recorded separator go to
-    ``separate(pairs)`` (when given) in one call, which records in
-    ``sepsets`` the separators it finds.  One valid
-    separator suffices: the middle node of an unshielded triple lies in
-    every separator of its endpoints or in none (Spirtes, Glymour &
-    Scheines 2000).
+    ``pdag`` already carries the ordering's orientations.  Each
+    unshielded pair's separator is read from ``sepsets`` once; the
+    sorted pairs without one go to ``separate(pairs)`` (when given) in
+    one call, which records in ``sepsets`` the separators it finds, and
+    only those are read again.  One valid separator suffices: the middle
+    node of an unshielded triple lies in every separator of its
+    endpoints or in none (Spirtes, Glymour & Scheines 2000).
     """
     # the ordering's orientations are in pdag from the start (the ordering
     # is ground truth), but Meek's rules run only after v-structure
     # detection: closing the rules early would let R1 orient edges that
     # are really colliders.
-    triples = _unshielded_triples(pdag)
+    state = _OrientationState(pdag)
+    neighbours, pairs = _unshielded_pairs(state)
+    found = _separators(sepsets, pairs, state.n_nodes)
     if separate is not None:
-        separate([pair for pair in sorted({(i, k) for i, _, k in triples}) if pair not in sepsets])
-    oriented = _orient_triples(pdag, sepsets, triples, on_conflict)
-    return apply_meek_rules(oriented, on_conflict=on_conflict)
+        open_pairs = [pair for pair in pairs if found[pair] is None]
+        separate([divmod(pair, state.n_nodes) for pair in open_pairs])
+        found.update(_separators(sepsets, open_pairs, state.n_nodes))
+    _orient_triples(state, neighbours, found, on_conflict)
+    return apply_meek_rules(state.to_pdag(), on_conflict=on_conflict)
 
 
 def _candidates(cross, cmb, within):
@@ -463,16 +479,18 @@ def podag_multi_layer(engine, ordering, screen, cfg=None):
 
         def separate(pairs):
             # b's screening verdict on a, then a's on b, then a search for the rest
-            verdicts = {}  # (target, pool) -> the sources its verdicts separate
+            verdicts, rest = {}, []  # (target, pool) -> the sources its verdicts separate
             for a, b in pairs:
                 for t, o in ((b, a), (a, b)):
                     pool = screen[t]._verdict_pool(o) if t in screen else None
                     if pool is not None:
                         verdicts.setdefault((t, pool), set()).add(o)
                         break
+                else:
+                    rest.append((a, b))
             for (t, pool), excluded in verdicts.items():
                 sepsets._record_excluding(t, pool, excluded)
-            _posthoc_search(engine, pairs, screen, sepsets, cfg.max_sepset_size)
+            _posthoc_search(engine, rest, screen, sepsets, cfg.max_sepset_size)
 
         with_background = Pdag(
             n_nodes, directed_edges=cross_edges, undirected_edges=within_pairs, labels=labels

@@ -290,8 +290,7 @@ def _factored_pool(sigma, pool, t=None, borders=(), context=None):
       column ``a = borders[c]`` outside the pool, which borders it: with
       ``W = Sigma_pool^-1 Sigma_pool,a`` (one multi-column ``dpotrs``) and
       ``s_a = Sigma_aa - Sigma_a,pool W``, it is ``W_k / sqrt(s_a
-      Omega_kk + W_k^2)``; with ``t`` given, only row ``k = t`` is read,
-      and ``outside[c]`` is ``rho(pool[t], a | the rest of the pool)``;
+      Omega_kk + W_k^2)``;
     - ``kept[c]``, whether ``s_a`` reaches ``sqrt(RCOND_MIN) Sigma_aa``:
       below it ``pool + [a]`` may be near singular, so the caller asks
       column ``a`` another way.
@@ -314,9 +313,8 @@ def _factored_pool(sigma, pool, t=None, borders=(), context=None):
         column = np.concatenate((omega[t, :t], omega[t:, t]))  # the lower triangle's entries (k, t)
         inside = _clip_unit(-column / np.sqrt(diag * diag[t]))
     if borders:
-        w, d = (solved, diag[:, None]) if t is None else (solved[t], diag[t])
         with np.errstate(invalid="ignore"):  # a negative s_a is below its floor
-            outside = _clip_unit(w / np.sqrt(residual * d + w * w))
+            outside = _clip_unit(solved / np.sqrt(residual * diag[:, None] + solved * solved))
         kept = residual >= math.sqrt(RCOND_MIN) * variances
     return inside, outside, kept
 
@@ -325,6 +323,72 @@ def _clip_unit(values):
     """``values`` clipped to [-1, 1] in place (NaN stays NaN), as ``np.clip`` would."""
     np.maximum(values, -1.0, out=values)
     return np.minimum(values, 1.0, out=values)
+
+
+def _read_stage(sigma, blocks):
+    """The reads of a stage of blocks: each block factored by itself, the arithmetic done once.
+
+    ``blocks`` is an iterable, consumed once, of blocks ``(pool, t,
+    borders)``, lists of nodes but for the position ``t``.  A block
+    reads what :func:`_factored_pool` reads with ``t``, ``rho(pool[k],
+    pool[t] | the rest of the pool)`` at each position ``k`` (-1 at
+    ``t``), and row ``t`` of what it reads with ``borders``,
+    ``rho(pool[t], a | the rest of the pool)`` for each node ``a`` of
+    ``borders``.  Each block still takes its own
+    rows, :func:`_factor_spd` and border ``dpotrs``; the rhos of the
+    whole stage are then computed on concatenated arrays, with the same
+    elementwise arithmetic, so each equals :func:`_factored_pool`'s bit
+    for bit.
+
+    Returns ``(rhos, read, failed)``.  ``rhos`` and ``read`` are flat
+    arrays: every block's positions, block after block, then every
+    block's borders, block after block.  ``read`` is False for a border
+    below its residual floor (``kept``) and for every read of a block in
+    the sorted list ``failed``, whose pool fails the guard or whose
+    ``Omega`` has a non-positive diagonal.  Never raises.
+    """
+    # per block, copied out so that its factor and inverse are freed: Omega's column t, then its diagonal
+    pieces, omega_tt, sizes, counts = [], [], [], []
+    rows_t, products, border_nodes, failed = [], [], [], []
+    for index, (pool, t, borders) in enumerate(blocks):
+        sizes.append(len(pool))
+        counts.append(len(borders))
+        border_nodes += borders
+        rows = sigma.take(pool, axis=0)
+        try:
+            factor, omega = _factor_spd(rows.take(pool, axis=1), None)
+        except SingularityError:  # placeholders, not read
+            failed.append(index)
+            pieces.append(np.repeat((0.0, 1.0), len(pool)))
+            omega_tt.append(1.0)
+            rows_t.append(np.zeros(len(borders)))
+            products.append(np.zeros(len(borders)))
+            continue
+        pieces.append(np.concatenate((omega[t, :t], omega[t:, t], omega.diagonal())))  # column t: entries (k, t)
+        omega_tt.append(omega[t, t])
+        if borders:
+            cross = rows.take(borders, axis=1)
+            solved, _ = dpotrs(factor, cross, lower=1)
+            rows_t.append(solved[t].copy())
+            products.append(np.einsum("ij,ij->j", cross, solved))
+    if not sizes:
+        return np.zeros(0), np.zeros(0, dtype=bool), []
+    starts = np.cumsum(sizes) - sizes
+    at = np.arange(starts[-1] + sizes[-1]) + np.repeat(starts, sizes)  # block b's k-th entry of its column
+    flat, tt = np.concatenate(pieces), np.array(omega_tt)
+    column, diag = flat[at], flat[at + np.repeat(sizes, sizes)]
+    ok = ~np.logical_or.reduceat(diag <= 0, starts)
+    ok[failed] = False
+    outside, kept = np.zeros(0), np.zeros(0, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a negative residual is below its floor
+        inside = _clip_unit(-column / np.sqrt(diag * np.repeat(tt, sizes)))
+        if border_nodes:
+            w, variances = np.concatenate(rows_t), sigma.diagonal()[border_nodes]
+            residual = variances - np.concatenate(products)
+            outside = _clip_unit(w / np.sqrt(residual * np.repeat(tt, counts) + w * w))
+            kept = residual >= math.sqrt(RCOND_MIN) * variances
+    read = np.concatenate((np.repeat(ok, sizes), kept & np.repeat(ok, counts)))
+    return np.concatenate((inside, outside)), read, np.flatnonzero(~ok).tolist()
 
 
 def _bordered_rhos(sigma, pool, targets):
@@ -481,10 +545,12 @@ class CiEngine:
     cond - {a}`` for every ``a`` in ``sources`` at once: the level-0
     tests of one target in the skeleton search, and the tests of a
     screening stage or of h0 and h-minus-j.  It counts one query per
-    source and returns the verdicts as two sequences in source order,
+    source and returns the verdicts as two lists in source order,
     ``(independent, statistics)``, as the per-source queries would
-    answer.  ``_decide_block`` computes them, looping over ``_decide``
-    unless an engine shares work across the block.
+    answer.  ``_read_blocks``, the level-0 counterpart of ``speculate``,
+    reads many such blocks without counting; ``_query_block`` takes the
+    verdicts read there and asks the other sources one ``_decide`` at a
+    time.  This engine reads nothing, so it decides every source alone.
 
     At levels 1 and up a skeleton-search test asks the separators ``base
     | T`` of a pair in order until one is independent.  ``speculate``
@@ -513,16 +579,44 @@ class CiEngine:
         self._count(1, lambda: [(i, j, s)])
         return self._decide(i, j, s)
 
-    def _query_block(self, b, sources, cond):
+    def _query_block(self, b, sources, cond, got=None):
         """``(independent, statistics)`` of ``a _||_ b | cond - {a}`` for each ``a`` in ``sources``, in order.
 
         The same verdicts and count as ``[query(a, b, cond - {a}) for a
         in sources]``, except that a raised error leaves every source
-        counted.  Unchecked: ``b`` is an int outside ``sources`` and
-        ``cond``, ``sources`` a list of ints and ``cond`` a frozenset.
+        counted.  ``got`` is the block's entry from :meth:`_read_blocks`
+        with these sources (read here when None); a lone source is asked
+        as a single query, read or not.  Unchecked: ``b`` is an int
+        outside ``sources`` and ``cond``, ``sources`` a list of ints and
+        ``cond`` a frozenset.
         """
         self._count(len(sources), lambda: [(min(a, b), max(a, b), cond - {a}) for a in sources])
-        return self._decide_block(b, sources, cond)
+        if len(sources) < 2:
+            got = None
+        elif got is None:
+            (got,) = self._read_blocks([(b, sources, cond)])
+        unread = [False] * len(sources)
+        read, independent, statistics = got or (unread, list(unread), [0.0] * len(sources))
+        if not all(read):
+            for k, a in enumerate(sources):
+                if not read[k]:
+                    verdict = self._decide(min(a, b), max(a, b), cond - {a})
+                    independent[k], statistics[k] = verdict.independent, verdict.statistic
+        return independent, statistics
+
+    def _read_blocks(self, requests):
+        """What the engine reads of each block ``(b, sources, cond)`` in ``requests`` without single queries.
+
+        An iterable with, per block, None (nothing read) or three lists
+        over its sources, ``(read, independent, statistics)``: where
+        ``read`` holds, the other two are the source's verdict, that of
+        its single query; elsewhere they are meaningless.  A read
+        depends on its source alone, so the block of a sub-list of the
+        sources may keep their reads (its statistics may then differ
+        from the sub-list's own read in the last bit).  Counts nothing
+        and never raises; this engine reads nothing.
+        """
+        return [None] * len(requests)
 
     def speculate(self, requests):
         """The stops of each skeleton-search test ``(a, b, base, subsets)`` in ``requests``.
@@ -566,10 +660,6 @@ class CiEngine:
     def _decide(self, i, j, s):
         raise NotImplementedError
 
-    def _decide_block(self, b, sources, cond):
-        verdicts = [self._decide(min(a, b), max(a, b), cond - {a}) for a in sources]
-        return [v.independent for v in verdicts], [v.statistic for v in verdicts]
-
 
 class OracleEngine(CiEngine):
     """Population oracle: independent iff d-separated in the given DAG."""
@@ -597,23 +687,23 @@ class GaussianEngine(CiEngine):
     j}`` (:func:`_factored_pool`).  With S empty it is
     :func:`fisher_z_test`'s.
 
-    A block ``_query_block(b, sources, cond)`` (the level-0 tests of one
-    target) needs at most one factorization, of the sorted union ``U =
-    cond + {b}`` (:func:`_factored_pool`), and none when ``cond`` is
-    empty: then each rho is read off three covariance entries, the bits
-    of an empty-S query.  Sources inside ``cond`` (cross candidates) read
-    their rhos off the precision matrix of ``U``, the bits of their
-    single queries.  Sources outside it (within candidates) border ``U``;
-    one whose residual variance given ``U`` falls below
-    ``sqrt(RCOND_MIN)`` of its variance, where its union may be near
-    singular, is asked as a single query, and so is every source when
-    the block holds one source, a source outside ``cond`` would have no
-    degrees of freedom (``n - |cond| - 3 <= 0``) or ``U`` fails the
-    guard.  In the last case a source inside ``cond``, whose single
-    query would factor ``U`` again, goes straight to
-    :func:`fisher_z_test`.  The block's verdicts and statistics are
-    read as arrays in source order (:meth:`_block_verdicts`), and the
-    single queries fill in the sources it did not read.
+    ``_read_blocks`` reads a whole stage of blocks ``(b, sources, cond)``
+    (the level-0 tests of every target) with one :func:`_read_stage`
+    call and one Fisher z pass.  A block needs at most one
+    factorization, of the sorted union ``U = cond + {b}``, and none when
+    ``cond`` is empty: then each rho is read off three covariance
+    entries, the bits of an empty-S query.  Sources inside ``cond``
+    (cross candidates) read their rhos off the precision matrix of
+    ``U``, the bits of their single queries.  Sources outside it (within
+    candidates) border ``U``; one whose residual variance given ``U``
+    falls below ``sqrt(RCOND_MIN)`` of its variance, where its union may
+    be near singular, is not read, and neither is any source of a block
+    that holds one source, of a block whose sources outside ``cond``
+    would have no degrees of freedom (``n - |cond| - 3 <= 0``), or
+    outside a ``U`` that fails the guard.  A source inside such a ``U``,
+    whose single query would factor ``U`` again, is read by
+    :func:`fisher_z_test`.  ``_query_block`` asks the sources left
+    unread as single queries.
 
     ``speculate`` groups the unions ``base + T + {a, b}`` of its tests
     by size and stacks whole tests, up to ``STACK_ENTRIES`` covariance
@@ -738,51 +828,75 @@ class GaussianEngine(CiEngine):
         _, independent = _fisher_z_statistics(rhos, self._n - m - 1, self.alpha)
         return batched, independent & batched
 
-    def _decide_block(self, b, sources, cond):
-        dof = self._n - len(cond) - 3  # outside cond; a source inside leaves S one smaller
-        # a failed dof guard raises in _decide; one source gains nothing from a block
-        # False: no block was read; None: cond + {b} failed the guard
-        got = self._block_verdicts(b, sources, cond, dof) if dof > 0 and len(sources) > 1 else False
-        read, independent, statistics = got or (*np.zeros((2, len(sources)), dtype=bool), np.zeros(len(sources)))
-        for k in np.flatnonzero(~read).tolist():
-            a = sources[k]
-            i, j, s = min(a, b), max(a, b), cond - {a}
-            if got is None and a in cond:  # its union is cond + {b}, which just failed the guard
-                verdict = fisher_z_test(self.cov, self._n, i, j, s, self.alpha)
-            else:
-                verdict = self._decide(i, j, s)
-            independent[k], statistics[k] = verdict.independent, verdict.statistic
-        return independent, statistics
+    def _read_blocks(self, requests):
+        n, sigma = self._n, self.cov.values
 
-    def _block_verdicts(self, b, sources, cond, dof):
-        """``(read, independent, z)`` arrays over ``sources``, in order, from at most one factorization.
+        def read(sources, cond):  # one source gains nothing; the dof guard raises in _decide
+            return len(sources) > 1 and n - len(cond) - 3 > 0
 
-        ``read`` is False where a source was not read (its union with
-        ``cond + {b}`` may be near singular); its other entries are then
-        meaningless.  None when ``cond + {b}`` fails the guard.
-        """
-        sigma = self.cov.values
-        nodes = np.array(sources)
-        if not cond:  # fisher_z_test's read of three covariance entries
-            rhos = _clip_unit(sigma[nodes, b] / np.sqrt(sigma.diagonal()[nodes] * sigma[b, b]))
-            read, dofs = np.ones(len(nodes), dtype=bool), dof
-        else:
-            order = np.array(sorted(cond.union((b,))))
-            t = int(np.searchsorted(order, b))
-            at = np.searchsorted(order, nodes)
-            inside = order[np.minimum(at, len(order) - 1)] == nodes
-            outside = ~inside
-            try:
-                column, bordered, kept = _factored_pool(sigma, order, t, nodes[outside].tolist())
-            except SingularityError:
-                return None
-            rhos, read = np.empty(len(nodes)), inside.copy()
-            rhos[inside] = column[at[inside]]
-            if kept is not None:
-                rhos[outside], read[outside] = bordered, kept
-            dofs = np.where(inside, dof + 1, dof)
-        z, independent = _fisher_z_statistics(rhos, dofs, self.alpha)
-        return read, independent, z
+        # the stage's layout: every union's positions, then every border, then every read of an empty cond
+        positions = borders = 0
+        for b, sources, cond in requests:
+            if cond and read(sources, cond):
+                positions += len(cond) + 1
+                borders += len(sources) - len(cond.intersection(sources))
+        at = [0, positions, positions + borders]  # the next position, border and marginal read
+        perm, dofs, counts, marginal_a, marginal_b = [], [], [], [], []
+
+        def blocks():
+            for b, sources, cond in requests:
+                if not read(sources, cond):
+                    continue
+                dofs.append(n - len(cond) - 3)  # a source outside cond
+                counts.append(len(sources))
+                if not cond:  # fisher_z_test's read of three covariance entries
+                    perm.extend(range(at[2], at[2] + len(sources)))
+                    at[2] += len(sources)
+                    marginal_a.extend(sources)
+                    marginal_b.extend([b] * len(sources))
+                    continue
+                order = sorted(cond.union((b,)))
+                position = {v: k for k, v in enumerate(order)}
+                ranks = itertools.count(at[1])
+                perm.extend([at[0] + position[a] if a in position else next(ranks) for a in sources])
+                outside = [a for a in sources if a not in position]
+                at[0] += len(order)
+                at[1] += len(outside)
+                yield order, position[b], outside
+
+        rhos, flags, failed = _read_stage(sigma, blocks())
+        if not perm:
+            return [None] * len(requests)
+        if marginal_a:
+            diagonal = sigma.diagonal()
+            ratio = sigma[marginal_a, marginal_b] / np.sqrt(diagonal[marginal_a] * diagonal[marginal_b])
+            rhos = np.concatenate((rhos, _clip_unit(ratio)))
+            flags = np.concatenate((flags, np.ones(len(marginal_a), dtype=bool)))
+        perm = np.array(perm)
+        inside = perm < positions  # a source inside cond leaves S one smaller
+        z, independent = _fisher_z_statistics(rhos[perm], np.repeat(dofs, counts) + inside, self.alpha)
+        flags, independent, z = flags[perm].tolist(), independent.tolist(), z.tolist()
+
+        def entries():  # one request at a time, so that a stage holds no per-request lists
+            lo = block = 0
+            for b, sources, cond in requests:
+                if not read(sources, cond):
+                    yield None
+                    continue
+                hi = lo + len(sources)
+                entry = (flags[lo:hi], independent[lo:hi], z[lo:hi])
+                if cond and block in failed:  # U failed the guard: fisher_z_test reads the sources inside it
+                    for k in itertools.compress(range(len(sources)), inside[lo:hi].tolist()):
+                        a = sources[k]
+                        try:
+                            verdict = fisher_z_test(self.cov, n, min(a, b), max(a, b), cond - {a}, self.alpha)
+                        except PodagError:
+                            continue
+                        entry[0][k], entry[1][k], entry[2][k] = True, verdict.independent, verdict.statistic
+                yield entry
+                lo, block = hi, block + bool(cond)
+
+        return entries()
 
 
 class RecordingEngine(CiEngine):
@@ -815,8 +929,8 @@ class RecordingEngine(CiEngine):
     def _decide(self, i, j, s):
         return self.inner._decide(i, j, s)
 
-    def _decide_block(self, b, sources, cond):
-        return self.inner._decide_block(b, sources, cond)
+    def _read_blocks(self, requests):
+        return self.inner._read_blocks(requests)
 
     def speculate(self, requests):
         return self.inner.speculate(requests)

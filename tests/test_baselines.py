@@ -136,7 +136,7 @@ class TestNaiveEstimatorBlocks:
             if not single.query(k, j, [v for v in adjusted if v not in (k, j)]).independent
         }
         assert 0 < len(want) < len(first) * len(second)
-        factorizations = counting_factorizations(monkeypatch)
+        factorizations = counting_factorizations(monkeypatch, "_factor_spd")
         block = RecordingEngine(GaussianEngine(data))
         estimator = estimate_h_minus_j if adjust_second else estimate_h0
         res = estimator(block, ordering)

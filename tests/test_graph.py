@@ -17,6 +17,7 @@ from podag import (
     write_layering,
 )
 from podag.errors import CycleError, InconsistencyError, LabelMismatchError
+from podag.graph import _separators
 from podag.sem import rng_from_seed, toy_two_layer_sem
 
 from helpers import (
@@ -392,9 +393,12 @@ def assert_reads_as(build, eager, n):
     for i, j in itertools.permutations(range(n), 2):
         assert ((i, j) in m) == ((i, j) in eager)
         assert m.get(i, j) == eager.get(i, j)
-        for v in range(n):
-            want = None if eager.get(i, j) is None else v in eager.get(i, j)
-            assert m._in_separator(v, i, j) == want
+    for i, k in itertools.combinations(range(n), 2):
+        shared = _separators(m, [i * n + k], n)[i * n + k]  # what orientation reads, for a middle node
+        want = eager.get(i, k)
+        assert (shared is None) == (want is None)
+        for v in set(range(n)) - {i, k}:
+            assert want is None or (v in shared) == (v in want)
     for (i, j), sep in eager.items():
         m = build()
         m.record(j, i, set(sep))  # the same set is fine

@@ -100,7 +100,7 @@ class TestScreenPcorToy:
         def no_factoring(*args):
             raise AssertionError("the pool was factored before the sample-size check")
 
-        monkeypatch.setattr(podag.screening, "_factored_pool", no_factoring)
+        monkeypatch.setattr(podag.screening, "_read_stage", no_factoring)
         rng = rng_from_seed(5)
         dag, ordering = generate_layered_dag(GenConfig(n_nodes=40, layers=2), rng)
         data = sample(random_weights(dag, rng), 20, rng)
@@ -613,7 +613,7 @@ class TestSharedBeforeSets:
             raise AssertionError("a pool was read before the sample-size check")
 
         monkeypatch.setattr(podag.screening, "_bordered_rhos", no_read)
-        monkeypatch.setattr(podag.screening, "_factored_pool", no_read)
+        monkeypatch.setattr(podag.screening, "_read_stage", no_read)
         got = outcome(lambda: screen_all(data, ordering, "pcor", {"alpha": 0.5}, targets=targets))
         assert got == want and got[0] is InsufficientDataError
         assert f"node {targets[0]}" in got[1]

@@ -230,19 +230,31 @@ class TestSkeletonDriver:
         factorizations = counting_factorizations(monkeypatch, "_factor_spd")
         per_target = {}
 
+        def charge(b, before):
+            per_target[b] = per_target.get(b, 0) + len(factorizations) - before
+
         class BlockCounting(GaussianEngine):
-            def _decide_block(self, b, sources, cond):
+            def _read_blocks(self, requests):
+                got = []
+                for request in requests:  # a block at a time, to charge each target its read
+                    before = len(factorizations)
+                    got += super()._read_blocks([request])
+                    charge(request[0], before)
+                return got
+
+        class ChargingRecorder(RecordingEngine):
+            def _query_block(self, b, sources, cond, got=None):
                 before = len(factorizations)
-                verdicts = super()._decide_block(b, sources, cond)
-                per_target[b] = per_target.get(b, 0) + len(factorizations) - before
+                verdicts = super()._query_block(b, sources, cond, got)
+                charge(b, before)  # the single queries of the sources the read left out
                 return verdicts
 
         class SingleQueries(GaussianEngine):
-            _decide_block = CiEngine._decide_block
+            _read_blocks = CiEngine._read_blocks
 
         fits = []
-        for engine_class in (BlockCounting, SingleQueries):
-            recorder = RecordingEngine(engine_class(data, alpha=cfg.alpha))
+        for engine_class, recorder_class in ((BlockCounting, ChargingRecorder), (SingleQueries, RecordingEngine)):
+            recorder = recorder_class(engine_class(data, alpha=cfg.alpha))
             if algorithm == "learn":
                 res = learn(data, ordering, cfg, engine=recorder)
                 fit = (res.diagnostics.removals_per_level, res.diagnostics.ci_tests, res.as_pdag())
@@ -261,8 +273,8 @@ class TestSkeletonDriver:
         windows = []
 
         class Blocks(GaussianEngine):
-            def _query_block(self, b, sources, cond):
-                verdicts = super()._query_block(b, sources, cond)
+            def _query_block(self, b, sources, cond, got=None):
+                verdicts = super()._query_block(b, sources, cond, got)
                 blocks.append((b, sources, cond, [bool(independent) for independent in verdicts[0]]))
                 return verdicts
 

@@ -52,7 +52,7 @@ from podag.sem import (
     toy_two_layer_sem,
 )
 from podag.screening import BACKENDS
-from podag.stats import _factor_spd, _factored_pool, block_partial_correlations
+from podag.stats import _factor_spd, _factored_pool, _fisher_z_statistics, block_partial_correlations
 
 from helpers import counting_factorizations, dependent_four_columns, random_layered_instance, toy_diamond
 
@@ -885,6 +885,125 @@ class TestBlockQueries:
         got = block_verdicts(engine, 2, [0, 1, 3], {0, 1})
         assert got == [engine.query(a, 2, {0, 1} - {a}) for a in (0, 1, 3)]
         assert engine.n_queries == 6
+
+
+def per_block_read(engine, b, sources, cond):
+    """``_read_blocks``' entry for one block, read a block at a time: ``_factored_pool``, then ``_fisher_z_statistics``.
+
+    None when no block is read (one source, or no degrees of freedom
+    outside ``cond``).  An empty ``cond`` reads three covariance entries
+    per source; a union that fails the guard reads only the sources
+    inside it, by ``fisher_z_test``.
+    """
+    n, sigma = engine.cov.n, engine.cov.values
+    dof = n - len(cond) - 3
+    if len(sources) < 2 or dof <= 0:
+        return None
+    inside = [a in cond for a in sources]
+    dofs = np.array([dof + 1 if f else dof for f in inside])
+    if not cond:
+        rhos = np.clip(sigma[sources, b] / np.sqrt(sigma.diagonal()[sources] * sigma[b, b]), -1, 1)
+        z, independent = _fisher_z_statistics(rhos, dofs, engine.alpha)
+        return [True] * len(sources), independent.tolist(), z.tolist()
+    order = sorted(cond | {b})
+    t = order.index(b)
+    outside = [a for a, f in zip(sources, inside) if not f]
+    try:
+        column = _factored_pool(sigma, order, t)[0]
+        bordered, kept = _factored_pool(sigma, order, borders=outside)[1:] if outside else ((), ())
+    except SingularityError:
+        read, independent, z = [False] * len(sources), [False] * len(sources), [0.0] * len(sources)
+        for k, a in enumerate(sources):
+            if inside[k]:
+                verdict = outcome(lambda: fisher_z_test(engine.cov, n, min(a, b), max(a, b), cond - {a}, engine.alpha))
+                if isinstance(verdict, CiVerdict):
+                    read[k], independent[k], z[k] = True, verdict.independent, verdict.statistic
+        return read, independent, z
+    borders = iter(range(len(outside)))
+    rhos, read = [], []
+    for a, f in zip(sources, inside):
+        c = None if f else next(borders)
+        rhos.append(column[order.index(a)] if f else bordered[t, c])  # row t of the bordered reads
+        read.append(True if f else bool(kept[c]))
+    z, independent = _fisher_z_statistics(np.array(rhos), dofs, engine.alpha)
+    return read, independent.tolist(), z.tolist()
+
+
+def assert_reads_equal(entry, want, request):
+    """Equal read flags, and equal verdicts and statistics, bit for bit, where a source is read."""
+    if want is None:
+        assert entry is None, request
+        return
+    read, independent, z = entry
+    assert read == want[0], request
+    for k in itertools.compress(range(len(read)), read):
+        assert (independent[k], z[k]) == (want[1][k], want[2][k]), (request, k)
+
+
+def near_singular_cov(seed, m, rows, eps):
+    """A covariance of ``rows`` samples of ``m`` columns, and columns ``(u, v, w)``: ``w`` is ``eps`` away from a combination of the other two.
+
+    With ``rows <= m`` the matrix is singular; a small ``eps`` leaves
+    ``w`` a residual variance below the bordered read's floor.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, m))
+    u, v, w = rng.choice(m, size=3, replace=False)
+    x[:, w] = x[:, u] + rng.normal() * x[:, v] + eps * rng.normal(size=rows)
+    return x.T @ x / rows, (int(u), int(v), int(w))
+
+
+class TestStageReads:
+    """``GaussianEngine._read_blocks`` reads a stage of blocks as each block's own read would, bit for bit."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(4, 10),
+        rows=st.integers(3, 30),
+        eps=st.sampled_from([1.0, 1e-3, 1e-5, 1e-8, 0.0]),
+        n=st.integers(4, 300),
+        alpha=st.sampled_from([0.5, 0.05, 0.001]),
+        plan=st.lists(
+            st.tuples(st.integers(0, 2**16), st.floats(0.0, 1.0), st.integers(1, 9)), min_size=1, max_size=5
+        ),
+    )
+    def test_stage_reads_equal_per_block_reads(self, seed, m, rows, eps, n, alpha, plan):
+        cov = CovMatrix(near_singular_cov(seed, m, rows, eps)[0], n=n)
+        engine = GaussianEngine(cov, alpha=alpha)
+        requests = []
+        for pick, share, size in plan:
+            local = np.random.default_rng(pick)
+            b = int(local.integers(m))
+            others = [int(v) for v in local.permutation([v for v in range(m) if v != b])]
+            cond = frozenset(v for v in others if local.random() < share)  # empty for share 0
+            requests.append((b, others[: min(size, m - 1)], cond))
+        got = list(engine._read_blocks(requests))
+        assert len(got) == len(requests)
+        for request, entry in zip(requests, got):
+            assert_reads_equal(entry, per_block_read(engine, *request), request)
+
+    def test_the_stage_holds_every_kind_of_read(self):
+        # one stage with an empty cond, sources inside and outside cond, a
+        # border below its floor, a union that fails the guard, and blocks
+        # of one source or without degrees of freedom
+        values, (u, v, w) = near_singular_cov(4, 8, 40, 1e-7)
+        engine = GaussianEngine(CovMatrix(values, n=10), alpha=0.05)
+        b = next(t for t in range(8) if t not in (u, v, w))
+        rest = [t for t in range(8) if t not in (u, v, w, b)]
+        requests = [
+            (b, [u, rest[0]], frozenset()),
+            (b, [u, v, w, rest[0]], frozenset({u, v})),  # w borders a union holding u and v
+            (b, [u, rest[0]], frozenset({u, v, w})),  # a singular union
+            (b, [u], frozenset({u, v})),
+            (b, [u, v], frozenset(rest) | {u, v, w}),  # 10 - 7 - 3 <= 0
+        ]
+        got = list(engine._read_blocks(requests))
+        assert [entry is None for entry in got] == [False, False, False, True, True]
+        assert got[0][0] == [True, True] and got[1][0] == [True, True, False, True]
+        assert got[2][0] == [True, False]  # fisher_z_test reads the source inside the union
+        for request, entry in zip(requests, got):
+            assert_reads_equal(entry, per_block_read(engine, *request), request)
 
 
 def sequential_first(engine, a, b, base, subsets):
