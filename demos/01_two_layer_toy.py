@@ -31,10 +31,10 @@ def main():
     print("Population behaviour (d-separation oracle):")
     oracle = OracleEngine(sem.dag)
     h0 = estimate_h0(oracle, ordering, labels=labels)
-    show("testing against the other first-layer node only", h0.edges, labels)
+    show("testing against the other first-layer node only", h0.pdag.directed_edges, labels)
     print("    -> the mediated path X1 -> Y1 -> Y2 shows up as a false edge X1->Y2")
     hj = estimate_h_minus_j(OracleEngine(sem.dag), ordering, labels=labels)
-    show("testing against everything else", hj.edges, labels)
+    show("testing against everything else", hj.pdag.directed_edges, labels)
     print("    -> conditioning on the shared child Y2 opens X2 -- Y1")
 
     res = learn(sem.dag, ordering, PodagConfig())
@@ -45,8 +45,8 @@ def main():
     h0_fp = hj_fp = exact = 0
     for seed in range(20):
         data = sample(sem, 1000, rng_from_seed(seed))
-        h0_fp += (0, 3) in estimate_h0(GaussianEngine(data, 0.05), ordering).edges
-        hj_fp += (1, 2) in estimate_h_minus_j(GaussianEngine(data, 0.05), ordering).edges
+        h0_fp += (0, 3) in estimate_h0(GaussianEngine(data, 0.05), ordering).pdag.directed_edges
+        hj_fp += (1, 2) in estimate_h_minus_j(GaussianEngine(data, 0.05), ordering).pdag.directed_edges
         exact += learn(data, ordering, PodagConfig()).cross_edges == {(0, 2), (1, 3)}
     print(f"  false edge X1->Y2 under the first naive estimator: {h0_fp}/20 seeds")
     print(f"  false edge X2->Y1 under the second naive estimator: {hj_fp}/20 seeds")

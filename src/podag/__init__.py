@@ -43,7 +43,6 @@ from .screening import (
     ScreenEntry,
     ScreenSets,
     default_lambda_grid,
-    inflate_screen_sets,
     lasso_fit,
     lasso_lambda_max,
     screen_all,

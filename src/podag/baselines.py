@@ -29,10 +29,6 @@ class BaselineResult:
     sepsets: SepsetMap
     ci_tests: int
 
-    @property
-    def edges(self):
-        return self.pdag.directed_edges
-
     def to_json(self):
         labels = self.pdag.labels
         doc = {

@@ -60,7 +60,6 @@ __all__ = [
     "lasso_lambda_max",
     "default_lambda_grid",
     "select_lambda_aic",
-    "inflate_screen_sets",
 ]
 
 BACKENDS = ("pcor", "sis", "lasso")
@@ -77,9 +76,9 @@ class ScreenEntry:
     verdicts on, ``(before(j), s0 + peers(j))``: every member it dropped
     was found independent of j given the rest of its stage's pool, and
     :meth:`verdict_sepset` returns that conditioning set.  Entries built
-    without CI verdicts (sis, lasso, :meth:`ScreenSets.from_json`,
-    :func:`inflate_screen_sets`) carry no pools.  The pools take no part
-    in equality or serialization.
+    without CI verdicts (sis, lasso, :meth:`ScreenSets.from_json`) carry
+    no pools.  The pools take no part in equality or serialization.  A
+    frozenset ``s0`` or ``s1`` is kept as given; any other becomes one of ints.
     """
 
     node: int
@@ -89,8 +88,9 @@ class ScreenEntry:
     pools: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "s0", frozenset(map(int, self.s0)))
-        object.__setattr__(self, "s1", frozenset(map(int, self.s1)))
+        for name in ("s0", "s1"):
+            if not isinstance(value := getattr(self, name), frozenset):
+                object.__setattr__(self, name, frozenset(map(int, value)))
         if self.node in self.s0 or self.node in self.s1:
             raise ValueError("a node cannot screen itself")
 
@@ -212,10 +212,10 @@ def _screen_node(ordering, j, select, n, notes=(), verdicts=False):
     orientation can read the separators (see :class:`ScreenEntry`).
     """
     before = ordering.before_set(j)
-    s0 = select(sorted(before), 0) if before else set()
+    s0 = frozenset(select(sorted(before), 0) if before else ())
     pool1 = sorted(s0) + sorted(ordering.peer_set(j))
-    s1 = select(pool1, 1) if pool1 else set()
-    notes = tuple(notes) + _success_warnings(j, frozenset(s0), frozenset(s1), n)
+    s1 = frozenset(select(pool1, 1) if pool1 else ())
+    notes = tuple(notes) + _success_warnings(j, s0, s1, n)
     pools = (before, frozenset(pool1)) if verdicts else ()
     return ScreenEntry(j, s0, s1, warnings=notes, pools=pools)
 
@@ -298,7 +298,7 @@ def _screen_pcor(source, ordering, targets, threshold=None, alpha=0.5):
     s1, error1 = _pcor_stage(cov, targets, pool1, threshold, alpha)
     entries = []
     for j, pool, kept0, kept1 in zip(targets, pool1, s0, s1):
-        notes = _success_warnings(j, frozenset(kept0), frozenset(kept1), n)
+        notes = _success_warnings(j, kept0, kept1, n)
         pools = (ordering.before_set(j), frozenset(pool))
         entries.append(ScreenEntry(j, kept0, kept1, warnings=notes, pools=pools))
     if error1 or error:
@@ -353,7 +353,7 @@ def _pcor_stage(cov, targets, pools, threshold, alpha, shared=lambda j, pool: No
             keep = (~_fisher_z_statistics(values, dofs, alpha)[1]).tolist()
     kept, start = [], 0
     for pool in pools:
-        kept.append(set(itertools.compress(pool, keep[start : start + len(pool)])))
+        kept.append(frozenset(itertools.compress(pool, keep[start : start + len(pool)])))
         start += len(pool)
     return kept, error
 
@@ -587,21 +587,3 @@ def screen_all(source, ordering, backend="pcor", params=None, targets=None):
     n_tests = sum(len(pool) for e in entries for pool in e.pools)  # only pcor records pools
     return ScreenSets(entries, n_nodes=ordering.n_nodes, labels=labels), n_tests
 
-
-def inflate_screen_sets(screen, ordering, rng, extra=3):
-    """Inflate every s0 and s1 with up to ``extra`` random eligible nodes.
-
-    Used to exercise superset robustness: the searching loop must return
-    the same graph when screening sets are replaced by supersets.
-    """
-    entries = []
-    for j in screen.nodes():
-        e = screen[j]
-        before = sorted(ordering.before_set(j) - e.s0)
-        pick0 = set(rng.choice(before, size=min(extra, len(before)), replace=False)) if before else set()
-        s0 = e.s0 | {int(v) for v in pick0}
-        pool1 = sorted((s0 | ordering.peer_set(j)) - e.s1)
-        pick1 = set(rng.choice(pool1, size=min(extra, len(pool1)), replace=False)) if pool1 else set()
-        s1 = e.s1 | {int(v) for v in pick1}
-        entries.append(ScreenEntry(j, s0, s1))
-    return ScreenSets(entries, n_nodes=screen.n_nodes, labels=screen.labels)

@@ -39,7 +39,6 @@ __all__ = [
     "RecordingEngine",
     "sample_covariance",
     "partial_correlation",
-    "block_partial_correlations",
     "fisher_z_test",
     "fisher_z_threshold",
 ]
@@ -276,49 +275,6 @@ def _factor_spd(block, context):
     return factor, omega
 
 
-def _factored_pool(sigma, pool, t=None, borders=(), context=None):
-    """Partial correlations read off one guarded factorization of the ``pool`` block of ``sigma``.
-
-    The block is factored and inverted to ``Omega`` by
-    :func:`_factor_spd`.  Returns ``(inside, outside, kept)``, clipped to
-    [-1, 1]:
-
-    - ``inside[k] = rho(pool[k], pool[t] | the rest of the pool) =
-      -Omega_kt / sqrt(Omega_kk Omega_tt)`` (None without ``t``; position
-      ``t`` reads -1);
-    - ``outside[k, c] = rho(pool[k], a | pool - {pool[k]})`` for each
-      column ``a = borders[c]`` outside the pool, which borders it: with
-      ``W = Sigma_pool^-1 Sigma_pool,a`` (one multi-column ``dpotrs``) and
-      ``s_a = Sigma_aa - Sigma_a,pool W``, it is ``W_k / sqrt(s_a
-      Omega_kk + W_k^2)``;
-    - ``kept[c]``, whether ``s_a`` reaches ``sqrt(RCOND_MIN) Sigma_aa``:
-      below it ``pool + [a]`` may be near singular, so the caller asks
-      column ``a`` another way.
-
-    Raises :class:`SingularityError` with ``context`` when the block
-    fails the guard or ``Omega`` has a non-positive diagonal.
-    """
-    rows = sigma.take(pool, axis=0)
-    factor, omega = _factor_spd(rows.take(pool, axis=1), context)
-    if borders:
-        cross = rows.take(borders, axis=1)
-        solved, _ = dpotrs(factor, cross, lower=1)
-        variances = sigma.diagonal()[borders]
-        residual = variances - np.einsum("ij,ij->j", cross, solved)
-    diag = omega.diagonal()
-    if (diag <= 0).any():
-        raise SingularityError(context=context)
-    inside = outside = kept = None
-    if t is not None:
-        column = np.concatenate((omega[t, :t], omega[t:, t]))  # the lower triangle's entries (k, t)
-        inside = _clip_unit(-column / np.sqrt(diag * diag[t]))
-    if borders:
-        with np.errstate(invalid="ignore"):  # a negative s_a is below its floor
-            outside = _clip_unit(solved / np.sqrt(residual * diag[:, None] + solved * solved))
-        kept = residual >= math.sqrt(RCOND_MIN) * variances
-    return inside, outside, kept
-
-
 def _clip_unit(values):
     """``values`` clipped to [-1, 1] in place (NaN stays NaN), as ``np.clip`` would."""
     np.maximum(values, -1.0, out=values)
@@ -326,26 +282,30 @@ def _clip_unit(values):
 
 
 def _read_stage(sigma, blocks):
-    """The reads of a stage of blocks: each block factored by itself, the arithmetic done once.
+    """The partial correlations of a stage of blocks, each factored by itself: the kernel's one block reader.
 
     ``blocks`` is an iterable, consumed once, of blocks ``(pool, t,
-    borders)``, lists of nodes but for the position ``t``.  A block
-    reads what :func:`_factored_pool` reads with ``t``, ``rho(pool[k],
-    pool[t] | the rest of the pool)`` at each position ``k`` (-1 at
-    ``t``), and row ``t`` of what it reads with ``borders``,
-    ``rho(pool[t], a | the rest of the pool)`` for each node ``a`` of
-    ``borders``.  Each block still takes its own
-    rows, :func:`_factor_spd` and border ``dpotrs``; the rhos of the
-    whole stage are then computed on concatenated arrays, with the same
-    elementwise arithmetic, so each equals :func:`_factored_pool`'s bit
-    for bit.
+    borders)``, lists of nodes but for the position ``t``; a single
+    query's union is a stage of one block.  With ``Omega`` the inverse of
+    the ``pool`` block (:func:`_factor_spd`), a block reads, clipped to
+    [-1, 1]:
 
-    Returns ``(rhos, read, failed)``.  ``rhos`` and ``read`` are flat
-    arrays: every block's positions, block after block, then every
+    - ``rho(pool[k], pool[t] | the rest) = -Omega_kt / sqrt(Omega_kk
+      Omega_tt)`` at each position ``k`` (-1 at ``t``);
+    - ``rho(pool[t], a | the rest) = w / sqrt(s_a Omega_tt + w^2)`` for
+      each node ``a`` of ``borders``, with ``w`` entry ``t`` of
+      ``Sigma_pool^-1 Sigma_pool,a`` (one ``dpotrs`` per block) and ``s_a
+      = Sigma_aa - Sigma_a,pool Sigma_pool^-1 Sigma_pool,a``.  Below ``s_a
+      = sqrt(RCOND_MIN) Sigma_aa``, ``pool + [a]`` may be near singular.
+
+    The rhos of the whole stage are computed at once on concatenated
+    arrays, elementwise, so a block reads the same bits alone as in any
+    stage.  Returns ``(rhos, read, failed)``.  ``rhos`` and ``read`` are
+    flat arrays: every block's positions, block after block, then every
     block's borders, block after block.  ``read`` is False for a border
-    below its residual floor (``kept``) and for every read of a block in
-    the sorted list ``failed``, whose pool fails the guard or whose
-    ``Omega`` has a non-positive diagonal.  Never raises.
+    below its floor and for every read of a block in the sorted list
+    ``failed``, whose pool fails the guard or whose ``Omega`` has a
+    non-positive diagonal.  Never raises.
     """
     # per block, copied out so that its factor and inverse are freed: Omega's column t, then its diagonal
     pieces, omega_tt, sizes, counts = [], [], [], []
@@ -392,18 +352,30 @@ def _read_stage(sigma, blocks):
 
 
 def _bordered_rhos(sigma, pool, targets):
-    """rho(k, t | pool - {k}) for every k in the sorted ``pool``, for each t of ``targets``.
+    """rho(k, t | pool - {k}) for every k in the sorted ``pool``, for each t of ``targets``: the shared-pool read.
 
-    The pool block is factored once and each target borders it
-    (:func:`_factored_pool`).  Returns ``{t: rhos}`` in pool order,
-    leaving out each target that is not kept; empty when the pool block
-    fails the guard.  The values equal :func:`block_partial_correlations`
-    up to rounding.
+    The pool block is factored once and every target borders it, as in
+    :func:`_read_stage`, but is read at every position ``k``: ``W_k /
+    sqrt(s_t Omega_kk + W_k^2)``.  Returns ``{t: rhos}`` in pool order,
+    without the targets below the residual floor; empty when the pool
+    block fails the guard or ``Omega`` has a non-positive diagonal.  The
+    values equal the target's own block read up to rounding.
     """
+    rows = sigma.take(pool, axis=0)
     try:
-        _, rhos, kept = _factored_pool(sigma, pool, borders=targets)
+        factor, omega = _factor_spd(rows.take(pool, axis=1), None)
     except SingularityError:
         return {}
+    diag = omega.diagonal()
+    if (diag <= 0).any():
+        return {}
+    cross = rows.take(targets, axis=1)
+    solved, _ = dpotrs(factor, cross, lower=1)
+    variances = sigma.diagonal()[targets]
+    residual = variances - np.einsum("ij,ij->j", cross, solved)
+    with np.errstate(invalid="ignore"):  # a negative s_t is below its floor
+        rhos = _clip_unit(solved / np.sqrt(residual * diag[:, None] + solved * solved))
+    kept = residual >= math.sqrt(RCOND_MIN) * variances
     return {t: rhos[:, c] for c, t in enumerate(targets) if kept[c]}
 
 
@@ -448,23 +420,6 @@ def partial_correlation(cov, i, j, s):
         )
     rho = float(d / np.sqrt(vii * vjj))
     return min(max(rho, -1.0), 1.0)
-
-
-def block_partial_correlations(cov, j, pool):
-    """rho(k, j | pool - {k}) for every k in ``pool``, via one factorization.
-
-    The partial correlations of k and j given the rest of the ``pool +
-    [j]`` block, read off its precision matrix by :func:`_factored_pool`,
-    so a single inversion serves all k.  The values equal per-pair
-    :func:`partial_correlation` calls up to rounding.
-    """
-    pool = [int(v) for v in pool]
-    if j in pool:
-        raise ValueError("pool must not contain j")
-    if not pool:
-        return np.zeros(0)
-    inside, _, _ = _factored_pool(cov.values, pool + [int(j)], len(pool), context=(j, "pool", tuple(pool)))
-    return inside[:-1]
 
 
 @dataclass(frozen=True)
@@ -682,10 +637,10 @@ class GaussianEngine(CiEngine):
     the engine never changes after construction, so it is safe to share
     across threads.
 
-    A query ``(i, j | S)`` with S non-empty reads its partial correlation
-    off the precision matrix of the sorted union block ``U = S + {i,
-    j}`` (:func:`_factored_pool`).  With S empty it is
-    :func:`fisher_z_test`'s.
+    Every partial correlation the engine reads off a factored block comes
+    from :func:`_read_stage`.  A query ``(i, j | S)`` with S non-empty is
+    a stage of one block, the sorted union ``U = S + {i, j}`` read at
+    ``j``.  With S empty it is :func:`fisher_z_test`'s.
 
     ``_read_blocks`` reads a whole stage of blocks ``(b, sources, cond)``
     (the level-0 tests of every target) with one :func:`_read_stage`
@@ -738,12 +693,10 @@ class GaussianEngine(CiEngine):
         if s:
             dof = _fisher_z_dof(self._n, len(s))
             order = sorted(s.union((i, j)))
-            try:
-                rhos, _, _ = _factored_pool(self.cov.values, order, order.index(j))
-            except SingularityError:  # fisher_z_test's own solve decides, or raises
-                pass
-            else:
-                return _fisher_z_verdict(rhos[order.index(i)], dof, self.alpha)
+            rhos, read, _ = _read_stage(self.cov.values, [(order, order.index(j), [])])
+            k = order.index(i)
+            if read[k]:  # otherwise fisher_z_test's own solve decides, or raises
+                return _fisher_z_verdict(rhos[k], dof, self.alpha)
         return fisher_z_test(self.cov, self._n, i, j, s, self.alpha)
 
     def speculate(self, requests):

@@ -13,7 +13,7 @@ import podag.stats
 from podag import Dag, Dataset, PartialOrdering, Pdag, SepsetMap, apply_meek_rules, orient_v_structures
 from podag.errors import PodagError
 from podag.graph import orient_by_ordering
-from podag.screening import LASSO_MAX_SWEEPS, LASSO_TIE, LASSO_TOL
+from podag.screening import LASSO_MAX_SWEEPS, LASSO_TIE, LASSO_TOL, ScreenEntry, ScreenSets
 from podag.sem import GenConfig, generate_layered_dag, rng_from_seed
 
 
@@ -230,11 +230,13 @@ def dependent_four_columns():
     return Dataset(x), PartialOrdering([{0, 1}, {2, 3}], n_nodes=4)
 
 
-def counting_factorizations(monkeypatch, name="_factored_pool"):
+def counting_factorizations(monkeypatch, name="_read_stage"):
     """Arguments of each call to ``podag.stats.<name>``, in call order.
 
-    ``_factor_spd`` counts every guarded factorization; ``_factored_pool``
-    only those of a pool that is read.
+    ``_factor_spd`` counts every guarded factorization; ``_read_stage``
+    the engine's block reads, a stage of level-0 blocks or a single
+    query's union (screening holds its own reference, which is not
+    counted).
     """
     calls = []
     factor = getattr(podag.stats, name)
@@ -286,3 +288,22 @@ def residual_lasso(y, x, lam, tol=LASSO_TOL, max_sweeps=LASSO_MAX_SWEEPS):
         while sweeps < max_sweeps and sweep(active) >= tol:
             pass
     return beta, False
+
+
+def inflate_screen_sets(screen, ordering, rng, extra=3):
+    """Inflate every s0 and s1 with up to ``extra`` random eligible nodes.
+
+    Used to exercise superset robustness: the searching loop must return
+    the same graph when screening sets are replaced by supersets.
+    """
+    entries = []
+    for j in screen.nodes():
+        e = screen[j]
+        before = sorted(ordering.before_set(j) - e.s0)
+        pick0 = set(rng.choice(before, size=min(extra, len(before)), replace=False)) if before else set()
+        s0 = e.s0 | {int(v) for v in pick0}
+        pool1 = sorted((s0 | ordering.peer_set(j)) - e.s1)
+        pick1 = set(rng.choice(pool1, size=min(extra, len(pool1)), replace=False)) if pool1 else set()
+        s1 = e.s1 | {int(v) for v in pick1}
+        entries.append(ScreenEntry(j, s0, s1))
+    return ScreenSets(entries, n_nodes=screen.n_nodes, labels=screen.labels)

@@ -25,7 +25,6 @@ from podag import (
     PodagConfig,
     estimate_h0,
     estimate_h_minus_j,
-    inflate_screen_sets,
     lasso_fit,
     learn,
     partial_correlation,
@@ -41,6 +40,7 @@ from podag.screening import ScreenSets
 from podag.sem import rng_from_seed, sample, spawn_rngs, toy_two_layer_sem
 
 from helpers import (
+    inflate_screen_sets,
     oracle_maximal_pdag,
     random_bipartite_instance,
     random_layered_instance,
@@ -67,8 +67,8 @@ def test_criterion_1_toy_reproduction():
         data = sample(sem, 1000, rng_from_seed(seed))
         h0 = estimate_h0(GaussianEngine(data, alpha=0.05), ordering)
         hj = estimate_h_minus_j(GaussianEngine(data, alpha=0.05), ordering)
-        h0_hits += (0, 3) in h0.edges  # X1 -> Y2 through the mediating path
-        hj_hits += (1, 2) in hj.edges  # X2 -> Y1 through the open collider
+        h0_hits += (0, 3) in h0.pdag.directed_edges  # X1 -> Y2 through the mediating path
+        hj_hits += (1, 2) in hj.pdag.directed_edges  # X2 -> Y1 through the open collider
         res = learn(data, ordering, PodagConfig(alpha=0.05))
         exact += res.cross_edges == {(0, 2), (1, 3)}
     elapsed = time.perf_counter() - started
@@ -322,14 +322,14 @@ def test_criterion_7_failure_mode_patterns():
         engine = OracleEngine(dag)
         h0 = estimate_h0(engine, ordering)
         hj = estimate_h_minus_j(engine, ordering)
-        assert dag.cross_edges(ordering) <= h0.edges
-        assert dag.cross_edges(ordering) <= hj.edges
+        assert dag.cross_edges(ordering) <= h0.pdag.directed_edges
+        assert dag.cross_edges(ordering) <= hj.pdag.directed_edges
         second = ordering.layers[1]
-        for k, j in h0.edges - dag.edges:
+        for k, j in h0.pdag.directed_edges - dag.edges:
             fp0 += 1
             hops = dag.children(k) & second
             assert j in dag.descendants(hops - {j}), (sorted(dag.edges), k, j)
-        for k, j in hj.edges - dag.edges:
+        for k, j in hj.pdag.directed_edges - dag.edges:
             fpj += 1
             assert dag.children(k) & dag.children(j), (sorted(dag.edges), k, j)
         # with no within-layer edges both estimators are exact
@@ -338,8 +338,8 @@ def test_criterion_7_failure_mode_patterns():
             [e for e in dag.edges if not (e[0] in second and e[1] in second)],
         )
         truth = pruned.cross_edges(ordering)
-        assert estimate_h0(OracleEngine(pruned), ordering).edges == truth
-        assert estimate_h_minus_j(OracleEngine(pruned), ordering).edges == truth
+        assert estimate_h0(OracleEngine(pruned), ordering).pdag.directed_edges == truth
+        assert estimate_h_minus_j(OracleEngine(pruned), ordering).pdag.directed_edges == truth
     report(7, f"100 instances; {fp0} path-pattern and {fpj} collider-pattern false positives checked")
 
 

@@ -50,18 +50,18 @@ class TestH0:
     def test_toy_includes_path_false_positive(self):
         sem, ordering = toy_two_layer_sem()
         res = estimate_h0(OracleEngine(sem.dag), ordering)
-        assert res.edges == {(0, 2), (1, 3), (0, 3)}
+        assert res.pdag.directed_edges == {(0, 2), (1, 3), (0, 3)}
 
     def test_edgeless(self):
         ordering = PartialOrdering([{0, 1}, {2, 3}], n_nodes=4)
         res = estimate_h0(OracleEngine(Dag(4, [])), ordering)
-        assert res.edges == frozenset()
+        assert res.pdag.directed_edges == frozenset()
 
     def test_chain_gains_one_false_positive_per_descendant(self):
         dag = Dag(4, [(0, 1), (1, 2), (2, 3)])
         ordering = PartialOrdering([{0}, {1, 2, 3}], n_nodes=4)
         res = estimate_h0(OracleEngine(dag), ordering)
-        assert res.edges == {(0, 1), (0, 2), (0, 3)}
+        assert res.pdag.directed_edges == {(0, 1), (0, 2), (0, 3)}
 
     def test_needs_two_layers(self):
         with pytest.raises(ValueError):
@@ -72,8 +72,8 @@ class TestH0:
         for _ in range(30):
             dag, ordering = random_bipartite_instance(rng)
             res = estimate_h0(OracleEngine(dag), ordering)
-            assert dag.cross_edges(ordering) <= res.edges
-            for k, j in res.edges - dag.edges:
+            assert dag.cross_edges(ordering) <= res.pdag.directed_edges
+            for k, j in res.pdag.directed_edges - dag.edges:
                 assert h0_false_positive_pattern(dag, ordering, k, j), (
                     sorted(dag.edges),
                     k,
@@ -85,12 +85,12 @@ class TestHMinusJ:
     def test_toy_includes_collider_false_positive(self):
         sem, ordering = toy_two_layer_sem()
         res = estimate_h_minus_j(OracleEngine(sem.dag), ordering)
-        assert res.edges == {(0, 2), (1, 3), (1, 2)}
+        assert res.pdag.directed_edges == {(0, 2), (1, 3), (1, 2)}
 
     def test_edgeless(self):
         ordering = PartialOrdering([{0, 1}, {2, 3}], n_nodes=4)
         res = estimate_h_minus_j(OracleEngine(Dag(4, [])), ordering)
-        assert res.edges == frozenset()
+        assert res.pdag.directed_edges == frozenset()
 
     def test_no_within_layer_edges_means_exact(self):
         # with no second-layer edges both naive estimators equal the truth
@@ -103,16 +103,16 @@ class TestHMinusJ:
                 [e for e in dag.edges if not (e[0] in second and e[1] in second)],
             )
             truth = pruned.cross_edges(ordering)
-            assert estimate_h0(OracleEngine(pruned), ordering).edges == truth
-            assert estimate_h_minus_j(OracleEngine(pruned), ordering).edges == truth
+            assert estimate_h0(OracleEngine(pruned), ordering).pdag.directed_edges == truth
+            assert estimate_h_minus_j(OracleEngine(pruned), ordering).pdag.directed_edges == truth
 
     def test_false_positives_match_open_collider_pattern(self):
         rng = rng_from_seed(10)
         for _ in range(30):
             dag, ordering = random_bipartite_instance(rng)
             res = estimate_h_minus_j(OracleEngine(dag), ordering)
-            assert dag.cross_edges(ordering) <= res.edges
-            for k, j in res.edges - dag.edges:
+            assert dag.cross_edges(ordering) <= res.pdag.directed_edges
+            for k, j in res.pdag.directed_edges - dag.edges:
                 assert hminus_false_positive_pattern(dag, k, j), (sorted(dag.edges), k, j)
 
 
@@ -140,7 +140,7 @@ class TestNaiveEstimatorBlocks:
         block = RecordingEngine(GaussianEngine(data))
         estimator = estimate_h_minus_j if adjust_second else estimate_h0
         res = estimator(block, ordering)
-        assert res.edges == want
+        assert res.pdag.directed_edges == want
         assert block.records == single.records
         assert res.ci_tests == single.n_queries
         assert len(factorizations) == len(second)

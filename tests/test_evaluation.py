@@ -85,7 +85,7 @@ class TestEdgeMetrics:
     def test_toy_h0_cross_counts(self):
         sem, ordering = toy_two_layer_sem()
         res = estimate_h0(OracleEngine(sem.dag), ordering)
-        m = edge_metrics(res.edges, sem.dag, scope="cross_only", ordering=ordering)
+        m = edge_metrics(res.pdag.directed_edges, sem.dag, scope="cross_only", ordering=ordering)
         assert (m.tp, m.fp, m.tn, m.fn) == (2, 1, 1, 0)
         assert m.tpr == 1.0
         assert m.fpr == 0.5

@@ -35,7 +35,6 @@ from podag import (
     PartialOrdering,
     Pdag,
     PodagConfig,
-    inflate_screen_sets,
     learn,
     pc,
     pc_plus,
@@ -44,7 +43,7 @@ from podag import (
 )
 from podag.sem import rng_from_seed
 
-from helpers import enumeration_maximal_pdag, oracle_maximal_pdag
+from helpers import enumeration_maximal_pdag, inflate_screen_sets, oracle_maximal_pdag
 
 EXAMPLES = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 

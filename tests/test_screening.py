@@ -12,7 +12,6 @@ from podag import (
     OracleEngine,
     PartialOrdering,
     default_lambda_grid,
-    inflate_screen_sets,
     lasso_fit,
     lasso_lambda_max,
     population_covariance,
@@ -25,7 +24,7 @@ from podag import (
 )
 from podag.errors import DegenerateDataError, InsufficientDataError, PodagError, SelectionError
 from podag.screening import LASSO_MAX_SWEEPS, ScreenEntry, ScreenSets
-from podag.stats import _bordered_rhos, block_partial_correlations
+from podag.stats import _bordered_rhos, _read_stage
 from podag.sem import (
     GenConfig,
     generate_layered_dag,
@@ -36,7 +35,7 @@ from podag.sem import (
     toy_two_layer_sem,
 )
 
-from helpers import dependent_four_columns, random_layered_instance, residual_lasso
+from helpers import dependent_four_columns, inflate_screen_sets, random_layered_instance, residual_lasso
 
 
 def toy_population_cov():
@@ -75,6 +74,11 @@ class TestScreenPcorToy:
         assert y2.verdict_sepset(1) is None and y2.verdict_sepset(2) is None  # kept
         plain = ScreenEntry(3, y2.s0, y2.s1)
         assert plain == y2 and plain.verdict_sepset(0) is None
+        assert plain.s0 is y2.s0 and plain.s1 is y2.s1  # a frozenset is kept as given
+        assert all(type(v) is int for v in y2.s0 | y2.s1)  # screening hands it Python ints
+        listed = ScreenEntry(3, list(np.array(sorted(y2.s0))), np.array(sorted(y2.s1)))
+        assert listed == y2 and isinstance(listed.s0, frozenset) and isinstance(listed.s1, frozenset)
+        assert all(type(v) is int for v in listed.s0 | listed.s1)  # other inputs are normalized
 
     def test_empty_graph_screens_empty(self):
         cov = CovMatrix(np.eye(4), n=100)
@@ -567,7 +571,9 @@ class TestSharedBeforeSets:
             rhos = _bordered_rhos(cov.values, pool, group)
             assert sorted(rhos) == group  # a well-conditioned pool serves every target
             for t in group:
-                np.testing.assert_allclose(rhos[t], block_partial_correlations(cov, t, pool), rtol=0, atol=1e-12)
+                own, read, _ = _read_stage(cov.values, [(pool + [t], len(pool), [])])  # the target's own block
+                assert read.all()
+                np.testing.assert_allclose(rhos[t], own[:-1], rtol=0, atol=1e-12)
 
         reads = []
         params = {"alpha": alpha} if threshold is None else {"threshold": threshold}

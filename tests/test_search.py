@@ -20,7 +20,6 @@ from podag import (
     PodagConfig,
     RecordingEngine,
     generate_layered_dag,
-    inflate_screen_sets,
     learn,
     pc,
     pc_plus,
@@ -37,6 +36,7 @@ from podag.stats import CiEngine, GaussianEngine, sample_covariance
 from helpers import (
     counting_factorizations,
     enumeration_maximal_pdag,
+    inflate_screen_sets,
     oracle_maximal_pdag,
     random_layered_instance,
 )

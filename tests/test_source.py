@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import podag
@@ -47,3 +48,13 @@ def test_every_private_definition_is_used():
     ]
     assert len(trees) > 1
     assert unused == []
+
+
+def test_every_exported_name_resolves():
+    # a deleted function must not leave its name in __all__, where
+    # ``from podag.<module> import *`` would raise
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module("podag" if path.stem == "__init__" else f"podag.{path.stem}")
+        stale += [f"{path.name}: {name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert stale == []

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpocon, dpotrf, dpotri
+from scipy.linalg.lapack import dpocon, dpotrf, dpotri, dpotrs
 from scipy.stats import norm
 
 import podag
@@ -52,7 +52,7 @@ from podag.sem import (
     toy_two_layer_sem,
 )
 from podag.screening import BACKENDS
-from podag.stats import _factor_spd, _factored_pool, _fisher_z_statistics, block_partial_correlations
+from podag.stats import _bordered_rhos, _factor_spd, _fisher_z_statistics, _read_stage
 
 from helpers import counting_factorizations, dependent_four_columns, random_layered_instance, toy_diamond
 
@@ -217,9 +217,10 @@ class TestPartialCorrelation:
         with pytest.raises(SingularityError) as err:
             partial_correlation(cov, 0, 1, [2, 3])
         assert err.value.context == (0, 1, (2, 3))
-        with pytest.raises(SingularityError) as err:
-            block_partial_correlations(cov, 0, [2, 3])
-        assert err.value.context == (0, "pool", (2, 3))
+        # in a stage, the block of the pool [2, 3] with target 0 fails the guard alone
+        _, read, failed = _read_stage(cov.values, [([0, 1], 1, []), ([2, 3, 0], 2, [])])
+        assert failed == [1]
+        assert read.tolist() == [True, True, False, False, False]
 
     def test_matches_precision_and_residual_oracles(self):
         rng = rng_from_seed(2024)
@@ -241,7 +242,8 @@ class TestPartialCorrelation:
         rng = np.random.default_rng(seed)
         cov = CovMatrix(random_pd(rng, m))
         j, *pool = (int(v) for v in rng.permutation(m)[: int(rng.integers(2, m + 1))])
-        got = block_partial_correlations(cov, j, pool)
+        got, read, _ = _read_stage(cov.values, [(pool + [j], len(pool), [])])
+        assert read.all()
         for k, rho in zip(pool, got):
             rest = [v for v in pool if v != k]
             assert rho == pytest.approx(partial_correlation(cov, k, j, rest), abs=1e-10), (k, j, pool)
@@ -872,12 +874,12 @@ class TestBlockQueries:
         cov = CovMatrix(random_pd(rng, m + 1))
         nodes = [int(v) for v in rng.permutation(m + 1)]
         pool, borders = sorted(nodes[: min(size, m - 1)]), nodes[min(size, m - 1) :]
-        _, bordered, kept = _factored_pool(cov.values, pool, borders=borders)
-        assert kept.all()
-        for k, c in itertools.product(range(len(pool)), range(len(borders))):
+        bordered = _bordered_rhos(cov.values, pool, borders)
+        assert sorted(bordered) == sorted(borders)  # every border is kept
+        for k, a in itertools.product(range(len(pool)), borders):
             rest = [v for v in pool if v != pool[k]]
-            want = partial_correlation(cov, pool[k], borders[c], rest)
-            assert abs(bordered[k, c] - want) <= 1e-12, (pool, borders, k, c)
+            want = partial_correlation(cov, pool[k], a, rest)
+            assert abs(bordered[a][k] - want) <= 1e-12, (pool, borders, k, a)
 
     def test_default_block_loops_over_single_queries(self):
         dag = Dag(4, [(0, 2), (1, 2), (2, 3)])
@@ -887,8 +889,38 @@ class TestBlockQueries:
         assert engine.n_queries == 6
 
 
+def factored_block(sigma, pool, t, borders):
+    """``(column, bordered, kept)`` of one block, computed by itself; None where the block is not read.
+
+    With ``Omega`` the inverse of the guarded ``pool`` block:
+    ``column[k] = -Omega_kt / sqrt(Omega_kk Omega_tt)``, and for each
+    border ``a``, with ``W = Sigma_pool^-1 Sigma_pool,a`` and ``s_a =
+    Sigma_aa - Sigma_a,pool W``, ``bordered = W_t / sqrt(s_a Omega_tt +
+    W_t^2)``, kept where ``s_a >= sqrt(RCOND_MIN) Sigma_aa``.  None where
+    the block fails the guard or ``Omega`` has a non-positive diagonal.
+    """
+    rows = sigma.take(pool, axis=0)
+    try:
+        factor, omega = _factor_spd(rows.take(pool, axis=1), context=None)
+    except SingularityError:
+        return None
+    diag = omega.diagonal()
+    if (diag <= 0).any():
+        return None
+    column = np.clip(-np.concatenate((omega[t, :t], omega[t:, t])) / np.sqrt(diag * diag[t]), -1, 1)
+    if not borders:
+        return column, (), ()
+    cross = rows.take(borders, axis=1)
+    solved, _ = dpotrs(factor, cross, lower=1)
+    variances = sigma.diagonal()[borders]
+    residual = variances - np.einsum("ij,ij->j", cross, solved)
+    with np.errstate(invalid="ignore"):  # a negative s_a is below its floor
+        bordered = np.clip(solved[t] / np.sqrt(residual * diag[t] + solved[t] * solved[t]), -1, 1)
+    return column, bordered, residual >= np.sqrt(podag.stats.RCOND_MIN) * variances
+
+
 def per_block_read(engine, b, sources, cond):
-    """``_read_blocks``' entry for one block, read a block at a time: ``_factored_pool``, then ``_fisher_z_statistics``.
+    """``_read_blocks``' entry for one block, read a block at a time: ``factored_block``, then ``_fisher_z_statistics``.
 
     None when no block is read (one source, or no degrees of freedom
     outside ``cond``).  An empty ``cond`` reads three covariance entries
@@ -908,10 +940,8 @@ def per_block_read(engine, b, sources, cond):
     order = sorted(cond | {b})
     t = order.index(b)
     outside = [a for a, f in zip(sources, inside) if not f]
-    try:
-        column = _factored_pool(sigma, order, t)[0]
-        bordered, kept = _factored_pool(sigma, order, borders=outside)[1:] if outside else ((), ())
-    except SingularityError:
+    block = factored_block(sigma, order, t, outside)
+    if block is None:
         read, independent, z = [False] * len(sources), [False] * len(sources), [0.0] * len(sources)
         for k, a in enumerate(sources):
             if inside[k]:
@@ -919,11 +949,12 @@ def per_block_read(engine, b, sources, cond):
                 if isinstance(verdict, CiVerdict):
                     read[k], independent[k], z[k] = True, verdict.independent, verdict.statistic
         return read, independent, z
+    column, bordered, kept = block
     borders = iter(range(len(outside)))
     rhos, read = [], []
     for a, f in zip(sources, inside):
         c = None if f else next(borders)
-        rhos.append(column[order.index(a)] if f else bordered[t, c])  # row t of the bordered reads
+        rhos.append(column[order.index(a)] if f else bordered[c])
         read.append(True if f else bool(kept[c]))
     z, independent = _fisher_z_statistics(np.array(rhos), dofs, engine.alpha)
     return read, independent.tolist(), z.tolist()
