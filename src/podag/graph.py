@@ -523,6 +523,11 @@ def orient_by_ordering(pdag, ordering):
     Edges between nodes the ordering leaves mutually unordered stay
     undirected; directed edges are kept as they are.
     """
+    return Pdag(pdag.n_nodes, *_ordered_edges(pdag, ordering), labels=pdag.labels)
+
+
+def _ordered_edges(pdag, ordering):
+    """The directed and the undirected edge set of :func:`orient_by_ordering`, as sets."""
     directed = set(pdag.directed_edges)
     undirected = set()
     for u, v in pdag.undirected_edges:
@@ -532,7 +537,7 @@ def orient_by_ordering(pdag, ordering):
             directed.add((v, u))
         else:
             undirected.add((u, v))
-    return Pdag(pdag.n_nodes, directed, undirected, labels=pdag.labels)
+    return directed, undirected
 
 
 def _unshielded_pairs(state):

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -40,7 +41,6 @@ from .stats import (
     Dataset,
     _bordered_rhos,
     _checked_covariance,
-    _correlation,
     _covariance,
     _dependence_error,
     _fisher_z_dof,
@@ -365,8 +365,8 @@ def screen_sis(source, ordering, j, t=0.5, mode="top", pvalue_cutoff=0.5):
     ``|Sigma_kj| / sqrt(Sigma_kk Sigma_jj)`` on the covariance that every
     backend reads (a :class:`Dataset`'s checked sample covariance, or a
     :class:`CovMatrix` as given).  ``mode="top"`` keeps the ceil(t*n)
-    highest-scoring candidates, ties resolved by node index (all of them
-    when fewer are available).  ``mode="pvalue"`` instead keeps
+    highest-scoring candidates, ties resolved by node index (all of them,
+    unscored, when no more are available).  ``mode="pvalue"`` instead keeps
     candidates whose marginal correlation the Fisher z test at level
     ``pvalue_cutoff`` rejects: two-sided p-value below the cutoff.
 
@@ -390,12 +390,15 @@ def screen_sis(source, ordering, j, t=0.5, mode="top", pvalue_cutoff=0.5):
             raise ValueError("pvalue_cutoff must be in (0, 1)")
         dof = _fisher_z_dof(n, 0)
     sigma = _covariance(source).values
+    quota = math.ceil(t * n) if mode == "top" else None
 
     def select(candidates, stage):
+        if quota is not None and quota >= len(candidates):
+            return set(candidates)  # all are kept, so none is scored
         scores = np.abs(sigma[candidates, j]) / np.sqrt(np.diag(sigma)[candidates] * sigma[j, j])
-        if mode == "top":
+        if quota is not None:
             order = sorted(range(len(candidates)), key=lambda idx: (-scores[idx], candidates[idx]))
-            return {candidates[idx] for idx in order[: int(np.ceil(t * n))]}
+            return {candidates[idx] for idx in order[:quota]}
         _, independent = _fisher_z_statistics(np.clip(scores, 0.0, 1.0 - 1e-15), dof, pvalue_cutoff)
         return {k for k, ind in zip(candidates, independent) if not ind}
 
@@ -429,12 +432,15 @@ def _lasso(gram, xy, lam, warm_start=None, tol=LASSO_TOL, max_sweeps=LASSO_MAX_S
     coefficient.  Sweeps the active set until it stabilizes, then all
     coordinates to confirm optimality; ``converged`` is False when the
     sweep cap is hit.  A ``trace`` list gets the objective after every sweep.
+    The coordinate updates run on Python floats, the IEEE operations of
+    numpy scalars: only ``G b`` is kept as an array.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    beta = np.zeros(len(xy)) if warm_start is None else np.asarray(warm_start, dtype=float).copy()
-    diag = np.diag(gram)
-    fitted = gram @ beta
+    lam = float(lam)
+    start = np.zeros(len(xy)) if warm_start is None else np.asarray(warm_start, dtype=float)
+    fitted = gram @ start
+    beta, diag, xys = start.tolist(), np.diag(gram).tolist(), xy.tolist()
     sweeps = 0
 
     def sweep(indices):
@@ -442,29 +448,32 @@ def _lasso(gram, xy, lam, warm_start=None, tol=LASSO_TOL, max_sweeps=LASSO_MAX_S
         sweeps += 1
         max_delta = 0.0
         for k in indices:
-            if diag[k] == 0.0:
+            d = diag[k]
+            if d == 0.0:
                 continue
             old = beta[k]
-            z = xy[k] - fitted[k] + diag[k] * old
+            z = xys[k] - fitted.item(k) + d * old
             excess = abs(z) - lam
-            new = np.sign(z) * excess / diag[k] if excess > LASSO_TIE * abs(z) else 0.0
+            # excess > 0 here, so copysign is np.sign(z) * excess; a zero or NaN z moves to 0
+            new = math.copysign(excess, z) / d if excess > LASSO_TIE * abs(z) else 0.0
             if new != old:
                 beta[k] = new
                 fitted += gram[k] * (new - old)
                 max_delta = max(max_delta, abs(new - old))
         if trace is not None:
-            trace.append(float(yy / 2 - xy @ beta + beta @ fitted / 2 + lam * np.abs(beta).sum()))
+            b = np.array(beta)
+            trace.append(float(yy / 2 - xy @ b + b @ fitted / 2 + lam * np.abs(b).sum()))
         return max_delta
 
     converged = False
     while sweeps < max_sweeps:
-        if sweep(range(len(xy))) < tol:
+        if sweep(range(len(beta))) < tol:
             converged = True
             break
-        active = np.nonzero(beta)[0]
+        active = [k for k, b in enumerate(beta) if b]
         while sweeps < max_sweeps and sweep(active) >= tol:
             pass
-    return LassoFit(beta, float(lam), frozenset(map(int, np.flatnonzero(beta))), sweeps, converged)
+    return LassoFit(np.array(beta), lam, frozenset(k for k, b in enumerate(beta) if b), sweeps, converged)
 
 
 def _lambda_grid(xy, size=50, ratio=0.01):
@@ -526,15 +535,18 @@ def screen_lasso(source, ordering, j, lambda0=None, lambda1=None, aic=False):
     selects each penalty by AIC over a log-spaced grid.  Both read n:
     population input needs ``lambda0`` and ``lambda1``.  Columns are
     standardized (the active set is what matters downstream):
-    :func:`_lasso` reads the pool's correlation block, as sis reads it.
+    :func:`_lasso` reads the pool's block of the covariance's correlation
+    matrix, taken from the one that :func:`_checked_covariance` computed
+    (a :class:`CovMatrix` from elsewhere computes it once, on first use).
     """
     cov = _covariance(source)
     n = cov.n
     notes = []
 
     def active(pool, stage):
-        corr = _correlation(cov.values[np.ix_(pool + [j], pool + [j])])
-        gram, xy, yy = corr[:-1, :-1], corr[:-1, -1], corr[-1, -1]
+        idx = pool + [j]
+        block = cov._corr.take(idx, axis=0).take(idx, axis=1)
+        gram, xy, yy = block[:-1, :-1], block[:-1, -1], block[-1, -1]
         lam = (lambda0, lambda1)[stage]
         if n is None and (aic or lam is None):
             raise ValueError("lasso screening needs a sample size unless lambda0 and lambda1 are given")
@@ -562,8 +574,10 @@ def screen_all(source, ordering, backend="pcor", params=None, targets=None):
     and are screened only for within-layer structure).  ``params`` are
     keyword arguments of the backend's per-node screen.  Every backend
     reads the checked covariance, to which a :class:`Dataset` source is
-    reduced once; the lasso is Gram-form coordinate descent on its
-    correlation blocks.  Under pcor the targets with one before set read
+    reduced once; the lasso is Gram-form coordinate descent on blocks of
+    the correlation matrix that check computed, and sis scores a pool
+    only when its ``ceil(t n)`` quota keeps fewer than all of it.  Under
+    pcor the targets with one before set read
     stage 0 off one factorization of it, with the fall-backs of
     :func:`_screen_pcor`, so entries and errors are those of
     :func:`screen_pcor` node by node.  Per-node errors fail fast.

@@ -108,7 +108,9 @@ class Dataset:
 class CovMatrix:
     """Symmetric covariance matrix with its sample size (None for a population).
 
-    ``labels`` name the columns, as in :class:`Dataset`.
+    ``labels`` name the columns, as in :class:`Dataset`.  ``_corr``, the
+    correlation matrix, is computed once, on first use, unless
+    :func:`_checked_covariance` already set it.
     """
 
     def __init__(self, values, n=None, labels=None):
@@ -130,6 +132,10 @@ class CovMatrix:
     @property
     def m(self):
         return self.values.shape[0]
+
+    @functools.cached_property
+    def _corr(self):
+        return _correlation(self.values)
 
 
 def sample_covariance(dataset):
@@ -168,9 +174,12 @@ def _checked_covariance(dataset):
     one column leaves the other no residual variance.  When n > p, where
     the sample covariance can have full rank, it also raises naming a
     larger linearly dependent column set (see :func:`_dependent_columns`).
+    The returned matrix keeps the correlation matrix the check computed
+    as its ``_corr``, which lasso screening reads.
     """
     cov = sample_covariance(dataset)
-    r = np.abs(np.triu(_correlation(cov.values), k=1))
+    cov._corr = _correlation(cov.values)
+    r = np.abs(np.triu(cov._corr, k=1))
     pairs = np.argwhere(1.0 - r < RCOND_MIN * (1.0 + r))
     if len(pairs):
         a, b = (dataset.labels[v] for v in pairs[0])

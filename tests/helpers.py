@@ -290,6 +290,48 @@ def residual_lasso(y, x, lam, tol=LASSO_TOL, max_sweeps=LASSO_MAX_SWEEPS):
     return beta, False
 
 
+def numpy_scalar_lasso(gram, xy, lam, warm_start=None, tol=LASSO_TOL, max_sweeps=LASSO_MAX_SWEEPS, trace=None, yy=0.0):
+    """Gram-form coordinate descent on numpy scalars: the package's solver as first written.
+
+    The reference for :func:`podag.screening._lasso`, whose loop runs on
+    Python floats: the same IEEE operations in the same order, so the two
+    must agree bit for bit.  Returns ``(coefficients, sweeps, converged)``.
+    """
+    beta = np.zeros(len(xy)) if warm_start is None else np.asarray(warm_start, dtype=float).copy()
+    diag = np.diag(gram)
+    fitted = gram @ beta
+    sweeps = 0
+
+    def sweep(indices):
+        nonlocal sweeps, fitted
+        sweeps += 1
+        max_delta = 0.0
+        for k in indices:
+            if diag[k] == 0.0:
+                continue
+            old = beta[k]
+            z = xy[k] - fitted[k] + diag[k] * old
+            excess = abs(z) - lam
+            new = np.sign(z) * excess / diag[k] if excess > LASSO_TIE * abs(z) else 0.0
+            if new != old:
+                beta[k] = new
+                fitted += gram[k] * (new - old)
+                max_delta = max(max_delta, abs(new - old))
+        if trace is not None:
+            trace.append(float(yy / 2 - xy @ beta + beta @ fitted / 2 + lam * np.abs(beta).sum()))
+        return max_delta
+
+    converged = False
+    while sweeps < max_sweeps:
+        if sweep(range(len(xy))) < tol:
+            converged = True
+            break
+        active = np.nonzero(beta)[0]
+        while sweeps < max_sweeps and sweep(active) >= tol:
+            pass
+    return beta, sweeps, converged
+
+
 def inflate_screen_sets(screen, ordering, rng, extra=3):
     """Inflate every s0 and s1 with up to ``extra`` random eligible nodes.
 

@@ -2,14 +2,18 @@ import hashlib
 import itertools
 import json
 import math
+import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import podag.evaluation
 from podag import (
     BenchmarkSpec,
     Dag,
+    Dataset,
     GaussianEngine,
     OracleEngine,
     PartialOrdering,
@@ -161,6 +165,37 @@ class TestEdgeMetricsAgainstReference:
             ordering = override_ordering(rng, n)
             self.check(random_pdag(rng, n), dag, ordering)
             self.check(random_edge_set(rng, n), dag, ordering)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), overrides=st.booleans(), extra=st.integers(0, 2))
+    def test_layers_with_unordered_nodes(self, seed, overrides, extra):
+        # up to three layers with unordered nodes beside them, optionally
+        # weakened by before/after overrides, over ``extra`` nodes more than
+        # the truth has
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        m = n + extra
+        layer = rng.integers(-1, 3, size=m)  # -1: unordered
+        layers = [set(np.flatnonzero(layer == k).tolist()) for k in range(3)]
+        layers = [nodes for nodes in layers if nodes]
+        unordered = np.flatnonzero(layer == -1).tolist()
+        ordering = PartialOrdering(layers, n_nodes=m, unordered=unordered)
+        if overrides:
+            before, after = {}, {}
+            for j in range(m):
+                if ordering.layer_of(j) is None:
+                    others = [v for v in range(m) if v != j and rng.random() < 0.4]
+                    cut = int(rng.integers(len(others) + 1))
+                    before[j], after[j] = others[:cut], others[cut:]
+                else:
+                    before[j] = [v for v in ordering.before_set(j) if rng.random() < 0.7]
+                    after[j] = [v for v in ordering.after_set(j) if rng.random() < 0.7]
+            ordering = PartialOrdering(layers, n_nodes=m, unordered=unordered, before=before, after=after)
+        topo = rng.permutation(n)
+        truth = Dag(n, [(int(topo[u]), int(topo[v])) for u, v in random_pairs(rng, n, 0.35)])
+        self.check(random_pdag(rng, n), truth, ordering)
+        self.check(random_edge_set(rng, n), truth, ordering)
+        self.check(set(truth.edges), truth, ordering)
 
     def test_override_orderings_disagree(self):
         # the universe is every pair that orders_before accepts, from
@@ -347,6 +382,77 @@ class TestRunBenchmark:
             {k: v for k, v in r.items() if k != "elapsed_ms"} for r in rows
         ]
         assert strip(rows1) == strip(rows2)
+
+    def test_degenerate_replicates_keep_their_failure_rows(self, monkeypatch):
+        # n=3 fails the engine's sample-size check, n=40 gets collinear columns
+        # and n=50 a constant one: every fit of those replicates fails with the
+        # check's error.  At n=6 the check passes and only the pcor screen of
+        # replicate 0 runs out of samples.  Pinned from fits that each checked
+        # the dataset themselves.
+        sample = podag.evaluation.sample
+
+        def degenerate(sem, n, rng):
+            data = sample(sem, n, rng).data.copy()
+            if n == 40:
+                data[:, 1] = 2.0 * data[:, 0]
+            elif n == 50:
+                data[:, 2] = 1.0
+            return Dataset(data)
+
+        monkeypatch.setattr(podag.evaluation, "sample", degenerate)
+        spec = BenchmarkSpec(
+            n_nodes=(6,),
+            layers=(2,),
+            n=(3, 6, 40, 50, 100),
+            replicates=2,
+            seed=4,
+            expected_edges_per_node=1.5,
+            backends=("pcor", "sis", "lasso"),
+            scopes=("all_edges",),
+            max_sepset_size=2,
+        )
+        rows = textwrap.dedent(
+            """\
+            n_nodes,layers,n,algorithm,backend,replicate,seed,scope,tp,fp,tn,fn,tpr,fpr,shd,ci_tests
+            6,2,6,pc,,0,4,all_edges,0,1,23,6,0,0.04166666667,7,16
+            6,2,6,pc,,1,4,all_edges,0,1,25,4,0,0.03846153846,6,17
+            6,2,6,pc_plus,,0,4,all_edges,0,1,23,6,0,0.04166666667,7,16
+            6,2,6,pc_plus,,1,4,all_edges,0,1,25,4,0,0.03846153846,6,17
+            6,2,6,podag,lasso,0,4,all_edges,0,0,24,6,0,0,6,2
+            6,2,6,podag,lasso,1,4,all_edges,0,0,26,4,0,0,4,2
+            6,2,6,podag,pcor,1,4,all_edges,0,0,26,4,0,0,4,26
+            6,2,6,podag,sis,0,4,all_edges,0,0,24,6,0,0,6,11
+            6,2,6,podag,sis,1,4,all_edges,0,0,26,4,0,0,4,10
+            6,2,100,pc,,0,4,all_edges,5,0,24,1,0.8333333333,0,1,39
+            6,2,100,pc,,1,4,all_edges,2,3,21,4,0.3333333333,0.125,4,37
+            6,2,100,pc_plus,,0,4,all_edges,5,0,24,1,0.8333333333,0,1,39
+            6,2,100,pc_plus,,1,4,all_edges,4,1,23,2,0.6666666667,0.04166666667,2,37
+            6,2,100,podag,lasso,0,4,all_edges,4,0,24,2,0.6666666667,0,2,8
+            6,2,100,podag,lasso,1,4,all_edges,4,0,24,2,0.6666666667,0,2,12
+            6,2,100,podag,pcor,0,4,all_edges,4,0,24,2,0.6666666667,0,2,42
+            6,2,100,podag,pcor,1,4,all_edges,5,0,24,1,0.8333333333,0,1,43
+            6,2,100,podag,sis,0,4,all_edges,4,0,24,2,0.6666666667,0,2,19
+            6,2,100,podag,sis,1,4,all_edges,4,0,24,2,0.6666666667,0,2,18
+            """
+        )
+        checks = {
+            3: "InsufficientDataError('gaussian engine needs n >= 4')",
+            40: "DegenerateDataError('columns V0 and V1 are collinear; drop one of them')",
+            50: "DegenerateDataError(\"constant column(s): ['V2']\")",
+        }
+        pcor = (
+            "InsufficientDataError('pcor screening of node 1 conditions on a pool of 5 nodes, which needs n > 7 "
+            "samples (n=6); use --backend lasso or --backend sis when nodes outnumber samples')"
+        )
+        labels = ("pc", "pc_plus", "podag/pcor", "podag/sis", "podag/lasso")
+        failures = [((6, 2, n), rep, label, checks[n]) for n in (3,) for rep in (0, 1) for label in labels]
+        failures.append(((6, 2, 6), 0, "podag/pcor", pcor))
+        failures += [((6, 2, n), rep, label, checks[n]) for n in (40, 50) for rep in (0, 1) for label in labels]
+        fields = [f for f in BENCHMARK_FIELDS if f != "elapsed_ms"]
+        for threads in (1, 2):
+            got_rows, got_failures = run_benchmark(spec, threads=threads)
+            assert rows_to_csv(got_rows, fields) == rows
+            assert got_failures == failures
 
     def test_spec_from_json(self):
         spec = BenchmarkSpec.from_json(

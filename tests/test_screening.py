@@ -23,8 +23,8 @@ from podag import (
     select_lambda_aic,
 )
 from podag.errors import DegenerateDataError, InsufficientDataError, PodagError, SelectionError
-from podag.screening import LASSO_MAX_SWEEPS, ScreenEntry, ScreenSets
-from podag.stats import _bordered_rhos, _read_stage
+from podag.screening import LASSO_MAX_SWEEPS, LASSO_TIE, ScreenEntry, ScreenSets, _lasso
+from podag.stats import _bordered_rhos, _checked_covariance, _correlation, _read_stage
 from podag.sem import (
     GenConfig,
     generate_layered_dag,
@@ -35,7 +35,13 @@ from podag.sem import (
     toy_two_layer_sem,
 )
 
-from helpers import dependent_four_columns, inflate_screen_sets, random_layered_instance, residual_lasso
+from helpers import (
+    dependent_four_columns,
+    inflate_screen_sets,
+    numpy_scalar_lasso,
+    random_layered_instance,
+    residual_lasso,
+)
 
 
 def toy_population_cov():
@@ -374,6 +380,50 @@ class TestLassoFit:
         with pytest.raises(ValueError):
             lasso_fit(np.zeros(4), np.zeros((4, 2)), -0.1)
 
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 10),
+        warm=st.booleans(),
+        lam_kind=st.sampled_from(["zero", "tie", "free"]),
+        tie=st.floats(0.0, 2.0),
+        special=st.sampled_from([None, "zero_column", "zero_xy", "nan_xy"]),
+        max_sweeps=st.sampled_from([1, 3, LASSO_MAX_SWEEPS]),
+    )
+    def test_float_loop_equals_numpy_scalar_reference(self, seed, p, warm, lam_kind, tie, special, max_sweeps):
+        # the Python-float coordinate loop against the numpy-scalar one it
+        # replaced: coefficients, sweeps, convergence and trace bit for bit
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 40))
+        x = rng.standard_normal((n, p))
+        k = int(rng.integers(p))
+        if special == "zero_column":
+            x[:, k] = 0.0
+        y = x @ rng.standard_normal(p) + rng.standard_normal(n)
+        gram, xy, yy = x.T @ x / n, x.T @ y / n, float(y @ y) / n
+        start = rng.standard_normal(p) * (rng.random(p) < 0.5) if warm else np.zeros(p)
+        if lam_kind == "zero":
+            lam = 0.0
+        elif lam_kind == "free":
+            lam = float(rng.uniform(0.0, 1.2) * np.abs(xy).max())
+        else:  # the first coordinate's z lies within LASSO_TIE of lam, on either side of the rounding tie
+            z = xy[0] - (gram @ start)[0] + gram[0, 0] * start[0]
+            lam = abs(z) * (1.0 - tie * LASSO_TIE)
+        if special == "zero_xy":
+            xy[k] = 0.0
+        elif special == "nan_xy":
+            xy[k] = np.nan
+        warm_start = start if warm else None
+        trace, expected_trace = [], []
+        fit = _lasso(gram, xy, lam, warm_start, max_sweeps=max_sweeps, trace=trace, yy=yy)
+        coefficients, sweeps, converged = numpy_scalar_lasso(
+            gram, xy, lam, warm_start, max_sweeps=max_sweeps, trace=expected_trace, yy=yy
+        )
+        assert np.array_equal(fit.coefficients, coefficients)
+        assert (fit.iterations, fit.converged) == (sweeps, converged)
+        assert np.array_equal(trace, expected_trace, equal_nan=True)
+        assert fit.active_set == frozenset(np.flatnonzero(coefficients).tolist())
+
 
 class TestLambdaSelection:
     def test_single_element_grid(self):
@@ -440,6 +490,23 @@ class TestScreenLasso:
         data = sample(sem, 400, rng_from_seed(18))
         e = screen_lasso(data, ordering, 3, aic=True)
         assert 1 in e.s0
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 12))
+    def test_pool_blocks_equal_their_own_correlation(self, seed, m):
+        # a pool's block taken off the whole correlation matrix, the check's
+        # or one computed on first use, equals the correlation of its own
+        # covariance block bit for bit
+        rng = np.random.default_rng(seed)
+        data = Dataset(rng.standard_normal((m + 20, m)) * rng.uniform(0.1, 10.0, size=m))
+        checked = _checked_covariance(data)
+        lazy = CovMatrix(checked.values, n=checked.n)
+        for _ in range(5):
+            idx = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist()
+            own = _correlation(checked.values[np.ix_(idx, idx)])
+            for cov in (checked, lazy):
+                assert np.array_equal(cov._corr.take(idx, axis=0).take(idx, axis=1), own)
+        assert lazy._corr is lazy._corr
 
 
 class TestScreenAll:
