@@ -63,7 +63,6 @@ from .sem import (
     Sem,
     generate_layered_dag,
     population_covariance,
-    random_faithful_sem,
     random_weights,
     rng_from_seed,
     sample,

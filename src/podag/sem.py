@@ -8,7 +8,6 @@ per-replicate streams by spawning a root ``SeedSequence``.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import PodagError
 from .graph import Dag, PartialOrdering
-from .stats import CovMatrix, Dataset, partial_correlation
+from .stats import CovMatrix, Dataset
 
 __all__ = [
     "GenConfig",
@@ -27,7 +26,6 @@ __all__ = [
     "random_weights",
     "sample",
     "population_covariance",
-    "random_faithful_sem",
     "TOY_TWO_LAYER_EDGES",
     "toy_two_layer_sem",
 ]
@@ -245,37 +243,6 @@ def population_covariance(sem):
     minv = np.linalg.solve(ident - sem.weights, ident)
     cov = minv @ np.diag(sem.noise_sd**2) @ minv.T
     return CovMatrix(cov)
-
-
-def random_faithful_sem(dag, rng, weight_range=(0.1, 1.0), tol=1e-8, max_tries=50):
-    """Random SEM whose population distribution is faithful to ``dag``.
-
-    Checks every partial correlation against d-separation exhaustively
-    (feasible for small graphs) and re-draws the weights on violation,
-    which only occurs on a measure-zero set.  Returns ``(sem, redraws)``
-    so callers can log the re-draw count.
-    """
-    m = dag.n_nodes
-    if m > 12:
-        raise ValueError("exhaustive faithfulness checking is limited to small graphs")
-    for attempt in range(max_tries):
-        sem = random_weights(dag, rng, weight_range=weight_range)
-        cov = population_covariance(sem)
-        if _faithful(dag, cov, tol):
-            return sem, attempt
-    raise PodagError(f"no faithful weight draw found in {max_tries} attempts")
-
-
-def _faithful(dag, cov, tol):
-    nodes = range(dag.n_nodes)
-    for i, j in itertools.combinations(nodes, 2):
-        rest = [v for v in nodes if v not in (i, j)]
-        for size in range(len(rest) + 1):
-            for s in itertools.combinations(rest, size):
-                rho = partial_correlation(cov, i, j, s)
-                if (abs(rho) <= tol) != dag.is_dsep(i, j, s):
-                    return False
-    return True
 
 
 # Four-node toy network used throughout the documentation and tests:

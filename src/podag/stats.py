@@ -9,22 +9,28 @@ kept.  A covariance block is factored and inverted by
 :func:`_factor_spd`, which rejects it when its reciprocal condition
 number falls below ``RCOND_MIN``: a bound read off the diagonals of the
 block and its inverse decides, and a ``dpocon`` estimate where the bound
-is not conclusive.  The README's architecture section describes the
-kernel.
+is not conclusive.  LAPACK comes from scipy's extension module
+(:func:`_flapack`) and the critical value from :mod:`statistics`, so
+``import podag`` loads neither ``scipy.linalg`` nor ``scipy.special``.
+The README's architecture section describes the kernel.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import io
 import itertools
 import math
+import os
+import statistics
+import sys
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpocon, dpotrf, dpotri, dpotrs
-from scipy.special import ndtri
+import scipy
 
 from .errors import DegenerateDataError, InsufficientDataError, PodagError, SingularityError
 from .graph import _column_labels
@@ -46,6 +52,32 @@ __all__ = [
 RCOND_MIN = 1e-12  # reciprocal condition number below this raises SingularityError
 RCOND_MARGIN = 1e3  # a stacked union needs an exact reciprocal condition number this far above it
 STACK_ENTRIES = 2**14  # covariance entries per stacked kernel call, unless one test holds more
+
+
+def _flapack():
+    """scipy's LAPACK extension ``scipy.linalg._flapack``, from ``sys.modules`` or else from its file.
+
+    ``scipy.linalg.lapack`` re-exports the same routines, but its package import (and the
+    ``numpy.f2py`` import behind it) is most of podag's start-up.  ImportError if there is no file.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec(name, [folder])
+    if spec is None:
+        raise ImportError(f"no {name} in {folder}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+try:
+    _lapack = _flapack()
+except ImportError:  # a scipy laid out otherwise: the package import finds the module
+    from scipy.linalg import lapack as _lapack
+dpocon, dpotrf, dpotri, dpotrs = _lapack.dpocon, _lapack.dpotrf, _lapack.dpotri, _lapack.dpotrs
 
 
 class Dataset:
@@ -441,8 +473,9 @@ class CiVerdict:
 
 @functools.lru_cache(maxsize=64)
 def fisher_z_threshold(alpha):
-    """Two-sided standard-normal critical value ``Phi^-1(1 - alpha/2)``."""
-    return float(ndtri(1.0 - alpha / 2.0))
+    """Two-sided standard-normal critical value ``Phi^-1(1 - alpha/2)``, a few ulp from ``ndtri``'s."""
+    p = 1.0 - alpha / 2.0
+    return statistics.NormalDist().inv_cdf(p) if p < 1.0 else math.inf  # 1 - alpha/2 rounded to 1: inf, as ndtri(1)
 
 
 def _fisher_z_dof(n, size):

@@ -10,11 +10,20 @@ import itertools
 import numpy as np
 
 import podag.stats
-from podag import Dag, Dataset, PartialOrdering, Pdag, SepsetMap, apply_meek_rules, orient_v_structures
+from podag import (
+    Dag,
+    Dataset,
+    PartialOrdering,
+    Pdag,
+    SepsetMap,
+    apply_meek_rules,
+    orient_v_structures,
+    partial_correlation,
+)
 from podag.errors import PodagError
 from podag.graph import orient_by_ordering
 from podag.screening import LASSO_MAX_SWEEPS, LASSO_TIE, LASSO_TOL, ScreenEntry, ScreenSets
-from podag.sem import GenConfig, generate_layered_dag, rng_from_seed
+from podag.sem import GenConfig, generate_layered_dag, population_covariance, random_weights, rng_from_seed
 
 
 def brute_force_dsep(dag, i, j, s):
@@ -216,6 +225,34 @@ def random_bipartite_instance(rng, p_lo=2, p_hi=5, q_lo=2, q_hi=5, edge_prob=0.3
     dag = Dag(n, edges)
     ordering = PartialOrdering([set(range(p)), set(range(p, n))], n_nodes=n)
     return dag, ordering
+
+
+def random_faithful_sem(dag, rng, weight_range=(0.1, 1.0), tol=1e-8, max_tries=50):
+    """Random SEM whose population distribution is faithful to ``dag``.
+
+    Checks every partial correlation against d-separation exhaustively
+    (feasible for small graphs) and re-draws the weights on violation,
+    which only occurs on a measure-zero set.  Returns ``(sem, redraws)``.
+    """
+    if dag.n_nodes > 12:
+        raise ValueError("exhaustive faithfulness checking is limited to small graphs")
+    for attempt in range(max_tries):
+        sem = random_weights(dag, rng, weight_range=weight_range)
+        if faithful(dag, population_covariance(sem), tol):
+            return sem, attempt
+    raise PodagError(f"no faithful weight draw found in {max_tries} attempts")
+
+
+def faithful(dag, cov, tol):
+    """Whether ``|rho(i, j | s)| <= tol`` exactly when ``dag`` d-separates i and j given s."""
+    nodes = range(dag.n_nodes)
+    for i, j in itertools.combinations(nodes, 2):
+        rest = [v for v in nodes if v not in (i, j)]
+        for size in range(len(rest) + 1):
+            for s in itertools.combinations(rest, size):
+                if (abs(partial_correlation(cov, i, j, s)) <= tol) != dag.is_dsep(i, j, s):
+                    return False
+    return True
 
 
 def toy_diamond():

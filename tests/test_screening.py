@@ -28,7 +28,6 @@ from podag.stats import _bordered_rhos, _checked_covariance, _correlation, _read
 from podag.sem import (
     GenConfig,
     generate_layered_dag,
-    random_faithful_sem,
     random_weights,
     rng_from_seed,
     sample,
@@ -39,6 +38,7 @@ from helpers import (
     dependent_four_columns,
     inflate_screen_sets,
     numpy_scalar_lasso,
+    random_faithful_sem,
     random_layered_instance,
     residual_lasso,
 )

@@ -8,12 +8,13 @@ from podag import (
     generate_layered_dag,
     partial_correlation,
     population_covariance,
-    random_faithful_sem,
     random_weights,
     sample,
 )
 from podag.errors import PodagError
 from podag.sem import rng_from_seed, spawn_rngs, toy_two_layer_sem
+
+from helpers import random_faithful_sem
 
 
 class TestGenerateLayeredDag:

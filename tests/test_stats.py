@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import gc
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from scipy.stats import norm
 
 import podag
 from podag import (
+    BenchmarkSpec,
     CiEngine,
     CiVerdict,
     CovMatrix,
@@ -45,16 +48,30 @@ from podag.sem import (
     GenConfig,
     generate_layered_dag,
     population_covariance,
-    random_faithful_sem,
     random_weights,
     rng_from_seed,
     sample,
     toy_two_layer_sem,
 )
+from podag.cli import build_parser
 from podag.screening import BACKENDS
-from podag.stats import _bordered_rhos, _factor_spd, _fisher_z_statistics, _read_stage
+from podag.stats import _bordered_rhos, _factor_spd, _fisher_z_statistics, _read_stage, fisher_z_threshold
 
-from helpers import counting_factorizations, dependent_four_columns, random_layered_instance, toy_diamond
+from helpers import (
+    counting_factorizations,
+    dependent_four_columns,
+    random_faithful_sem,
+    random_layered_instance,
+    toy_diamond,
+)
+
+
+def run_python(code):
+    """Stripped stdout of ``python -c code`` in a fresh interpreter that imports this checkout's podag."""
+    src = Path(podag.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return done.stdout.strip()
 
 
 def random_pd(rng, m):
@@ -341,13 +358,46 @@ class TestFisherZ:
         assert verdicts == {True, False}
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        src = Path(podag.__file__).resolve().parents[1]
-        code = "import sys, podag; print('scipy.stats' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        # nor scipy.linalg's or scipy.special's package import: LAPACK is bound from its extension
+        code = "import sys, podag; print([m in sys.modules for m in ('scipy.stats', 'scipy.linalg', 'scipy.special')])"
+        assert run_python(code) == "[False, False, False]"
+
+    @pytest.mark.parametrize("first", ["podag", "scipy.linalg"])
+    def test_lapack_routines_are_scipys(self, first):
+        second = "scipy.linalg" if first == "podag" else "podag"
+        code = (
+            f"import {first}, {second}, podag.stats, scipy.linalg.lapack as lapack; "
+            "print(all(getattr(podag.stats, f) is getattr(lapack, f) "
+            "for f in ('dpotrf', 'dpotri', 'dpotrs', 'dpocon')))"
         )
-        assert done.stdout.strip() == "False"
+        assert run_python(code) == "True"
+
+    def test_lapack_fallback_when_extension_file_missing(self):
+        # scipy's linalg folder is not where scipy.__file__ points: the package import binds LAPACK
+        sigma = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]
+        code = (
+            "import sys, scipy; scipy.__file__ = '/no/such/folder/scipy/__init__.py'; "
+            "import podag, podag.stats, scipy.linalg.lapack as lapack; "
+            "print('scipy.linalg' in sys.modules, podag.stats.dpotrf is lapack.dpotrf, "
+            f"podag.fisher_z_test(podag.CovMatrix({sigma}), 100, 0, 1, (2,), 0.05))"
+        )
+        want = fisher_z_test(CovMatrix(np.array(sigma)), 100, 0, 1, (2,), 0.05)
+        assert run_python(code) == f"True True {want}"
+
+    def test_threshold_within_8_ulp_of_ndtri(self):
+        from scipy.special import ndtri
+
+        parser_args = ["learn", "--data", "d", "--layering", "l", "-o", "o"]
+        cli_args = build_parser().parse_args(parser_args)
+        defaults = {cli_args.alpha, cli_args.screen_alpha}
+        for config in (PodagConfig(), BenchmarkSpec()):
+            defaults |= {getattr(config, f.name) for f in dataclasses.fields(config) if f.name.endswith("alpha")}
+        assert {0.05, 0.5, 0.005} <= defaults
+        alphas = np.concatenate([np.logspace(-12, np.log10(0.999), 10_000), sorted(defaults)])
+        for alpha in alphas.tolist():
+            want = float(ndtri(1.0 - alpha / 2.0))
+            assert abs(fisher_z_threshold(alpha) - want) <= 8 * math.ulp(want), alpha
+        assert fisher_z_threshold(1e-20) == float(ndtri(1.0)) == math.inf
 
     def test_perfect_correlation_dependent(self):
         sigma = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
