@@ -32,7 +32,6 @@ from .graph import (
     Pdag,
     SepsetMap,
     apply_meek_rules,
-    orient_v_structures,
     read_edgelist,
     read_layering,
     write_edgelist,

@@ -14,9 +14,9 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .graph import Pdag, SepsetMap, orient_by_ordering, write_edgelist
+from .graph import Pdag, SepsetMap, _ordered_edges, _OrientationState, write_edgelist
 from .search import _orient, _search_levels
-from .stats import _dependence_error
+from .stats import _check_node_count, _dependence_error
 
 __all__ = ["BaselineResult", "estimate_h0", "estimate_h_minus_j", "pc", "pc_plus"]
 
@@ -40,11 +40,7 @@ class BaselineResult:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     def to_edgelist(self):
-        return write_edgelist(
-            sorted(self.pdag.directed_edges),
-            self.pdag.labels,
-            undirected_edges=sorted(self.pdag.undirected_edges),
-        )
+        return write_edgelist(self.pdag.directed_edges, self.pdag.labels, self.pdag.undirected_edges)
 
 
 def _two_layer_sets(ordering):
@@ -65,6 +61,7 @@ def _dependence_edges(engine, ordering, labels, adjust_second):
     that union has fewer columns than samples (and so could have full
     rank): its tests would read rounding noise, or fail naming indices.
     """
+    _check_node_count(ordering.n_nodes, engine)
     first, second = _two_layer_sets(ordering)
     adjusted = first + second if adjust_second else first
     cov = getattr(engine, "cov", None)  # an oracle has none
@@ -113,6 +110,7 @@ def _pc(engine, n_nodes, labels, max_level, stable, on_conflict, ordering=None):
     """
     if max_level is not None and max_level < 0:
         raise ValueError("max_level must be nonnegative")
+    _check_node_count(n_nodes, engine)
     start = engine.n_queries
     adj = {v: set(range(n_nodes)) - {v} for v in range(n_nodes)}
     layer = [None if ordering is None else ordering.layer_of(v) for v in range(n_nodes)]
@@ -131,11 +129,10 @@ def _pc(engine, n_nodes, labels, max_level, stable, on_conflict, ordering=None):
     sources = [a for i, j in itertools.combinations(range(n_nodes), 2) for a in (j, i)]
     targets = [b for i, j in itertools.combinations(range(n_nodes), 2) for b in (i, j)]
     sepsets, _, _ = _search_levels(engine, (sources, targets), lambda b: frozenset(), pool, adj, max_level, stable)
-    und = [(i, j) for i in adj for j in adj[i] if i < j]
-    skeleton = Pdag(n_nodes, undirected_edges=und, labels=labels)
+    directed, undirected = (), {(i, j) for i in adj for j in adj[i] if i < j}
     if ordering is not None:
-        skeleton = orient_by_ordering(skeleton, ordering)
-    cpdag = _orient(skeleton, sepsets, on_conflict)
+        directed, undirected = _ordered_edges(directed, undirected, ordering)
+    cpdag = _orient(_OrientationState(n_nodes, directed, undirected, labels), sepsets, on_conflict)
     return BaselineResult(pdag=cpdag, sepsets=sepsets, ci_tests=engine.n_queries - start)
 
 

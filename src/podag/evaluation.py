@@ -86,7 +86,8 @@ def _estimated_relations(estimated, ordering):
     edges between unordered peers contribute adjacency only.
     """
     if isinstance(estimated, Pdag):
-        directed = set(estimated.directed_edges) if ordering is None else _ordered_edges(estimated, ordering)[0]
+        orientable = () if ordering is None else estimated.undirected_edges
+        directed = _ordered_edges(estimated.directed_edges, orientable, ordering)[0]
         return directed, set(estimated.adjacency_pairs())  # orienting keeps every adjacency
     directed = {(int(u), int(v)) for u, v in estimated}
     return directed, {(min(u, v), max(u, v)) for u, v in directed}
@@ -128,14 +129,9 @@ def edge_metrics(estimated, truth, scope="all_edges", ordering=None):
         size = n * (n - 1)
         est_set, truth_set = directed, truth_dir
     else:
-        # earlier[v]: every u that ordering.orders_before(u, v) accepts; (u, v) is in the universe
-        earlier = [set(ordering.before_set(v)) for v in range(n)]
-        for u in range(n):
-            for v in ordering.after_set(u):
-                if v < n:
-                    earlier[v].add(u)
-        if ordering.n_nodes > n:  # a node the truth lacks lies in no pair
-            earlier = [{u for u in e if u < n} for e in earlier]
+        # earlier[v]: every u that ordering.orders_before(u, v) accepts, but a node the truth
+        # lacks; (u, v) is in the universe
+        earlier = [{u for u in ordering.before_set(v) if u < n} for v in range(n)]
         size = sum(map(len, earlier))
         est_set = {(u, v) for u, v in directed if u in earlier[v]}
         truth_set = {(u, v) for u, v in truth_dir if u in earlier[v]}

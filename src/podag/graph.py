@@ -19,7 +19,6 @@ __all__ = [
     "SepsetMap",
     "apply_meek_rules",
     "orient_by_ordering",
-    "orient_v_structures",
     "read_edgelist",
     "write_edgelist",
     "read_layering",
@@ -318,7 +317,10 @@ class PartialOrdering:
         return tuple(before), tuple(after)
 
     def _override_tables(self, before, after):
-        """Per-node before/after sets given explicitly, checked against the layers."""
+        """Per-node before/after sets given explicitly, checked against the layers, then mirrored.
+
+        ``u`` in ``before[v]`` says what ``v`` in ``after[u]`` says, so each table gains the other's pairs.
+        """
         tables = []
         for name, given in (("before", before), ("after", after)):
             table = [frozenset()] * self.n_nodes
@@ -326,19 +328,28 @@ class PartialOrdering:
                 j = int(j)
                 _check_node(self.n_nodes, j)
                 table[j] = frozenset(map(int, s))
+                for v in table[j]:
+                    _check_node(self.n_nodes, v)
                 if j in table[j]:
                     raise ValueError(f"{name} set of node {j} contains the node itself")
-            tables.append(tuple(table))
+            tables.append(table)
         derived_before, derived_after = self._layer_tables()
         for j, (b, a) in enumerate(zip(*tables)):
-            if b & a:
-                raise ValueError(f"before/after sets of node {j} overlap: {sorted(b & a)}")
             if j in self._layer_of:
                 if not b <= derived_before[j]:
                     raise ValueError(f"before set of layered node {j} exceeds earlier layers")
                 if not a <= derived_after[j]:
                     raise ValueError(f"after set of layered node {j} exceeds later layers")
-        return tables
+        before, after = ([set(s) for s in table] for table in tables)
+        for j in range(self.n_nodes):
+            for u in tables[0][j]:
+                after[u].add(j)
+            for v in tables[1][j]:
+                before[v].add(j)
+        for j, (b, a) in enumerate(zip(before, after)):
+            if b & a:
+                raise ValueError(f"before/after sets of node {j} overlap: {sorted(b & a)}")
+        return tuple(map(frozenset, before)), tuple(map(frozenset, after))
 
     @property
     def n_layers(self):
@@ -474,13 +485,16 @@ class SepsetMap:
 
 
 class _OrientationState:
-    """Mutable adjacency store used while orienting a Pdag."""
+    """Mutable adjacency store that a fit orients in place, then turns into its one :class:`Pdag`.
 
-    def __init__(self, pdag):
-        self.n_nodes = pdag.n_nodes
-        self.labels = pdag.labels
-        self.directed = set(pdag.directed_edges)
-        self.undirected = set(pdag.undirected_edges)
+    Unchecked: :meth:`to_pdag` checks the edges, ``undirected`` ones as ``(min, max)`` pairs.
+    """
+
+    def __init__(self, n_nodes, directed=(), undirected=(), labels=None):
+        self.n_nodes = n_nodes
+        self.labels = _column_labels(labels, n_nodes)
+        self.directed = set(directed)
+        self.undirected = set(undirected)
         self._parents = [set() for _ in range(self.n_nodes)]
         self._children = [set() for _ in range(self.n_nodes)]
         self._neigh = [set() for _ in range(self.n_nodes)]
@@ -523,21 +537,21 @@ def orient_by_ordering(pdag, ordering):
     Edges between nodes the ordering leaves mutually unordered stay
     undirected; directed edges are kept as they are.
     """
-    return Pdag(pdag.n_nodes, *_ordered_edges(pdag, ordering), labels=pdag.labels)
+    edges = _ordered_edges(pdag.directed_edges, pdag.undirected_edges, ordering)
+    return Pdag(pdag.n_nodes, *edges, labels=pdag.labels)
 
 
-def _ordered_edges(pdag, ordering):
-    """The directed and the undirected edge set of :func:`orient_by_ordering`, as sets."""
-    directed = set(pdag.directed_edges)
-    undirected = set()
-    for u, v in pdag.undirected_edges:
+def _ordered_edges(directed, undirected, ordering):
+    """The edge sets ``directed`` and ``undirected`` after :func:`orient_by_ordering`, as two new sets."""
+    oriented, unordered = set(directed), set()
+    for u, v in undirected:
         if ordering.orders_before(u, v):
-            directed.add((u, v))
+            oriented.add((u, v))
         elif ordering.orders_before(v, u):
-            directed.add((v, u))
+            oriented.add((v, u))
         else:
-            undirected.add((u, v))
-    return directed, undirected
+            unordered.add((u, v))
+    return oriented, unordered
 
 
 def _unshielded_pairs(state):
@@ -556,21 +570,6 @@ def _unshielded_pairs(state):
     return neighbours, pairs
 
 
-def orient_v_structures(skeleton, sepsets, on_conflict="error"):
-    """Orient unshielded colliders of ``skeleton`` using recorded sepsets.
-
-    For every unshielded triple i-j-k whose endpoints have a recorded
-    separating set not containing j, orients i->j<-k.  Triples whose pair
-    has no recorded sepset are left untouched.  Conflicting orientations
-    raise :class:`InconsistencyError` unless ``on_conflict="ignore"``,
-    in which case the earlier orientation wins.
-    """
-    state = _OrientationState(skeleton)
-    neighbours, pairs = _unshielded_pairs(state)
-    _orient_triples(state, neighbours, _separators(sepsets, pairs, state.n_nodes), on_conflict)
-    return state.to_pdag()
-
-
 def _separators(sepsets, pairs, n):
     """``{pair: shared}`` for the int ``pairs`` of :func:`_unshielded_pairs`, each read once from ``sepsets``.
 
@@ -584,10 +583,11 @@ def _separators(sepsets, pairs, n):
 
 
 def _orient_triples(state, neighbours, found, on_conflict):
-    """:func:`orient_v_structures` on ``state``, with the separators ``found`` by :func:`_separators`.
+    """Orient the unshielded colliders of ``state`` in place, with the separators ``found`` by :func:`_separators`.
 
-    The triples ``i - j - k``, ``i < k``, are oriented in lexicographic
-    order, walked from ``neighbours`` without being listed.
+    A triple ``i - j - k``, ``i < k``, whose pair has a separator without
+    ``j`` becomes ``i -> j <- k``.  The triples are oriented in
+    lexicographic order, walked from ``neighbours`` without being listed.
     """
     n = state.n_nodes
     for i, around in enumerate(neighbours):
@@ -599,20 +599,22 @@ def _orient_triples(state, neighbours, found, on_conflict):
 
 
 def apply_meek_rules(pdag, on_conflict="error"):
-    """Close ``pdag`` under Meek's orientation rules R1-R4.
+    """Close ``pdag`` under Meek's orientation rules R1-R4 (:func:`_close_meek`)."""
+    state = _OrientationState(pdag.n_nodes, pdag.directed_edges, pdag.undirected_edges, pdag.labels)
+    _close_meek(state, on_conflict)
+    return state.to_pdag()
+
+
+def _close_meek(state, on_conflict):
+    """Close ``state`` under Meek's orientation rules R1-R4, in place.
 
     Known orientations (e.g. from a layering) enter as directed edges of
-    ``pdag``.  The edge scan is deterministic (lexicographic by (min, max)
-    pair), adjacencies are never created or removed, and the result is
-    maximal with respect to the input.
-
-    Raises
-    ------
-    InconsistencyError
-        If an edge is forced in both directions (unless
-        ``on_conflict="ignore"``).
+    ``state``.  The edge scan is deterministic (lexicographic by (min,
+    max) pair), adjacencies are never created or removed, and the result
+    is maximal with respect to the input.  An edge forced both ways
+    raises :class:`InconsistencyError` unless ``on_conflict="ignore"``,
+    which keeps the earlier orientation.
     """
-    state = _OrientationState(pdag)
 
     def rule_applies(a, b):
         # R1: x -> a - b with x, b nonadjacent  =>  a -> b
@@ -649,7 +651,6 @@ def apply_meek_rules(pdag, on_conflict="error"):
             elif rule_applies(v, u):
                 state.orient(v, u, on_conflict=on_conflict)
                 changed = True
-    return state.to_pdag()
 
 
 # -- text formats -----------------------------------------------------

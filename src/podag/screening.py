@@ -40,6 +40,7 @@ from .stats import (
     CiEngine,
     Dataset,
     _bordered_rhos,
+    _check_node_count,
     _checked_covariance,
     _covariance,
     _dependence_error,
@@ -589,6 +590,7 @@ def screen_all(source, ordering, backend="pcor", params=None, targets=None):
     screen_node = _backend_screen(backend)
     if screen_node is None:
         raise ValueError(f"unknown screening backend {backend!r}")
+    _check_node_count(ordering.n_nodes, source)
     if targets is None:
         targets = range(ordering.n_nodes)
     labels = getattr(source, "labels", None)

@@ -23,10 +23,10 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .errors import PodagError
-from .graph import Dag, Pdag, SepsetMap, apply_meek_rules, write_edgelist
-from .graph import _orient_triples, _OrientationState, _separators, _unshielded_pairs
+from .graph import Dag, Pdag, SepsetMap, write_edgelist
+from .graph import _close_meek, _orient_triples, _OrientationState, _separators, _unshielded_pairs
 from .screening import BACKENDS, ScreenSets, _backend_screen, screen_all
-from .stats import Dataset, GaussianEngine, OracleEngine
+from .stats import Dataset, GaussianEngine, OracleEngine, _check_node_count
 
 __all__ = [
     "PodagConfig",
@@ -97,32 +97,27 @@ class Diagnostics:
 class PodagResult:
     """Output of a PODAG run.
 
-    ``cross_edges`` are directed edges whose direction is implied by the
-    ordering information; ``within`` holds the remaining learned
-    adjacencies (between unordered peers) as a maximal PDAG.
+    ``pdag`` is the one estimated graph.  ``cross_edges`` are its
+    directed edges whose direction is implied by the ordering
+    information; :attr:`within` holds the remaining learned adjacencies
+    (between unordered peers) as a maximal PDAG.
     """
 
-    n_nodes: int
-    labels: tuple
     cross_edges: frozenset
-    within: Pdag
+    pdag: Pdag
     sepsets: SepsetMap
     screen: ScreenSets
     diagnostics: Diagnostics
 
-    def as_pdag(self):
-        """Everything in one partially directed graph."""
-        return Pdag(
-            self.n_nodes,
-            directed_edges=self.cross_edges | self.within.directed_edges,
-            undirected_edges=self.within.undirected_edges,
-            labels=self.labels,
-        )
-
     @property
-    def pdag(self):
-        """:meth:`as_pdag`, named as on a baseline's result."""
-        return self.as_pdag()
+    def within(self):
+        """The graph without its cross edges."""
+        pdag = self.pdag
+        return Pdag(pdag.n_nodes, pdag.directed_edges - self.cross_edges, pdag.undirected_edges, pdag.labels)
+
+    def as_pdag(self):
+        """Everything in one partially directed graph: ``pdag``."""
+        return self.pdag
 
     @property
     def ci_tests(self):
@@ -130,19 +125,12 @@ class PodagResult:
         return self.diagnostics.ci_tests
 
     def to_json(self):
+        labels = self.pdag.labels
         doc = {
-            "cross_edges": [
-                [self.labels[k], self.labels[j]] for k, j in sorted(self.cross_edges)
-            ],
-            "within_directed": [
-                [self.labels[u], self.labels[v]]
-                for u, v in sorted(self.within.directed_edges)
-            ],
-            "within_undirected": [
-                [self.labels[u], self.labels[v]]
-                for u, v in sorted(self.within.undirected_edges)
-            ],
-            "sepsets": self.sepsets._by_label(self.labels),
+            "cross_edges": [[labels[k], labels[j]] for k, j in sorted(self.cross_edges)],
+            "within_directed": [[labels[u], labels[v]] for u, v in sorted(self.pdag.directed_edges - self.cross_edges)],
+            "within_undirected": [[labels[u], labels[v]] for u, v in sorted(self.pdag.undirected_edges)],
+            "sepsets": self.sepsets._by_label(labels),
             "diagnostics": {
                 "ci_tests": self.diagnostics.ci_tests,
                 "elapsed_ms": self.diagnostics.elapsed_ms,
@@ -154,11 +142,7 @@ class PodagResult:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     def to_edgelist(self):
-        return write_edgelist(
-            sorted(self.cross_edges | self.within.directed_edges),
-            self.labels,
-            undirected_edges=sorted(self.within.undirected_edges),
-        )
+        return write_edgelist(self.pdag.directed_edges, self.pdag.labels, self.pdag.undirected_edges)
 
 
 WINDOW = 512  # unions the skeleton search speculates in one engine call
@@ -392,22 +376,22 @@ def _posthoc_search(engine, pairs, screen, sepsets, max_level):
             pairs = [pair for pair in pairs if pair not in separated]
 
 
-def _orient(pdag, sepsets, on_conflict, separate=None):
-    """V-structures and Meek closure: the orientation stage of PODAG, PC and PC+.
+def _orient(state, sepsets, on_conflict, separate=None):
+    """V-structures and Meek closure on ``state``, in place: the orientation stage of PODAG, PC and PC+.
 
-    ``pdag`` already carries the ordering's orientations.  Each
-    unshielded pair's separator is read from ``sepsets`` once; the
-    sorted pairs without one go to ``separate(pairs)`` (when given) in
-    one call, which records in ``sepsets`` the separators it finds, and
-    only those are read again.  One valid separator suffices: the middle
-    node of an unshielded triple lies in every separator of its
-    endpoints or in none (Spirtes, Glymour & Scheines 2000).
+    ``state``, an :class:`_OrientationState`, already carries the
+    ordering's orientations.  Each unshielded pair's separator is read
+    from ``sepsets`` once; the sorted pairs without one go to
+    ``separate(pairs)`` (when given) in one call, which records in
+    ``sepsets`` the separators it finds, and only those are read again.
+    One valid separator suffices: the middle node of an unshielded
+    triple lies in every separator of its endpoints or in none (Spirtes,
+    Glymour & Scheines 2000).  Returns the fit's one :class:`Pdag`.
     """
-    # the ordering's orientations are in pdag from the start (the ordering
-    # is ground truth), but Meek's rules run only after v-structure
-    # detection: closing the rules early would let R1 orient edges that
-    # are really colliders.
-    state = _OrientationState(pdag)
+    # the ordering's orientations are in the state from the start (the
+    # ordering is ground truth), but Meek's rules run only after
+    # v-structure detection: closing the rules early would let R1 orient
+    # edges that are really colliders.
     neighbours, pairs = _unshielded_pairs(state)
     found = _separators(sepsets, pairs, state.n_nodes)
     if separate is not None:
@@ -415,7 +399,8 @@ def _orient(pdag, sepsets, on_conflict, separate=None):
         separate([divmod(pair, state.n_nodes) for pair in open_pairs])
         found.update(_separators(sepsets, open_pairs, state.n_nodes))
     _orient_triples(state, neighbours, found, on_conflict)
-    return apply_meek_rules(state.to_pdag(), on_conflict=on_conflict)
+    _close_meek(state, on_conflict)
+    return state.to_pdag()
 
 
 def _candidates(cross, cmb, within):
@@ -470,11 +455,6 @@ def podag_multi_layer(engine, ordering, screen, cfg=None):
     )
 
     cross_edges = frozenset((k, j) for k, j in zip(*surviving) if k in cross[j])
-    # a surviving pair never left the blankets
-    within_pairs = frozenset((k, j) if k < j else (j, k) for k, j in zip(*surviving) if k in blanket[j])
-
-    n_nodes = screen.n_nodes
-    labels = screen.labels
     if cfg.learn_within_layers:
 
         def separate(pairs):
@@ -492,21 +472,13 @@ def podag_multi_layer(engine, ordering, screen, cfg=None):
                 sepsets._record_excluding(t, pool, excluded)
             _posthoc_search(engine, rest, screen, sepsets, cfg.max_sepset_size)
 
-        with_background = Pdag(
-            n_nodes, directed_edges=cross_edges, undirected_edges=within_pairs, labels=labels
-        )
+        # a surviving pair never left the blankets; the ordering keeps it off the cross sets
+        within_pairs = {(k, j) if k < j else (j, k) for k, j in zip(*surviving) if k in blanket[j]}
+        state = _OrientationState(screen.n_nodes, cross_edges, within_pairs, screen.labels)
         _set_phase(engine, "orient")
-        maximal = _orient(with_background, sepsets, cfg.on_conflict, separate)
-        within = Pdag(
-            n_nodes,
-            directed_edges=[
-                (u, v) for u, v in maximal.directed_edges if (u, v) not in cross_edges
-            ],
-            undirected_edges=maximal.undirected_edges,
-            labels=labels,
-        )
+        pdag = _orient(state, sepsets, cfg.on_conflict, separate)
     else:
-        within = Pdag(n_nodes, labels=labels)
+        pdag = Pdag(screen.n_nodes, cross_edges, labels=screen.labels)
 
     diagnostics = Diagnostics(
         ci_tests=engine.n_queries - start_queries,
@@ -514,10 +486,8 @@ def podag_multi_layer(engine, ordering, screen, cfg=None):
         elapsed_ms=_elapsed_ms(started),
     )
     return PodagResult(
-        n_nodes=n_nodes,
-        labels=labels,
         cross_edges=cross_edges,
-        within=within,
+        pdag=pdag,
         sepsets=sepsets,
         screen=screen,
         diagnostics=diagnostics,
@@ -539,19 +509,20 @@ def learn(source, ordering, cfg=None, engine=None):
     """
     started = time.perf_counter()
     cfg = cfg or PodagConfig()
+    if not isinstance(source, (Dag, Dataset)):
+        raise TypeError("source must be a Dataset or a Dag")
+    _check_node_count(ordering.n_nodes, source)
     if isinstance(source, Dag):
         if cfg.backend != "pcor":
             raise ValueError("oracle inputs support only the pcor backend")
         if engine is None:
             engine = OracleEngine(source)
         screen_source = engine
-    elif isinstance(source, Dataset):
+    else:
         if engine is None:
             engine = GaussianEngine(source, alpha=cfg.alpha)
         # screening and the search read one checked covariance
         screen_source = getattr(engine, "cov", source)
-    else:
-        raise TypeError("source must be a Dataset or a Dag")
 
     if cfg.learn_within_layers:
         targets = list(range(ordering.n_nodes))

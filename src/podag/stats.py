@@ -33,7 +33,7 @@ import numpy as np
 import scipy
 
 from .errors import DegenerateDataError, InsufficientDataError, PodagError, SingularityError
-from .graph import _column_labels
+from .graph import _check_node, _column_labels
 
 __all__ = [
     "Dataset",
@@ -436,6 +436,8 @@ def partial_correlation(cov, i, j, s):
     """
     s = sorted(set(map(int, s)))
     i, j = int(i), int(j)
+    for v in (i, j, *s):
+        _check_node(cov.m, v)
     if i == j or i in s or j in s:
         raise ValueError("i, j and s must be disjoint")
     i, j = min(i, j), max(i, j)  # the value is symmetric; make it exactly so
@@ -521,6 +523,16 @@ def fisher_z_test(cov, n, i, j, s, alpha):
     return _fisher_z_verdict(partial_correlation(cov, i, j, s), dof, alpha)
 
 
+def _check_node_count(n_nodes, source):
+    """Raise a ValueError naming both counts unless ``source`` (data, a DAG or an engine) has ``n_nodes`` nodes.
+
+    An engine whose ``n_nodes`` is None passes.
+    """
+    m = source.m if isinstance(source, (Dataset, CovMatrix)) else source.n_nodes
+    if m is not None and m != n_nodes:
+        raise ValueError(f"the estimator was given {n_nodes} nodes, but the data has {m}")
+
+
 class CiEngine:
     """Contract for pluggable conditional-independence tests.
 
@@ -553,9 +565,13 @@ class CiEngine:
     | T`` of a pair in order until one is independent.  ``speculate``
     looks ahead over many tests without counting; ``_query_first`` walks
     one test from that look-ahead, counting as the loop would.
+
+    ``n_nodes``, the number of nodes tested, bounds the indices ``query``
+    accepts and is checked against an estimator's; None checks neither.
     """
 
-    def __init__(self):
+    def __init__(self, n_nodes=None):
+        self.n_nodes = n_nodes
         self._count_lock = threading.Lock()
         self._n_queries = 0
 
@@ -570,6 +586,9 @@ class CiEngine:
     def query(self, i, j, s=()):
         i, j = int(i), int(j)
         s = frozenset(map(int, s))
+        if self.n_nodes is not None:
+            for v in (i, j, *s):
+                _check_node(self.n_nodes, v)
         if i == j or i in s or j in s:
             raise ValueError("i, j and s must be disjoint")
         i, j = min(i, j), max(i, j)
@@ -662,7 +681,7 @@ class OracleEngine(CiEngine):
     """Population oracle: independent iff d-separated in the given DAG."""
 
     def __init__(self, dag):
-        super().__init__()
+        super().__init__(dag.n_nodes)
         self.dag = dag
 
     def _decide(self, i, j, s):
@@ -720,7 +739,6 @@ class GaussianEngine(CiEngine):
     """
 
     def __init__(self, source, alpha=0.05):
-        super().__init__()
         self.alpha = float(alpha)
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
@@ -729,6 +747,7 @@ class GaussianEngine(CiEngine):
         if isinstance(source, CovMatrix) and source.n is None:
             raise ValueError("a CovMatrix source needs a sample size n")
         self.cov = _covariance(source)
+        super().__init__(self.cov.m)
         self._n = source.n
 
     def _decide(self, i, j, s):
@@ -905,7 +924,7 @@ class RecordingEngine(CiEngine):
     """
 
     def __init__(self, inner):
-        super().__init__()
+        super().__init__(inner.n_nodes)
         self.inner = inner
         self.records = []
         self.phase = "search"

@@ -16,13 +16,12 @@ from podag import (
     PartialOrdering,
     Pdag,
     SepsetMap,
-    apply_meek_rules,
-    orient_v_structures,
     partial_correlation,
 )
 from podag.errors import PodagError
-from podag.graph import orient_by_ordering
+from podag.graph import _OrientationState, orient_by_ordering
 from podag.screening import LASSO_MAX_SWEEPS, LASSO_TIE, LASSO_TOL, ScreenEntry, ScreenSets
+from podag.search import _orient
 from podag.sem import GenConfig, generate_layered_dag, population_covariance, random_weights, rng_from_seed
 
 
@@ -105,6 +104,12 @@ def enumeration_maximal_pdag(dag, background=()):
     return Pdag(dag.n_nodes, directed, undirected, labels=dag.labels)
 
 
+def orient_pdag(pdag, sepsets, on_conflict="error"):
+    """``pdag`` through the estimators' orientation stage: v-structures from ``sepsets``, then Meek's rules."""
+    state = _OrientationState(pdag.n_nodes, pdag.directed_edges, pdag.undirected_edges, pdag.labels)
+    return _orient(state, sepsets, on_conflict)
+
+
 def oracle_maximal_pdag(dag, ordering):
     """Target graph: true skeleton + ordering background + v-structures + Meek."""
     skel = {(min(u, v), max(u, v)) for u, v in dag.edges}
@@ -132,7 +137,7 @@ def oracle_maximal_pdag(dag, ordering):
                     if found is not None:
                         break
             seps.record(i, j, found)
-    return apply_meek_rules(orient_v_structures(start, seps))
+    return orient_pdag(start, seps)
 
 
 def reference_edge_metrics(estimated, truth, scope, ordering=None):

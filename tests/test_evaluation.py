@@ -34,7 +34,7 @@ from podag.evaluation import (
     faithfulness_report,
     rows_to_csv,
 )
-from podag.sem import rng_from_seed, sample, toy_two_layer_sem
+from podag.sem import GenConfig, generate_layered_dag, random_weights, rng_from_seed, sample, toy_two_layer_sem
 
 from helpers import random_layered_instance, reference_edge_metrics, toy_diamond
 
@@ -65,12 +65,17 @@ def random_edge_set(rng, n, prob=0.3):
 
 
 def override_ordering(rng, n):
-    """Per-node before/after sets drawn independently, so the two often disagree."""
+    """Per-node before/after sets drawn independently along one random rank.
+
+    A node's tables often name a pair the other node's leave out; they
+    never order a pair both ways, which :class:`PartialOrdering` rejects.
+    """
+    rank = rng.permutation(n)
     before, after = {}, {}
     for j in range(n):
         others = [v for v in range(n) if v != j and rng.random() < 0.4]
-        cut = int(rng.integers(len(others) + 1))
-        before[j], after[j] = others[:cut], others[cut:]
+        before[j] = [v for v in others if rank[v] < rank[j]]
+        after[j] = [v for v in others if rank[v] > rank[j]]
     return PartialOrdering([], n_nodes=n, unordered=range(n), before=before, after=after)
 
 
@@ -182,11 +187,12 @@ class TestEdgeMetricsAgainstReference:
         ordering = PartialOrdering(layers, n_nodes=m, unordered=unordered)
         if overrides:
             before, after = {}, {}
+            rank = rng.permutation(m)  # orders the unordered nodes' overrides, which may not contradict
             for j in range(m):
                 if ordering.layer_of(j) is None:
                     others = [v for v in range(m) if v != j and rng.random() < 0.4]
-                    cut = int(rng.integers(len(others) + 1))
-                    before[j], after[j] = others[:cut], others[cut:]
+                    before[j] = [v for v in others if rank[v] < rank[j]]
+                    after[j] = [v for v in others if rank[v] > rank[j]]
                 else:
                     before[j] = [v for v in ordering.before_set(j) if rng.random() < 0.7]
                     after[j] = [v for v in ordering.after_set(j) if rng.random() < 0.7]
@@ -231,6 +237,29 @@ class TestFit:
         assert result.ci_tests == json.loads(result.to_json())["diagnostics"]["ci_tests"] > 0
         if algorithm == "podag":
             assert result.pdag == result.as_pdag()
+
+    @pytest.mark.parametrize(
+        "algorithm, within",
+        [("podag", False), ("podag", True), ("pc", False), ("pc_plus", False), ("h0", False), ("h_minus_j", False)],
+    )
+    def test_one_pdag_per_fit(self, monkeypatch, algorithm, within):
+        # orientation runs on one state, and a result stores the graph it returns
+        rng = rng_from_seed(8)
+        dag, ordering = generate_layered_dag(GenConfig(n_nodes=12, expected_edges_per_node=2.0, layers=2), rng)
+        data = sample(random_weights(dag, rng), 400, rng)
+        cfg = PodagConfig(learn_within_layers=within, on_conflict="ignore")
+        built = []
+        init = Pdag.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Pdag, "__init__", counting_init)
+        result = podag.evaluation._fit(algorithm, data, ordering, cfg)
+        first, second = result.pdag, result.pdag
+        assert len(built) == 1
+        assert first is second and first.adjacency_pairs()
 
 
 class TestCollectTuples:

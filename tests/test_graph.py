@@ -10,7 +10,6 @@ from podag import (
     Pdag,
     SepsetMap,
     apply_meek_rules,
-    orient_v_structures,
     read_edgelist,
     read_layering,
     write_edgelist,
@@ -23,6 +22,7 @@ from podag.sem import rng_from_seed, toy_two_layer_sem
 from helpers import (
     brute_force_dsep,
     enumeration_maximal_pdag,
+    orient_pdag,
     random_layered_instance,
     toy_diamond,
 )
@@ -150,24 +150,26 @@ class TestVStructures:
 
 
 class TestOrientVStructures:
+    """V-structures through the estimators' orientation stage, whose Meek closure adds nothing here."""
+
     def test_empty_sepset_creates_collider(self):
         skel = Pdag(3, undirected_edges=[(0, 2), (1, 2)])
         seps = SepsetMap()
         seps.record(0, 1, frozenset())
-        out = orient_v_structures(skel, seps)
+        out = orient_pdag(skel, seps)
         assert out.directed_edges == {(0, 2), (1, 2)}
 
     def test_middle_in_sepset_blocks_collider(self):
         skel = Pdag(3, undirected_edges=[(0, 2), (1, 2)])
         seps = SepsetMap()
         seps.record(0, 1, frozenset({2}))
-        out = orient_v_structures(skel, seps)
+        out = orient_pdag(skel, seps)
         assert out.directed_edges == frozenset()
         assert out.undirected_edges == {(0, 2), (1, 2)}
 
     def test_complete_skeleton_unchanged(self):
         skel = Pdag(3, undirected_edges=[(0, 1), (0, 2), (1, 2)])
-        out = orient_v_structures(skel, SepsetMap())
+        out = orient_pdag(skel, SepsetMap())
         assert out == skel
 
     def test_conflict_raises(self):
@@ -177,8 +179,8 @@ class TestOrientVStructures:
         seps.record(0, 2, frozenset())  # 0 -> 1 <- 2
         seps.record(1, 3, frozenset())  # 1 -> 2 <- 3, conflicts on (1, 2)
         with pytest.raises(InconsistencyError):
-            orient_v_structures(skel, seps)
-        out = orient_v_structures(skel, seps, on_conflict="ignore")
+            orient_pdag(skel, seps)
+        out = orient_pdag(skel, seps, on_conflict="ignore")
         assert (2, 1) in out.directed_edges  # first triple wins
 
 
@@ -237,7 +239,7 @@ class TestMeekRules:
                         if found is not None:
                             break
                     seps.record(i, j, found)
-            got = apply_meek_rules(orient_v_structures(start, seps))
+            got = orient_pdag(start, seps)
             assert got == enumeration_maximal_pdag(dag, background), sorted(dag.edges)
 
 
@@ -288,6 +290,26 @@ class TestPartialOrdering:
         o = PartialOrdering([{0}, {1}, {2}], n_nodes=3, before={2: {0}}, after={0: set()})
         assert o.before_set(2) == {0}
         assert o.before_set(1) == frozenset()  # overrides replace derived info
+
+    def test_one_sided_overrides_are_mirrored(self):
+        # 2's before set names 0 and 1, whose own tables say nothing
+        o = PartialOrdering([], n_nodes=3, unordered=[0, 1, 2], before={2: {0, 1}}, after={})
+        assert o.after_set(0) == o.after_set(1) == {2}
+        assert o.peer_set(0) == {1} and o.peer_set(2) == frozenset()
+        for u in range(3):
+            for v in range(3):
+                assert o.orders_before(u, v) == (v in o.after_set(u)) == (u in o.before_set(v))
+
+    @pytest.mark.parametrize(
+        "before, after", [({1: {0}, 0: {1}}, {}), ({}, {0: {1}, 1: {0}}), ({1: {0}}, {1: {0}})]
+    )
+    def test_overrides_ordering_a_pair_both_ways_are_refused(self, before, after):
+        with pytest.raises(ValueError, match="overlap"):
+            PartialOrdering([], n_nodes=2, unordered=[0, 1], before=before, after=after)
+
+    def test_override_members_are_nodes(self):
+        with pytest.raises(ValueError, match="out of range"):
+            PartialOrdering([], n_nodes=2, unordered=[0, 1], before={1: {5}})
 
     def test_weak_ordering_round_trip(self):
         o = PartialOrdering([{0}, {1, 2}], n_nodes=4, unordered={3})

@@ -6,6 +6,7 @@ import re
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,8 @@ from podag import (
     PartialOrdering,
     PodagConfig,
     RecordingEngine,
+    estimate_h0,
+    estimate_h_minus_j,
     generate_layered_dag,
     learn,
     pc,
@@ -561,6 +564,18 @@ class TestMultiLayerSearch:
         assert res.cross_edges == {(0, 1)}
         assert res.within.directed_edges == {(1, 2)}
 
+    def test_one_sided_weak_ordering(self):
+        # 2's before set alone orders 0 and 1 before it: 0 -> 2 is a cross
+        # edge, never also a within pair
+        ordering = PartialOrdering([], n_nodes=3, unordered=[0, 1, 2], before={2: {0, 1}}, after={})
+        dag, rng = Dag(3, [(0, 2)]), rng_from_seed(3)
+        data = sample(random_weights(dag, rng), 500, rng)
+        res = learn(data, ordering, PodagConfig(learn_within_layers=True))
+        assert res.cross_edges == {(0, 2)} == res.pdag.directed_edges
+        assert res.within.adjacency_pairs() == frozenset()
+        oracle = learn(dag, ordering, PodagConfig(learn_within_layers=True))
+        assert oracle.as_pdag() == res.as_pdag()
+
     def test_population_correctness_random(self):
         rng = rng_from_seed(1234)
         for _ in range(40):
@@ -848,3 +863,24 @@ class TestResultSerialization:
                 assert ordering.orders_before(k, j)
             cand = set(res.screen.cross_candidates())
             assert res.cross_edges <= cand
+
+
+NODE_COUNT_FITS = {
+    "learn": lambda data, ordering: learn(data, ordering),
+    "learn-oracle": lambda data, ordering: learn(Dag(8, []), ordering),
+    "screen_all": lambda data, ordering: screen_all(data, ordering),
+    "pc": lambda data, ordering: pc(GaussianEngine(data), ordering.n_nodes),
+    "pc_plus": lambda data, ordering: pc_plus(GaussianEngine(data), ordering),
+    "h0": lambda data, ordering: estimate_h0(GaussianEngine(data), ordering),
+    "h_minus_j": lambda data, ordering: estimate_h_minus_j(OracleEngine(Dag(8, [])), ordering),
+}
+
+
+@pytest.mark.parametrize("fit", sorted(NODE_COUNT_FITS))
+@pytest.mark.parametrize("n_nodes", [4, 10])
+def test_estimators_refuse_a_node_count_other_than_the_data(fit, n_nodes):
+    # 4 nodes once fitted the first 4 of the 8 columns; 10 failed with an IndexError
+    data = Dataset(np.random.default_rng(2).standard_normal((60, 8)))
+    ordering = PartialOrdering([set(range(n_nodes // 2)), set(range(n_nodes // 2, n_nodes))])
+    with pytest.raises(ValueError, match=f"given {n_nodes} nodes, but the data has 8"):
+        NODE_COUNT_FITS[fit](data, ordering)

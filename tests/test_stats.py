@@ -527,6 +527,26 @@ class TestEngines:
         assert eng.calls == [(0, 2, frozenset({1}))] * 3
         assert eng.n_queries == 3
 
+    @pytest.mark.parametrize("kind", ["gaussian", "oracle", "recording"])
+    @pytest.mark.parametrize("i, j, s", [(-1, 2, ()), (0, 1, (-2,)), (8, 1, ()), (0, 1, (3, 8))])
+    def test_nodes_outside_the_engine_are_refused(self, kind, i, j, s):
+        # a negative index once read the node it wraps around to
+        data = Dataset(np.random.default_rng(1).standard_normal((40, 8)))
+        eng = {
+            "gaussian": lambda: GaussianEngine(data),
+            "oracle": lambda: OracleEngine(Dag(8, [(0, 1)])),
+            "recording": lambda: RecordingEngine(GaussianEngine(data)),
+        }[kind]()
+        assert eng.n_nodes == 8
+        with pytest.raises(ValueError, match=r"node index -?\d+ out of range \[0, 8\)"):
+            eng.query(i, j, s)
+        assert eng.n_queries == 0
+
+    @pytest.mark.parametrize("i, j, s", [(-1, 2, ()), (0, 1, (-2,)), (4, 1, ()), (0, 1, (4,))])
+    def test_partial_correlation_refuses_nodes_outside_the_matrix(self, i, j, s):
+        with pytest.raises(ValueError, match=r"out of range \[0, 4\)"):
+            partial_correlation(CovMatrix(np.eye(4), n=10), i, j, s)
+
     @pytest.mark.parametrize("i, j, s", [(1, 1, ()), (1, 2, (1,)), (1, 2, (0, 2))])
     def test_invalid_recording_query_is_neither_counted_nor_recorded(self, i, j, s):
         inner = OracleEngine(toy_diamond())
