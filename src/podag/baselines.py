@@ -11,36 +11,34 @@ share one body, whose skeleton search is the level-wise driver of
 from __future__ import annotations
 
 import itertools
-import json
+import time
 from dataclasses import dataclass
 
-from .graph import Pdag, SepsetMap, _ordered_edges, _OrientationState, write_edgelist
-from .search import _orient, _search_levels
+from .graph import Pdag, SepsetMap, _ordered_edges, _OrientationState
+from .search import Diagnostics, _elapsed_ms, _FitResult, _orient, _search_levels
 from .stats import _check_node_count, _dependence_error
 
 __all__ = ["BaselineResult", "estimate_h0", "estimate_h_minus_j", "pc", "pc_plus"]
 
 
 @dataclass(frozen=True)
-class BaselineResult:
-    """Estimated graph plus the bookkeeping needed for evaluation."""
-
-    pdag: Pdag
-    sepsets: SepsetMap
-    ci_tests: int
+class BaselineResult(_FitResult):
+    """A baseline's estimate, shaped as a PODAG result; its JSON lists the edges directed or undirected."""
 
     def to_json(self):
-        labels = self.pdag.labels
-        doc = {
-            "directed": [[labels[u], labels[v]] for u, v in sorted(self.pdag.directed_edges)],
-            "undirected": [[labels[u], labels[v]] for u, v in sorted(self.pdag.undirected_edges)],
-            "sepsets": self.sepsets._by_label(labels),
-            "diagnostics": {"ci_tests": self.ci_tests},
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return self._dumps(
+            {
+                "directed": self._labelled(self.pdag.directed_edges),
+                "undirected": self._labelled(self.pdag.undirected_edges),
+                "diagnostics": {"ci_tests": self.ci_tests},
+            }
+        )
 
-    def to_edgelist(self):
-        return write_edgelist(self.pdag.directed_edges, self.pdag.labels, self.pdag.undirected_edges)
+
+def _result(pdag, sepsets, removals, engine, start, started):
+    """A fit's result; it began at ``started``, and its queries, all ``search``, are ``engine``'s since ``start``."""
+    queries = {"screen": 0, "search": engine.n_queries - start, "orient": 0}
+    return BaselineResult(pdag, sepsets, Diagnostics(queries, removals, _elapsed_ms(started)))
 
 
 def _two_layer_sets(ordering):
@@ -65,7 +63,7 @@ def _dependence_edges(engine, ordering, labels, adjust_second):
     first, second = _two_layer_sets(ordering)
     adjusted = first + second if adjust_second else first
     cov = getattr(engine, "cov", None)  # an oracle has none
-    start = engine.n_queries
+    start, started = engine.n_queries, time.perf_counter()
     edges = set()
     for j in second:
         cond = frozenset(adjusted) - {j}
@@ -76,7 +74,7 @@ def _dependence_edges(engine, ordering, labels, adjust_second):
         independent = engine._query_block(j, first, cond)[0]
         edges.update((k, j) for k, ind in zip(first, independent) if not ind)
     pdag = Pdag(ordering.n_nodes, directed_edges=edges, labels=labels)
-    return BaselineResult(pdag=pdag, sepsets=SepsetMap(), ci_tests=engine.n_queries - start)
+    return _result(pdag, SepsetMap(), {}, engine, start, started)
 
 
 def estimate_h0(engine, ordering, labels=None):
@@ -111,7 +109,7 @@ def _pc(engine, n_nodes, labels, max_level, stable, on_conflict, ordering=None):
     if max_level is not None and max_level < 0:
         raise ValueError("max_level must be nonnegative")
     _check_node_count(n_nodes, engine)
-    start = engine.n_queries
+    start, started = engine.n_queries, time.perf_counter()
     adj = {v: set(range(n_nodes)) - {v} for v in range(n_nodes)}
     layer = [None if ordering is None else ordering.layer_of(v) for v in range(n_nodes)]
     # the candidates allowed when the later endpoint lies in layer L
@@ -128,12 +126,13 @@ def _pc(engine, n_nodes, labels, max_level, stable, on_conflict, ordering=None):
     # each pair i < j as (j, i), then (i, j)
     sources = [a for i, j in itertools.combinations(range(n_nodes), 2) for a in (j, i)]
     targets = [b for i, j in itertools.combinations(range(n_nodes), 2) for b in (i, j)]
-    sepsets, _, _ = _search_levels(engine, (sources, targets), lambda b: frozenset(), pool, adj, max_level, stable)
+    tests = (sources, targets)
+    sepsets, removals, _ = _search_levels(engine, tests, lambda b: frozenset(), pool, adj, max_level, stable)
     directed, undirected = (), {(i, j) for i in adj for j in adj[i] if i < j}
     if ordering is not None:
         directed, undirected = _ordered_edges(directed, undirected, ordering)
     cpdag = _orient(_OrientationState(n_nodes, directed, undirected, labels), sepsets, on_conflict)
-    return BaselineResult(pdag=cpdag, sepsets=sepsets, ci_tests=engine.n_queries - start)
+    return _result(cpdag, sepsets, removals, engine, start, started)
 
 
 def pc(engine, n_nodes, labels=None, max_level=None, stable=False, on_conflict="error"):

@@ -17,7 +17,7 @@ from .baselines import estimate_h0, estimate_h_minus_j, pc, pc_plus
 from .errors import SingularityError
 from .graph import Pdag, _ordered_edges
 from .screening import BACKENDS
-from .search import PodagConfig, learn
+from .search import STAGES, PodagConfig, learn
 from .sem import GenConfig, generate_layered_dag, population_covariance, random_weights, sample, spawn_rngs
 from .stats import GaussianEngine, OracleEngine, RecordingEngine, partial_correlation
 
@@ -195,14 +195,14 @@ def _fit(algorithm, source, ordering, cfg, engine=None):
     )
 
 
-def _recorded_fit(algorithm, dag, ordering, cfg=None):
-    """Fit against a recording d-separation oracle of ``dag``; returns the recorder.
+def _recorded_stages(algorithm, dag, ordering, cfg=None):
+    """Fit against a recording d-separation oracle of ``dag``; its queries, cut into stages by its own counts.
 
     ``cfg`` defaults to a within-layers PODAG configuration.
     """
     recorder = RecordingEngine(OracleEngine(dag))
-    _fit(algorithm, dag, ordering, cfg or PodagConfig(learn_within_layers=True), recorder)
-    return recorder
+    result = _fit(algorithm, dag, ordering, cfg or PodagConfig(learn_within_layers=True), recorder)
+    return result.diagnostics.stage_records(recorder.records)
 
 
 def _draw_replicate(rng, n_nodes, expected_edges_per_node, layers, weight_range):
@@ -217,26 +217,26 @@ def _draw_replicate(rng, n_nodes, expected_edges_per_node, layers, weight_range)
     return dag, ordering, random_weights(dag, rng, weight_range=weight_range)
 
 
-def collect_test_tuples(algorithm, g, ordering, cfg=None, phases=None):
+def collect_test_tuples(algorithm, g, ordering, cfg=None, phases=("search", "orient")):
     """Run an algorithm against a recording d-separation oracle.
 
     Returns the ordered list of tuples ``(i, j, S)`` the algorithm's
-    constraint-based part queried.  For the screen-then-search estimator
-    that is the searching loop plus orientation-phase queries: screening
-    is set inference (a regression problem in the sample version), so its
-    probes do not enter the test collection; every returned tuple then
-    conditions on ``cross(j) - {k}`` plus a blanket subset.  Its
-    orientation phase queries only pairs that neither the search nor a
-    screening verdict separated, so it adds few tuples; the separators
-    read from screening verdicts are oracle independences, with zero
-    partial correlation, so leaving them out cannot lower a minimum over
-    nonzero ones.  ``phases`` restricts the collection further (e.g.
-    ``("search",)`` for the skeleton-recovery tests alone).
+    constraint-based part queried: its stages named in ``phases``, cut
+    from the records by the fit's own ``queries_per_stage`` (PC, PC+, h0
+    and h-minus-j ask all in ``search``).  For the screen-then-search
+    estimator that is the searching loop plus orientation queries:
+    screening is set inference (a regression problem in the sample
+    version), so its probes do not enter the test collection; every
+    returned tuple then conditions on ``cross(j) - {k}`` plus a blanket
+    subset.  Its orientation stage queries only pairs that neither the
+    search nor a screening verdict separated, so it adds few tuples; the
+    separators read from screening verdicts are oracle independences,
+    with zero partial correlation, so leaving them out cannot lower a
+    minimum over nonzero ones.  ``phases=("search",)`` keeps the
+    skeleton-recovery tests alone.
     """
-    recorder = _recorded_fit(algorithm, g, ordering, cfg)
-    if phases is None and algorithm == "podag":
-        phases = ("search", "orient")
-    return recorder.tuples(phases=phases)
+    stages = _recorded_stages(algorithm, g, ordering, cfg)
+    return [t for stage in STAGES if stage in phases for t in stages[stage]]
 
 
 def rho_min_star(sem, tuples, zero_tol=ZERO_RHO_TOL):
@@ -282,10 +282,11 @@ def faithfulness_report(
     For each random SEM, runs every algorithm against the d-separation
     oracle, collects the tuples its constraint-based part tested (for the
     screen-then-search estimator the searching loop and orientation
-    queries; screening is regression-style set inference), and evaluates
-    the minimum nonzero population partial correlation over (a) the
-    skeleton-phase tuples and (b) the full run including
-    orientation-phase queries, together with the number of CI tests.
+    queries; screening is regression-style set inference), cut from the
+    recorded queries by the fit's own ``queries_per_stage``, and
+    evaluates the minimum nonzero population partial correlation over
+    (a) the search stage's tuples and (b) the full run including the
+    orientation stage's, together with the number of CI tests.
     PODAG orients most pairs from its screening verdicts, which are
     independences and so cannot lower (b); its orientation queries are
     only the post-hoc searches for the remaining pairs (see
@@ -302,20 +303,19 @@ def faithfulness_report(
         )
         rows = []
         for algo in ("pc", "pc_plus", "podag"):
-            recorder = _recorded_fit(algo, dag, ordering)
-            skeleton_tuples = recorder.tuples(phases=("search",))
-            full_tuples = recorder.tuples(phases=("search", "orient"))
+            stages = _recorded_stages(algo, dag, ordering)
+            skeleton_tuples, orient_tuples = stages["search"], stages["orient"]
             rho_skeleton = rho_min_star(sem, skeleton_tuples)
             # the full run's minimum only needs the tuples the skeleton lacks
             seen = set(skeleton_tuples)
-            rho_rest = rho_min_star(sem, [t for t in full_tuples if t not in seen])
+            rho_rest = rho_min_star(sem, [t for t in orient_tuples if t not in seen])
             rows.append(
                 {
                     "replicate": rep,
                     "algorithm": algo,
                     "rho_min_skeleton": rho_skeleton,
                     "rho_min_full": min(rho_skeleton, rho_rest),
-                    "ci_tests": len(full_tuples),
+                    "ci_tests": len(skeleton_tuples) + len(orient_tuples),
                 }
             )
         return rows

@@ -86,15 +86,70 @@ class PodagConfig:
         return dict(self.backend_params)
 
 
+STAGES = ("screen", "search", "orient")  # a fit's stages, in the order it runs them
+
+
 @dataclass(frozen=True)
 class Diagnostics:
-    ci_tests: int
+    """What a fit did: its queries per stage, its removals per search level and its time.
+
+    ``queries_per_stage`` maps each of :data:`STAGES` to the CI-test
+    queries the fit counted there, ``ci_tests`` in all.  PC, PC+, h0
+    and h-minus-j count every query as ``search``.  Fits that differ
+    only in ``elapsed_ms`` compare equal.
+    """
+
+    queries_per_stage: dict
     removals_per_level: dict
-    elapsed_ms: int
+    elapsed_ms: int = field(compare=False)
+
+    @property
+    def ci_tests(self):
+        """The queries of every stage."""
+        return sum(self.queries_per_stage.values())
+
+    def stage_records(self, records):
+        """``{stage: its queries}``, cut from ``records``, a recorded query list that ends with this fit's.
+
+        Counted from the end, since sample-mode screening asks no engine:
+        there the ``screen`` entry holds what precedes the fit's search,
+        at most its count of records.
+        """
+        stages, end = {}, len(records)
+        for stage in reversed(STAGES):
+            start = max(end - self.queries_per_stage[stage], 0)
+            stages[stage], end = records[start:end], start
+        return {stage: stages[stage] for stage in STAGES}
 
 
 @dataclass(frozen=True)
-class PodagResult:
+class _FitResult:
+    """What every estimator returns: the one estimated graph, its separating sets and the fit's diagnostics."""
+
+    pdag: Pdag
+    sepsets: SepsetMap
+    diagnostics: Diagnostics
+
+    @property
+    def ci_tests(self):
+        """``diagnostics.ci_tests``."""
+        return self.diagnostics.ci_tests
+
+    def to_edgelist(self):
+        return write_edgelist(self.pdag.directed_edges, self.pdag.labels, self.pdag.undirected_edges)
+
+    def _dumps(self, doc):
+        """``doc`` and the labelled sepsets as the result's JSON text."""
+        doc["sepsets"] = self.sepsets._by_label(self.pdag.labels)
+        return json.dumps(doc, indent=2, sort_keys=True)
+
+    def _labelled(self, edges):
+        labels = self.pdag.labels
+        return [[labels[u], labels[v]] for u, v in sorted(edges)]
+
+
+@dataclass(frozen=True)
+class PodagResult(_FitResult):
     """Output of a PODAG run.
 
     ``pdag`` is the one estimated graph.  ``cross_edges`` are its
@@ -104,10 +159,7 @@ class PodagResult:
     """
 
     cross_edges: frozenset
-    pdag: Pdag
-    sepsets: SepsetMap
     screen: ScreenSets
-    diagnostics: Diagnostics
 
     @property
     def within(self):
@@ -119,30 +171,20 @@ class PodagResult:
         """Everything in one partially directed graph: ``pdag``."""
         return self.pdag
 
-    @property
-    def ci_tests(self):
-        """``diagnostics.ci_tests``, named as on a baseline's result."""
-        return self.diagnostics.ci_tests
-
     def to_json(self):
-        labels = self.pdag.labels
-        doc = {
-            "cross_edges": [[labels[k], labels[j]] for k, j in sorted(self.cross_edges)],
-            "within_directed": [[labels[u], labels[v]] for u, v in sorted(self.pdag.directed_edges - self.cross_edges)],
-            "within_undirected": [[labels[u], labels[v]] for u, v in sorted(self.pdag.undirected_edges)],
-            "sepsets": self.sepsets._by_label(labels),
-            "diagnostics": {
-                "ci_tests": self.diagnostics.ci_tests,
-                "elapsed_ms": self.diagnostics.elapsed_ms,
-                "removals_per_level": {
-                    str(k): v for k, v in sorted(self.diagnostics.removals_per_level.items())
+        removals = self.diagnostics.removals_per_level
+        return self._dumps(
+            {
+                "cross_edges": self._labelled(self.cross_edges),
+                "within_directed": self._labelled(self.pdag.directed_edges - self.cross_edges),
+                "within_undirected": self._labelled(self.pdag.undirected_edges),
+                "diagnostics": {
+                    "ci_tests": self.ci_tests,
+                    "elapsed_ms": self.diagnostics.elapsed_ms,
+                    "removals_per_level": {str(k): v for k, v in sorted(removals.items())},
                 },
-            },
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-    def to_edgelist(self):
-        return write_edgelist(self.pdag.directed_edges, self.pdag.labels, self.pdag.undirected_edges)
+            }
+        )
 
 
 WINDOW = 512  # unions the skeleton search speculates in one engine call
@@ -151,11 +193,6 @@ STACK_SIZE = 256  # subsets of one test speculated at a time
 
 def _elapsed_ms(started):
     return int(round((time.perf_counter() - started) * 1000))
-
-
-def _set_phase(engine, phase):
-    if hasattr(engine, "phase"):
-        engine.phase = phase
 
 
 def _later_separator(engine, a, b, base, pool, level, start):
@@ -443,7 +480,6 @@ def podag_multi_layer(engine, ordering, screen, cfg=None):
     # a removed pair leaves both blankets: separating sets only ever need
     # true neighbours, which are never removed, so shrinking the pool is
     # sound and skips subsets of members already ruled out
-    _set_phase(engine, "search")
     sepsets, removals, surviving = _search_levels(
         engine,
         candidates,
@@ -453,6 +489,7 @@ def podag_multi_layer(engine, ordering, screen, cfg=None):
         cfg.max_sepset_size,
         cfg.stable,
     )
+    searched = engine.n_queries
 
     cross_edges = frozenset((k, j) for k, j in zip(*surviving) if k in cross[j])
     if cfg.learn_within_layers:
@@ -475,23 +512,13 @@ def podag_multi_layer(engine, ordering, screen, cfg=None):
         # a surviving pair never left the blankets; the ordering keeps it off the cross sets
         within_pairs = {(k, j) if k < j else (j, k) for k, j in zip(*surviving) if k in blanket[j]}
         state = _OrientationState(screen.n_nodes, cross_edges, within_pairs, screen.labels)
-        _set_phase(engine, "orient")
         pdag = _orient(state, sepsets, cfg.on_conflict, separate)
     else:
         pdag = Pdag(screen.n_nodes, cross_edges, labels=screen.labels)
 
-    diagnostics = Diagnostics(
-        ci_tests=engine.n_queries - start_queries,
-        removals_per_level=removals,
-        elapsed_ms=_elapsed_ms(started),
-    )
-    return PodagResult(
-        cross_edges=cross_edges,
-        pdag=pdag,
-        sepsets=sepsets,
-        screen=screen,
-        diagnostics=diagnostics,
-    )
+    queries = {"screen": 0, "search": searched - start_queries, "orient": engine.n_queries - searched}
+    diagnostics = Diagnostics(queries, removals, _elapsed_ms(started))
+    return PodagResult(pdag, sepsets, diagnostics, cross_edges, screen)
 
 
 def learn(source, ordering, cfg=None, engine=None):
@@ -504,8 +531,9 @@ def learn(source, ordering, cfg=None, engine=None):
     inherited from the searching loop: any screening output covering the
     true sets yields the same final graph under an oracle engine.
 
-    Reported ``ci_tests`` cover the whole run: screening, searching, and
-    orientation-phase queries; ``elapsed_ms`` covers the same stages.
+    The diagnostics count the queries of each stage, screening's
+    included, in ``queries_per_stage``; ``elapsed_ms`` covers the same
+    stages.
     """
     started = time.perf_counter()
     cfg = cfg or PodagConfig()
@@ -528,13 +556,9 @@ def learn(source, ordering, cfg=None, engine=None):
         targets = list(range(ordering.n_nodes))
     else:
         targets = [j for j in range(ordering.n_nodes) if ordering.before_set(j)]
-    _set_phase(engine, "screen")
     screen, screen_tests = screen_all(screen_source, ordering, cfg.backend, cfg.screen_params(), targets)
     screen.labels = source.labels  # an engine source carries no labels
     result = podag_multi_layer(engine, ordering, screen, cfg)
-    diagnostics = replace(
-        result.diagnostics,
-        ci_tests=screen_tests + result.diagnostics.ci_tests,
-        elapsed_ms=_elapsed_ms(started),
-    )
+    queries = dict(result.diagnostics.queries_per_stage, screen=screen_tests)
+    diagnostics = replace(result.diagnostics, queries_per_stage=queries, elapsed_ms=_elapsed_ms(started))
     return replace(result, diagnostics=diagnostics)

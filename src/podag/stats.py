@@ -715,10 +715,8 @@ class GaussianEngine(CiEngine):
     falls below ``sqrt(RCOND_MIN)`` of its variance, where its union may
     be near singular, is not read, and neither is any source of a block
     that holds one source, of a block whose sources outside ``cond``
-    would have no degrees of freedom (``n - |cond| - 3 <= 0``), or
-    outside a ``U`` that fails the guard.  A source inside such a ``U``,
-    whose single query would factor ``U`` again, is read by
-    :func:`fisher_z_test`.  ``_query_block`` asks the sources left
+    would have no degrees of freedom (``n - |cond| - 3 <= 0``), or of a
+    ``U`` that fails the guard.  ``_query_block`` asks the sources left
     unread as single queries.
 
     ``speculate`` groups the unions ``base + T + {a, b}`` of its tests
@@ -848,14 +846,10 @@ class GaussianEngine(CiEngine):
         def read(sources, cond):  # one source gains nothing; the dof guard raises in _decide
             return len(sources) > 1 and n - len(cond) - 3 > 0
 
-        # the stage's layout: every union's positions, then every border, then every read of an empty cond
-        positions = borders = 0
-        for b, sources, cond in requests:
-            if cond and read(sources, cond):
-                positions += len(cond) + 1
-                borders += len(sources) - len(cond.intersection(sources))
-        at = [0, positions, positions + borders]  # the next position, border and marginal read
-        perm, dofs, counts, marginal_a, marginal_b = [], [], [], [], []
+        # per source its part of the stage (0 a union position, 1 a border, 2 a read of an empty cond)
+        # and its place in that part; the parts' offsets are known once the stage is read
+        parts, places, dofs, counts, marginal_a, marginal_b = [], [], [], [], [], []
+        at = [0, 0, 0]  # the next place in each part
 
         def blocks():
             for b, sources, cond in requests:
@@ -864,51 +858,45 @@ class GaussianEngine(CiEngine):
                 dofs.append(n - len(cond) - 3)  # a source outside cond
                 counts.append(len(sources))
                 if not cond:  # fisher_z_test's read of three covariance entries
-                    perm.extend(range(at[2], at[2] + len(sources)))
+                    parts.extend([2] * len(sources))
+                    places.extend(range(at[2], at[2] + len(sources)))
                     at[2] += len(sources)
                     marginal_a.extend(sources)
                     marginal_b.extend([b] * len(sources))
                     continue
                 order = sorted(cond.union((b,)))
                 position = {v: k for k, v in enumerate(order)}
-                ranks = itertools.count(at[1])
-                perm.extend([at[0] + position[a] if a in position else next(ranks) for a in sources])
                 outside = [a for a in sources if a not in position]
+                ranks = itertools.count(at[1])
+                parts.extend([0 if a in position else 1 for a in sources])
+                places.extend([at[0] + position[a] if a in position else next(ranks) for a in sources])
                 at[0] += len(order)
                 at[1] += len(outside)
                 yield order, position[b], outside
 
-        rhos, flags, failed = _read_stage(sigma, blocks())
-        if not perm:
+        rhos, flags, _ = _read_stage(sigma, blocks())
+        if not parts:
             return [None] * len(requests)
         if marginal_a:
             diagonal = sigma.diagonal()
             ratio = sigma[marginal_a, marginal_b] / np.sqrt(diagonal[marginal_a] * diagonal[marginal_b])
             rhos = np.concatenate((rhos, _clip_unit(ratio)))
             flags = np.concatenate((flags, np.ones(len(marginal_a), dtype=bool)))
-        perm = np.array(perm)
-        inside = perm < positions  # a source inside cond leaves S one smaller
+        parts = np.array(parts)
+        perm = np.array(places) + np.array([0, at[0], at[0] + at[1]])[parts]
+        inside = parts == 0  # a source inside cond leaves S one smaller
         z, independent = _fisher_z_statistics(rhos[perm], np.repeat(dofs, counts) + inside, self.alpha)
         flags, independent, z = flags[perm].tolist(), independent.tolist(), z.tolist()
 
         def entries():  # one request at a time, so that a stage holds no per-request lists
-            lo = block = 0
-            for b, sources, cond in requests:
+            lo = 0
+            for _, sources, cond in requests:
                 if not read(sources, cond):
                     yield None
                     continue
                 hi = lo + len(sources)
-                entry = (flags[lo:hi], independent[lo:hi], z[lo:hi])
-                if cond and block in failed:  # U failed the guard: fisher_z_test reads the sources inside it
-                    for k in itertools.compress(range(len(sources)), inside[lo:hi].tolist()):
-                        a = sources[k]
-                        try:
-                            verdict = fisher_z_test(self.cov, n, min(a, b), max(a, b), cond - {a}, self.alpha)
-                        except PodagError:
-                            continue
-                        entry[0][k], entry[1][k], entry[2][k] = True, verdict.independent, verdict.statistic
-                yield entry
-                lo, block = hi, block + bool(cond)
+                yield flags[lo:hi], independent[lo:hi], z[lo:hi]
+                lo = hi
 
         return entries()
 
@@ -916,18 +904,18 @@ class GaussianEngine(CiEngine):
 class RecordingEngine(CiEngine):
     """Wrapper that records every query issued to an inner engine.
 
-    Records ``(i, j, s, phase)`` tuples in call order; ``phase`` is a
-    caller-controlled tag (e.g. "screen", "search", "orient").  Recording
-    hooks :meth:`CiEngine._count`, the one point every counted query
-    passes: it records the queries, counts them here and in the inner
-    engine, and the inner engine decides them.
+    ``records`` lists the queries as ``(i, j, s)`` tuples in call order;
+    a fit's ``diagnostics.stage_records`` cuts its own, the last ones,
+    into its stages.  Recording hooks :meth:`CiEngine._count`, the one
+    point every counted query passes: it records the queries, counts
+    them here and in the inner engine, and the inner engine decides
+    them.
     """
 
     def __init__(self, inner):
         super().__init__(inner.n_nodes)
         self.inner = inner
         self.records = []
-        self.phase = "search"
 
     @property
     def cov(self):
@@ -936,7 +924,7 @@ class RecordingEngine(CiEngine):
 
     def _count(self, n, queries):
         with self._count_lock:
-            self.records.extend((i, j, s, self.phase) for i, j, s in queries())
+            self.records.extend(queries())
             self._n_queries += n
             self.inner._count(n, queries)
 
@@ -948,11 +936,3 @@ class RecordingEngine(CiEngine):
 
     def speculate(self, requests):
         return self.inner.speculate(requests)
-
-    def tuples(self, phases=None):
-        """Recorded (i, j, s) tuples, optionally filtered by phase tags."""
-        if phases is None:
-            return [(i, j, s) for i, j, s, _ in self.records]
-        phases = set(phases)
-        return [(i, j, s) for i, j, s, ph in self.records if ph in phases]
-

@@ -19,14 +19,17 @@ from podag import (
     PartialOrdering,
     Pdag,
     PodagConfig,
+    RecordingEngine,
     Sem,
     collect_test_tuples,
     edge_metrics,
     estimate_h0,
     estimate_h_minus_j,
     partial_correlation,
+    podag_multi_layer,
     rho_min_star,
     run_benchmark,
+    screen_all,
 )
 from podag.evaluation import (
     BENCHMARK_FIELDS,
@@ -34,6 +37,8 @@ from podag.evaluation import (
     faithfulness_report,
     rows_to_csv,
 )
+from podag.screening import BACKENDS
+from podag.search import STAGES
 from podag.sem import GenConfig, generate_layered_dag, random_weights, rng_from_seed, sample, toy_two_layer_sem
 
 from helpers import random_layered_instance, reference_edge_metrics, toy_diamond
@@ -260,6 +265,74 @@ class TestFit:
         first, second = result.pdag, result.pdag
         assert len(built) == 1
         assert first is second and first.adjacency_pairs()
+
+
+def twelve_node_instance():
+    """A 12-node, 2-layer DAG, its ordering and n = 400 samples."""
+    rng = rng_from_seed(3)
+    dag, ordering = generate_layered_dag(GenConfig(n_nodes=12, expected_edges_per_node=2.0, layers=2), rng)
+    return dag, ordering, sample(random_weights(dag, rng), 400, rng)
+
+
+class TestStageCounts:
+    """Every fit counts its queries per stage; those counts cut a recorder's records into the fit's stages."""
+
+    # (algorithm, backend, within, oracle); oracle inputs support only the pcor backend
+    FITS = [
+        ("podag", backend, within, oracle)
+        for backend in BACKENDS
+        for within in (False, True)
+        for oracle in ((0, 1) if backend == "pcor" else (0,))
+    ]
+    FITS += [(name, "pcor", False, oracle) for name in ("pc", "pc_plus", "h0", "h_minus_j") for oracle in (0, 1)]
+
+    @pytest.mark.parametrize("algorithm, backend, within, oracle", FITS)
+    def test_the_stages_sum_to_ci_tests(self, algorithm, backend, within, oracle):
+        dag, ordering, data = twelve_node_instance()
+        cfg = PodagConfig(backend=backend, learn_within_layers=within, on_conflict="ignore")
+        recorder = RecordingEngine(OracleEngine(dag) if oracle else GaussianEngine(data, alpha=cfg.alpha))
+        result = podag.evaluation._fit(algorithm, dag if oracle else data, ordering, cfg, recorder)
+        queries = result.diagnostics.queries_per_stage
+        assert list(queries) == list(STAGES)
+        assert sum(queries.values()) == result.ci_tests == json.loads(result.to_json())["diagnostics"]["ci_tests"]
+        # screening asks the engine only under an oracle
+        asked = result.ci_tests if oracle else queries["search"] + queries["orient"]
+        assert recorder.n_queries == len(recorder.records) == asked
+        stages = result.diagnostics.stage_records(recorder.records)
+        lengths = [oracle * queries["screen"], queries["search"], queries["orient"]]
+        assert [len(stages[stage]) for stage in STAGES] == lengths
+        assert [t for stage in STAGES for t in stages[stage]] == recorder.records
+        assert queries["search"] > 0
+        assert (queries["screen"] > 0) == (algorithm == "podag" and backend == "pcor")
+        if algorithm != "podag" or not within:
+            assert queries["orient"] == 0
+
+    def test_a_search_on_given_screens_counts_no_screening(self):
+        dag, ordering, _ = twelve_node_instance()
+        screen, _ = screen_all(OracleEngine(dag), ordering)
+        recorder = RecordingEngine(OracleEngine(dag))
+        result = podag_multi_layer(recorder, ordering, screen, PodagConfig(learn_within_layers=True))
+        queries = result.diagnostics.queries_per_stage
+        assert queries["screen"] == 0 and queries["search"] > 0
+        assert result.ci_tests == recorder.n_queries == len(recorder.records)
+
+    @pytest.mark.parametrize("first", ["podag", "pc", "pc_plus", "h0", "h_minus_j"])
+    @pytest.mark.parametrize("second", ["podag", "pc", "pc_plus", "h0", "h_minus_j"])
+    def test_a_reused_recorder_cuts_the_second_fit_as_a_fresh_one(self, first, second):
+        dag, ordering, _ = twelve_node_instance()
+        cfg = PodagConfig(learn_within_layers=True)
+
+        def stages(recorder, algorithm):
+            result = podag.evaluation._fit(algorithm, dag, ordering, cfg, recorder)
+            return result.diagnostics.stage_records(recorder.records)
+
+        reused = RecordingEngine(OracleEngine(dag))
+        stages(reused, first)
+        got, want = stages(reused, second), stages(RecordingEngine(OracleEngine(dag)), second)
+        assert got == want
+        assert got["search"] and not (second != "podag" and (got["screen"] or got["orient"]))
+        if (first, second) == ("podag", "pc"):
+            assert len(got["search"]) == 328  # every query PC asks after a within-layers PODAG fit
 
 
 class TestCollectTuples:

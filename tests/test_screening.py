@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -466,6 +468,32 @@ class TestLambdaSelection:
         lam = 1e-4 * lasso_lambda_max(y, x)
         with pytest.raises(SelectionError):
             select_lambda_aic(y, x, [lam], max_sweeps=1)
+
+
+class TestScreeningNotes:
+    """The notes an entry carries are the warnings its screen raised."""
+
+    def test_sis_pvalue_warns_when_the_overlap_exceeds_n(self):
+        # 25 candidates from 8 samples: at a cutoff of 0.99 nearly every
+        # marginal correlation is kept in both stages
+        data = Dataset(np.random.default_rng(5).standard_normal((8, 30)))
+        ordering = PartialOrdering([set(range(25)), set(range(25, 30))], n_nodes=30)
+        with pytest.warns(UserWarning, match=r"^screening for node 25: \|s0 & s1\| = \d+ exceeds n = 8$"):
+            entry = screen_sis(data, ordering, 25, mode="pvalue", pvalue_cutoff=0.99)
+        overlap = len(entry.s0 & entry.s1)
+        assert overlap > 8
+        assert entry.warnings == (f"screening for node 25: |s0 & s1| = {overlap} exceeds n = 8",)
+
+    def test_lasso_notes_a_fit_that_did_not_converge(self, monkeypatch):
+        # one sweep per fit: no stage can confirm its active set
+        monkeypatch.setattr(podag.screening, "_lasso", lambda gram, xy, lam: _lasso(gram, xy, lam, max_sweeps=1))
+        sem, ordering = toy_two_layer_sem()
+        data = sample(sem, 500, rng_from_seed(17))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a note is not a warning
+            entry = screen_lasso(data, ordering, 3)
+        assert entry.warnings == ("lasso for node 3 (s0) did not converge", "lasso for node 3 (s1) did not converge")
+        assert screen_all(data, ordering, "lasso")[0][3].warnings == entry.warnings
 
 
 class TestScreenLasso:

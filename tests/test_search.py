@@ -34,7 +34,7 @@ from podag.errors import InsufficientDataError, PodagError, SingularityError
 from podag.graph import SepsetMap
 from podag.screening import BACKENDS, ScreenEntry, ScreenSets
 from podag.sem import rng_from_seed, sample, toy_two_layer_sem
-from podag.stats import CiEngine, GaussianEngine, sample_covariance
+from podag.stats import CiEngine, CiVerdict, GaussianEngine, sample_covariance
 
 from helpers import (
     counting_factorizations,
@@ -123,9 +123,13 @@ def sixteen_node_data(seed):
     return sample(random_weights(dag, rng), 300, rng), ordering
 
 
-def query_digest(recorder):
-    """Short hash of a recorder's query sequence, phase tags included."""
-    text = "\n".join(f"{i} {j} {sorted(s)} {phase}" for i, j, s, phase in recorder.records)
+def query_digest(recorder, result=None):
+    """Short hash of a recorder's query sequence, each query tagged with its stage in ``result``'s fit.
+
+    Without a result (a fit that raised) the queries go untagged.
+    """
+    stages = result.diagnostics.stage_records(recorder.records) if result else {"": recorder.records}
+    text = "\n".join(f"{i} {j} {sorted(s)} {stage}" for stage, records in stages.items() for i, j, s in records)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -166,13 +170,13 @@ class TestSkeletonDriver:
         data, ordering = sixteen_node_data(seed)
         recorder = RecordingEngine(GaussianEngine(data, alpha=0.05))
         if algorithm == "pc":
-            ci_tests = pc(recorder, data.m, stable=stable, on_conflict="ignore").ci_tests
+            res = pc(recorder, data.m, stable=stable, on_conflict="ignore")
         elif algorithm == "pc_plus":
-            ci_tests = pc_plus(recorder, ordering, stable=stable, on_conflict="ignore").ci_tests
+            res = pc_plus(recorder, ordering, stable=stable, on_conflict="ignore")
         else:
             cfg = PodagConfig(learn_within_layers=True, on_conflict="ignore", stable=stable)
-            ci_tests = learn(data, ordering, cfg, engine=recorder).diagnostics.ci_tests
-        assert (ci_tests, query_digest(recorder)) == self.PINNED[seed, algorithm, stable]
+            res = learn(data, ordering, cfg, engine=recorder)
+        assert (res.ci_tests, query_digest(recorder, res)) == self.PINNED[seed, algorithm, stable]
 
     def test_stable_mode_skips_the_mirror_of_a_found_pair(self):
         # 0 -> 2 <- 1 with no ordering: the spouses 0 and 1 screen each
@@ -186,7 +190,7 @@ class TestSkeletonDriver:
             cfg = PodagConfig(learn_within_layers=True, stable=stable)
             res = learn(dag, ordering, cfg, engine=recorder)
             assert res.sepsets.get(0, 1) == frozenset()
-            assert recorder.tuples(["search"]).count((0, 1, frozenset())) == 1, stable
+            assert res.diagnostics.stage_records(recorder.records)["search"].count((0, 1, frozenset())) == 1, stable
 
     @pytest.mark.parametrize("algorithm", ["pc", "pc_plus"])
     def test_baseline_engine_errors_carry_candidate_context(self, algorithm):
@@ -265,7 +269,7 @@ class TestSkeletonDriver:
                 estimator, target = (pc, data.m) if algorithm == "pc" else (pc_plus, ordering)
                 res = estimator(recorder, target, max_level=cfg.max_sepset_size, on_conflict="ignore")
                 fit = (res.ci_tests, res.pdag)
-            fits.append((sorted(res.sepsets.items()), query_digest(recorder)) + fit)
+            fits.append((sorted(res.sepsets.items()), query_digest(recorder, res)) + fit)
         assert fits[0] == fits[1]
         assert len(per_target) > 100 and max(per_target.values()) <= 2
 
@@ -338,7 +342,7 @@ class TestSkeletonDriver:
                     pdag.undirected_edges,
                     sorted(res.sepsets.items()),
                     ci_tests,
-                    query_digest(recorder),
+                    query_digest(recorder, res),
                 )
             )
             if engine_class is GaussianEngine:
@@ -346,6 +350,46 @@ class TestSkeletonDriver:
                 stacked.clear()
         assert fits[0] == fits[1]
         assert stacked == []
+
+
+class LateSeparator(CiEngine):
+    """Nodes 0 and 1 are separated by ``sep`` alone (never when None); every other query is dependent."""
+
+    def __init__(self, sep):
+        super().__init__(42)
+        self.sep = sep
+
+    def _decide(self, i, j, s):
+        return CiVerdict(independent=(i, j, s) == (0, 1, self.sep), statistic=0.0)
+
+
+class TestLaterSeparators:
+    """A test whose separator lies past its first ``STACK_SIZE`` subsets walks on to it, a stack at a time."""
+
+    POOL = sorted(range(2, 42))  # 780 subsets of size 2: three stacks of at most 256
+
+    def search(self, sep):
+        recorder = RecordingEngine(LateSeparator(sep))
+        sepsets, removals, surviving = podag.search._search_levels(
+            recorder, ([0], [1]), lambda b: frozenset(), lambda a, b: set(self.POOL), {}, max_level=2
+        )
+        return sepsets.get(0, 1), removals, surviving, recorder.records
+
+    @pytest.mark.parametrize("sep", [(13, 14), (40, 41), None])
+    def test_the_walk_equals_one_stack_of_every_subset(self, monkeypatch, sep):
+        pairs = list(itertools.combinations(self.POOL, 2))
+        sep = None if sep is None else frozenset(sep)
+        starts = []
+        later = podag.search._later_separator
+        monkeypatch.setattr(podag.search, "_later_separator", lambda *args: starts.append(args[-1]) or later(*args))
+        got = self.search(sep)
+        assert starts == [len(self.POOL), podag.search.STACK_SIZE]  # no level's first stack separated
+        asked = 1 + len(self.POOL) + (len(pairs) if sep is None else pairs.index(tuple(sorted(sep))) + 1)
+        assert got[0] == sep and len(got[3]) == asked
+        assert got[3][-1] == (0, 1, frozenset(pairs[asked - 2 - len(self.POOL)]))
+        assert got[1] == ({} if sep is None else {2: 1})
+        monkeypatch.setattr(podag.search, "STACK_SIZE", len(pairs))  # level 2 as one stack
+        assert self.search(sep) == got
 
 
 def near_singular_data(seed, nodes, n, noise):
@@ -381,7 +425,7 @@ def recorded_fit(engine, algorithm, data, ordering, stable=False):
     else:
         pdag, ci_tests = res.as_pdag(), res.diagnostics.ci_tests
     edges = (pdag.directed_edges, pdag.undirected_edges)
-    return edges, sorted(res.sepsets.items()), ci_tests, query_digest(recorder)
+    return edges, sorted(res.sepsets.items()), ci_tests, query_digest(recorder, res)
 
 
 class TestWindows:
@@ -468,7 +512,7 @@ class TestScreeningVerdictSepsets:
             return {screen[b].verdict_sepset(a), screen[a].verdict_sepset(b)} - {None}
 
         assert any(sep in verdicts(a, b) for (a, b), sep in res.sepsets.items())
-        for i, j, _ in recorder.tuples(["orient"]):
+        for i, j, _ in res.diagnostics.stage_records(recorder.records)["orient"]:
             assert not verdicts(i, j), (i, j)
 
     # (orientation-phase queries, query digest) per screen source
@@ -486,15 +530,15 @@ class TestScreeningVerdictSepsets:
         if source in ("sis", "lasso"):
             params = {"t": 0.01} if source == "sis" else {}
             cfg = replace(self.CFG, backend=source, backend_params=params)
-            learn(data, ordering, cfg, engine=recorder)
+            res = learn(data, ordering, cfg, engine=recorder)
         else:
             screen, _ = screen_all(data, ordering, "pcor", {"alpha": self.CFG.screen_alpha})
             if source == "from_json":
                 screen = ScreenSets.from_json(screen.to_json(), data.labels)
             else:
                 screen = inflate_screen_sets(screen, ordering, rng_from_seed(1))
-            podag_multi_layer(recorder, ordering, screen, self.CFG)
-        pinned = (len(recorder.tuples(["orient"])), query_digest(recorder))
+            res = podag_multi_layer(recorder, ordering, screen, self.CFG)
+        pinned = (res.diagnostics.queries_per_stage["orient"], query_digest(recorder, res))
         assert pinned == self.POSTHOC_PINNED[source]
 
     @pytest.mark.parametrize("backend", ["sis", "lasso"])
@@ -508,8 +552,8 @@ class TestScreeningVerdictSepsets:
         data, ordering = sixteen_node_data(5)
         params = {"t": 0.01} if backend == "sis" else {}
         recorder = RecordingEngine(GaussianEngine(data, alpha=0.05))
-        learn(data, ordering, replace(self.CFG, backend=backend, backend_params=params), engine=recorder)
-        assert recorder.tuples(["orient"]) and len(calls) == 3
+        res = learn(data, ordering, replace(self.CFG, backend=backend, backend_params=params), engine=recorder)
+        assert res.diagnostics.queries_per_stage["orient"] and len(calls) == 3
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(
@@ -640,11 +684,8 @@ class TestConditioningDiscipline:
             dag, ordering = random_layered_instance(rng, n_lo=5, n_hi=9)
             screen = oracle_screen(dag, ordering)
             recorder = RecordingEngine(OracleEngine(dag))
-            recorder.phase = "search"
-            podag_multi_layer(recorder, ordering, screen, PodagConfig(learn_within_layers=True))
-            for i, j, s, phase in recorder.records:
-                if phase != "search":
-                    continue
+            res = podag_multi_layer(recorder, ordering, screen, PodagConfig(learn_within_layers=True))
+            for i, j, s in res.diagnostics.stage_records(recorder.records)["search"]:
                 ok = False
                 for target, other in ((j, i), (i, j)):
                     if target not in screen.entries:

@@ -501,14 +501,11 @@ class TestEngines:
         assert hits >= 90
         assert dep_hits == 100  # true edge, strong signal
 
-    def test_recording_engine_phases(self):
+    def test_recording_engine_records_in_call_order(self):
         rec = RecordingEngine(OracleEngine(toy_diamond()))
-        rec.phase = "screen"
         rec.query(0, 1, ())
-        rec.phase = "search"
         rec.query(1, 2, {0})
-        assert rec.tuples() == [(0, 1, frozenset()), (1, 2, frozenset({0}))]
-        assert rec.tuples(phases=("screen",)) == [(0, 1, frozenset())]
+        assert rec.records == [(0, 1, frozenset()), (1, 2, frozenset({0}))]
         assert rec.n_queries == 2
 
     def test_repeated_query_reaches_decide_every_time(self):
@@ -901,16 +898,17 @@ class TestBlockQueries:
                     assert verdict == fisher_z_test(cov, data.n, i, j, s, 0.05), (a, b)
         assert [v.independent for v in block_verdicts(engine, 0, [2, 3], {1})] == [False, True]
 
-    def test_a_failed_union_is_not_factored_again(self, monkeypatch):
-        # every source lies inside cond, so each single query would factor
-        # the singular union {0, 1, 2, 3} again; fisher_z_test decides each
+    def test_a_failed_union_leaves_its_sources_to_single_queries(self, monkeypatch):
+        # every source lies inside cond, so the block reads none of them off
+        # the singular union {0, 1, 2, 3}; each single query factors that
+        # union again, fails the guard and falls back to fisher_z_test
         data, _ = dependent_four_columns()
         engine = GaussianEngine(data)
         cond = {0, 1, 2}
         want = [fisher_z_test(engine.cov, data.n, a, 3, cond - {a}, 0.05) for a in (0, 1, 2)]
         factorizations = counting_factorizations(monkeypatch, "_factor_spd")
         assert block_verdicts(engine, 3, [0, 1, 2], cond) == want
-        assert len(factorizations) == 4  # the union, then one partial_correlation per source
+        assert len(factorizations) == 7  # the union, then per source the union and one partial_correlation
 
     def test_degrees_of_freedom_guard_precedes_the_block(self, monkeypatch):
         factorizations = counting_factorizations(monkeypatch, "_factor_spd")
@@ -994,8 +992,7 @@ def per_block_read(engine, b, sources, cond):
 
     None when no block is read (one source, or no degrees of freedom
     outside ``cond``).  An empty ``cond`` reads three covariance entries
-    per source; a union that fails the guard reads only the sources
-    inside it, by ``fisher_z_test``.
+    per source; a union that fails the guard reads none of its sources.
     """
     n, sigma = engine.cov.n, engine.cov.values
     dof = n - len(cond) - 3
@@ -1012,13 +1009,7 @@ def per_block_read(engine, b, sources, cond):
     outside = [a for a, f in zip(sources, inside) if not f]
     block = factored_block(sigma, order, t, outside)
     if block is None:
-        read, independent, z = [False] * len(sources), [False] * len(sources), [0.0] * len(sources)
-        for k, a in enumerate(sources):
-            if inside[k]:
-                verdict = outcome(lambda: fisher_z_test(engine.cov, n, min(a, b), max(a, b), cond - {a}, engine.alpha))
-                if isinstance(verdict, CiVerdict):
-                    read[k], independent[k], z[k] = True, verdict.independent, verdict.statistic
-        return read, independent, z
+        return [False] * len(sources), [False] * len(sources), [0.0] * len(sources)
     column, bordered, kept = block
     borders = iter(range(len(outside)))
     rhos, read = [], []
@@ -1102,7 +1093,7 @@ class TestStageReads:
         got = list(engine._read_blocks(requests))
         assert [entry is None for entry in got] == [False, False, False, True, True]
         assert got[0][0] == [True, True] and got[1][0] == [True, True, False, True]
-        assert got[2][0] == [True, False]  # fisher_z_test reads the source inside the union
+        assert got[2][0] == [False, False]  # a single query asks each source of the failed union
         for request, entry in zip(requests, got):
             assert_reads_equal(entry, per_block_read(engine, *request), request)
 
@@ -1229,7 +1220,7 @@ class TestFirstSeparator:
         engine = RecordingEngine(OracleEngine(dag))
         assert engine._query_first(0, 3, frozenset(), [(1,), (2,), (1, 2)]) == 1
         assert engine.n_queries == engine.inner.n_queries == 2
-        assert engine.tuples() == [(0, 3, frozenset({1})), (0, 3, frozenset({2}))]
+        assert engine.records == [(0, 3, frozenset({1})), (0, 3, frozenset({2}))]
 
 
 def random_layered_dataset(seed, nodes, n):
@@ -1412,5 +1403,5 @@ class TestCountingPoint:
         got = podag.evaluation._fit(algorithm, source, ordering, cfg, recorder)
         assert bare.counted == bare.n_queries > 0
         assert inner.counted == inner.n_queries == recorder.n_queries == bare.n_queries
-        assert inner.listed == bare.listed == recorder.tuples()
+        assert inner.listed == bare.listed == recorder.records
         assert (got.pdag, got.ci_tests) == (want.pdag, want.ci_tests)
