@@ -5,22 +5,19 @@ conditional Markov blanket (s1 minus s0).  The searching loop only ever
 removes edges, so screening must avoid false negatives; false positives
 just cost extra tests later.  This script shows how the exact
 partial-correlation screen, sure-independence screening, and the lasso
-trade those off.
+(at its default penalty and tuned by AIC) trade those off.  Every backend
+runs through ``screen_all``, which stages all targets the same way.
 """
 
-from podag import (
-    GenConfig,
-    default_lambda_grid,
-    generate_layered_dag,
-    lasso_fit,
-    random_weights,
-    sample,
-    screen_lasso,
-    screen_pcor,
-    screen_sis,
-    select_lambda_aic,
-)
+from podag import GenConfig, generate_layered_dag, random_weights, sample, screen_all
 from podag.sem import rng_from_seed
+
+BACKENDS = {
+    "pcor": ("pcor", {"alpha": 0.5}),
+    "sis": ("sis", {"mode": "pvalue", "pvalue_cutoff": 0.5}),
+    "lasso": ("lasso", {}),
+    "lasso-aic": ("lasso", {"aic": True}),
+}
 
 
 def main():
@@ -32,35 +29,22 @@ def main():
 
     second_layer = sorted(ordering.layers[1])
     print(f"20 nodes in two layers; screening the {len(second_layer)} second-layer nodes\n")
+    screens = {
+        name: screen_all(data, ordering, backend, params, targets=second_layer)[0]
+        for name, (backend, params) in BACKENDS.items()
+    }
 
-    header = f"{'node':>5} {'true parents':>14} {'pcor':>6} {'sis':>6} {'lasso':>6}"
-    print(header)
-    missed = {"pcor": 0, "sis": 0, "lasso": 0}
+    print(f"{'node':>5} {'true parents':>14}" + "".join(f" {name:>9}" for name in screens))
+    missed = dict.fromkeys(screens, 0)
     for j in second_layer:
         truth = dag.parents(j) & ordering.before_set(j)
-        entries = {
-            "pcor": screen_pcor(data, ordering, j, alpha=0.5),
-            "sis": screen_sis(data, ordering, j, mode="pvalue", pvalue_cutoff=0.5),
-            "lasso": screen_lasso(data, ordering, j),
-        }
-        sizes = {name: len(e.s0) for name, e in entries.items()}
-        for name, e in entries.items():
-            missed[name] += len(truth - e.s0)
-        print(f"{j:>5} {len(truth):>14} {sizes['pcor']:>6} {sizes['sis']:>6} {sizes['lasso']:>6}")
+        for name, screen in screens.items():
+            missed[name] += len(truth - screen[j].s0)
+        print(f"{j:>5} {len(truth):>14}" + "".join(f" {len(screen[j].s0):>9}" for screen in screens.values()))
     print("\nTrue parents missed across all nodes:", missed)
     print("(liberal thresholds keep the sets large on purpose; the searching")
-    print(" loop prunes them, and it can only recover from false positives)\n")
-
-    # lasso tuning: the AIC path on one node
-    j = second_layer[0]
-    pool = sorted(ordering.before_set(j))
-    std = (data.data - data.data.mean(axis=0)) / data.data.std(axis=0)
-    x, y = std[:, pool], std[:, j]
-    grid = default_lambda_grid(y, x, size=10)
-    lam = select_lambda_aic(y, x, grid)
-    fit = lasso_fit(y, x, lam)
-    print(f"AIC-selected penalty for node {j}: {lam:.4f} "
-          f"(grid {grid[-1]:.4f} .. {grid[0]:.4f}), active set size {len(fit.active_set)}")
+    print(" loop prunes them, and it can only recover from false positives;")
+    print(" lasso-aic picks each stage's penalty by AIC over a log-spaced grid)")
 
 
 if __name__ == "__main__":

@@ -41,14 +41,8 @@ from .screening import (
     LassoFit,
     ScreenEntry,
     ScreenSets,
-    default_lambda_grid,
     lasso_fit,
-    lasso_lambda_max,
     screen_all,
-    screen_lasso,
-    screen_pcor,
-    screen_sis,
-    select_lambda_aic,
 )
 from .search import (
     Diagnostics,

@@ -1,4 +1,4 @@
-"""Per-node screening: candidate parent sets and conditional Markov blankets.
+"""Two-stage screening: candidate parent sets and conditional Markov blankets.
 
 For each target node j, screening estimates two sets using one of three
 backends (exact partial correlation, sure-independence screening, lasso):
@@ -8,15 +8,16 @@ backends (exact partial correlation, sure-independence screening, lasso):
 * ``s1``: members of ``s0`` plus j's unordered peers that remain
   associated with j after adjusting for all of ``s0`` and the peers.
 
-The two stages are the same for every backend; a backend only decides
-which members of a pool stay associated with j.  Every backend reads one
-input, the checked covariance (a :class:`Dataset` is reduced to it, so
-collinear columns fail alike): pcor its block precision matrices, sis
-the marginal correlations, and the lasso, Gram-form coordinate descent,
-the correlation block of each pool.  :func:`screen_all` screens every
-target node and counts the tests pcor screening performs; under pcor,
-the targets that share a before set (every target of a layer) share one
-factorization of it at stage 0.
+:func:`screen_all` is the one screening entry point: it stages every
+target the same way, stage 0 of all targets, then stage 1, and a backend
+is only a rule that decides which members of each target's pool stay
+associated with it.  Every backend reads one input, the checked
+covariance (a :class:`Dataset` is reduced to it, so collinear columns
+fail alike): pcor its block precision matrices, sis the marginal
+correlations, and the lasso, Gram-form coordinate descent, the
+correlation block of each pool.  Under pcor the targets that share a
+before set (every target of a layer) share one factorization of it at
+stage 0, and :func:`screen_all` counts the tests pcor performs.
 
 The derived sets drive the searching loop: ``cross = s0 & s1`` holds the
 candidate incoming cross edges and ``cmb = s1 - s0`` is the conditional
@@ -34,14 +35,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError, SelectionError, SingularityError
+from .errors import InsufficientDataError, PodagError, SelectionError, SingularityError
 from .graph import _column_labels
 from .stats import (
     CiEngine,
-    Dataset,
     _bordered_rhos,
     _check_node_count,
-    _checked_covariance,
     _covariance,
     _dependence_error,
     _fisher_z_dof,
@@ -53,17 +52,10 @@ __all__ = [
     "ScreenEntry",
     "ScreenSets",
     "LassoFit",
-    "screen_pcor",
-    "screen_sis",
-    "screen_lasso",
     "screen_all",
     "lasso_fit",
-    "lasso_lambda_max",
-    "default_lambda_grid",
-    "select_lambda_aic",
 ]
 
-BACKENDS = ("pcor", "sis", "lasso")
 LASSO_TOL = 1e-7
 LASSO_MAX_SWEEPS = 100_000
 LASSO_TIE = 1e-9  # |z| this close to lam, relative to |z|, is a rounding tie: the coefficient stays 0
@@ -202,84 +194,55 @@ def _success_warnings(j, s0, s1, n):
     return ()
 
 
-def _screen_node(ordering, j, select, n, notes=(), verdicts=False):
-    """Stage node ``j``: ``s0 = select(before(j))``, ``s1 = select(s0 + peers(j))``.
+def _each_target(targets, select, stage, pools, notes):
+    """A stage that selects from each target's pool alone: ``(kept, error)`` as :func:`_pcor_stage`'s.
 
-    ``select(pool, stage)`` returns the members of a nonempty ``pool``
-    that stay associated with j at stage 0 (``s0``) or 1 (``s1``).
-    ``notes`` is read after both stages, so a backend may append to it
-    while selecting.  With ``verdicts`` set, each drop is a CI verdict
-    given the rest of the pool, and the entry records both pools so that
-    orientation can read the separators (see :class:`ScreenEntry`).
+    ``select(j, pool, stage, notes)`` returns the members of a non-empty
+    ``pool`` that stay associated with target ``j``, and may append to
+    ``notes[j]``; an empty pool keeps none.  The first target whose
+    selection raises ends the stage.
     """
-    before = ordering.before_set(j)
-    s0 = frozenset(select(sorted(before), 0) if before else ())
-    pool1 = sorted(s0) + sorted(ordering.peer_set(j))
-    s1 = frozenset(select(pool1, 1) if pool1 else ())
-    notes = tuple(notes) + _success_warnings(j, s0, s1, n)
-    pools = (before, frozenset(pool1)) if verdicts else ()
-    return ScreenEntry(j, s0, s1, warnings=notes, pools=pools)
+    kept = []
+    for j, pool in zip(targets, pools):
+        try:
+            kept.append(frozenset(select(j, pool, stage, notes) if pool else ()))
+        except (PodagError, ValueError) as error:
+            return kept, error
+    return kept, None
 
 
-def screen_pcor(source, ordering, j, threshold=None, alpha=0.5):
-    """Partial-correlation screening for node ``j``.
+def _pcor_rule(source, ordering, targets, threshold=None, alpha=0.5):
+    """Partial-correlation screening: k stays when it depends on j given the rest of the pool.
 
-    Each pool member k is kept when it depends on j given the rest of
-    the pool.  A :class:`CiEngine` source answers one block of queries
-    per stage, counted once per member (the oracle path).  A
-    :class:`CovMatrix` or :class:`Dataset` source reads every verdict of
-    a stage off one precision matrix: with ``threshold`` set, k is kept
-    when its absolute partial correlation exceeds the threshold
-    (population mode); otherwise the Fisher z test
-    at the deliberately liberal ``alpha`` (default 0.5, to avoid false
-    negatives) decides.
+    A :class:`CiEngine` source answers one block of queries per target
+    and stage, counted once per member (the oracle path).  A
+    :class:`CovMatrix` source reads every verdict of a stage off
+    precision matrices: with ``threshold`` set, k is kept when its
+    absolute partial correlation exceeds the threshold (population
+    mode); otherwise the Fisher z test at the deliberately liberal
+    ``alpha`` (default 0.5, to avoid false negatives) decides.  The
+    targets that share a before set share their stage-0 reads: one
+    factorization of the pool serves them all (:func:`_bordered_rhos`,
+    whose rhos may differ from the per-target block's in the last bits).
 
-    The entry records the pools of its verdicts, so each dropped member
-    comes with a separator.  Under Fisher z that verdict is made at
-    ``alpha``, not at the searching loop's significance: a drop needs
-    ``|z| <= Phi^-1(1 - alpha/2)``, so whenever ``alpha`` is at least the
-    search's (0.5 against 0.05 by default) it is the more conservative
-    independence claim.
-
-    A singular block whose correlation matrix holds a linearly dependent
-    column set raises :class:`DegenerateDataError` naming those columns,
-    and a ``threshold`` outside ``[0, 1)`` raises :class:`ValueError`.
-    """
-    return _screen_pcor(source, ordering, [j], threshold, alpha)[0]
-
-
-def _screen_pcor(source, ordering, targets, threshold=None, alpha=0.5):
-    """:func:`screen_pcor` of each of ``targets`` in turn, with its errors for the same target.
-
-    On a covariance source each stage is read for every target at once:
-    stage 0 of all targets, then stage 1 of those that passed it, each
-    decided in one pass.  The targets that share a before set share
-    their stage-0 reads: one factorization of the pool serves them all
-    (:func:`_bordered_rhos`, whose rhos may differ from the per-target
-    block's in the last bits).  Every other read is a target's own
-    ``pool + [j]`` block, and all of a stage's are one
-    :func:`_read_stage` call: a target alone in its group, one whose
-    residual variance given the pool falls below its floor, every target
-    of a pool block that fails the guard, and stage 1.  The entries,
-    warnings and warning order, and the error raised, are those of
-    screening one node at a time: a stage stops at the first target
-    whose sample-size check fails, before reading it, and the first
-    target that fails either stage raises, after the warnings of the
-    targets before it.
+    Every drop is a verdict given the rest of its stage's pool, so the
+    entries record both pools and orientation reads the separators.
+    Under Fisher z that verdict is made at ``alpha``, not at the
+    searching loop's significance: a drop needs ``|z| <= Phi^-1(1 -
+    alpha/2)``, so whenever ``alpha`` is at least the search's (0.5
+    against 0.05 by default) it is the more conservative independence
+    claim.  A ``threshold`` outside ``[0, 1)`` raises :class:`ValueError`.
     """
     if threshold is not None and not 0 <= threshold < 1:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
     if isinstance(source, CiEngine):
 
-        def answer(j, pool, stage):
-            independent = source._query_block(j, pool, frozenset(pool))[0]
-            return {k for k, ind in zip(pool, independent) if not ind}
+        def answer(j, pool, stage, notes):
+            return [k for k, ind in zip(pool, source._query_block(j, pool, frozenset(pool))[0]) if not ind]
 
-        return [_screen_node(ordering, j, functools.partial(answer, j), None, verdicts=True) for j in targets]
+        return functools.partial(_each_target, targets, answer)
 
-    cov = _covariance(source)
-    n = cov.n
-    if threshold is None and n is None:
+    if threshold is None and source.n is None:
         raise ValueError("Fisher-z screening needs a sample size; population input wants threshold mode")
     groups, shared = {}, {}  # before set -> its targets, and -> their stage-0 rhos once read
     for j in targets:
@@ -290,24 +253,16 @@ def _screen_pcor(source, ordering, targets, threshold=None, alpha=0.5):
         if len(groups[before]) < 2:
             return None
         if before not in shared:
-            shared[before] = _bordered_rhos(cov.values, pool, groups[before])
+            shared[before] = _bordered_rhos(source.values, pool, groups[before])
         return shared[before].get(j)
 
-    pool0 = [sorted(ordering.before_set(j)) for j in targets]
-    s0, error = _pcor_stage(cov, targets, pool0, threshold, alpha, group_rhos)
-    pool1 = [sorted(kept) + sorted(ordering.peer_set(j)) for j, kept in zip(targets, s0)]
-    s1, error1 = _pcor_stage(cov, targets, pool1, threshold, alpha)
-    entries = []
-    for j, pool, kept0, kept1 in zip(targets, pool1, s0, s1):
-        notes = _success_warnings(j, kept0, kept1, n)
-        pools = (ordering.before_set(j), frozenset(pool))
-        entries.append(ScreenEntry(j, kept0, kept1, warnings=notes, pools=pools))
-    if error1 or error:
-        raise error1 or error
-    return entries
+    def stage(index, pools, notes):  # only stage 0 pools are shared before sets
+        return _pcor_stage(source, targets, pools, threshold, alpha, (group_rhos, None)[index])
+
+    return stage
 
 
-def _pcor_stage(cov, targets, pools, threshold, alpha, shared=lambda j, pool: None):
+def _pcor_stage(cov, targets, pools, threshold, alpha, shared=None):
     """The members each of a stage's ``targets`` keeps of its pool in ``pools``, in order.
 
     Returns ``(kept, error)``: the kept sets of the targets before the
@@ -315,8 +270,8 @@ def _pcor_stage(cov, targets, pools, threshold, alpha, shared=lambda j, pool: No
     fails its sample-size check before any read, and a ``pool + [j]``
     block that fails the guard raises :class:`DegenerateDataError`
     naming a linearly dependent column set (or
-    :class:`SingularityError`).  ``shared(j, pool)`` gives rhos read
-    elsewhere, or None; every other non-empty pool is read by one
+    :class:`SingularityError`).  ``shared(j, pool)``, when given, returns
+    rhos read elsewhere, or None; every other non-empty pool is read by one
     :func:`_read_stage` call, and the whole stage is decided in one pass.
     """
     n, error = cov.n, None
@@ -329,7 +284,7 @@ def _pcor_stage(cov, targets, pools, threshold, alpha, shared=lambda j, pool: No
             )
             pools = pools[:stop]
             break
-    rhos = [shared(j, pool) if pool else None for j, pool in zip(targets, pools)]
+    rhos = [shared(j, pool) if shared and pool else None for j, pool in zip(targets, pools)]
     own = [k for k, pool in enumerate(pools) if pool and rhos[k] is None]
     if own:
         read, _, failed = _read_stage(cov.values, ((pools[k] + [targets[k]], len(pools[k]), ()) for k in own))
@@ -359,51 +314,45 @@ def _pcor_stage(cov, targets, pools, threshold, alpha, shared=lambda j, pool: No
     return kept, error
 
 
-def screen_sis(source, ordering, j, t=0.5, mode="top", pvalue_cutoff=0.5):
-    """Sure-independence screening for node ``j`` (Fan & Lv 2008).
+def _sis_rule(cov, ordering, targets, t=0.5, mode="top", pvalue_cutoff=0.5):
+    """Sure-independence screening (Fan & Lv 2008) on the marginal correlations of ``cov``.
 
     Candidates are scored by their absolute marginal correlation with j,
-    ``|Sigma_kj| / sqrt(Sigma_kk Sigma_jj)`` on the covariance that every
-    backend reads (a :class:`Dataset`'s checked sample covariance, or a
-    :class:`CovMatrix` as given).  ``mode="top"`` keeps the ceil(t*n)
-    highest-scoring candidates, ties resolved by node index (all of them,
-    unscored, when no more are available).  ``mode="pvalue"`` instead keeps
-    candidates whose marginal correlation the Fisher z test at level
-    ``pvalue_cutoff`` rejects: two-sided p-value below the cutoff.
-
-    Raises
-    ------
-    ValueError
-        On a population :class:`CovMatrix`: both modes read n.
-    InsufficientDataError
-        In ``"pvalue"`` mode, if ``n - 3`` is not positive (checked before
-        the covariance is read).
+    ``|Sigma_kj| / sqrt(Sigma_kk Sigma_jj)``.  ``mode="top"`` keeps the
+    ceil(t*n) highest-scoring candidates, ties resolved by node index
+    (all of them, unscored, when no more are available).
+    ``mode="pvalue"`` instead keeps candidates whose marginal correlation
+    the Fisher z test at level ``pvalue_cutoff`` rejects: two-sided
+    p-value below the cutoff.  Both modes read n, so a population
+    ``cov`` raises :class:`ValueError`; in ``"pvalue"`` mode an ``n - 3``
+    that is not positive raises :class:`InsufficientDataError`, before
+    any read.
     """
     if mode == "top" and not 0 < t < 1:
         raise ValueError("t must be in (0, 1)")
     if mode not in ("top", "pvalue"):
         raise ValueError("mode must be 'top' or 'pvalue'")
-    n = source.n
+    n = cov.n
     if n is None:
         raise ValueError("sis screening needs a sample size; a population CovMatrix has none")
     if mode == "pvalue":
         if not 0 < pvalue_cutoff < 1:
             raise ValueError("pvalue_cutoff must be in (0, 1)")
         dof = _fisher_z_dof(n, 0)
-    sigma = _covariance(source).values
+    sigma = cov.values
     quota = math.ceil(t * n) if mode == "top" else None
 
-    def select(candidates, stage):
+    def select(j, candidates, stage, notes):
         if quota is not None and quota >= len(candidates):
-            return set(candidates)  # all are kept, so none is scored
+            return candidates  # all are kept, so none is scored
         scores = np.abs(sigma[candidates, j]) / np.sqrt(np.diag(sigma)[candidates] * sigma[j, j])
         if quota is not None:
             order = sorted(range(len(candidates)), key=lambda idx: (-scores[idx], candidates[idx]))
-            return {candidates[idx] for idx in order[:quota]}
+            return [candidates[idx] for idx in order[:quota]]
         _, independent = _fisher_z_statistics(np.clip(scores, 0.0, 1.0 - 1e-15), dof, pvalue_cutoff)
-        return {k for k, ind in zip(candidates, independent) if not ind}
+        return [k for k, ind in zip(candidates, independent) if not ind]
 
-    return _screen_node(ordering, j, select, n)
+    return functools.partial(_each_target, targets, select)
 
 
 @dataclass(frozen=True)
@@ -478,11 +427,18 @@ def _lasso(gram, xy, lam, warm_start=None, tol=LASSO_TOL, max_sweeps=LASSO_MAX_S
 
 
 def _lambda_grid(xy, size=50, ratio=0.01):
+    """Log-spaced grid from the null threshold ``max |xy|`` down to ``ratio`` times it."""
     lam_max = float(np.max(np.abs(xy))) if len(xy) else 0.0
     return [0.0] if lam_max <= 0 else list(np.geomspace(lam_max, ratio * lam_max, size))
 
 
 def _select_lambda_aic(gram, xy, yy, n, grid, max_sweeps=LASSO_MAX_SWEEPS):
+    """The grid value minimizing n log(RSS/n) + 2 |active set|.
+
+    Fits are warm-started along the grid in decreasing order, and RSS is
+    ``n (yy - 2 b'xy + b'G b)``.  Fits that fail to converge are skipped;
+    if none converge a :class:`SelectionError` is raised.
+    """
     grid = list(grid)
     if not grid:
         raise ValueError("lambda grid is empty")
@@ -499,39 +455,16 @@ def _select_lambda_aic(gram, xy, yy, n, grid, max_sweeps=LASSO_MAX_SWEEPS):
     return grid[min((a, idx) for idx, a in enumerate(aic) if a is not None)[1]]
 
 
-def lasso_lambda_max(y, x):
-    """Smallest penalty with an all-zero solution: max |x' y| / n."""
-    return _lambda_grid(_moments(y, x)[1], size=1)[0]
-
-
 def lasso_fit(y, x, lam, warm_start=None, tol=LASSO_TOL, max_sweeps=LASSO_MAX_SWEEPS, trace=None):
     """Minimizer of ||y - x b||^2 / (2n) + lam ||b||_1: :func:`_lasso` on the moments of ``(y, x)``."""
     gram, xy, yy, _ = _moments(y, x)
     return _lasso(gram, xy, lam, warm_start, tol, max_sweeps, trace, yy)
 
 
-def default_lambda_grid(y, x, size=50, ratio=0.01):
-    """Log-spaced grid from the null threshold down to ``ratio`` times it."""
-    return _lambda_grid(_moments(y, x)[1], size, ratio)
+def _lasso_rule(cov, ordering, targets, lambda0=None, lambda1=None, aic=False):
+    """Lasso screening: a pool's members with a non-zero coefficient in the lasso of j on it.
 
-
-def select_lambda_aic(y, x, lambda_grid, max_sweeps=LASSO_MAX_SWEEPS):
-    """Pick the grid value minimizing n log(RSS/n) + 2 |active set|.
-
-    Fits are warm-started along the grid in decreasing order, and RSS is
-    ``n (y'y/n - 2 b'x'y/n + b'(x'x/n) b)``.  Fits that fail to converge
-    are skipped; if none converge a :class:`SelectionError` is raised.
-    """
-    gram, xy, yy, n = _moments(y, x)
-    return _select_lambda_aic(gram, xy, yy, n, lambda_grid, max_sweeps)
-
-
-def screen_lasso(source, ordering, j, lambda0=None, lambda1=None, aic=False):
-    """Lasso screening for node ``j``.
-
-    ``s0`` is the active set of a lasso of y_j on the earlier-layer
-    columns at ``lambda0``; ``s1`` the active set of a lasso on the
-    ``s0`` columns plus j's unordered peers at ``lambda1``.  Default
+    Stage 0 fits at ``lambda0`` and stage 1 at ``lambda1``.  Default
     penalties follow the sqrt(2 log p / n) rate; ``aic=True`` instead
     selects each penalty by AIC over a log-spaced grid.  Both read n:
     population input needs ``lambda0`` and ``lambda1``.  Columns are
@@ -539,12 +472,13 @@ def screen_lasso(source, ordering, j, lambda0=None, lambda1=None, aic=False):
     :func:`_lasso` reads the pool's block of the covariance's correlation
     matrix, taken from the one that :func:`_checked_covariance` computed
     (a :class:`CovMatrix` from elsewhere computes it once, on first use).
+    A fit that does not converge leaves a note on its target's entry, and
+    an AIC grid on which no fit converges raises :class:`SelectionError`
+    naming the node and the stage.
     """
-    cov = _covariance(source)
     n = cov.n
-    notes = []
 
-    def active(pool, stage):
+    def active(j, pool, stage, notes):
         idx = pool + [j]
         block = cov._corr.take(idx, axis=0).take(idx, axis=1)
         gram, xy, yy = block[:-1, :-1], block[:-1, -1], block[-1, -1]
@@ -552,54 +486,69 @@ def screen_lasso(source, ordering, j, lambda0=None, lambda1=None, aic=False):
         if n is None and (aic or lam is None):
             raise ValueError("lasso screening needs a sample size unless lambda0 and lambda1 are given")
         if aic:
-            lam = _select_lambda_aic(gram, xy, yy, n, _lambda_grid(xy))
+            try:
+                lam = _select_lambda_aic(gram, xy, yy, n, _lambda_grid(xy))
+            except SelectionError as error:
+                raise SelectionError(f"lasso for node {j} (s{stage}): {error}") from None
         elif lam is None:
             lam = np.sqrt(2.0 * np.log(max(len(pool) if stage == 0 else cov.m, 2)) / n)
         fit = _lasso(gram, xy, lam)
         if not fit.converged:
-            notes.append(f"lasso for node {j} (s{stage}) did not converge")
-        return {pool[k] for k in fit.active_set}
+            notes[j].append(f"lasso for node {j} (s{stage}) did not converge")
+        return [pool[k] for k in fit.active_set]
 
-    return _screen_node(ordering, j, active, n, notes)
+    return functools.partial(_each_target, targets, active)
 
 
-def _backend_screen(backend):
-    """The per-node screen of ``backend`` (None if unknown), looked up at call time."""
-    return {"pcor": screen_pcor, "sis": screen_sis, "lasso": screen_lasso}.get(backend)
+_RULES = {"pcor": _pcor_rule, "sis": _sis_rule, "lasso": _lasso_rule}
+BACKENDS = tuple(_RULES)
 
 
 def screen_all(source, ordering, backend="pcor", params=None, targets=None):
-    """Run the chosen per-node screen over every target node.
+    """Screen every target node in two stages, with the chosen backend's rule.
 
     ``targets`` defaults to all nodes (first-layer nodes get ``s0 = {}``
     and are screened only for within-layer structure).  ``params`` are
-    keyword arguments of the backend's per-node screen.  Every backend
-    reads the checked covariance, to which a :class:`Dataset` source is
-    reduced once; the lasso is Gram-form coordinate descent on blocks of
-    the correlation matrix that check computed, and sis scores a pool
-    only when its ``ceil(t n)`` quota keeps fewer than all of it.  Under
-    pcor the targets with one before set read
-    stage 0 off one factorization of it, with the fall-backs of
-    :func:`_screen_pcor`, so entries and errors are those of
-    :func:`screen_pcor` node by node.  Per-node errors fail fast.
+    keyword arguments of the backend's rule (``_pcor_rule``,
+    ``_sis_rule`` or ``_lasso_rule``).  A :class:`Dataset` source is
+    reduced once to its checked covariance, which every backend reads; a
+    :class:`CiEngine` source (an oracle) screens with pcor only.  Stage 0
+    selects each target's ``s0`` from ``before(j)``, stage 1 its ``s1``
+    from ``s0 + peers(j)``; a rule decides a whole stage, every target at
+    once.  The entries, warnings and warning order, and the error
+    raised, are those of screening one node at a time: a stage stops at
+    the first target that fails, and the first target that fails either
+    stage raises, after the warnings of the targets before it.
 
     Returns ``(screen_sets, n_tests)``: ``n_tests`` counts one logical
     test per pool member screened by pcor (the queries an engine source
     answered are also on its own counter), and 0 for sis and lasso.
     """
-    screen_node = _backend_screen(backend)
-    if screen_node is None:
+    rule = _RULES.get(backend)
+    if rule is None:
         raise ValueError(f"unknown screening backend {backend!r}")
     _check_node_count(ordering.n_nodes, source)
-    if targets is None:
-        targets = range(ordering.n_nodes)
+    targets = sorted(range(ordering.n_nodes) if targets is None else targets)
     labels = getattr(source, "labels", None)
-    if isinstance(source, Dataset):
-        source = _checked_covariance(source)
-    if backend == "pcor":
-        entries = _screen_pcor(source, ordering, sorted(targets), **(params or {}))
+    if isinstance(source, CiEngine):
+        if backend != "pcor":
+            raise ValueError("oracle inputs support only the pcor backend")
+        n = None
     else:
-        entries = [screen_node(source, ordering, j, **(params or {})) for j in sorted(targets)]
-    n_tests = sum(len(pool) for e in entries for pool in e.pools)  # only pcor records pools
+        source = _covariance(source)
+        n = source.n
+    stage = rule(source, ordering, targets, **(params or {}))
+    notes = {j: [] for j in targets}
+    pool0 = [sorted(ordering.before_set(j)) for j in targets]
+    s0, error = stage(0, pool0, notes)
+    pool1 = [sorted(kept) + sorted(ordering.peer_set(j)) for j, kept in zip(targets, s0)]
+    s1, error1 = stage(1, pool1, notes)
+    entries = []
+    for j, pool, kept0, kept1 in zip(targets, pool1, s0, s1):
+        pools = (ordering.before_set(j), frozenset(pool)) if backend == "pcor" else ()
+        warned = tuple(notes[j]) + _success_warnings(j, kept0, kept1, n)
+        entries.append(ScreenEntry(j, kept0, kept1, warnings=warned, pools=pools))
+    if error1 or error:
+        raise error1 or error
+    n_tests = sum(len(pool) for e in entries for pool in e.pools)
     return ScreenSets(entries, n_nodes=ordering.n_nodes, labels=labels), n_tests
-

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from .errors import PodagError
 from .graph import Dag, Pdag, SepsetMap, write_edgelist
 from .graph import _close_meek, _orient_triples, _OrientationState, _separators, _unshielded_pairs
-from .screening import BACKENDS, ScreenSets, _backend_screen, screen_all
+from .screening import _RULES, BACKENDS, ScreenSets, screen_all
 from .stats import Dataset, GaussianEngine, OracleEngine, _check_node_count
 
 __all__ = [
@@ -44,7 +44,7 @@ class PodagConfig:
     ``alpha`` is the searching-loop significance; ``screen_alpha`` the
     deliberately liberal screening significance, at which pcor's drops
     also become orientation separators (see
-    :func:`podag.screening.screen_pcor`).  ``max_sepset_size`` caps the
+    :func:`podag.screening.screen_all`).  ``max_sepset_size`` caps the
     size of conditioning subsets drawn from the conditional Markov
     blanket (None leaves the enumeration unbounded).  ``stable``
     batches removals per level instead of applying them immediately
@@ -74,13 +74,13 @@ class PodagConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if "alpha" in self.backend_params:
             raise ValueError("set the screening significance with screen_alpha, not backend_params")
-        accepted = list(inspect.signature(_backend_screen(self.backend)).parameters)[3:]
-        for key in self.backend_params:  # keywords after (source, ordering, j)
+        accepted = list(inspect.signature(_RULES[self.backend]).parameters)[3:]
+        for key in self.backend_params:  # keywords after (source, ordering, targets)
             if key not in accepted:
                 raise ValueError(f"backend {self.backend!r} takes no parameter {key!r}")
 
     def screen_params(self):
-        """Keyword arguments of the backend's per-node screen (pcor screens at ``screen_alpha``)."""
+        """Keyword arguments of the backend's screening rule (pcor screens at ``screen_alpha``)."""
         if self.backend == "pcor":
             return dict(self.backend_params, alpha=self.screen_alpha)
         return dict(self.backend_params)
@@ -527,7 +527,8 @@ def learn(source, ordering, cfg=None, engine=None):
     ``source`` is a :class:`Dataset` (sample mode) or a :class:`Dag`
     (population oracle mode); ``engine`` optionally overrides the search
     engine (e.g. a recording wrapper around an oracle), which in oracle
-    mode also answers the screening queries.  Superset robustness is
+    mode also answers the screening queries (pcor only: :func:`screen_all`
+    rejects the other backends on an engine).  Superset robustness is
     inherited from the searching loop: any screening output covering the
     true sets yields the same final graph under an oracle engine.
 
@@ -541,8 +542,6 @@ def learn(source, ordering, cfg=None, engine=None):
         raise TypeError("source must be a Dataset or a Dag")
     _check_node_count(ordering.n_nodes, source)
     if isinstance(source, Dag):
-        if cfg.backend != "pcor":
-            raise ValueError("oracle inputs support only the pcor backend")
         if engine is None:
             engine = OracleEngine(source)
         screen_source = engine

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -13,19 +14,25 @@ from podag import (
     Dataset,
     OracleEngine,
     PartialOrdering,
-    default_lambda_grid,
+    PodagConfig,
+    RecordingEngine,
+    learn,
     lasso_fit,
-    lasso_lambda_max,
     population_covariance,
     sample_covariance,
     screen_all,
-    screen_lasso,
-    screen_pcor,
-    screen_sis,
-    select_lambda_aic,
 )
 from podag.errors import DegenerateDataError, InsufficientDataError, PodagError, SelectionError
-from podag.screening import LASSO_MAX_SWEEPS, LASSO_TIE, ScreenEntry, ScreenSets, _lasso
+from podag.screening import (
+    LASSO_MAX_SWEEPS,
+    LASSO_TIE,
+    ScreenEntry,
+    ScreenSets,
+    _lambda_grid,
+    _lasso,
+    _moments,
+    _select_lambda_aic,
+)
 from podag.stats import _bordered_rhos, _checked_covariance, _correlation, _read_stage
 from podag.sem import (
     GenConfig,
@@ -46,6 +53,22 @@ from helpers import (
 )
 
 
+def screen_one(backend, source, ordering, j, **params):
+    """The entry of node ``j``, screened alone by :func:`screen_all`."""
+    return screen_all(source, ordering, backend, params, targets=[j])[0][j]
+
+
+def aic_failing_on(sizes, select):
+    """An AIC lambda selection that fails on pools of the given ``sizes`` and runs ``select`` on the rest."""
+
+    def selection(gram, xy, yy, n, grid):
+        if len(xy) in sizes:
+            raise SelectionError("no lasso fit converged on the lambda grid")
+        return select(gram, xy, yy, n, grid)
+
+    return selection
+
+
 def toy_population_cov():
     sem, ordering = toy_two_layer_sem()
     return population_covariance(sem), ordering
@@ -64,19 +87,19 @@ def mediated_witness():
 class TestScreenPcorToy:
     def test_population_sets_for_second_layer(self):
         cov, ordering = toy_population_cov()
-        y2 = screen_pcor(cov, ordering, 3, threshold=0.01)
+        y2 = screen_one("pcor", cov, ordering, 3, threshold=0.01)
         assert y2.s0 == {0, 1}  # the false positive X1 is present
         assert y2.cross == {1}  # the intersection removes it
         assert y2.cmb == {2}
-        y1 = screen_pcor(cov, ordering, 2, threshold=0.01)
+        y1 = screen_one("pcor", cov, ordering, 2, threshold=0.01)
         assert y1.s0 == {0}
         assert y1.cross == {0}
         assert y1.cmb == {3}
 
     def test_dropped_members_carry_their_verdict_sepsets(self):
         cov, ordering = toy_population_cov()
-        y1 = screen_pcor(cov, ordering, 2, threshold=0.01)
-        y2 = screen_pcor(cov, ordering, 3, threshold=0.01)
+        y1 = screen_one("pcor", cov, ordering, 2, threshold=0.01)
+        y2 = screen_one("pcor", cov, ordering, 3, threshold=0.01)
         assert y1.verdict_sepset(1) == {0}  # stage 0: before(Y1) - {X2}
         assert y2.verdict_sepset(0) == {1, 2}  # stage 1: s0 + peers(Y2) - {X1}
         assert y2.verdict_sepset(1) is None and y2.verdict_sepset(2) is None  # kept
@@ -91,13 +114,13 @@ class TestScreenPcorToy:
     def test_empty_graph_screens_empty(self):
         cov = CovMatrix(np.eye(4), n=100)
         ordering = PartialOrdering([{0, 1}, {2, 3}], n_nodes=4)
-        e = screen_pcor(cov, ordering, 3, threshold=0.01)
+        e = screen_one("pcor", cov, ordering, 3, threshold=0.01)
         assert e.s0 == frozenset() and e.s1 == frozenset()
 
     def test_sample_mode_uses_liberal_alpha(self):
         sem, ordering = toy_two_layer_sem()
         data = sample(sem, 1000, rng_from_seed(0))
-        e = screen_pcor(data, ordering, 3, alpha=0.5)
+        e = screen_one("pcor", data, ordering, 3, alpha=0.5)
         assert {1} <= e.s0  # the true parent survives screening
 
     @pytest.mark.parametrize("threshold", [-1.0, 1.0, 2.0, float("nan")])
@@ -105,8 +128,8 @@ class TestScreenPcorToy:
         # -1 would keep every candidate, 1, 2 and nan none
         cov, ordering = toy_population_cov()
         with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\)"):
-            screen_pcor(cov, ordering, 3, threshold=threshold)
-        assert screen_pcor(cov, ordering, 3, threshold=0.0).s0 == {0, 1}  # the whole before set
+            screen_one("pcor", cov, ordering, 3, threshold=threshold)
+        assert screen_one("pcor", cov, ordering, 3, threshold=0.0).s0 == {0, 1}  # the whole before set
 
     def test_pool_outnumbering_samples_fails_before_factoring(self, monkeypatch):
         def no_factoring(*args):
@@ -118,7 +141,7 @@ class TestScreenPcorToy:
         data = sample(random_weights(dag, rng), 20, rng)
         j = min(ordering.layers[1])
         with pytest.raises(InsufficientDataError) as err:
-            screen_pcor(data, ordering, j)
+            screen_one("pcor", data, ordering, j)
         message = str(err.value)
         pool = len(ordering.before_set(j))
         assert f"node {j}" in message and f"pool of {pool} nodes" in message
@@ -135,8 +158,8 @@ class TestScreenEngineEquivalence:
             cov = population_covariance(sem)
             dsep_engine = OracleEngine(dag)
             for j in range(dag.n_nodes):
-                a = screen_pcor(cov, ordering, j, threshold=1e-6)
-                b = screen_pcor(dsep_engine, ordering, j)
+                a = screen_one("pcor", cov, ordering, j, threshold=1e-6)
+                b = screen_one("pcor", dsep_engine, ordering, j)
                 assert (a.s0, a.s1) == (b.s0, b.s1)
             done += 1
 
@@ -146,7 +169,7 @@ class TestScreenEngineEquivalence:
             dag, ordering = random_layered_instance(rng, n_lo=4, n_hi=9)
             engine = OracleEngine(dag)
             for j in range(dag.n_nodes):
-                entry = screen_pcor(engine, ordering, j)
+                entry = screen_one("pcor", engine, ordering, j)
                 before = sorted(ordering.before_set(j))
                 s0 = {
                     k
@@ -167,7 +190,7 @@ class TestSpuriousCandidateWitness:
     def test_spurious_candidate_with_characteristic_pattern(self):
         dag, ordering = mediated_witness()
         engine = OracleEngine(dag)
-        entry = screen_pcor(engine, ordering, 2)
+        entry = screen_one("pcor", engine, ordering, 2)
         assert 0 in entry.cross  # spurious: 0 -> 2 is not an edge
         # the configuration: a within-layer directed path 0 -> 1 -> 2 and a
         # common child of 0 and 2 (node 3)
@@ -185,7 +208,7 @@ class TestSpuriousCandidateWitness:
             for j in range(dag.n_nodes):
                 if not ordering.before_set(j):
                     continue
-                entry = screen_pcor(engine, ordering, j)
+                entry = screen_one("pcor", engine, ordering, j)
                 for k in entry.cross - dag.parents(j):
                     assert j in dag.descendants(dag.children(k) - {j}), (
                         sorted(dag.edges),
@@ -199,7 +222,7 @@ class TestSis:
     def test_saturated_selection_takes_all(self):
         sem, ordering = toy_two_layer_sem()
         data = sample(sem, 100, rng_from_seed(1))
-        e = screen_sis(data, ordering, 3, t=0.5)  # ceil(0.5 * 100) = 50 >= pool sizes
+        e = screen_one("sis", data, ordering, 3, t=0.5)  # ceil(0.5 * 100) = 50 >= pool sizes
         assert e.s0 == {0, 1}
 
     def test_single_informative_column(self):
@@ -211,7 +234,7 @@ class TestSis:
         # an exact copy fails the checked covariance; the unchecked one ranks it
         cov = sample_covariance(Dataset(data_matrix))
         ordering = PartialOrdering([{0, 1, 2}, {3}], n_nodes=4)
-        e = screen_sis(cov, ordering, 3, t=1.0 / n)  # ceil(t n) = 1
+        e = screen_one("sis", cov, ordering, 3, t=1.0 / n)  # ceil(t n) = 1
         assert e.s0 == {1}
 
     def test_tie_broken_by_ascending_index(self):
@@ -224,7 +247,7 @@ class TestSis:
         # a copied column fails the checked covariance; the unchecked one ranks it
         cov = sample_covariance(Dataset(data_matrix))
         ordering = PartialOrdering([{0, 1, 2}, {3}], n_nodes=4)
-        e = screen_sis(cov, ordering, 3, t=1.0 / n)
+        e = screen_one("sis", cov, ordering, 3, t=1.0 / n)
         assert e.s0 == {0}  # columns 0 and 1 tie exactly; lower index wins
 
     def test_monotone_in_t(self):
@@ -232,7 +255,7 @@ class TestSis:
         data = sample(sem, 60, rng_from_seed(4))
         prev_s0, prev_s1 = frozenset(), frozenset()
         for t in (0.02, 0.05, 0.2, 0.6):
-            e = screen_sis(data, ordering, 3, t=t)
+            e = screen_one("sis", data, ordering, 3, t=t)
             assert prev_s0 <= e.s0
             assert prev_s1 <= e.s1
             prev_s0, prev_s1 = e.s0, e.s1
@@ -240,28 +263,29 @@ class TestSis:
     def test_pvalue_mode(self):
         sem, ordering = toy_two_layer_sem()
         data = sample(sem, 1000, rng_from_seed(5))
-        e = screen_sis(data, ordering, 3, mode="pvalue", pvalue_cutoff=0.5)
+        e = screen_one("sis", data, ordering, 3, mode="pvalue", pvalue_cutoff=0.5)
         assert 1 in e.s0  # the true parent has a tiny marginal p-value
 
     def test_invalid_t(self):
         sem, ordering = toy_two_layer_sem()
         data = sample(sem, 50, rng_from_seed(6))
         with pytest.raises(ValueError):
-            screen_sis(data, ordering, 3, t=1.5)
+            screen_one("sis", data, ordering, 3, t=1.5)
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_pvalue_mode_needs_positive_dof(self, n):
-        sem, ordering = toy_two_layer_sem()
-        data = sample(sem, n, rng_from_seed(6))
+    def test_pvalue_mode_needs_positive_dof(self, n, monkeypatch):
+        # a covariance that claims n samples: 2 rows of data would fail the collinearity check first
+        cov, ordering = toy_population_cov()
+        monkeypatch.setattr(podag.screening, "_fisher_z_statistics", None)  # nothing is scored
         with pytest.raises(InsufficientDataError, match=r"n - \|s\| - 3 > 0"):
-            screen_sis(data, ordering, 3, mode="pvalue")
+            screen_one("sis", CovMatrix(cov.values, n=n), ordering, 3, mode="pvalue")
 
     @pytest.mark.parametrize("cutoff", [1.5, 1.0, 0.0, -0.1])
     def test_pvalue_mode_rejects_cutoff_outside_unit_interval(self, cutoff):
         sem, ordering = toy_two_layer_sem()
         data = sample(sem, 50, rng_from_seed(6))
         with pytest.raises(ValueError, match="pvalue_cutoff"):
-            screen_sis(data, ordering, 3, mode="pvalue", pvalue_cutoff=cutoff)
+            screen_one("sis", data, ordering, 3, mode="pvalue", pvalue_cutoff=cutoff)
 
     @pytest.mark.parametrize("cutoff", [0.5, 0.05, 0.001])
     def test_pvalue_mode_equals_marginal_p_value_rule(self, cutoff):
@@ -271,7 +295,7 @@ class TestSis:
         data[:, :8] += 0.3 * data[:, [11]]  # some association with the target
         data[:, 8] = data[:, 11]  # a copy of the target: rho at the clip
         ordering = PartialOrdering([set(range(9)), {9, 10, 11}], n_nodes=12)
-        e = screen_sis(sample_covariance(Dataset(data)), ordering, 11, mode="pvalue", pvalue_cutoff=cutoff)
+        e = screen_one("sis", sample_covariance(Dataset(data)), ordering, 11, mode="pvalue", pvalue_cutoff=cutoff)
 
         def oracle(pool):
             # the two-sided p-value of the marginal Fisher z test, through scipy.stats
@@ -295,7 +319,7 @@ class TestLassoFit:
         rng = rng_from_seed(7)
         x = rng.standard_normal((50, 4))
         y = rng.standard_normal(50)
-        lam = lasso_lambda_max(y, x)
+        lam = _lambda_grid(_moments(y, x)[1], size=1)[0]
         fit = lasso_fit(y, x, lam * 1.0001)
         assert fit.active_set == frozenset()
         assert np.all(fit.coefficients == 0)
@@ -370,7 +394,7 @@ class TestLassoFit:
             beta = np.zeros(p)
             beta[:3] = rng.uniform(0.5, 2.0, size=3) * rng.choice([-1.0, 1.0], size=3)
             y = x @ beta + 0.5 * rng.standard_normal(n)
-            lam = rng.uniform(0.05, 0.5) * lasso_lambda_max(y, x)
+            lam = rng.uniform(0.05, 0.5) * _lambda_grid(_moments(y, x)[1], size=1)[0]
             fit = lasso_fit(y, x, lam, max_sweeps=max_sweeps)
             coefficients, converged = residual_lasso(y, x, lam, max_sweeps=max_sweeps)
             assert fit.active_set == frozenset(np.flatnonzero(coefficients))
@@ -432,7 +456,7 @@ class TestLambdaSelection:
         rng = rng_from_seed(13)
         x = rng.standard_normal((40, 3))
         y = rng.standard_normal(40)
-        assert select_lambda_aic(y, x, [0.25]) == 0.25
+        assert _select_lambda_aic(*_moments(y, x), [0.25]) == 0.25
 
     def test_pure_noise_prefers_sparse_models(self):
         # AIC keeps occasional noise variables (the best-fitting noise
@@ -443,7 +467,7 @@ class TestLambdaSelection:
         for _ in range(50):
             x = rng.standard_normal((200, 10))
             y = rng.standard_normal(200)
-            lam = select_lambda_aic(y, x, default_lambda_grid(y, x))
+            lam = _select_lambda_aic(*_moments(y, x), _lambda_grid(_moments(y, x)[1]))
             sizes.append(len(lasso_fit(y, x, lam).active_set))
         assert np.median(sizes) <= 1
         assert np.mean(sizes) < 3.0
@@ -452,22 +476,22 @@ class TestLambdaSelection:
         rng = rng_from_seed(15)
         x = rng.standard_normal((80, 4))
         y = x[:, 0].copy()
-        grid = default_lambda_grid(y, x, size=20)
-        lam = select_lambda_aic(y, x, grid)
+        grid = _lambda_grid(_moments(y, x)[1], size=20)
+        lam = _select_lambda_aic(*_moments(y, x), grid)
         assert lam == min(grid)
         assert 0 in lasso_fit(y, x, lam).active_set
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            select_lambda_aic(np.zeros(4), np.zeros((4, 2)), [])
+            _select_lambda_aic(*_moments(np.zeros(4), np.zeros((4, 2))), [])
 
     def test_all_nonconverged_raises(self):
         rng = rng_from_seed(16)
         x = rng.standard_normal((30, 3))
         y = x @ np.array([1.0, -1.0, 0.5]) + rng.standard_normal(30)
-        lam = 1e-4 * lasso_lambda_max(y, x)
+        lam = 1e-4 * _lambda_grid(_moments(y, x)[1], size=1)[0]
         with pytest.raises(SelectionError):
-            select_lambda_aic(y, x, [lam], max_sweeps=1)
+            _select_lambda_aic(*_moments(y, x), [lam], max_sweeps=1)
 
 
 class TestScreeningNotes:
@@ -479,7 +503,7 @@ class TestScreeningNotes:
         data = Dataset(np.random.default_rng(5).standard_normal((8, 30)))
         ordering = PartialOrdering([set(range(25)), set(range(25, 30))], n_nodes=30)
         with pytest.warns(UserWarning, match=r"^screening for node 25: \|s0 & s1\| = \d+ exceeds n = 8$"):
-            entry = screen_sis(data, ordering, 25, mode="pvalue", pvalue_cutoff=0.99)
+            entry = screen_one("sis", data, ordering, 25, mode="pvalue", pvalue_cutoff=0.99)
         overlap = len(entry.s0 & entry.s1)
         assert overlap > 8
         assert entry.warnings == (f"screening for node 25: |s0 & s1| = {overlap} exceeds n = 8",)
@@ -491,7 +515,7 @@ class TestScreeningNotes:
         data = sample(sem, 500, rng_from_seed(17))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a note is not a warning
-            entry = screen_lasso(data, ordering, 3)
+            entry = screen_one("lasso", data, ordering, 3)
         assert entry.warnings == ("lasso for node 3 (s0) did not converge", "lasso for node 3 (s1) did not converge")
         assert screen_all(data, ordering, "lasso")[0][3].warnings == entry.warnings
 
@@ -502,21 +526,21 @@ class TestScreenLasso:
         hits = 0
         for seed in range(100):
             data = sample(sem, 1000, rng_from_seed(seed))
-            e = screen_lasso(data, ordering, 3)
+            e = screen_one("lasso", data, ordering, 3)
             hits += 1 in e.s0
         assert hits >= 95
 
     def test_large_lambda_empties_s0(self):
         sem, ordering = toy_two_layer_sem()
         data = sample(sem, 500, rng_from_seed(17))
-        e = screen_lasso(data, ordering, 3, lambda0=10.0)
+        e = screen_one("lasso", data, ordering, 3, lambda0=10.0)
         assert e.s0 == frozenset()
         assert e.s1 <= {2}  # s1 then draws from the peer pool only
 
     def test_aic_mode_runs(self):
         sem, ordering = toy_two_layer_sem()
         data = sample(sem, 400, rng_from_seed(18))
-        e = screen_lasso(data, ordering, 3, aic=True)
+        e = screen_one("lasso", data, ordering, 3, aic=True)
         assert 1 in e.s0
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -604,6 +628,33 @@ class TestScreenAll:
         with pytest.raises(ValueError, match="needs a sample size"):
             screen_all(cov, ordering, backend, params)
 
+    @pytest.mark.parametrize("backend", ["sis", "lasso"])
+    def test_an_engine_source_screens_with_pcor_only(self, backend):
+        # an oracle has no data to score or regress: both entry points fail before any query
+        dag, ordering = mediated_witness()
+        message = "^oracle inputs support only the pcor backend$"
+        for engine in (OracleEngine(dag), RecordingEngine(OracleEngine(dag))):
+            with pytest.raises(ValueError, match=message):
+                screen_all(engine, ordering, backend)
+            assert engine.n_queries == 0
+        with pytest.raises(ValueError, match=message):
+            learn(dag, ordering, PodagConfig(backend=backend))
+
+    def test_an_aic_failure_names_the_node_screening_one_at_a_time_stops_at(self, monkeypatch):
+        # the lambda grid fails on the 3-member pools (the s1 of nodes 2 and 3) and on the
+        # 4-member ones (the s0 of nodes 4, 5 and 6); every other pool is fitted at lam = 0,
+        # which keeps all of it.  Node 2 fails first, at s1, though node 4's s0 is read before it.
+        monkeypatch.setattr(podag.screening, "_select_lambda_aic", aic_failing_on({3, 4}, lambda *args: 0.0))
+        rng = rng_from_seed(23)
+        data = Dataset(rng.standard_normal((200, 7)) @ (np.eye(7) + np.triu(rng.uniform(0.5, 1.0, (7, 7)), 1)))
+        ordering = PartialOrdering([{0, 1}, {2, 3}, {4, 5, 6}], n_nodes=7)
+        message = r"^lasso for node {} \(s{}\): no lasso fit converged on the lambda grid$"
+        with pytest.raises(SelectionError, match=message.format(2, 1)):
+            screen_all(data, ordering, "lasso", {"aic": True})
+        with pytest.raises(SelectionError, match=message.format(4, 0)):
+            screen_all(data, ordering, "lasso", {"aic": True}, targets=[4, 5, 6])
+        assert screen_one("lasso", data, ordering, 0, aic=True).s1 == {1}
+
     def test_population_lasso_with_explicit_penalties(self):
         cov = CovMatrix(np.eye(4) + 0.3)
         ordering = PartialOrdering([{0, 1}, {2, 3}], n_nodes=4)
@@ -676,7 +727,7 @@ class TestSharedBeforeSets:
             patch.setattr(podag.screening, "_bordered_rhos", lambda *args: reads.append(args) or _bordered_rhos(*args))
             screen, n_tests = screen_all(cov, ordering, "pcor", params)
         assert sorted(tuple(group) for _, _, group in reads) == sorted(tuple(group) for group in shared)
-        single = [screen_pcor(cov, ordering, j, **params) for j in range(m)]
+        single = [screen_one("pcor", cov, ordering, j, **params) for j in range(m)]
         assert [screen[j] for j in range(m)] == single
         assert [screen[j].pools for j in range(m)] == [entry.pools for entry in single]
         assert n_tests == sum(len(pool) for entry in single for pool in entry.pools)
@@ -700,7 +751,7 @@ class TestSharedBeforeSets:
         ordering = PartialOrdering([{0, 1, 2}, {3, 4}], n_nodes=5)
         assert _bordered_rhos(cov.values, [0, 1, 2], [3, 4]) == {}  # the shared block fails the guard
         got = outcome(lambda: screen_all(cov, ordering, "pcor", {"threshold": 0.01}, targets=[3, 4]))
-        assert got == outcome(lambda: screen_pcor(cov, ordering, 3, threshold=0.01))
+        assert got == outcome(lambda: screen_one("pcor", cov, ordering, 3, threshold=0.01))
         assert got[0] is DegenerateDataError and "columns V0, V1 and V2" in got[1]
 
     def test_pool_outnumbering_samples_names_the_same_node(self, monkeypatch):
@@ -708,7 +759,7 @@ class TestSharedBeforeSets:
         dag, ordering = generate_layered_dag(GenConfig(n_nodes=40, layers=2), rng)
         data = sample(random_weights(dag, rng), 20, rng)
         targets = sorted(ordering.layers[1])
-        want = outcome(lambda: screen_pcor(data, ordering, targets[0]))
+        want = outcome(lambda: screen_one("pcor", data, ordering, targets[0]))
 
         def no_read(*args):
             raise AssertionError("a pool was read before the sample-size check")
@@ -718,6 +769,80 @@ class TestSharedBeforeSets:
         got = outcome(lambda: screen_all(data, ordering, "pcor", {"alpha": 0.5}, targets=targets))
         assert got == want and got[0] is InsufficientDataError
         assert f"node {targets[0]}" in got[1]
+
+
+BATCH_CASES = [
+    ("pcor", {"threshold": 0.05}),
+    ("pcor", {"alpha": 0.5}),
+    ("pcor", {"alpha": 0.05}),
+    ("oracle", {}),
+    ("sis", {"t": 0.3}),
+    ("sis", {"mode": "pvalue", "pvalue_cutoff": 0.5}),
+    ("sis", {"mode": "pvalue", "pvalue_cutoff": 0.99}),
+    ("lasso", {}),
+    ("lasso", {"aic": True}),
+]
+
+
+def screen_outcome(source, ordering, backend, params, targets):
+    """What a :func:`screen_all` call shows: entries, pools, n_tests, error, warnings and queries asked."""
+    asked = source.n_queries if isinstance(source, OracleEngine) else 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            screen, n_tests = screen_all(source, ordering, backend, params, targets)
+            entries, error = [screen[j] for j in targets], None
+        except (PodagError, ValueError) as err:
+            entries, n_tests, error = [], 0, (type(err), str(err))
+    asked = (source.n_queries if isinstance(source, OracleEngine) else 0) - asked
+    return entries, [e.pools for e in entries], n_tests, error, [str(w.message) for w in caught], asked
+
+
+class TestStagingAcrossTargets:
+    """Staging every target at once shows nothing that screening one node at a time would not."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(6, 12),
+        weak=st.booleans(),
+        case=st.sampled_from(BATCH_CASES),
+        n=st.sampled_from([2, 4, 6, 9, 500]),
+        dependent=st.booleans(),
+        capped=st.booleans(),
+    )
+    def test_all_targets_at_once_equal_each_target_alone(self, seed, m, weak, case, n, dependent, capped):
+        # small n fails pcor's sample-size check at some targets and lets the rest keep more than n,
+        # a column that sums two others fails pcor's guard at the pools that hold all three,
+        # and a lasso capped at one sweep leaves notes, its AIC grid failing on pools of 2 or 3
+        rng = np.random.default_rng(seed)
+        ordering = shared_before_instance(rng, m, weak)
+        backend, params = case
+        if backend == "oracle":
+            order = rng.permutation(m).tolist()
+            edges = [(order[a], order[b]) for a in range(m) for b in range(a + 1, m) if rng.random() < 0.35]
+            source, backend = OracleEngine(Dag(m, edges)), "pcor"
+        else:
+            x = rng.standard_normal((3 * m, m)) @ (np.eye(m) + np.triu(rng.uniform(-0.8, 0.8, (m, m)), 1))
+            if dependent:
+                x[:, m - 1] = x[:, 0] + x[:, 1]
+            source = CovMatrix(x.T @ x / (3 * m), n=n)
+        targets = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist())
+        with pytest.MonkeyPatch.context() as patch:
+            if capped:
+                patch.setattr(podag.screening, "_lasso", functools.partial(_lasso, max_sweeps=1))
+                patch.setattr(podag.screening, "_select_lambda_aic", aic_failing_on({2, 3}, _select_lambda_aic))
+            entries, pools, n_tests, error, warned, asked = screen_outcome(source, ordering, backend, params, targets)
+            alone = [screen_outcome(source, ordering, backend, params, [j]) for j in targets]
+        failed = next((k for k, got in enumerate(alone) if got[3] is not None), len(alone))
+        assert error == (alone[failed][3] if failed < len(alone) else None)
+        assert warned == [w for got in alone[:failed] for w in got[4]]
+        if error is None:
+            assert entries == [got[0][0] for got in alone]
+            assert [e.warnings for e in entries] == [got[0][0].warnings for got in alone]
+            assert pools == [got[1][0] for got in alone]
+            assert n_tests == sum(got[2] for got in alone)
+            assert asked == sum(got[5] for got in alone)
 
 
 class TestInflation:

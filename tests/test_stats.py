@@ -1281,7 +1281,6 @@ class TestCollinearColumns:
             return checked(dataset)
 
         monkeypatch.setattr(podag.stats, "_checked_covariance", counted)
-        monkeypatch.setattr(podag.screening, "_checked_covariance", counted)
         rng = rng_from_seed(5)
         dag, ordering = generate_layered_dag(GenConfig(n_nodes=20, layers=3), rng)
         data = sample(random_weights(dag, rng), 300, rng)
@@ -1295,7 +1294,6 @@ class TestCollinearColumns:
         calls = []
         checked = podag.stats._checked_covariance
         monkeypatch.setattr(podag.stats, "_checked_covariance", lambda data: calls.append(data) or checked(data))
-        monkeypatch.setattr(podag.screening, "_checked_covariance", podag.stats._checked_covariance)
         rng = rng_from_seed(5)
         dag, ordering = generate_layered_dag(GenConfig(n_nodes=20, layers=3), rng)
         data = sample(random_weights(dag, rng), 300, rng)
