@@ -20,7 +20,6 @@ from .errors import (
 from .evaluation import (
     BenchmarkSpec,
     EdgeMetrics,
-    collect_test_tuples,
     edge_metrics,
     faithfulness_report,
     rho_min_star,
@@ -32,7 +31,6 @@ from .graph import (
     Pdag,
     SepsetMap,
     apply_meek_rules,
-    read_edgelist,
     read_layering,
     write_edgelist,
     write_layering,

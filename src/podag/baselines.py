@@ -30,7 +30,7 @@ class BaselineResult(_FitResult):
             {
                 "directed": self._labelled(self.pdag.directed_edges),
                 "undirected": self._labelled(self.pdag.undirected_edges),
-                "diagnostics": {"ci_tests": self.ci_tests},
+                "diagnostics": {"ci_tests": self.diagnostics.ci_tests},
             }
         )
 

@@ -89,7 +89,10 @@ def _progress(message):
 
 
 def _int_list(text):
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}") from None
 
 
 def _str_list(text):
@@ -97,7 +100,10 @@ def _str_list(text):
 
 
 def _thread_count(text):
-    threads = int(text)
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if threads < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
     return threads
@@ -247,7 +253,6 @@ def cmd_simulate(args):
         layers=args.layers,
         cross_edge_bias=args.cross_bias,
         weight_range=(args.wmin, args.wmax),
-        noise_sd=args.noise_sd,
     )
     dag, ordering = generate_layered_dag(cfg, rng)
     sem = random_weights(dag, rng, weight_range=(args.wmin, args.wmax), noise_sd=args.noise_sd)
@@ -276,8 +281,7 @@ def _read_input(path):
 
 def cmd_learn(args):
     dataset = Dataset.from_csv(io.StringIO(_read_input(args.data)))
-    layering_text = _read_input(args.layering)
-    ordering = read_layering(layering_text, dataset.labels)
+    ordering = read_layering(_read_input(args.layering), dataset.labels)
     for flag, (default, rules) in PODAG_FLAGS.items():
         if getattr(args, flag[2:].replace("-", "_")) == default:
             continue
@@ -315,9 +319,9 @@ def cmd_learn(args):
     (out / "result.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     (out / "edges.tsv").write_text(result.to_edgelist())
     if args.algorithm == "podag":
-        _progress(f"learn: podag kept {len(result.cross_edges)} cross edges, {result.ci_tests} CI tests")
+        _progress(f"learn: podag kept {len(result.cross_edges)} cross edges, {result.diagnostics.ci_tests} CI tests")
     else:
-        _progress(f"learn: {args.algorithm} finished, {result.ci_tests} CI tests")
+        _progress(f"learn: {args.algorithm} finished, {result.diagnostics.ci_tests} CI tests")
     if args.stdout:
         print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK

@@ -24,7 +24,6 @@ from .stats import GaussianEngine, OracleEngine, RecordingEngine, partial_correl
 __all__ = [
     "EdgeMetrics",
     "edge_metrics",
-    "collect_test_tuples",
     "rho_min_star",
     "faithfulness_report",
     "FAITHFULNESS_FIELDS",
@@ -167,13 +166,13 @@ def edge_metrics(estimated, truth, scope="all_edges", ordering=None):
 def _fit(algorithm, source, ordering, cfg, engine=None):
     """Fit one algorithm on a :class:`Dataset` or :class:`Dag`; returns its result.
 
-    The one estimator dispatch of ``podag learn``, the benchmark grid,
-    the faithfulness report and :func:`collect_test_tuples`.  ``engine``
+    The one estimator dispatch of ``podag learn``, the benchmark grid
+    and the faithfulness report.  ``engine``
     overrides the CI-test engine, as in :func:`learn`; without it the
     other estimators test a :class:`Dataset` at ``cfg.alpha``.  pc and
     pc_plus also take ``max_sepset_size``, ``stable`` and ``on_conflict``
-    from ``cfg``.  A result's ``pdag`` and ``ci_tests`` read the same for
-    every algorithm.
+    from ``cfg``.  A result's ``pdag`` and ``diagnostics`` read the same
+    for every algorithm.
     """
     if algorithm == "podag":
         return learn(source, ordering, cfg=cfg, engine=engine)
@@ -196,9 +195,15 @@ def _fit(algorithm, source, ordering, cfg, engine=None):
 
 
 def _recorded_stages(algorithm, dag, ordering, cfg=None):
-    """Fit against a recording d-separation oracle of ``dag``; its queries, cut into stages by its own counts.
+    """Fit against a recording d-separation oracle of ``dag``; its queries ``(i, j, S)``, cut into stages.
 
-    ``cfg`` defaults to a within-layers PODAG configuration.
+    The cut follows the fit's own ``queries_per_stage`` (PC, PC+, h0 and
+    h-minus-j ask all in ``search``).  ``cfg`` defaults to a
+    within-layers PODAG configuration.  For the screen-then-search
+    estimator the constraint-based tests are the ``search`` and
+    ``orient`` stages: screening is set inference (a regression problem
+    in the sample version), and every search tuple conditions on
+    ``cross(j) - {k}`` plus a blanket subset.
     """
     recorder = RecordingEngine(OracleEngine(dag))
     result = _fit(algorithm, dag, ordering, cfg or PodagConfig(learn_within_layers=True), recorder)
@@ -215,28 +220,6 @@ def _draw_replicate(rng, n_nodes, expected_edges_per_node, layers, weight_range)
     )
     dag, ordering = generate_layered_dag(gen, rng)
     return dag, ordering, random_weights(dag, rng, weight_range=weight_range)
-
-
-def collect_test_tuples(algorithm, g, ordering, cfg=None, phases=("search", "orient")):
-    """Run an algorithm against a recording d-separation oracle.
-
-    Returns the ordered list of tuples ``(i, j, S)`` the algorithm's
-    constraint-based part queried: its stages named in ``phases``, cut
-    from the records by the fit's own ``queries_per_stage`` (PC, PC+, h0
-    and h-minus-j ask all in ``search``).  For the screen-then-search
-    estimator that is the searching loop plus orientation queries:
-    screening is set inference (a regression problem in the sample
-    version), so its probes do not enter the test collection; every
-    returned tuple then conditions on ``cross(j) - {k}`` plus a blanket
-    subset.  Its orientation stage queries only pairs that neither the
-    search nor a screening verdict separated, so it adds few tuples; the
-    separators read from screening verdicts are oracle independences,
-    with zero partial correlation, so leaving them out cannot lower a
-    minimum over nonzero ones.  ``phases=("search",)`` keeps the
-    skeleton-recovery tests alone.
-    """
-    stages = _recorded_stages(algorithm, g, ordering, cfg)
-    return [t for stage in STAGES if stage in phases for t in stages[stage]]
 
 
 def rho_min_star(sem, tuples, zero_tol=ZERO_RHO_TOL):
@@ -289,8 +272,8 @@ def faithfulness_report(
     orientation stage's, together with the number of CI tests.
     PODAG orients most pairs from its screening verdicts, which are
     independences and so cannot lower (b); its orientation queries are
-    only the post-hoc searches for the remaining pairs (see
-    :func:`collect_test_tuples`).  Returns one row per (replicate,
+    only the post-hoc searches for the pairs that neither the search nor
+    a screening verdict separated.  Returns one row per (replicate,
     algorithm).
     """
     if replicates < 1:
@@ -470,7 +453,7 @@ def run_benchmark(spec, threads=1, progress=None):
                     checked = engine.cov
                     started = time.perf_counter()
                     result = _fit(algo, dataset, ordering, cfg, engine=engine)
-                    pdag, ci = result.pdag, result.ci_tests
+                    pdag, ci = result.pdag, result.diagnostics.ci_tests
                     del result  # a PODAG result holds its screening sets; the next fit runs without them
                 except Exception as err:  # noqa: BLE001 - recorded per contract
                     label = f"{algo}/{backend}" if backend else algo

@@ -19,7 +19,6 @@ __all__ = [
     "SepsetMap",
     "apply_meek_rules",
     "orient_by_ordering",
-    "read_edgelist",
     "write_edgelist",
     "read_layering",
     "write_layering",
@@ -668,26 +667,6 @@ def write_edgelist(directed_edges, labels, undirected_edges=()):
     for u, v in sorted((min(a, b), max(a, b)) for a, b in undirected_edges):
         lines.append(f"{labels[u]}\t{labels[v]}\tu")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def read_edgelist(text):
-    """Parse the edge-list text format into label pairs.
-
-    Returns ``(directed, undirected)`` lists of label tuples.
-    """
-    directed, undirected = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) == 2:
-            directed.append((parts[0], parts[1]))
-        elif len(parts) == 3 and parts[2] == "u":
-            undirected.append((parts[0], parts[1]))
-        else:
-            raise ValueError(f"malformed edge-list line {lineno}: {raw!r}")
-    return directed, undirected
 
 
 def write_layering(ordering, labels):

@@ -68,10 +68,10 @@ class ScreenEntry:
     ``pools`` holds the two pools that pcor screening conditioned its
     verdicts on, ``(before(j), s0 + peers(j))``: every member it dropped
     was found independent of j given the rest of its stage's pool, and
-    :meth:`verdict_sepset` returns that conditioning set.  Entries built
-    without CI verdicts (sis, lasso, :meth:`ScreenSets.from_json`) carry
-    no pools.  The pools take no part in equality or serialization.  A
-    frozenset ``s0`` or ``s1`` is kept as given; any other becomes one of ints.
+    orientation reads that pool back.  Entries built without CI verdicts
+    (sis, lasso) carry no pools.  The pools take no part in equality or
+    serialization.  A frozenset ``s0`` or ``s1`` is kept as given; any
+    other becomes one of ints.
     """
 
     node: int
@@ -97,18 +97,12 @@ class ScreenEntry:
         """Conditional Markov blanket among unordered peers: s1 - s0."""
         return self.s1 - self.s0
 
-    def verdict_sepset(self, k):
-        """The set a screening verdict found to separate ``k`` from the node.
-
-        That is ``pool - {k}`` for a member ``k`` dropped from its stage's
-        pool, and None for a kept member, a node outside both pools, or
-        an entry without recorded pools.
-        """
-        pool = self._verdict_pool(k)
-        return None if pool is None else pool - {k}
-
     def _verdict_pool(self, k):
-        """The pool of :meth:`verdict_sepset`, ``k`` still in it; None where that is None."""
+        """The pool a screening verdict dropped ``k`` from, ``k`` still in it.
+
+        ``pool - {k}`` separates ``k`` from the node.  None for a kept
+        member, a node outside both pools, or an entry without pools.
+        """
         for pool, kept in zip(self.pools, (self.s0, self.s1)):
             if k in pool and k not in kept:
                 return pool
@@ -142,28 +136,6 @@ class ScreenSets:
             if not e.s1 <= (e.s0 | peers):
                 raise ValueError(f"s1 of node {j} leaves its eligible pool")
 
-    def cross_candidates(self):
-        """Ordered candidate cross edges (k, j) with k in cross(j)."""
-        return sorted((k, j) for j, e in self.entries.items() for k in e.cross)
-
-    def within_candidates(self):
-        """Ordered candidate within-layer pairs, each direction listed.
-
-        A pair enters when either endpoint screens the other into its
-        conditional Markov blanket, and is then tested from both sides:
-        the separating set of a nonadjacent pair may exist in only one
-        endpoint's restricted search family (the one that is not an
-        ancestor of the other), so one-sided testing can strand spurious
-        pairs.
-        """
-        pairs = set()
-        for j, e in self.entries.items():
-            for k in e.cmb:
-                pairs.add((k, j))
-                if k in self.entries:
-                    pairs.add((j, k))
-        return sorted(pairs)
-
     def to_json(self):
         doc = {
             self.labels[j]: {
@@ -173,16 +145,6 @@ class ScreenSets:
             for j, e in self.entries.items()
         }
         return json.dumps(doc, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text, labels):
-        index = {lab: i for i, lab in enumerate(labels)}
-        doc = json.loads(text)
-        entries = [
-            ScreenEntry(index[lab], {index[x] for x in sets["s0"]}, {index[x] for x in sets["s1"]})
-            for lab, sets in doc.items()
-        ]
-        return cls(entries, n_nodes=len(labels), labels=labels)
 
 
 def _success_warnings(j, s0, s1, n):

@@ -130,11 +130,6 @@ class _FitResult:
     sepsets: SepsetMap
     diagnostics: Diagnostics
 
-    @property
-    def ci_tests(self):
-        """``diagnostics.ci_tests``."""
-        return self.diagnostics.ci_tests
-
     def to_edgelist(self):
         return write_edgelist(self.pdag.directed_edges, self.pdag.labels, self.pdag.undirected_edges)
 
@@ -154,18 +149,12 @@ class PodagResult(_FitResult):
 
     ``pdag`` is the one estimated graph.  ``cross_edges`` are its
     directed edges whose direction is implied by the ordering
-    information; :attr:`within` holds the remaining learned adjacencies
-    (between unordered peers) as a maximal PDAG.
+    information; its other edges join unordered peers, and the JSON
+    lists them as ``within_directed`` and ``within_undirected``.
     """
 
     cross_edges: frozenset
     screen: ScreenSets
-
-    @property
-    def within(self):
-        """The graph without its cross edges."""
-        pdag = self.pdag
-        return Pdag(pdag.n_nodes, pdag.directed_edges - self.cross_edges, pdag.undirected_edges, pdag.labels)
 
     def as_pdag(self):
         """Everything in one partially directed graph: ``pdag``."""
@@ -179,7 +168,7 @@ class PodagResult(_FitResult):
                 "within_directed": self._labelled(self.pdag.directed_edges - self.cross_edges),
                 "within_undirected": self._labelled(self.pdag.undirected_edges),
                 "diagnostics": {
-                    "ci_tests": self.ci_tests,
+                    "ci_tests": self.diagnostics.ci_tests,
                     "elapsed_ms": self.diagnostics.elapsed_ms,
                     "removals_per_level": {str(k): v for k, v in sorted(removals.items())},
                 },
@@ -445,9 +434,11 @@ def _candidates(cross, cmb, within):
 
     ``cross`` and ``cmb`` map each screened target, in ascending order,
     to its cross set and its cmb.  Target ``j`` tests its cross set and,
-    with ``within``, its cmb and every target whose cmb holds ``j``: the
-    union of :meth:`ScreenSets.cross_candidates` and
-    :meth:`ScreenSets.within_candidates`, grouped by target.
+    with ``within``, its cmb and every target whose cmb holds ``j``.  A
+    within-layer pair is tested from both sides because the separating
+    set of a nonadjacent pair may lie in only one endpoint's restricted
+    family (the one that is not an ancestor of the other), so one-sided
+    testing can strand spurious pairs.
     """
     sources = {j: set(c) for j, c in cross.items()}
     if within:
@@ -467,7 +458,7 @@ def podag_multi_layer(engine, ordering, screen, cfg=None):
     before/after overrides (pairs with no mutual order information are
     searched symmetrically and oriented only by v-structures and Meek
     closure).  With ``learn_within_layers`` unset only the between-layer
-    candidates are searched and ``within`` stays empty.
+    candidates are searched and the graph has no within-layer edges.
     """
     cfg = cfg or PodagConfig()
     screen.validate(ordering)

@@ -60,7 +60,6 @@ class GenConfig:
     layers: int = 2
     cross_edge_bias: float = 2.0
     weight_range: tuple = (0.1, 1.0)
-    noise_sd: float = 1.0
 
     def __post_init__(self):
         if self.n_nodes < 1:
@@ -74,8 +73,6 @@ class GenConfig:
             raise ValueError("weight_range must satisfy 0 < lo < hi")
         if self.cross_edge_bias <= 0:
             raise ValueError("cross_edge_bias must be positive")
-        if self.noise_sd <= 0:
-            raise ValueError("noise_sd must be positive")
 
 
 @dataclass(frozen=True)
@@ -126,25 +123,6 @@ class Sem:
             if ordering.unordered:
                 doc["unordered"] = [self.dag.labels[v] for v in sorted(ordering.unordered)]
         return json.dumps(doc, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        doc = json.loads(text)
-        labels = list(doc["nodes"])
-        index = {lab: i for i, lab in enumerate(labels)}
-        m = len(labels)
-        edges = [(index[k], index[j]) for k, j, _ in doc["edges"]]
-        dag = Dag(m, edges, labels=labels)
-        weights = np.zeros((m, m))
-        for k, j, w in doc["edges"]:
-            weights[index[j], index[k]] = float(w)
-        sem = cls(dag, weights, np.asarray(doc["noise_sd"], dtype=float))
-        ordering = None
-        if "layers" in doc:
-            layers = [{index[lab] for lab in layer} for layer in doc["layers"]]
-            unordered = {index[lab] for lab in doc.get("unordered", [])}
-            ordering = PartialOrdering(layers, n_nodes=m, unordered=unordered)
-        return sem, ordering
 
 
 def generate_layered_dag(cfg, rng):

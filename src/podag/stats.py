@@ -637,11 +637,12 @@ class CiEngine:
     def speculate(self, requests):
         """The stops of each skeleton-search test ``(a, b, base, subsets)`` in ``requests``.
 
-        Per test, an iterable of ``(k, known)`` pairs in increasing ``k``:
-        the loop over ``base | subsets[k]`` stops there (``known``
-        independent) or must ask a single query; every other position is
-        known dependent.  Counts nothing and never raises; this engine
-        knows nothing.
+        The ``subsets`` of one test all have one size.  Per test, an
+        iterable of ``(k, known)`` pairs in increasing ``k``: the loop
+        over ``base | subsets[k]`` stops there (``known`` independent) or
+        must ask a single query; every other position is known
+        dependent.  Counts nothing and never raises; this engine knows
+        nothing.
         """
         return [zip(range(len(subsets)), itertools.repeat(False)) for _, _, _, subsets in requests]
 
@@ -763,8 +764,7 @@ class GaussianEngine(CiEngine):
         groups = {}  # union size m -> flat rows of m nodes, and (request, first row) per test
         for r, (a, b, base, subsets) in enumerate(requests):
             m = len(base) + len(subsets[0]) + 2 if subsets else 0
-            if not subsets or self._n - m - 1 <= 0 or len(set(map(len, subsets))) > 1:
-                # the degrees-of-freedom guard raises at once, or no one union size
+            if not subsets or self._n - m - 1 <= 0:  # the degrees-of-freedom guard raises at once
                 stops[r] = zip(range(len(subsets)), itertools.repeat(False))
                 continue
             rows, tests = groups.setdefault(m, ([], []))

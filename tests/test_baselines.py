@@ -142,7 +142,7 @@ class TestNaiveEstimatorBlocks:
         res = estimator(block, ordering)
         assert res.pdag.directed_edges == want
         assert block.records == single.records
-        assert res.ci_tests == single.n_queries
+        assert res.diagnostics.ci_tests == single.n_queries
         assert len(factorizations) == len(second)
 
     @pytest.mark.parametrize("estimator", [estimate_h0, estimate_h_minus_j])
@@ -165,7 +165,7 @@ class TestPc:
     def test_edgeless_uses_exactly_level_zero_tests(self):
         res = pc(OracleEngine(Dag(4, [])), 4)
         assert res.pdag.adjacency_pairs() == frozenset()
-        assert res.ci_tests == 6
+        assert res.diagnostics.ci_tests == 6
 
     def test_toy_graph_matches_equivalence_class(self):
         sem, _ = toy_two_layer_sem()
@@ -211,7 +211,7 @@ class TestPcPlus:
         )
         plain = pc(OracleEngine(dag), 10)
         plus = pc_plus(OracleEngine(dag), ordering)
-        assert plus.ci_tests < plain.ci_tests
+        assert plus.diagnostics.ci_tests < plain.diagnostics.ci_tests
         assert plus.pdag.adjacency_pairs() == plain.pdag.adjacency_pairs()
 
     def test_more_oriented_than_pc_and_never_wrong(self):
@@ -220,7 +220,7 @@ class TestPcPlus:
             dag, ordering = random_layered_instance(rng, n_lo=4, n_hi=9)
             base = pc(OracleEngine(dag), dag.n_nodes)
             plus = pc_plus(OracleEngine(dag), ordering)
-            assert plus.ci_tests <= base.ci_tests
+            assert plus.diagnostics.ci_tests <= base.diagnostics.ci_tests
             assert plus.pdag.adjacency_pairs() == base.pdag.adjacency_pairs()
             assert base.pdag.directed_edges <= plus.pdag.directed_edges
             for u, v in plus.pdag.directed_edges:

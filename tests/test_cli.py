@@ -53,6 +53,13 @@ class TestSimulate:
             run(["simulate", "--bogus", 3])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("noise_sd", [0, -1])
+    def test_noise_sd_not_positive_is_usage_error(self, tmp_path, capsys, noise_sd):
+        out = tmp_path / "x"
+        assert run(["simulate", "--nodes", 5, "--n", 10, "--noise-sd", noise_sd, "-o", out]) == EXIT_USAGE
+        assert capsys.readouterr().err.strip() == "error: noise_sd must be strictly positive"
+        assert not list(out.iterdir())
+
 
 class TestLearn:
     def test_pipeline_round_trip(self, tmp_path):
@@ -547,6 +554,27 @@ def test_threads_below_one_exit_two_naming_the_flag(tmp_path, monkeypatch, capsy
     assert pools == [] and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, rule",
+    [
+        (["faithfulness", "--threads", "abc"], "--threads: must be an integer, got 'abc'"),
+        (["benchmark", "--threads", "1.5"], "--threads: must be an integer, got '1.5'"),
+        (["benchmark", "--nodes", "a,b"], "--nodes: must be comma-separated integers, got 'a,b'"),
+        (["benchmark", "--layers", "2,x"], "--layers: must be comma-separated integers, got '2,x'"),
+        (["benchmark", "--n", "1.5"], "--n: must be comma-separated integers, got '1.5'"),
+    ],
+)
+def test_unreadable_values_exit_two_stating_the_rule(tmp_path, capsys, args, rule):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as err:
+        run(args + ["-o", out])
+    assert err.value.code == EXIT_USAGE
+    stderr = capsys.readouterr().err
+    assert f"error: argument {rule}" in stderr
+    assert not re.search(r"\b_\w", stderr)  # no private helper's name
+    assert not out.exists()
+
+
 class TestFaithfulness:
     def test_runs_and_is_deterministic(self, tmp_path):
         args = [
@@ -581,3 +609,11 @@ def test_readme_commands_parse():
     for cmd in commands:
         args = parser.parse_args(shlex.split(cmd)[1:])
         assert args.command == cmd.split()[1]
+
+
+def test_readme_quickstart_runs(capsys):
+    section = README.read_text().split("## Library quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quickstart", "exec"), {})
+    printed = capsys.readouterr().out
+    assert printed.startswith("[(") and "'screen'" in printed

@@ -21,7 +21,6 @@ from podag import (
     PodagConfig,
     RecordingEngine,
     Sem,
-    collect_test_tuples,
     edge_metrics,
     estimate_h0,
     estimate_h_minus_j,
@@ -232,14 +231,14 @@ class TestFit:
         got = podag.evaluation._fit(algorithm, data, ordering, PodagConfig())
         want = estimator(GaussianEngine(data), ordering, labels=data.labels)
         assert got == want
-        assert got.pdag.directed_edges and got.ci_tests > 0
+        assert got.pdag.directed_edges and got.diagnostics.ci_tests > 0
 
     @pytest.mark.parametrize("algorithm", ["podag", "pc", "pc_plus", "h0", "h_minus_j"])
     def test_every_result_reads_pdag_and_ci_tests(self, algorithm):
         data, ordering = self.two_layer_data()
         result = podag.evaluation._fit(algorithm, data, ordering, PodagConfig(on_conflict="ignore"))
         assert isinstance(result.pdag, Pdag) and result.pdag.labels == data.labels
-        assert result.ci_tests == json.loads(result.to_json())["diagnostics"]["ci_tests"] > 0
+        assert result.diagnostics.ci_tests == json.loads(result.to_json())["diagnostics"]["ci_tests"] > 0
         if algorithm == "podag":
             assert result.pdag == result.as_pdag()
 
@@ -294,9 +293,10 @@ class TestStageCounts:
         result = podag.evaluation._fit(algorithm, dag if oracle else data, ordering, cfg, recorder)
         queries = result.diagnostics.queries_per_stage
         assert list(queries) == list(STAGES)
-        assert sum(queries.values()) == result.ci_tests == json.loads(result.to_json())["diagnostics"]["ci_tests"]
+        written = json.loads(result.to_json())["diagnostics"]["ci_tests"]
+        assert sum(queries.values()) == result.diagnostics.ci_tests == written
         # screening asks the engine only under an oracle
-        asked = result.ci_tests if oracle else queries["search"] + queries["orient"]
+        asked = result.diagnostics.ci_tests if oracle else queries["search"] + queries["orient"]
         assert recorder.n_queries == len(recorder.records) == asked
         stages = result.diagnostics.stage_records(recorder.records)
         lengths = [oracle * queries["screen"], queries["search"], queries["orient"]]
@@ -314,7 +314,7 @@ class TestStageCounts:
         result = podag_multi_layer(recorder, ordering, screen, PodagConfig(learn_within_layers=True))
         queries = result.diagnostics.queries_per_stage
         assert queries["screen"] == 0 and queries["search"] > 0
-        assert result.ci_tests == recorder.n_queries == len(recorder.records)
+        assert result.diagnostics.ci_tests == recorder.n_queries == len(recorder.records)
 
     @pytest.mark.parametrize("first", ["podag", "pc", "pc_plus", "h0", "h_minus_j"])
     @pytest.mark.parametrize("second", ["podag", "pc", "pc_plus", "h0", "h_minus_j"])
@@ -336,30 +336,38 @@ class TestStageCounts:
 
 
 class TestCollectTuples:
+    """The tuples the faithfulness report reads: a fit's ``search`` and ``orient`` stages."""
+
+    @staticmethod
+    def tuples(algorithm, dag, ordering):
+        stages = podag.evaluation._recorded_stages(algorithm, dag, ordering)
+        return stages["search"] + stages["orient"]
+
     def test_pc_on_edgeless_four_nodes(self):
-        tuples = collect_test_tuples("pc", Dag(4, []), None)
+        tuples = self.tuples("pc", Dag(4, []), None)
         assert len(tuples) == 6
         assert all(s == frozenset() for _, _, s in tuples)
 
     def test_pc_plus_tuples_subset_of_pc(self):
         dag = Dag(10, [(i, i + 1) for i in range(9)])
         ordering = PartialOrdering([{0, 1}, {2, 3}, {4, 5}, {6, 7}, {8, 9}], n_nodes=10)
-        assert set(collect_test_tuples("pc_plus", dag, ordering)) <= set(
-            collect_test_tuples("pc", dag, ordering)
-        )
+        assert set(self.tuples("pc_plus", dag, ordering)) <= set(self.tuples("pc", dag, ordering))
 
     def test_podag_collection_excludes_screening_probes(self):
-        # the collected tuples are the constraint-based tests: everything
-        # conditions on a cross set plus blanket members, never on the
-        # screening loop's all-but-one sets
+        # the collected tuples are the constraint-based tests: each
+        # conditions on a subset of one endpoint's screened s1 (its cross
+        # set plus blanket members), which some of the screening loop's
+        # all-but-one sets are not
         sem, ordering = toy_two_layer_sem()
-        tuples = collect_test_tuples("podag", sem.dag, ordering)
-        assert tuples
-        assert tuples == collect_test_tuples(
-            "podag", sem.dag, ordering, phases=("search", "orient")
-        )
-        skeleton_only = collect_test_tuples("podag", sem.dag, ordering, phases=("search",))
-        assert len(skeleton_only) <= len(tuples)
+        stages = podag.evaluation._recorded_stages("podag", sem.dag, ordering)
+        screen, _ = screen_all(OracleEngine(sem.dag), ordering)
+
+        def screened(i, j, s):
+            return any(s <= screen[t].s1 for t in (i, j))
+
+        tuples = self.tuples("podag", sem.dag, ordering)
+        assert tuples and all(screened(*t) for t in tuples)
+        assert not all(screened(*t) for t in stages["screen"])
 
 
 class TestRhoMinStar:

@@ -10,7 +10,6 @@ from podag import (
     Pdag,
     SepsetMap,
     apply_meek_rules,
-    read_edgelist,
     read_layering,
     write_edgelist,
     write_layering,
@@ -431,17 +430,12 @@ def assert_reads_as(build, eager, n):
 
 
 class TestTextFormats:
-    def test_edgelist_round_trip(self):
-        labels = ("a", "b", "c")
-        text = write_edgelist([(0, 1)], labels, undirected_edges=[(1, 2)])
-        assert text == "a\tb\nb\tc\tu\n"
-        directed, undirected = read_edgelist(text)
-        assert directed == [("a", "b")]
-        assert undirected == [("b", "c")]
-
-    def test_edgelist_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            read_edgelist("a\tb\tc\td\n")
+    def test_edgelist_text(self):
+        # directed edges sorted, then undirected ones as sorted (low, high) pairs
+        labels = ("a", "b", "c", "d")
+        text = write_edgelist([(2, 0), (0, 1)], labels, undirected_edges=[(3, 1), (2, 1)])
+        assert text == "a\tb\nc\ta\nb\tc\tu\nb\td\tu\n"
+        assert write_edgelist([], labels) == ""
 
     def test_layering_round_trip(self):
         labels = ("a", "b", "c", "d")

@@ -1,4 +1,5 @@
 import functools
+import textwrap
 import warnings
 
 import numpy as np
@@ -33,6 +34,7 @@ from podag.screening import (
     _moments,
     _select_lambda_aic,
 )
+from podag.search import _candidates
 from podag.stats import _bordered_rhos, _checked_covariance, _correlation, _read_stage
 from podag.sem import (
     GenConfig,
@@ -100,11 +102,11 @@ class TestScreenPcorToy:
         cov, ordering = toy_population_cov()
         y1 = screen_one("pcor", cov, ordering, 2, threshold=0.01)
         y2 = screen_one("pcor", cov, ordering, 3, threshold=0.01)
-        assert y1.verdict_sepset(1) == {0}  # stage 0: before(Y1) - {X2}
-        assert y2.verdict_sepset(0) == {1, 2}  # stage 1: s0 + peers(Y2) - {X1}
-        assert y2.verdict_sepset(1) is None and y2.verdict_sepset(2) is None  # kept
+        assert y1._verdict_pool(1) == {0, 1}  # stage 0: before(Y1), X2 separated given X1
+        assert y2._verdict_pool(0) == {0, 1, 2}  # stage 1: s0 + peers(Y2), X1 separated given X2, Y1
+        assert y2._verdict_pool(1) is None and y2._verdict_pool(2) is None  # kept
         plain = ScreenEntry(3, y2.s0, y2.s1)
-        assert plain == y2 and plain.verdict_sepset(0) is None
+        assert plain == y2 and plain._verdict_pool(0) is None
         assert plain.s0 is y2.s0 and plain.s1 is y2.s1  # a frozenset is kept as given
         assert all(type(v) is int for v in y2.s0 | y2.s1)  # screening hands it Python ints
         listed = ScreenEntry(3, list(np.array(sorted(y2.s0))), np.array(sorted(y2.s1)))
@@ -565,7 +567,7 @@ class TestScreenAll:
     def test_toy_population_candidates_exact(self):
         cov, ordering = toy_population_cov()
         screen, n_tests = screen_all(cov, ordering, backend="pcor", params={"threshold": 0.01})
-        assert screen.cross_candidates() == [(0, 2), (1, 3)]
+        assert {j: screen[j].cross for j in screen.nodes()} == {0: set(), 1: set(), 2: {0}, 3: {1}}
         # one test per pool member: 1 + 1 for the first layer, 2 + 2 and 2 + 3 below
         assert n_tests == 11
 
@@ -574,16 +576,17 @@ class TestScreenAll:
         dag, ordering = random_layered_instance(rng, n_lo=5, n_hi=8, layers_hi=2)
         ordering = PartialOrdering([set(range(dag.n_nodes))], n_nodes=dag.n_nodes)
         screen, _ = screen_all(OracleEngine(dag), ordering, backend="pcor")
-        assert screen.cross_candidates() == []
         for j in screen.nodes():
             assert screen[j].s0 == frozenset()
 
     def test_within_candidates_symmetrized(self):
         dag, ordering = mediated_witness()
         screen, _ = screen_all(OracleEngine(dag), ordering, backend="pcor")
-        cands = screen.within_candidates()
-        for k, j in cands:
-            assert (j, k) in cands
+        cross = {j: screen[j].cross for j in screen.nodes()}
+        cmb = {j: set(screen[j].cmb) for j in screen.nodes()}
+        pairs = set(zip(*_candidates(cross, cmb, True)))
+        within = {(k, j) for j in screen.nodes() for k in screen[j].cmb}
+        assert within and all((j, k) in pairs for k, j in within)
 
     def test_validate_rejects_bad_sets(self):
         ordering = PartialOrdering([{0}, {1}], n_nodes=2)
@@ -596,16 +599,27 @@ class TestScreenAll:
         with pytest.raises(ValueError, match="one entry per column"):
             ScreenSets([ScreenEntry(2, s0={0}, s1={0})], 3, labels=["x"])
 
-    def test_json_round_trip(self):
-        cov, ordering = toy_population_cov()
-        labels = ("X1", "X2", "Y1", "Y2")
-        screen, _ = screen_all(cov, ordering, backend="pcor", params={"threshold": 0.01})
-        screen = ScreenSets([screen[j] for j in screen.nodes()], 4, labels=labels)
-        text = screen.to_json()
-        back = ScreenSets.from_json(text, labels)
-        for j in screen.nodes():
-            assert back[j].s0 == screen[j].s0
-            assert back[j].s1 == screen[j].s1
+    def test_json_text(self):
+        # keyed by label, each set as its sorted labels; an unscreened node has no key
+        screen = ScreenSets([ScreenEntry(2, {1, 0}, {0}), ScreenEntry(0, (), ())], 3, labels=("b", "a", "c"))
+        assert screen.to_json() == textwrap.dedent(
+            """\
+            {
+              "b": {
+                "s0": [],
+                "s1": []
+              },
+              "c": {
+                "s0": [
+                  "a",
+                  "b"
+                ],
+                "s1": [
+                  "b"
+                ]
+              }
+            }"""
+        )
 
     def test_unknown_backend(self):
         cov, ordering = toy_population_cov()

@@ -64,9 +64,8 @@ class TestTwoLayerSearch:
         engine = OracleEngine(sem.dag)
         screen = oracle_screen(sem.dag, ordering, targets=[2, 3])
         res = podag_multi_layer(engine, ordering, screen, PodagConfig())
-        assert res.cross_edges == {(0, 2), (1, 3)}
-        assert res.within.directed_edges == frozenset()
-        assert res.within.undirected_edges == frozenset()
+        assert res.cross_edges == {(0, 2), (1, 3)} == res.pdag.directed_edges
+        assert res.pdag.undirected_edges == frozenset()
 
     def test_empty_candidates_zero_queries(self):
         entries = [ScreenEntry(2, set(), set()), ScreenEntry(3, set(), set())]
@@ -176,7 +175,7 @@ class TestSkeletonDriver:
         else:
             cfg = PodagConfig(learn_within_layers=True, on_conflict="ignore", stable=stable)
             res = learn(data, ordering, cfg, engine=recorder)
-        assert (res.ci_tests, query_digest(recorder, res)) == self.PINNED[seed, algorithm, stable]
+        assert (res.diagnostics.ci_tests, query_digest(recorder, res)) == self.PINNED[seed, algorithm, stable]
 
     def test_stable_mode_skips_the_mirror_of_a_found_pair(self):
         # 0 -> 2 <- 1 with no ordering: the spouses 0 and 1 screen each
@@ -268,7 +267,7 @@ class TestSkeletonDriver:
             else:
                 estimator, target = (pc, data.m) if algorithm == "pc" else (pc_plus, ordering)
                 res = estimator(recorder, target, max_level=cfg.max_sepset_size, on_conflict="ignore")
-                fit = (res.ci_tests, res.pdag)
+                fit = (res.diagnostics.ci_tests, res.pdag)
             fits.append((sorted(res.sepsets.items()), query_digest(recorder, res)) + fit)
         assert fits[0] == fits[1]
         assert len(per_target) > 100 and max(per_target.values()) <= 2
@@ -326,10 +325,10 @@ class TestSkeletonDriver:
             recorder = RecordingEngine(engine_class(data, alpha=0.05))
             if algorithm == "pc":
                 res = pc(recorder, data.m, max_level=3, on_conflict="ignore")
-                pdag, ci_tests = res.pdag, res.ci_tests
+                pdag, ci_tests = res.pdag, res.diagnostics.ci_tests
             elif algorithm == "pc_plus":
                 res = pc_plus(recorder, ordering, max_level=3, on_conflict="ignore")
-                pdag, ci_tests = res.pdag, res.ci_tests
+                pdag, ci_tests = res.pdag, res.diagnostics.ci_tests
             else:
                 cfg = PodagConfig(
                     backend=algorithm, max_sepset_size=3, learn_within_layers=True, on_conflict="ignore"
@@ -421,7 +420,7 @@ def recorded_fit(engine, algorithm, data, ordering, stable=False):
     except PodagError as err:
         return type(err), str(err), recorder.n_queries, query_digest(recorder)
     if algorithm in ("pc", "pc_plus"):
-        pdag, ci_tests = res.pdag, res.ci_tests
+        pdag, ci_tests = res.pdag, res.diagnostics.ci_tests
     else:
         pdag, ci_tests = res.as_pdag(), res.diagnostics.ci_tests
     edges = (pdag.directed_edges, pdag.undirected_edges)
@@ -509,7 +508,8 @@ class TestScreeningVerdictSepsets:
         screen = res.screen
 
         def verdicts(a, b):
-            return {screen[b].verdict_sepset(a), screen[a].verdict_sepset(b)} - {None}
+            pools = ((screen[b]._verdict_pool(a), a), (screen[a]._verdict_pool(b), b))
+            return {pool - {k} for pool, k in pools if pool is not None}
 
         assert any(sep in verdicts(a, b) for (a, b), sep in res.sepsets.items())
         for i, j, _ in res.diagnostics.stage_records(recorder.records)["orient"]:
@@ -534,7 +534,7 @@ class TestScreeningVerdictSepsets:
         else:
             screen, _ = screen_all(data, ordering, "pcor", {"alpha": self.CFG.screen_alpha})
             if source == "from_json":
-                screen = ScreenSets.from_json(screen.to_json(), data.labels)
+                screen = without_pools(screen)
             else:
                 screen = inflate_screen_sets(screen, ordering, rng_from_seed(1))
             res = podag_multi_layer(recorder, ordering, screen, self.CFG)
@@ -572,7 +572,7 @@ class TestScreeningVerdictSepsets:
         else:
             screen, _ = screen_all(data, ordering, "pcor", {"alpha": 0.5})
             if source == "from_json":
-                screen = ScreenSets.from_json(screen.to_json(), data.labels)
+                screen = without_pools(screen)
             else:
                 screen = inflate_screen_sets(screen, ordering, rng)
         pairs = [pair for pair in itertools.combinations(range(nodes), 2) if rng.random() < share]
@@ -583,6 +583,12 @@ class TestScreeningVerdictSepsets:
             assert sepsets.get(a, b) == per_pair_separator(single, screen, a, b, max_level), (a, b)
         assert {pair for pair, _ in sepsets.items()} <= set(pairs)
         assert batched.n_queries == single.n_queries
+
+
+def without_pools(screen):
+    """``screen``'s sets as ``screen.json`` holds them: entries without the pools of pcor's verdicts."""
+    entries = [ScreenEntry(j, screen[j].s0, screen[j].s1) for j in screen.nodes()]
+    return ScreenSets(entries, screen.n_nodes, screen.labels)
 
 
 def per_pair_separator(engine, screen, a, b, max_level):
@@ -606,7 +612,7 @@ class TestMultiLayerSearch:
         ordering = PartialOrdering([{0}, {1, 2}], n_nodes=3)
         res = learn(dag, ordering, PodagConfig(learn_within_layers=True))
         assert res.cross_edges == {(0, 1)}
-        assert res.within.directed_edges == {(1, 2)}
+        assert res.pdag.directed_edges - res.cross_edges == {(1, 2)}
 
     def test_one_sided_weak_ordering(self):
         # 2's before set alone orders 0 and 1 before it: 0 -> 2 is a cross
@@ -616,7 +622,7 @@ class TestMultiLayerSearch:
         data = sample(random_weights(dag, rng), 500, rng)
         res = learn(data, ordering, PodagConfig(learn_within_layers=True))
         assert res.cross_edges == {(0, 2)} == res.pdag.directed_edges
-        assert res.within.adjacency_pairs() == frozenset()
+        assert res.pdag.undirected_edges == frozenset()
         oracle = learn(dag, ordering, PodagConfig(learn_within_layers=True))
         assert oracle.as_pdag() == res.as_pdag()
 
@@ -656,9 +662,10 @@ class TestCandidates:
     def test_grouped_by_target_as_the_sorted_union(self, screen, within):
         cross = {j: screen[j].cross for j in screen.nodes()}
         cmb = {j: set(screen[j].cmb) for j in screen.nodes()}
-        want = set(screen.cross_candidates())
-        if within:
-            want |= set(screen.within_candidates())
+        want = {(k, j) for j in screen.nodes() for k in screen[j].s0 & screen[j].s1}
+        for j in screen.nodes() if within else ():
+            for k in screen[j].s1 - screen[j].s0:
+                want |= {(k, j), (j, k)} if k in screen else {(k, j)}
         sources, targets = podag.search._candidates(cross, cmb, within)
         assert list(zip(sources, targets)) == sorted(want, key=operator.itemgetter(1, 0))
 
@@ -902,8 +909,8 @@ class TestResultSerialization:
             res = learn(dag, ordering, PodagConfig(learn_within_layers=True))
             for k, j in res.cross_edges:
                 assert ordering.orders_before(k, j)
-            cand = set(res.screen.cross_candidates())
-            assert res.cross_edges <= cand
+            screen = res.screen
+            assert res.cross_edges <= {(k, j) for j in screen.nodes() for k in screen[j].cross}
 
 
 NODE_COUNT_FITS = {

@@ -1,9 +1,12 @@
+import textwrap
+
 import numpy as np
 import pytest
 
 from podag import (
     Dag,
     GenConfig,
+    PartialOrdering,
     Sem,
     generate_layered_dag,
     partial_correlation,
@@ -164,13 +167,47 @@ class TestFaithfulSem:
 
 
 class TestSemJson:
-    def test_round_trip(self):
-        sem, ordering = toy_two_layer_sem()
-        text = sem.to_json(ordering)
-        back, back_ordering = Sem.from_json(text)
-        assert back.dag == sem.dag
-        np.testing.assert_array_equal(back.weights, sem.weights)
-        assert back_ordering.layers == ordering.layers
+    def test_json_text(self):
+        # edges as (parent, child, weight); the ordering's layers, then its unordered nodes
+        dag = Dag(3, [(0, 1)], labels=("a", "b", "c"))
+        weights = np.zeros((3, 3))
+        weights[1, 0] = 0.5
+        sem = Sem(dag, weights, np.array([1.0, 2.0, 0.5]))
+        ordering = PartialOrdering([{0}, {1}], n_nodes=3, unordered={2})
+        assert sem.to_json(ordering) == textwrap.dedent(
+            """\
+            {
+              "edges": [
+                [
+                  "a",
+                  "b",
+                  0.5
+                ]
+              ],
+              "layers": [
+                [
+                  "a"
+                ],
+                [
+                  "b"
+                ]
+              ],
+              "nodes": [
+                "a",
+                "b",
+                "c"
+              ],
+              "noise_sd": [
+                1.0,
+                2.0,
+                0.5
+              ],
+              "rng": "philox4x64",
+              "unordered": [
+                "c"
+              ]
+            }"""
+        )
 
     def test_rng_algorithm_stamped(self):
         sem, ordering = toy_two_layer_sem()

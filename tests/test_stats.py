@@ -1402,4 +1402,4 @@ class TestCountingPoint:
         assert bare.counted == bare.n_queries > 0
         assert inner.counted == inner.n_queries == recorder.n_queries == bare.n_queries
         assert inner.listed == bare.listed == recorder.records
-        assert (got.pdag, got.ci_tests) == (want.pdag, want.ci_tests)
+        assert (got.pdag, got.diagnostics.ci_tests) == (want.pdag, want.diagnostics.ci_tests)
