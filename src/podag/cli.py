@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import io
-import json
 import sys
 from pathlib import Path
 
@@ -265,12 +264,6 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _zero_timing(doc):
-    if "diagnostics" in doc and "elapsed_ms" in doc["diagnostics"]:
-        doc["diagnostics"]["elapsed_ms"] = 0
-    return doc
-
-
 def _read_input(path):
     """The text of an input file; one that cannot be read is a usage error."""
     try:
@@ -313,17 +306,16 @@ def cmd_learn(args):
     if args.orient_by_ordering:
         oriented = orient_by_ordering(result.pdag, ordering)
         result = dataclasses.replace(result, pdag=apply_meek_rules(oriented, on_conflict=cfg.on_conflict))
-    doc = json.loads(result.to_json())
     if not args.timing:
-        doc = _zero_timing(doc)
-    (out / "result.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        result = dataclasses.replace(result, diagnostics=dataclasses.replace(result.diagnostics, elapsed_ms=0))
+    (out / "result.json").write_text(result.to_json() + "\n")
     (out / "edges.tsv").write_text(result.to_edgelist())
     if args.algorithm == "podag":
         _progress(f"learn: podag kept {len(result.cross_edges)} cross edges, {result.diagnostics.ci_tests} CI tests")
     else:
         _progress(f"learn: {args.algorithm} finished, {result.diagnostics.ci_tests} CI tests")
     if args.stdout:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(result.to_json())
     return EXIT_OK
 
 

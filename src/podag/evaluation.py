@@ -8,7 +8,6 @@ import io
 import itertools
 import json
 import math
-import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -337,6 +336,9 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        for axis in ("n_nodes", "layers", "n", "backends", "algorithms", "scopes"):
+            if not getattr(self, axis):
+                raise ValueError(f"benchmark axis {axis!r} is empty; give it at least one value")
         for axis, values, valid in (
             ("algorithm", self.algorithms, ALGORITHMS),
             ("backend", self.backends, BACKENDS),
@@ -428,8 +430,9 @@ def run_benchmark(spec, threads=1, progress=None):
     A replicate's dataset is checked once: the first fit's engine
     computes its checked covariance, and every later fit's engine reads
     that one.  Data the check rejects fails every fit with the check's
-    error, as fitting each on the dataset would.  ``elapsed_ms`` times
-    the fit on its ready engine, so it leaves the check out.
+    error, as fitting each on the dataset would.  A row's ``ci_tests``
+    and ``elapsed_ms`` are its fit's ``diagnostics``: the time of the
+    fit on its ready engine, which leaves the check out.
     """
     cells = itertools.product(spec.n_nodes, spec.layers, spec.n)
     jobs = [(cell, rep) for cell in cells for rep in range(spec.replicates)]
@@ -451,15 +454,13 @@ def run_benchmark(spec, threads=1, progress=None):
                 try:
                     engine = GaussianEngine(checked, alpha=cfg.alpha)
                     checked = engine.cov
-                    started = time.perf_counter()
                     result = _fit(algo, dataset, ordering, cfg, engine=engine)
-                    pdag, ci = result.pdag, result.diagnostics.ci_tests
+                    pdag, diagnostics = result.pdag, result.diagnostics
                     del result  # a PODAG result holds its screening sets; the next fit runs without them
                 except Exception as err:  # noqa: BLE001 - recorded per contract
                     label = f"{algo}/{backend}" if backend else algo
                     failures.append((cell, rep, label, repr(err)))
                     continue
-                elapsed_ms = int(round((time.perf_counter() - started) * 1000))
                 fields = dict(
                     n_nodes=p,
                     layers=layers,
@@ -468,8 +469,8 @@ def run_benchmark(spec, threads=1, progress=None):
                     backend=backend,
                     replicate=rep,
                     seed=spec.seed,
-                    ci_tests=ci,
-                    elapsed_ms=elapsed_ms,
+                    ci_tests=diagnostics.ci_tests,
+                    elapsed_ms=diagnostics.elapsed_ms,
                 )
                 for scope in spec.scopes:
                     # the scope and the confusion counts come from the metrics

@@ -401,39 +401,34 @@ class PartialOrdering:
 
 
 class SepsetMap:
-    """Separating sets recorded during search, keyed by unordered pair.
+    """Separating sets recorded during search, as groups on a target.
 
-    The skeleton search records a level-0 block, and orientation its
-    screening verdicts, as a group ``(shared, excluded)`` on the target:
-    the separator of ``(a, target)`` is ``shared - {a}`` for each ``a``
-    in ``excluded`` (``cond(b)`` and the removed sources, a verdict pool
-    and its dropped members), and a target may hold several groups.
-    ``in``, :meth:`get`, :meth:`record`'s conflict check and
-    orientation's reads (:func:`_separators`) look in both endpoints'
-    groups without expanding them; :meth:`items`, ``len`` and ``==``
-    expand them, so a map reads the same whichever way its entries were
-    recorded.
+    Every separator is stored in one form, a group ``(shared, excluded)``
+    on a target: the separator of ``(a, target)`` is ``shared - {a}`` for
+    each ``a`` in ``excluded``, and a target may hold several groups.  A
+    level-0 block is one group (``cond(b)`` and the removed sources), a
+    screening verdict another (a verdict pool and its dropped members),
+    and :meth:`record` stores the separator ``S`` of ``(i, j)`` as the
+    group ``(S | {i}, {i})`` on ``j``.  ``in``, :meth:`get`,
+    :meth:`record`'s conflict check and orientation's reads
+    (:func:`_separators`) look in both endpoints' groups without
+    expanding them; :meth:`items`, ``len`` and ``==`` expand them.
     """
 
     def __init__(self):
-        self._map = {}  # pair -> frozenset
         self._groups = {}  # target -> [(shared frozenset, excluded sources)]
 
-    @staticmethod
-    def _key(i, j):
-        return (i, j) if i < j else (j, i)
-
     def record(self, i, j, sepset):
-        """Record ``sepset`` for the pair; a frozenset is kept as given."""
+        """Record ``sepset`` for the pair, as the group ``(sepset | {i}, {i})`` on ``j``."""
         if not isinstance(sepset, frozenset):
             sepset = frozenset(map(int, sepset))
         if i in sepset or j in sepset:
             raise ValueError("separating set must not contain its endpoints")
         known = self.get(i, j)
         if known is None:
-            self._map[self._key(i, j)] = sepset
+            self._record_excluding(j, sepset | {i}, {i})
         elif known != sepset:
-            raise ValueError(f"pair {self._key(i, j)} already has a different separating set")
+            raise ValueError(f"pair {(min(i, j), max(i, j))} already has a different separating set")
 
     def _record_excluding(self, target, shared, excluded):
         """Record ``shared - {a}`` for the pair ``(a, target)`` of each ``a`` in the set ``excluded``.
@@ -445,9 +440,6 @@ class SepsetMap:
 
     def _find(self, i, j):
         """``(shared, left_out)``, the pair's separator being ``shared - {left_out}``; None when unrecorded."""
-        sepset = self._map.get(self._key(i, j))
-        if sepset is not None:
-            return sepset, None
         for shared, excluded in self._groups.get(j, ()):
             if i in excluded:
                 return shared, i
@@ -464,13 +456,13 @@ class SepsetMap:
         return self._find(*pair) is not None
 
     def items(self):
-        pairs = dict(self._map)
-        for target, groups in self._groups.items():
-            pairs.update((self._key(a, target), shared - {a}) for shared, excluded in groups for a in excluded)
+        pairs = {}
+        for t, groups in self._groups.items():
+            pairs.update(((min(a, t), max(a, t)), shared - {a}) for shared, excluded in groups for a in excluded)
         return sorted(pairs.items())
 
     def __len__(self):
-        return len(self._map) + sum(len(excluded) for groups in self._groups.values() for _, excluded in groups)
+        return sum(len(excluded) for groups in self._groups.values() for _, excluded in groups)
 
     def _by_label(self, labels):
         """The separators as ``result.json`` writes them: ``{"a,b": [sorted labels]}``."""

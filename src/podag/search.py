@@ -22,7 +22,6 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
-from .errors import PodagError
 from .graph import Dag, Pdag, SepsetMap, write_edgelist
 from .graph import _close_meek, _orient_triples, _OrientationState, _separators, _unshielded_pairs
 from .screening import _RULES, BACKENDS, ScreenSets, screen_all
@@ -217,7 +216,8 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
     ``(cond(b) - {a}) | T`` separates ``a`` from ``b`` for each
     ``l``-subset ``T`` of ``pool(a, b) - {a}``, in
     lexicographic order of the sorted pool.  The first separator found
-    for either direction removes the pair: it is recorded, the mirror
+    for either direction removes the pair: it is recorded in ``sepsets``
+    as a group on the target (see :class:`SepsetMap`), the mirror
     direction is not tested again, and each endpoint leaves the other's
     neighbour set where it has one.  By default that last step is
     immediate (order-dependent PC); ``stable`` defers it to the end of
@@ -231,7 +231,8 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
     A level-0 test asks ``cond(b) - {a}`` alone, which no removal
     changes, so level 0 is decided one target at a time, in increasing
     ``b``: the target's live tests, in their order in ``tests``, are one
-    :meth:`CiEngine._query_block`.  So the direction of a pair with the
+    :meth:`CiEngine._query_block`, which counts each test once and names
+    the test that raises an error.  So the direction of a pair with the
     lower target is asked first, and a pair it removes is not asked
     again.  Before any is asked, one :meth:`CiEngine._read_blocks` call
     reads every target's block with all of its tests, uncounted; a
@@ -240,7 +241,7 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
     the block's verdicts come as one list of booleans, and a target's
     removals are one set of sources, which that filter and the later
     levels read, stored in ``sepsets`` as one group ``(cond(b), removed
-    sources)`` (see :class:`SepsetMap`); the neighbour sets lose them in
+    sources)``; the neighbour sets lose them in
     one set difference (at the end of the level under ``stable``).  Levels 1
     and up keep the order of ``tests``, on which order-dependent PC's
     output depends.  Their tests are decided a window at a time, with
@@ -289,9 +290,7 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
     def level_zero():
         """Decide level 0 a target at a time, each target's live tests as one block; whether any ran.
 
-        Every target's block is read first, in one engine call; a block
-        that raises is asked again one test at a time, so that the error
-        names the candidate that raised it.
+        Every target's block is read first, in one engine call.
         """
         sources_of = {}
         for a, b in zip(sources, targets):
@@ -306,10 +305,7 @@ def _search_levels(engine, tests, cond, pool, neighbours, max_level=None, stable
                     continue
                 if got is not None:
                     got = tuple(list(itertools.compress(reads, live)) for reads in got)
-            try:
-                independent = engine._query_block(b, block, given, got)[0]
-            except PodagError:
-                independent = [engine._query_first(a, b, given - {a}, [()], [(0, False)]) is not None for a in block]
+            independent = engine._query_block(b, block, given, got)[0]
             gone = frozenset(itertools.compress(block, independent))
             if gone:
                 removed_at[b] = gone

@@ -600,11 +600,12 @@ class CiEngine:
 
         The same verdicts and count as ``[query(a, b, cond - {a}) for a
         in sources]``, except that a raised error leaves every source
-        counted.  ``got`` is the block's entry from :meth:`_read_blocks`
-        with these sources (read here when None); a lone source is asked
-        as a single query, read or not.  Unchecked: ``b`` is an int
-        outside ``sources`` and ``cond``, ``sources`` a list of ints and
-        ``cond`` a frozenset.
+        counted and names the source that raised it, as
+        :meth:`_query_first` does with ``T=()``.  ``got`` is the block's
+        entry from :meth:`_read_blocks` with these sources (read here
+        when None); a lone source is asked as a single query, read or
+        not.  Unchecked: ``b`` is an int outside ``sources`` and
+        ``cond``, ``sources`` a list of ints and ``cond`` a frozenset.
         """
         self._count(len(sources), lambda: [(min(a, b), max(a, b), cond - {a}) for a in sources])
         if len(sources) < 2:
@@ -616,7 +617,7 @@ class CiEngine:
         if not all(read):
             for k, a in enumerate(sources):
                 if not read[k]:
-                    verdict = self._decide(min(a, b), max(a, b), cond - {a})
+                    verdict = self._decide_candidate(a, b, cond - {a}, ())
                     independent[k], statistics[k] = verdict.independent, verdict.statistic
         return independent, statistics
 
@@ -663,16 +664,21 @@ class CiEngine:
         for k, known in stops:
             self._count(k + 1 - asked, lambda: [(i, j, base.union(t)) for t in subsets[asked : k + 1]])
             asked = k + 1
-            if known:
+            if known or self._decide_candidate(a, b, base.union(subsets[k]), subsets[k]).independent:
                 return k
-            try:
-                if self._decide(i, j, base.union(subsets[k])).independent:
-                    return k
-            except PodagError as err:
-                err.args = (f"{err.args[0]} [candidate ({a}, {b}), T={subsets[k]}]",) + err.args[1:]
-                raise
         self._count(len(subsets) - asked, lambda: [(i, j, base.union(t)) for t in subsets[asked:]])
         return None
+
+    def _decide_candidate(self, a, b, s, t):
+        """``_decide`` on the pair ``a``, ``b`` given ``s``, the test of candidate ``(a, b)`` with subset ``t``.
+
+        An error names the candidate and ``t``: ``[candidate (a, b), T=t]``.
+        """
+        try:
+            return self._decide(min(a, b), max(a, b), s)
+        except PodagError as err:
+            err.args = (f"{err.args[0]} [candidate ({a}, {b}), T={t}]",) + err.args[1:]
+            raise
 
     def _decide(self, i, j, s):
         raise NotImplementedError

@@ -403,6 +403,17 @@ class TestLearn:
         assert "max_sepset_size must be nonnegative" in capsys.readouterr().err
         assert not (out / "edges.tsv").exists()
 
+    @pytest.mark.parametrize("args, written", [([], "result.json"), (["--screen-only"], "screen.json")])
+    def test_stdout_prints_the_written_file(self, tmp_path, capsys, args, written):
+        sim = simulate_into(tmp_path)
+        out = tmp_path / "o"
+        code = run(
+            ["learn", "--data", sim / "dataset.csv", "--layering", sim / "layering.txt",
+             *args, "--stdout", "-o", out]
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == (out / written).read_text()
+
     def test_screen_only_mode(self, tmp_path):
         sim = simulate_into(tmp_path)
         out = tmp_path / "screen"
@@ -495,6 +506,40 @@ class TestBenchmark:
         assert grids == [] and not out.exists()
 
     @pytest.mark.parametrize(
+        "args, axis",
+        [
+            (["--algorithms", ""], "algorithms"),
+            (["--backends", ","], "backends"),
+            (["--spec", '{"algorithms": []}'], "algorithms"),
+        ],
+        ids=["algorithms", "backends", "spec"],
+    )
+    def test_empty_axis_exits_two_naming_it(self, tmp_path, monkeypatch, capsys, args, axis):
+        grids = []
+        monkeypatch.setattr(podag.cli, "run_benchmark", lambda *args, **kwargs: grids.append(args))
+        if args[0] == "--spec":
+            spec = tmp_path / "spec.json"
+            spec.write_text(args[1])
+            args = ["--spec", spec]
+        out = tmp_path / "bench.csv"
+        assert run(["benchmark", *args, "-o", out]) == EXIT_USAGE
+        assert capsys.readouterr().err.strip() == f"error: benchmark axis '{axis}' is empty; give it at least one value"
+        assert grids == [] and not out.exists()
+
+    def test_every_replicate_failing_exits_four(self, tmp_path, capsys):
+        # 12 nodes from 5 samples: pcor screening has no degrees of freedom
+        out = tmp_path / "bench.csv"
+        code = run(
+            ["benchmark", "--nodes", 12, "--layers", 2, "--n", 5, "--replicates", 2,
+             "--algorithms", "podag", "-o", out]
+        )
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "benchmark: all replicates failed"
+        assert sum(line.startswith("benchmark: FAILED podag/pcor on cell=(12, 2, 5)") for line in err) == 2
+        assert out.read_text() == ",".join(podag.evaluation.BENCHMARK_FIELDS) + "\n"
+
+    @pytest.mark.parametrize(
         "doc, message",
         [
             ("[1, 2]", "error: a benchmark spec must be a JSON object"),
@@ -573,6 +618,16 @@ def test_unreadable_values_exit_two_stating_the_rule(tmp_path, capsys, args, rul
     assert f"error: argument {rule}" in stderr
     assert not re.search(r"\b_\w", stderr)  # no private helper's name
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, runner", [("benchmark", "run_benchmark"), ("faithfulness", "faithfulness_report")])
+def test_output_in_a_missing_directory_exits_two_before_any_fit(tmp_path, monkeypatch, capsys, command, runner):
+    runs = []
+    monkeypatch.setattr(podag.cli, runner, lambda *args, **kwargs: runs.append(args))
+    missing = tmp_path / "missing"
+    assert run([command, "-o", missing / "out.csv"]) == EXIT_USAGE
+    assert capsys.readouterr().err.strip() == f"error: output directory does not exist: {missing}"
+    assert runs == [] and not missing.exists()
 
 
 class TestFaithfulness:

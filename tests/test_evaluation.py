@@ -394,6 +394,16 @@ class TestRhoMinStar:
         b = rho_min_star(sem, tuples[::-1] + tuples)
         assert a == b
 
+    def test_singular_conditioning_block_warns_and_skips_the_tuple(self):
+        # 1 = 0 + 1e-9 noise: the population block of {0, 1} is singular in floating point
+        dag = Dag(4, [(0, 1), (0, 2)])
+        weights = np.zeros((4, 4))
+        weights[1, 0], weights[2, 0] = 1.0, 0.6
+        sem = Sem(dag, weights, np.array([1.0, 1e-9, 1.0, 1.0]))
+        with pytest.warns(UserWarning, match=r"^skipping tuple \(2, 3, \[0, 1\]\): singular conditioning covariance"):
+            got = rho_min_star(sem, [(2, 3, frozenset({0, 1})), (0, 2, frozenset())])
+        assert got == pytest.approx(0.6 / math.sqrt(0.6**2 + 1))
+
     def test_each_distinct_tuple_evaluated_once(self, monkeypatch):
         calls = []
 
@@ -595,6 +605,14 @@ class TestRunBenchmark:
             BenchmarkSpec.from_json({key: values})
         with pytest.raises(ValueError, match=message):
             BenchmarkSpec(**{key: tuple(values)})
+
+    @pytest.mark.parametrize("axis", ["n_nodes", "layers", "n", "backends", "algorithms", "scopes"])
+    def test_spec_rejects_an_empty_axis(self, axis):
+        message = rf"benchmark axis '{axis}' is empty; give it at least one value$"
+        with pytest.raises(ValueError, match=message):
+            BenchmarkSpec.from_json({axis: []})
+        with pytest.raises(ValueError, match=message):
+            BenchmarkSpec(**{axis: ()})
 
     @pytest.mark.parametrize(
         "doc, message",

@@ -34,7 +34,7 @@ from podag.errors import InsufficientDataError, PodagError, SingularityError
 from podag.graph import SepsetMap
 from podag.screening import BACKENDS, ScreenEntry, ScreenSets
 from podag.sem import rng_from_seed, sample, toy_two_layer_sem
-from podag.stats import CiEngine, CiVerdict, GaussianEngine, sample_covariance
+from podag.stats import CiEngine, CiVerdict, CovMatrix, GaussianEngine, sample_covariance
 
 from helpers import (
     counting_factorizations,
@@ -222,7 +222,16 @@ class TestSkeletonDriver:
         engine = FailingEngine()
         with pytest.raises(SingularityError, match=r"\[candidate \(0, 2\), T=\(\)\]$"):
             learn(Dataset(x), ordering, engine=engine)
-        assert engine.n_queries == 3  # the block of two, then the first test again
+        assert engine.n_queries == 2  # the block of two, each test counted once
+
+    def test_level_zero_block_error_counts_each_source_once(self):
+        # n=6 leaves a Fisher z test on three conditioning nodes no degrees of freedom
+        engine = RecordingEngine(GaussianEngine(CovMatrix(np.eye(6), n=6)))
+        cond = frozenset({1, 2, 3, 4})
+        with pytest.raises(InsufficientDataError, match=r"\[candidate \(1, 0\), T=\(\)\]$"):
+            podag.search._search_levels(engine, ([1, 2, 3, 4], [0] * 4), lambda b: cond, lambda a, b: set(), {})
+        assert engine.records == [(0, a, cond - {a}) for a in (1, 2, 3, 4)]
+        assert engine.n_queries == 4
 
     @pytest.mark.parametrize("algorithm", ["learn", "pc", "pc_plus"])
     def test_level_zero_blocks_replay_single_queries(self, monkeypatch, algorithm):

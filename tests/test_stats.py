@@ -846,6 +846,8 @@ class TestBlockQueries:
         for a in sources:
             want.append(outcome(lambda: single.query(a, b, cond - {a})))
             if not isinstance(want[-1], CiVerdict):
+                kind, message, context = want[-1]
+                want[-1] = kind, f"{message} [candidate ({a}, {b}), T=()]", context  # the block names its source
                 break
         block = RecordingEngine(GaussianEngine(cov, alpha=alpha))
         got = outcome(lambda: block_verdicts(block, b, sources, cond))
